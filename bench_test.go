@@ -22,6 +22,7 @@ import (
 	"ovs/internal/lint"
 	"ovs/internal/nn"
 	"ovs/internal/parallel"
+	"ovs/internal/roadnet"
 	"ovs/internal/sim"
 	"ovs/internal/tensor"
 )
@@ -210,8 +211,36 @@ func BenchmarkSimulatorMesoDynamic(b *testing.B) {
 	b.ReportMetric(float64(calls)/float64(b.N), "dijkstra/op")
 }
 
+// BenchmarkSimulatorMesoGrid500 measures the meso engine at Fig. 9 scale:
+// one training-data sample on a 500-intersection grid (1934 links) with 20
+// OD pairs under DynamicRouting, 6 intervals of 300 s. Only about a tenth of
+// the links carry traffic on a given step, which is what the engine's
+// active-link stepping exploits.
+func BenchmarkSimulatorMesoGrid500(b *testing.B) {
+	net := roadnet.GridForIntersections(500)
+	rng := rand.New(rand.NewSource(1))
+	regions := roadnet.Partition(net, 3, 3, rng)
+	city := &dataset.City{
+		Name:    "grid-500",
+		Net:     net,
+		Regions: regions,
+		Kinds:   make([]dataset.RegionKind, len(regions)),
+		Pairs:   roadnet.SelectODPairs(regions, 20, rng),
+	}
+	city.ResolveODs()
+	g := dataset.MixedTOD(0, dataset.TODConfig{Pairs: city.NumPairs(), Intervals: 6, IntervalMinutes: 5}, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sim.New(net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: int64(i), Routing: sim.DynamicRouting})
+		if _, err := s.Run(sim.Demand{ODs: city.ODs, G: g}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorMicro measures the IDM car-following engine on the same
-// workload.
+// workload as BenchmarkSimulatorMeso.
 func BenchmarkSimulatorMicro(b *testing.B) {
 	city := dataset.SyntheticGrid(8, 1)
 	g := tensor.Full(20, city.NumPairs(), 6)

@@ -4,19 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
-	"ovs/internal/parallel"
 	"ovs/internal/roadnet"
 	"ovs/internal/tensor"
 )
-
-// linkGrain is the number of links per parallel chunk in the per-link update
-// phases. Small networks fall into a single chunk and run serially inline;
-// step 3 (transfers/spillback) and step 4 (spawns) couple links and always
-// stay serial.
-const linkGrain = 128
 
 // mesoVehicle is a vehicle in the mesoscopic engine. Vehicles on a link all
 // move at the link's current fundamental-diagram speed.
@@ -25,13 +19,59 @@ type mesoVehicle struct {
 	idx       int     // position in route
 	pos       float64 // meters from link start
 	spawnStep int
-	inNetwork bool
+	next      int // the vehicle behind this one on its link (valid while one is)
 }
 
-// runMeso executes the fundamental-diagram queue engine. Cancellation is
-// observed only at interval boundaries, before the boundary's route-cache
-// refresh, so the steps completed before a cancelled return form a whole
-// number of intervals.
+// linkSet is a bitset over link IDs, 64 links to a word.
+type linkSet []uint64
+
+func newLinkSet(m int) linkSet { return make(linkSet, (m+63)/64) }
+
+func (s linkSet) add(j int)    { s[j>>6] |= 1 << (uint(j) & 63) }
+func (s linkSet) remove(j int) { s[j>>6] &^= 1 << (uint(j) & 63) }
+
+// mesoLinks holds every link's occupants as an intrusive FIFO threaded
+// through mesoVehicle.next (head is the vehicle closest to the link end),
+// plus occ, the set of links holding at least one vehicle.
+type mesoLinks struct {
+	head, tail, cnt []int
+	occ             linkSet
+}
+
+func newMesoLinks(m int) *mesoLinks {
+	return &mesoLinks{head: make([]int, m), tail: make([]int, m), cnt: make([]int, m), occ: newLinkSet(m)}
+}
+
+// push appends vehicle vi at the back of link j's queue.
+func (q *mesoLinks) push(vehicles []mesoVehicle, j, vi int) {
+	if q.cnt[j] == 0 {
+		q.head[j] = vi
+		q.occ.add(j)
+	} else {
+		vehicles[q.tail[j]].next = vi
+	}
+	q.tail[j] = vi
+	q.cnt[j]++
+}
+
+// pop removes the front vehicle of link j's (non-empty) queue.
+func (q *mesoLinks) pop(vehicles []mesoVehicle, j int) {
+	q.head[j] = vehicles[q.head[j]].next
+	q.cnt[j]--
+	if q.cnt[j] == 0 {
+		q.occ.remove(j)
+	}
+}
+
+// runMeso executes the fundamental-diagram queue engine. Each step touches
+// only the links that can change state (DESIGN.md §10): the occupied ones,
+// the ones that just emptied, and the ones whose discharge credit has not
+// yet reached its burst cap. Skipping the rest is exact — the results are
+// bitwise those of scanning every link (meso_oracle_test.go).
+//
+// Cancellation is observed only at interval boundaries, before the
+// boundary's route-cache refresh, so the steps completed before a cancelled
+// return form a whole number of intervals.
 func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 	cfg := s.Cfg
 	net := s.Net
@@ -50,7 +90,7 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 	totalSteps := cfg.Intervals * stepsPerInterval
 
 	// Per-link state.
-	occupants := make([][]int, m) // FIFO: [0] is closest to link end
+	links := newMesoLinks(m)
 	maxVeh := make([]float64, m)
 	freeSpeed := make([]float64, m)
 	capPerStep := make([]float64, m)
@@ -61,7 +101,27 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 		maxVeh[j] = math.Max(1, l.Length*float64(l.Lanes)*cfg.JamDensity)
 		freeSpeed[j] = s.effectiveSpeedLimit(l)
 		capPerStep[j] = s.effectiveCapacity(l) * cfg.StepSec
-		curSpeed[j] = freeSpeed[j]
+	}
+	// linkSpeed is link j's fundamental-diagram speed at its current density.
+	linkSpeed := func(j int) float64 {
+		v := freeSpeed[j] * cfg.Diagram.SpeedFraction(float64(links.cnt[j])/maxVeh[j])
+		if v < cfg.MinSpeed {
+			v = cfg.MinSpeed
+		}
+		return v
+	}
+	// Every link starts empty, so its speed is the empty-link speed that
+	// step 0's update would assign; from then on a link's speed changes only
+	// while it is occupied or on the step after it empties.
+	for j := range curSpeed {
+		curSpeed[j] = linkSpeed(j)
+	}
+	// lastOcc is occ as of the previous speed update; unsat holds the links
+	// whose credit is below its 5·capPerStep burst cap (all, at the start).
+	lastOcc := newLinkSet(m)
+	unsat := newLinkSet(m)
+	for j := 0; j < m; j++ {
+		unsat.add(j)
 	}
 
 	res := &Result{
@@ -72,17 +132,29 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 	// Accumulators for occupancy-weighted speed.
 	speedSum := tensor.New(m, cfg.Intervals)  // Σ speed·occupancy per step
 	weightSum := tensor.New(m, cfg.Intervals) // Σ occupancy per step
-	// The worker closures below write these accumulators through raw Data
-	// offsets (rows partition by link, so workers never collide); one bump
-	// here covers them all — bumping per worker would race on the version.
+	// The loops below write these tensors through raw Data offsets; one
+	// bump here covers every write of the run.
 	res.Volume.NoteMutation()
+	res.Entries.NoteMutation()
 	res.Speed.NoteMutation()
 	speedSum.NoteMutation()
 	weightSum.NoteMutation()
+	volume, entries := res.Volume.Data, res.Entries.Data
+
+	// enter places vehicle vi on the first link of its route.
+	enter := func(vi, interval int) {
+		veh := &vehicles[vi]
+		veh.idx = 0
+		veh.pos = 0
+		first := veh.route[0]
+		links.push(vehicles, first, vi)
+		entries[first*cfg.Intervals+interval]++
+	}
 
 	// Entry queues: vehicles waiting at their origin for space on the first
 	// link, FIFO per origin link.
 	entryQueue := make(map[int][]int)
+	var origins []int
 
 	nextSpawn := 0
 	for step := 0; step < totalSteps; step++ {
@@ -95,21 +167,19 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 		}
 
 		// 1+2. Update link speeds from density via the fundamental diagram,
-		// then advance vehicles. Both touch only link-local state (curSpeed[j]
-		// and the vehicles occupying link j — a vehicle sits on exactly one
-		// link), so links are partitioned across workers; per-link work is
-		// unchanged and results are identical at any worker count.
-		parallel.ForWorkers(cfg.Workers, m, linkGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				k := float64(len(occupants[j])) / maxVeh[j]
-				v := freeSpeed[j] * cfg.Diagram.SpeedFraction(k)
-				if v < cfg.MinSpeed {
-					v = cfg.MinSpeed
-				}
+		// then advance vehicles. Only links occupied now or at the previous
+		// update can change speed: any other link already holds its
+		// empty-link speed.
+		for w := range links.occ {
+			word := links.occ[w] | lastOcc[w]
+			lastOcc[w] = links.occ[w]
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				v := linkSpeed(j)
 				curSpeed[j] = v
 				adv := v * cfg.StepSec
 				length := net.Links[j].Length
-				for _, vi := range occupants[j] {
+				for vi, n := links.head[j], links.cnt[j]; n > 0; vi, n = vehicles[vi].next, n-1 {
 					veh := &vehicles[vi]
 					veh.pos += adv
 					if veh.pos > length {
@@ -117,7 +187,7 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 					}
 				}
 			}
-		})
+		}
 
 		// Interval boundary: snapshot the just-updated speeds for dynamic
 		// route choice and invalidate the per-OD route cache.
@@ -126,48 +196,65 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 		}
 
 		// 3. Transfers at link ends, capacity- and space-limited; a red
-		// signal blocks the approach entirely.
-		for j := 0; j < m; j++ {
-			if cfg.Signals != nil && !cfg.Signals.Green(net, j, float64(step)*cfg.StepSec) {
-				continue
-			}
-			credit[j] += capPerStep[j]
-			if credit[j] > capPerStep[j]*5 {
-				credit[j] = capPerStep[j] * 5 // bounded burst
-			}
-			length := net.Links[j].Length
-			for len(occupants[j]) > 0 {
-				vi := occupants[j][0]
-				veh := &vehicles[vi]
-				if veh.pos < length || credit[j] < 1 {
+		// signal blocks the approach entirely. An empty link whose credit
+		// sits at its cap is a no-op whatever its signal shows, so only
+		// occ ∪ unsat is visited, in ascending link ID. The word is re-read
+		// after each link: a transfer can occupy a higher link of the same
+		// word, which the full scan would still reach in this step.
+		now := float64(step) * cfg.StepSec
+		for w := range links.occ {
+			var done uint64 // bits at or below the last link visited
+			for {
+				word := (links.occ[w] | unsat[w]) &^ done
+				if word == 0 {
 					break
 				}
-				if veh.idx == len(veh.route)-1 {
-					// Trip complete.
-					occupants[j] = occupants[j][1:]
-					credit[j]--
-					veh.inNetwork = false
-					res.Completed++
-					res.TotalTravelSec += float64(step-veh.spawnStep) * cfg.StepSec
+				b := bits.TrailingZeros64(word)
+				done = ^uint64(0) >> (63 - b)
+				j := w<<6 + b
+				if cfg.Signals != nil && !cfg.Signals.Green(net, j, now) {
 					continue
 				}
-				next := veh.route[veh.idx+1]
-				if float64(len(occupants[next])) >= maxVeh[next] {
-					break // spillback: receiving link full
+				credit[j] += capPerStep[j]
+				if credit[j] > capPerStep[j]*5 {
+					credit[j] = capPerStep[j] * 5 // bounded burst
+					unsat.remove(j)
 				}
-				occupants[j] = occupants[j][1:]
-				credit[j]--
-				veh.idx++
-				veh.pos = 0
-				occupants[next] = append(occupants[next], vi)
-				res.Entries.Add2(1, next, interval)
+				length := net.Links[j].Length
+				for links.cnt[j] > 0 {
+					vi := links.head[j]
+					veh := &vehicles[vi]
+					if veh.pos < length || credit[j] < 1 {
+						break
+					}
+					if veh.idx == len(veh.route)-1 {
+						// Trip complete.
+						links.pop(vehicles, j)
+						credit[j]--
+						unsat.add(j)
+						res.Completed++
+						res.TotalTravelSec += float64(step-veh.spawnStep) * cfg.StepSec
+						continue
+					}
+					next := veh.route[veh.idx+1]
+					if float64(links.cnt[next]) >= maxVeh[next] {
+						break // spillback: receiving link full
+					}
+					links.pop(vehicles, j)
+					credit[j]--
+					unsat.add(j)
+					veh.idx++
+					veh.pos = 0
+					links.push(vehicles, next, vi)
+					entries[next*cfg.Intervals+interval]++
+				}
 			}
 		}
 
 		// 4. Spawn departures due at this step (and retry queued entries).
 		// Iterate origins in sorted order: map iteration order must not leak
 		// into simulation results (determinism).
-		origins := make([]int, 0, len(entryQueue))
+		origins = origins[:0]
 		for origin := range entryQueue {
 			origins = append(origins, origin)
 		}
@@ -177,11 +264,11 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 			for len(queue) > 0 {
 				vi := queue[0]
 				first := vehicles[vi].route[0]
-				if float64(len(occupants[first])) >= maxVeh[first] {
+				if float64(links.cnt[first]) >= maxVeh[first] {
 					break
 				}
 				queue = queue[1:]
-				s.enterNetwork(&vehicles[vi], vi, step, interval, occupants, res)
+				enter(vi, interval)
 			}
 			if len(queue) == 0 {
 				delete(entryQueue, origin)
@@ -199,28 +286,25 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 			vehicles = append(vehicles, mesoVehicle{route: route, spawnStep: step})
 			vi := len(vehicles) - 1
 			first := route[0]
-			if float64(len(occupants[first])) >= maxVeh[first] {
+			if float64(links.cnt[first]) >= maxVeh[first] {
 				entryQueue[net.Links[first].From] = append(entryQueue[net.Links[first].From], vi)
 				continue
 			}
-			s.enterNetwork(&vehicles[vi], vi, step, interval, occupants, res)
+			enter(vi, interval)
 		}
 
-		// 5. Record occupancy and speed observations (row j of each
-		// accumulator belongs to link j alone, so links partition cleanly).
-		// Indexing is fused: one flat offset per link instead of three
-		// bounds-checked multi-index lookups.
-		parallel.ForWorkers(cfg.Workers, m, linkGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				occ := float64(len(occupants[j]))
+		// 5. Record occupancy and speed observations. An empty link would
+		// add zero to every accumulator, so only occupied links are visited.
+		for w, word := range links.occ {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				occ := float64(links.cnt[j])
 				cell := j*cfg.Intervals + interval
-				res.Volume.Data[cell] += occ
-				if occ > 0 {
-					speedSum.Data[cell] += curSpeed[j] * occ
-					weightSum.Data[cell] += occ
-				}
+				volume[cell] += occ
+				speedSum.Data[cell] += curSpeed[j] * occ
+				weightSum.Data[cell] += occ
 			}
-		})
+		}
 	}
 
 	// Occupancy: mean vehicles present per step within each interval
@@ -228,32 +312,19 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 	tensor.ScaleInPlace(res.Volume, 1/float64(stepsPerInterval))
 
 	// Finalize speeds: occupancy-weighted mean, free-flow when unobserved.
-	// One fused per-link pass, partitioned like the per-step phases.
-	parallel.ForWorkers(cfg.Workers, m, linkGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			row := res.Speed.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
-			wRow := weightSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
-			sRow := speedSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
-			for t := range row {
-				if wRow[t] > 0 {
-					row[t] = sRow[t] / wRow[t]
-				} else {
-					row[t] = freeSpeed[j]
-				}
+	for j := 0; j < m; j++ {
+		row := res.Speed.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
+		wRow := weightSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
+		sRow := speedSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
+		for t := range row {
+			if wRow[t] > 0 {
+				row[t] = sRow[t] / wRow[t]
+			} else {
+				row[t] = freeSpeed[j]
 			}
 		}
-	})
+	}
 	res.Spawned = len(vehicles)
 	res.DijkstraCalls = chooser.calls
 	return res, nil
-}
-
-// enterNetwork places a vehicle on the first link of its route.
-func (s *Simulator) enterNetwork(veh *mesoVehicle, vi, step, interval int, occupants [][]int, res *Result) {
-	veh.inNetwork = true
-	veh.idx = 0
-	veh.pos = 0
-	first := veh.route[0]
-	occupants[first] = append(occupants[first], vi)
-	res.Entries.Add2(1, first, interval)
 }

@@ -4,24 +4,27 @@ import (
 	"runtime"
 	"testing"
 
+	"ovs/internal/parallel"
 	"ovs/internal/roadnet"
 	"ovs/internal/tensor"
 )
 
 // TestMesoWorkerEquivalence checks that the meso engine produces identical
-// results for Workers ∈ {1, 2, GOMAXPROCS}: the parallel phases partition
-// strictly by link, so the trajectory of every vehicle — and every recorded
-// observation — must be bitwise unchanged.
+// results at process-wide worker counts ∈ {1, 2, GOMAXPROCS}: the engine is
+// serial by design, so no setting of the parallel package may reach the
+// trajectory of a vehicle or any recorded observation.
 func TestMesoWorkerEquivalence(t *testing.T) {
-	// An 8×9 grid has >128 links, so the per-link phases actually split into
-	// multiple chunks (linkGrain) and run concurrently for workers > 1.
+	defer parallel.SetWorkers(parallel.Workers())
+	// An 8×9 grid has more than 64 links, so the active-link sets span
+	// several bitset words.
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 8, Cols: 9})
 	n := net.NumNodes()
 	ods := []ODNodes{{Origin: 0, Dest: n - 1}, {Origin: n - 1, Dest: 0}, {Origin: 8, Dest: n - 9}}
 	d := Demand{ODs: ods, G: tensor.Full(4, 3, 3)}
 
 	run := func(workers int) *Result {
-		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 7, Workers: workers})
+		parallel.SetWorkers(workers)
+		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 7})
 		res, err := s.Run(d)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ovs/internal/parallel"
 	"ovs/internal/roadnet"
 	"ovs/internal/tensor"
 )
@@ -11,10 +12,11 @@ import (
 // TestMesoPoolingEquivalence checks that the tensor arena's pooling mode
 // cannot leak into simulation results: the meso engine must produce bitwise-
 // identical volume, speed, and entry tensors with pooling enabled and
-// disabled, at every worker count.
+// disabled, at every process-wide worker count.
 func TestMesoPoolingEquivalence(t *testing.T) {
 	restore := tensor.PoolingEnabled()
 	defer tensor.SetPooling(restore)
+	defer parallel.SetWorkers(parallel.Workers())
 
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 6, Cols: 7})
 	n := net.NumNodes()
@@ -23,7 +25,8 @@ func TestMesoPoolingEquivalence(t *testing.T) {
 
 	run := func(workers int, pooled bool) *Result {
 		tensor.SetPooling(pooled)
-		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 19, Workers: workers})
+		parallel.SetWorkers(workers)
+		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 19})
 		res, err := s.Run(d)
 		if err != nil {
 			t.Fatal(err)

@@ -20,6 +20,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -94,10 +95,6 @@ type Config struct {
 	// Signals, when non-nil, adds fixed-time traffic lights: a link whose
 	// downstream intersection shows red for its approach cannot discharge.
 	Signals *SignalPlan
-	// Workers bounds the goroutines used for per-link state updates: 0 uses
-	// the process-wide default (see internal/parallel), 1 forces serial
-	// execution. Results are identical at every setting.
-	Workers int
 
 	// disableRouteCache turns off the per-(OD, interval) dynamic route cache
 	// so every vehicle recomputes Dijkstra from the same interval-start
@@ -171,9 +168,33 @@ func (d Demand) Validate(net *roadnet.Network, t int) error {
 		}
 	}
 	for _, v := range d.G.Data {
-		if v < 0 {
-			return fmt.Errorf("sim: demand G contains negative trip counts")
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("sim: demand G contains a trip count of %v; counts must be finite and non-negative", v)
 		}
+	}
+	return nil
+}
+
+// validate checks the settings withDefaults leaves in place: a run needs
+// finite timing with at least one step per interval (buildSpawns draws each
+// departure step within its interval), and road-work factors in (0, 1].
+func (c Config) validate() error {
+	if math.IsNaN(c.IntervalSec) || math.IsInf(c.IntervalSec, 0) || math.IsNaN(c.StepSec) || math.IsInf(c.StepSec, 0) {
+		return fmt.Errorf("sim: IntervalSec (%v) and StepSec (%v) must be finite", c.IntervalSec, c.StepSec)
+	}
+	if c.IntervalSec/c.StepSec < 1 {
+		return fmt.Errorf("sim: IntervalSec (%v) is shorter than one StepSec (%v)", c.IntervalSec, c.StepSec)
+	}
+	// Report the lowest offending link so the error does not depend on map
+	// iteration order.
+	bad := -1
+	for id, f := range c.RoadWork {
+		if !(f > 0 && f <= 1) && (bad < 0 || id < bad) {
+			bad = id
+		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("sim: road-work factor %v for link %d is outside (0, 1]", c.RoadWork[bad], bad)
 	}
 	return nil
 }
@@ -235,6 +256,9 @@ func (s *Simulator) Run(d Demand) (*Result, error) {
 // completes without being cancelled is bitwise-identical to Run. A cancelled
 // run returns the context's cancellation cause and a nil Result.
 func (s *Simulator) RunCtx(ctx context.Context, d Demand) (*Result, error) {
+	if err := s.Cfg.validate(); err != nil {
+		return nil, err
+	}
 	if err := d.Validate(s.Net, s.Cfg.Intervals); err != nil {
 		return nil, err
 	}

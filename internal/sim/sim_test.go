@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,8 @@ func TestDemandValidate(t *testing.T) {
 		{ODs: []ODNodes{{0, 0}}, G: tensor.New(1, 4)},      // origin==dest
 		{ODs: []ODNodes{{0, 99}}, G: tensor.New(1, 4)},     // out of range
 		{ODs: []ODNodes{{0, 2}}, G: tensor.Full(-1, 1, 4)}, // negative
+		{ODs: []ODNodes{{0, 2}}, G: tensor.Full(math.NaN(), 1, 4)},
+		{ODs: []ODNodes{{0, 2}}, G: tensor.Full(math.Inf(1), 1, 4)},
 	}
 	for i, d := range bad {
 		if err := d.Validate(net, 4); err == nil {
