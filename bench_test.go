@@ -303,7 +303,7 @@ func BenchmarkFitEpoch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := model.Fit(speed, 1, nil); err != nil {
+				if _, _, err := model.FitBestCtx(context.Background(), speed, 1, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

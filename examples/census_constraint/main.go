@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -82,7 +83,7 @@ func main() {
 
 	run := func(aux *ovs.AuxData) *ovs.Tensor {
 		m := build()
-		rec, err := m.TrainFull(samples, obs.Speed, 15, 12, 100, aux)
+		rec, err := m.TrainFullCtx(context.Background(), samples, obs.Speed, 15, 12, 100, aux)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -78,7 +79,7 @@ func main() {
 	cfg.VolumeNorm = maxVol / 4
 	cfg.VolumeLossWeight = 3
 	model := ovs.NewModel(topo, cfg)
-	recovered, err := model.TrainFull(samples, obs.Speed, 20, 15, 200, nil)
+	recovered, err := model.TrainFullCtx(context.Background(), samples, obs.Speed, 20, 15, 200, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

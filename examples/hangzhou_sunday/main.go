@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -91,7 +92,7 @@ func main() {
 	}
 	aux := &ovs.AuxData{TrajODIdx: trajIdx, TrajG: trajG, TrajWeight: 8}
 
-	recovered, err := model.TrainFull(samples, obs.Speed, 25, 20, 400, aux)
+	recovered, err := model.TrainFullCtx(context.Background(), samples, obs.Speed, 25, 20, 400, aux)
 	if err != nil {
 		log.Fatal(err)
 	}

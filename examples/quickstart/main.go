@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -83,7 +84,7 @@ func main() {
 	cfg.InitTripLevel = meanG / float64(len(samples)) / cfg.MaxTrips
 	model := ovs.NewModel(topo, cfg)
 
-	recovered, err := model.TrainFull(samples, obs.Speed, 15, 12, 80, nil)
+	recovered, err := model.TrainFullCtx(context.Background(), samples, obs.Speed, 15, 12, 80, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

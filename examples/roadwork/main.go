@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -92,19 +93,20 @@ func main() {
 	cfg.InitTripLevel = meanG / float64(len(samples)) / cfg.MaxTrips
 	cfg.VolumeNorm = maxVol / 4
 	model := ovs.NewModel(topo, cfg)
-	if _, err := model.TrainV2S(samples, 15); err != nil {
+	ctx := context.Background()
+	if _, err := model.TrainV2SCtx(ctx, samples, 15); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := model.TrainT2V(samples, 12); err != nil {
+	if _, err := model.TrainT2VCtx(ctx, samples, 12); err != nil {
 		log.Fatal(err)
 	}
 
 	// Fit the same trained mappings to each observation.
-	rec1, _, err := model.Fit(obs1.Speed, 100, nil)
+	rec1, _, err := model.FitBestCtx(ctx, obs1.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec2, _, err := model.Fit(obs2.Speed, 100, nil)
+	rec2, _, err := model.FitBestCtx(ctx, obs2.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

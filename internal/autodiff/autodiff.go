@@ -49,7 +49,7 @@ func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 // recorded on the tape as a gradient-free leaf, so Backward never writes to
 // its Grad tensor. Freezing the parameters of modules that are only read
 // during a training phase is what makes concurrent training runs (e.g.
-// parallel FitBest restarts sharing the pre-trained T2V/V2S modules) free of
+// parallel FitBestCtx restarts sharing the pre-trained T2V/V2S modules) free of
 // data races: a frozen parameter is immutable for the duration.
 func (p *Parameter) SetFrozen(frozen bool) { p.frozen.Store(frozen) }
 

@@ -3,93 +3,56 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
-
-	"ovs/internal/tensor"
 )
 
-// ctxCancelAfter returns a context plus a CkptOptions.Stop that cancels it on
-// the (n+1)-th poll while itself always reporting false. stopRequested
-// evaluates Stop() before ctx.Err(), so the cancellation is visible in the
-// very same poll — ctx cancellation lands at exactly the epoch boundary where
-// the legacy Stop path would have fired, which is the precondition for the
-// bitwise checkpoint-equivalence assertions below.
-func ctxCancelAfter(n int) (context.Context, func() bool) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	count := 0
-	stop := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		if count > n {
-			cancel()
-		}
-		return false
-	}
-	return ctx, stop
+// pollCancelCtx is a context that cancels itself on its (n+1)-th Err() poll.
+// Every training loop polls Err() exactly once per epoch boundary and the
+// restart fan-out once per restart, so a growing n walks the interrupt
+// through every boundary of a run. Safe for concurrent pollers.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelCauseFunc
+	cause  error
+
+	mu    sync.Mutex
+	polls int
+	n     int
 }
 
-// ctxInterruptedTrainFull is interruptedTrainFull's ctx twin: every attempt
-// runs under a context that gets cancelled mid-flight, the run must exit via
-// ErrInterrupted (checkpoint written), and a fresh context resumes it.
-func ctxInterruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string) (*TrainResult, int) {
-	t.Helper()
-	for attempt := 0; attempt < 60; attempt++ {
-		m := NewModel(topo, cfg)
-		obs := fitObs(m, 12)
-		ctx, trigger := ctxCancelAfter(1 + 2*attempt)
-		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: trigger})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Resume(); err != nil {
-			t.Fatalf("attempt %d: resume: %v", attempt, err)
-		}
-		res, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil)
-		if err == nil {
-			return res, attempt
-		}
-		// A checkpointed run must surface cancellation as the resumable
-		// ErrInterrupted, never as a bare context error.
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("attempt %d: %v, want ErrInterrupted", attempt, err)
-		}
-	}
-	t.Fatal("pipeline never completed within the attempt budget")
-	return nil, 0
+func cancelOnPoll(n int) context.Context {
+	return cancelOnPollCause(n, nil)
 }
 
-// TestCtxCancelEquivalence is the tentpole guarantee of the cancellable
-// runtime: a checkpointed run cancelled via its context at any epoch and then
-// resumed produces bitwise-identical parameters, RNG position, and loss
-// history to a run that was never cancelled — the ctx path must be
-// indistinguishable from the legacy Stop-poll interrupt path at the same
-// boundary. Checked at several worker counts with arena pooling on and off.
+// cancelOnPollCause is cancelOnPoll with an explicit cancellation cause; a
+// nil cause cancels with context.Canceled.
+func cancelOnPollCause(n int, cause error) context.Context {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &pollCancelCtx{Context: ctx, cancel: cancel, cause: cause, n: n}
+}
+
+func (c *pollCancelCtx) Err() error {
+	c.mu.Lock()
+	c.polls++
+	if c.polls > c.n {
+		c.cancel(c.cause)
+	}
+	c.mu.Unlock()
+	return c.Context.Err()
+}
+
+// errCancelCause is the cause the ctx-cancel equivalence tests cancel with.
+var errCancelCause = errors.New("test: cancelled with a cause")
+
+// TestCtxCancelEquivalence is the cancellable-runtime guarantee: a
+// checkpointed run whose context is cancelled with a cause at any epoch exits
+// with the resumable ErrInterrupted rather than the cause, and resuming it
+// produces bitwise-identical parameters, RNG position, and loss history to a
+// run that was never cancelled. Checked at several worker counts with arena
+// pooling on and off.
 func TestCtxCancelEquivalence(t *testing.T) {
-	restorePool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restorePool)
-
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		for _, pooled := range []bool{true, false} {
-			tensor.SetPooling(pooled)
-			label := "ctx " + labelOf(workers, pooled)
-			cfg := ckptTestConfig(workers, 1)
-			ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-			gotDir := t.TempDir()
-			got, attempts := ctxInterruptedTrainFull(t, topo, cfg, samples, gotDir)
-			if attempts == 0 {
-				t.Fatalf("%s: the run was never cancelled; the test exercises nothing", label)
-			}
-			requireSameResult(t, label, ref, got)
-			requireSameFinalSnapshot(t, label, refDir, gotDir)
-		}
-	}
+	requireResumeEquivalence(t, 1, errCancelCause)
 }
 
 // TestCtxCancelEquivalenceRestarts repeats the ctx-cancel equivalence check
@@ -98,21 +61,7 @@ func TestCtxCancelEquivalence(t *testing.T) {
 // restarts unstarted at cancellation are recorded as skipped and re-run on
 // resume).
 func TestCtxCancelEquivalenceRestarts(t *testing.T) {
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2} {
-		cfg := ckptTestConfig(workers, 3)
-		label := "ctx restarts " + labelOf(workers, tensor.PoolingEnabled())
-		ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-		gotDir := t.TempDir()
-		got, attempts := ctxInterruptedTrainFull(t, topo, cfg, samples, gotDir)
-		if attempts == 0 {
-			t.Fatalf("%s: the run was never cancelled", label)
-		}
-		requireSameResult(t, label, ref, got)
-		requireSameFinalSnapshot(t, label, refDir, gotDir)
-	}
+	requireResumeEquivalence(t, 3, errCancelCause)
 }
 
 // TestTrainCtxReturnsCancelCause covers the non-checkpointed entry points:
@@ -148,7 +97,7 @@ func TestTrainCtxReturnsCancelCause(t *testing.T) {
 	}
 
 	obs := fitObs(m, 12)
-	if _, _, err := m.FitCtx(ctx, obs, 3, nil); !errors.Is(err, sentinel) {
-		t.Fatalf("FitCtx err = %v, want the cancel cause", err)
+	if _, _, err := m.FitBestCtx(ctx, obs, 3, 1, nil); !errors.Is(err, sentinel) {
+		t.Fatalf("FitBestCtx err = %v, want the cancel cause", err)
 	}
 }

@@ -12,10 +12,9 @@ import (
 	"ovs/internal/tensor"
 )
 
-// ErrInterrupted is returned by checkpointed training entry points when
-// CkptOptions.Stop fires or the run's context is cancelled. A checkpoint has
-// been written by the time it surfaces; rerunning with resume continues
-// where the run stopped.
+// ErrInterrupted is returned by checkpointed training entry points when the
+// run's context is cancelled. A checkpoint has been written by the time it
+// surfaces; rerunning with resume continues where the run stopped.
 var ErrInterrupted = errors.New("core: run interrupted; checkpoint written")
 
 // Pipeline stage names recorded in checkpoints. A snapshot in stage S with
@@ -52,12 +51,6 @@ type CkptOptions struct {
 	Every int
 	// Keep is the retention depth; <= 0 selects the package default.
 	Keep int
-	// Stop is polled between epochs and restarts; once it reports true, a
-	// final checkpoint is written and the run returns ErrInterrupted. It must
-	// be safe to call from multiple goroutines. Context cancellation takes
-	// the exact same path: Stop firing and ctx cancellation are observed at
-	// the same boundaries and write identical checkpoints.
-	Stop func() bool
 }
 
 // Checkpointer wraps a Model with checkpointed, resumable variants of the
@@ -136,31 +129,34 @@ func (c *Checkpointer) restoreSnapshot(snap *ckpt.Snapshot) error {
 	return nil
 }
 
-// TrainMappings runs the two mapping stages (TrainV2S then TrainT2V) with
-// periodic checkpoints, resuming either stage mid-flight when a snapshot is
-// pending. It returns both loss curves.
+// TrainMappings runs the two mapping stages (TrainV2SCtx then TrainT2VCtx)
+// with periodic checkpoints, resuming either stage mid-flight when a
+// snapshot is pending. It returns both loss curves.
 func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sEpochs, t2vEpochs int) ([]float64, []float64, error) {
-	v2s, err := c.runEpochStage(ctx, StageV2S, v2sEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
+	v2s, err := c.runEpochStage(StageV2S, v2sEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 		return c.m.trainV2S(ctx, samples, v2sEpochs, start, hist, opt, hook)
 	}, c.m.V2S.Params())
 	if err != nil {
 		return v2s, nil, err
 	}
-	t2v, err := c.runEpochStage(ctx, StageT2V, t2vEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
+	t2v, err := c.runEpochStage(StageT2V, t2vEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 		return c.m.trainT2V(ctx, samples, t2vEpochs, start, hist, opt, hook)
 	}, c.m.T2V.Params())
 	return v2s, t2v, err
 }
 
-// FitBest is the checkpointed Model.FitBest: single-start fits checkpoint
+// FitBest is the checkpointed Model.FitBestCtx: single-start fits checkpoint
 // per epoch, multi-restart fits per completed restart (a restart interrupted
 // mid-fit is discarded and refitted on resume from its recorded entry
 // state, so the outcome is unchanged).
 func (c *Checkpointer) FitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
+	if err := c.m.checkFitInputs(speedObs, aux); err != nil {
+		return nil, nil, err
+	}
 	if restarts <= 1 {
 		restore := freezeParams(append(c.m.T2V.Params(), c.m.V2S.Params()...))
 		defer restore()
-		hist, err := c.runEpochStage(ctx, StageFit, epochs, func(start int, h []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
+		hist, err := c.runEpochStage(StageFit, epochs, func(start int, h []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 			return c.m.fitGenFrom(ctx, c.m.TODGen, speedObs, epochs, start, h, opt, aux, hook)
 		}, c.m.TODGen.Params())
 		if err != nil {
@@ -197,7 +193,6 @@ func (c *Checkpointer) FitBest(ctx context.Context, speedObs *tensor.Tensor, epo
 	var recMu sync.Mutex
 	ctl := &restartCtl{
 		restored: restored,
-		stop:     func() bool { return c.stopRequested(ctx) },
 		onDone: func(r int, state []*tensor.Tensor, hist []float64) error {
 			recMu.Lock()
 			defer recMu.Unlock()
@@ -227,7 +222,7 @@ type TrainResult struct {
 	FitHist []float64
 }
 
-// TrainFull is the checkpointed Model.TrainFull: both mapping stages, the
+// TrainFull is the checkpointed Model.TrainFullCtx: both mapping stages, the
 // (multi-restart) fit, and a terminal "done" checkpoint capturing the final
 // state. Resuming a completed run reproduces the same result without
 // retraining.
@@ -290,7 +285,7 @@ func (c *Checkpointer) stageEntry(stage string) (snap *ckpt.Snapshot, skipHist [
 // machinery: resolve the entry point, rebuild the optimizer (importing its
 // checkpointed slot state bound to the stage's parameters), run with the
 // periodic hook, and record the completed curve.
-func (c *Checkpointer) runEpochStage(ctx context.Context, stage string, epochs int, run func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error), params []*autodiff.Parameter) ([]float64, error) {
+func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error), params []*autodiff.Parameter) ([]float64, error) {
 	snap, skipHist, skip, err := c.stageEntry(stage)
 	if err != nil {
 		return nil, err
@@ -310,7 +305,7 @@ func (c *Checkpointer) runEpochStage(ctx context.Context, stage string, epochs i
 			}
 		}
 	}
-	h, err := run(start, hist, opt, c.epochHook(ctx, stage, epochs))
+	h, err := run(start, hist, opt, c.epochHook(stage, epochs))
 	if err != nil {
 		return h, err
 	}
@@ -321,36 +316,26 @@ func (c *Checkpointer) runEpochStage(ctx context.Context, stage string, epochs i
 }
 
 // epochHook returns the per-epoch callback for one stage: it checkpoints on
-// the configured cadence, at the stage boundary, and on interrupt — in the
-// interrupt case converting the stop request (or ctx cancellation, which is
-// deliberately indistinguishable here) into ErrInterrupted after the
-// checkpoint is safely on disk. Because the hook runs before the training
-// core's own ctx check, a cancelled checkpointed run always exits through
-// this path with its final checkpoint written.
-func (c *Checkpointer) epochHook(ctx context.Context, stage string, epochs int) stageHook {
-	return func(done int, hist []float64, opt nn.StatefulOptimizer) error {
-		stopped := c.stopRequested(ctx)
+// the configured cadence, at the stage boundary, and on cancellation — in
+// the last case converting it into ErrInterrupted after the checkpoint is
+// safely on disk. The training loop polls ctx once per epoch and passes the
+// verdict in, so a cancelled checkpointed run always exits through this
+// path with its final checkpoint written.
+func (c *Checkpointer) epochHook(stage string, epochs int) stageHook {
+	return func(done int, hist []float64, opt nn.StatefulOptimizer, cancelled bool) error {
 		boundary := done == epochs
 		periodic := c.opts.Every > 0 && done%c.opts.Every == 0
-		if !stopped && !boundary && !periodic {
+		if !cancelled && !boundary && !periodic {
 			return nil
 		}
 		if err := c.write(stage, done, hist, opt, nil, nil); err != nil {
 			return err
 		}
-		if stopped {
+		if cancelled {
 			return ErrInterrupted
 		}
 		return nil
 	}
-}
-
-// stopRequested polls the configured interrupt signal and the run's context.
-// Both feed the same checkpoint-then-ErrInterrupted sequence, which is what
-// makes a ctx-cancelled run's final checkpoint bitwise-identical to a
-// Stop-interrupted one at the same boundary.
-func (c *Checkpointer) stopRequested(ctx context.Context) bool {
-	return (c.opts.Stop != nil && c.opts.Stop()) || ctx.Err() != nil
 }
 
 // write captures the model's current state into a snapshot and persists it.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"ovs/internal/ckpt"
@@ -26,18 +25,6 @@ func ckptTestConfig(workers int, restarts int) Config {
 	return cfg
 }
 
-// stopAfter returns a goroutine-safe Stop that fires from the (n+1)-th poll.
-func stopAfter(n int) func() bool {
-	var mu sync.Mutex
-	count := 0
-	return func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		return count > n
-	}
-}
-
 // referenceTrainFull runs the pipeline uninterrupted under a checkpointer.
 func referenceTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample) (*TrainResult, string) {
 	t.Helper()
@@ -55,27 +42,35 @@ func referenceTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Samp
 	return res, dir
 }
 
-// interruptedTrainFull kills and resumes the pipeline until it completes,
-// with an ever-growing poll budget so every attempt both interrupts somewhere
-// and makes progress. It returns the final result and the attempt count.
-func interruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string) (*TrainResult, int) {
+// interruptedTrainFull cancels and resumes the pipeline until it completes:
+// every attempt runs under a context that cancels itself mid-flight, with an
+// ever-growing poll budget so every attempt both interrupts somewhere and
+// makes progress. A non-nil cause is the cancellation cause each context is
+// cancelled with. It returns the final result and the attempt count.
+func interruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string, cause error) (*TrainResult, int) {
 	t.Helper()
 	for attempt := 0; attempt < 60; attempt++ {
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(1 + 2*attempt)})
+		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Resume(); err != nil {
 			t.Fatalf("attempt %d: resume: %v", attempt, err)
 		}
-		res, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil)
+		ctx := cancelOnPollCause(1+2*attempt, cause)
+		res, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil)
 		if err == nil {
 			return res, attempt
 		}
+		// A checkpointed run must surface cancellation as the resumable
+		// ErrInterrupted, never as a bare context error or its cause.
 		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("attempt %d: %v", attempt, err)
+			t.Fatalf("attempt %d: %v, want ErrInterrupted", attempt, err)
+		}
+		if cause != nil && context.Cause(ctx) != cause {
+			t.Fatalf("attempt %d: context cause %v, want %v", attempt, context.Cause(ctx), cause)
 		}
 	}
 	t.Fatal("pipeline never completed within the attempt budget")
@@ -125,11 +120,28 @@ func requireSameFinalSnapshot(t *testing.T, label, refDir, gotDir string) {
 }
 
 // TestResumeEquivalence is the headline guarantee of the checkpoint
-// subsystem: a run killed at any epoch and resumed produces bitwise-identical
-// parameters, optimizer state, and loss history to a run that never stopped —
-// at several worker counts and with arena pooling on and off. FitRestarts=1
-// exercises the epoch-granular fit stage.
+// subsystem: a run cancelled through its context at any epoch and resumed
+// produces bitwise-identical parameters, optimizer state, RNG position, and
+// loss history to a run that never stopped — at several worker counts and
+// with arena pooling on and off. FitRestarts=1 exercises the epoch-granular
+// fit stage.
 func TestResumeEquivalence(t *testing.T) {
+	requireResumeEquivalence(t, 1, nil)
+}
+
+// TestResumeEquivalenceRestarts repeats the headline check with a
+// multi-restart fit, exercising the restart-granular checkpoint path on both
+// the bounded (Workers=1, cloning still active) and concurrent schedules,
+// where restarts unstarted at cancellation are skipped and re-run on resume.
+func TestResumeEquivalenceRestarts(t *testing.T) {
+	requireResumeEquivalence(t, 3, nil)
+}
+
+// requireResumeEquivalence checks cancel-and-resume against an uninterrupted
+// run over the Workers x pooling matrix; cause is passed to
+// interruptedTrainFull.
+func requireResumeEquivalence(t *testing.T, restarts int, cause error) {
+	t.Helper()
 	restorePool := tensor.PoolingEnabled()
 	defer tensor.SetPooling(restorePool)
 
@@ -140,38 +152,16 @@ func TestResumeEquivalence(t *testing.T) {
 		for _, pooled := range []bool{true, false} {
 			tensor.SetPooling(pooled)
 			label := labelOf(workers, pooled)
-			cfg := ckptTestConfig(workers, 1)
+			cfg := ckptTestConfig(workers, restarts)
 			ref, refDir := referenceTrainFull(t, topo, cfg, samples)
 			gotDir := t.TempDir()
-			got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir)
+			got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir, cause)
 			if attempts == 0 {
 				t.Fatalf("%s: the run never got interrupted; the test exercises nothing", label)
 			}
 			requireSameResult(t, label, ref, got)
 			requireSameFinalSnapshot(t, label, refDir, gotDir)
 		}
-	}
-}
-
-// TestResumeEquivalenceRestarts repeats the headline check with a
-// multi-restart fit, exercising the restart-granular checkpoint path on both
-// the concurrent and (via Workers=1 with cloning still active) bounded
-// schedules.
-func TestResumeEquivalenceRestarts(t *testing.T) {
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2} {
-		cfg := ckptTestConfig(workers, 3)
-		label := labelOf(workers, tensor.PoolingEnabled())
-		ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-		gotDir := t.TempDir()
-		got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir)
-		if attempts == 0 {
-			t.Fatalf("%s: the run never got interrupted", label)
-		}
-		requireSameResult(t, label, ref, got)
-		requireSameFinalSnapshot(t, label, refDir, gotDir)
 	}
 }
 
@@ -183,7 +173,7 @@ func labelOf(workers int, pooled bool) string {
 	return l + " fresh"
 }
 
-// TestResumeSurvivesCorruptNewestCheckpoint kills a run, corrupts the newest
+// TestResumeSurvivesCorruptNewestCheckpoint cancels a run, corrupts the newest
 // checkpoint on disk (simulating a crash that slipped past the atomic-write
 // protocol, e.g. torn storage), and resumes: Latest must fall back to the
 // previous valid checkpoint and the final result must still match the
@@ -198,17 +188,22 @@ func TestResumeSurvivesCorruptNewestCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m := NewModel(topo, cfg)
 	obs := fitObs(m, 12)
-	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(4)})
+	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
+	// One poll per epoch: polls 1-3 end the V2S epochs, poll 5 cancels at
+	// the end of T2V epoch 2, leaving checkpoints for T2V epochs 1 and 2.
+	if _, err := c.TrainFull(cancelOnPoll(4), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected interrupt, got %v", err)
 	}
 	// Truncate the newest checkpoint mid-file.
-	_, newest, err := ckpt.Latest(dir)
+	snap, newest, err := ckpt.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.Stage != StageT2V || snap.Epoch != 2 {
+		t.Fatalf("interrupt landed at %s epoch %d, want %s epoch 2", snap.Stage, snap.Epoch, StageT2V)
 	}
 	raw, err := os.ReadFile(newest)
 	if err != nil {
@@ -218,7 +213,7 @@ func TestResumeSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir)
+	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir, nil)
 	requireSameResult(t, "corrupt-fallback", ref, got)
 }
 
@@ -305,19 +300,21 @@ func TestStageMismatchRejected(t *testing.T) {
 
 	m := NewModel(topo, cfg)
 	obs := fitObs(m, 12)
-	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(7)})
+	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
+	// One poll per epoch: polls 1-6 end the V2S and T2V epochs, poll 7
+	// cancels at the end of fit epoch 1.
+	if _, err := c.TrainFull(cancelOnPoll(6), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected interrupt in the fit stage, got %v", err)
 	}
 	snap, _, err := ckpt.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Stage != StageFit {
-		t.Skipf("interrupt landed in stage %q, not the fit stage", snap.Stage)
+	if snap.Stage != StageFit || snap.Epoch != 1 {
+		t.Fatalf("interrupt landed at %s epoch %d, want %s epoch 1", snap.Stage, snap.Epoch, StageFit)
 	}
 
 	m2 := NewModel(topo, cfg)
@@ -330,5 +327,31 @@ func TestStageMismatchRejected(t *testing.T) {
 	}
 	if _, _, err := c2.FitBest(context.Background(), fitObs(m2, 12), 2, 3, nil); err == nil {
 		t.Fatal("resuming a fit checkpoint into a multi-restart fit did not error")
+	}
+}
+
+// TestResumePackCacheEquivalence is the pack-cache invalidation regression
+// test: with every product forced through the blocked path (so the cache
+// serves all weight panels), a run that is killed and resumed — which
+// restores parameters in place over cached pack sources — must reproduce the
+// uninterrupted run exactly. A missed invalidation anywhere in the restore
+// path would feed stale panels to the first post-resume epoch and diverge.
+func TestResumePackCacheEquivalence(t *testing.T) {
+	oldThresh := tensor.SetGEMMBlockedThreshold(1)
+	defer tensor.SetGEMMBlockedThreshold(oldThresh)
+	tensor.FlushPackCache()
+	defer tensor.FlushPackCache()
+
+	topo := testTopo(t, 4, 1)
+	cfg := ckptTestConfig(2, 1)
+	samples := poolingSamples(topo, 3)
+
+	ref, _ := referenceTrainFull(t, topo, cfg, samples)
+	dir := t.TempDir()
+	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir, nil)
+	requireSameResult(t, "pack cache resume", ref, got)
+
+	if st := tensor.PackCacheStatsSnapshot(); st.Hits == 0 {
+		t.Fatal("pack cache never hit: the test no longer exercises cached packs")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,7 +214,7 @@ func TestV2STrainingConverges(t *testing.T) {
 		}
 		samples = append(samples, Sample{Volume: vol, Speed: speed})
 	}
-	hist, err := m.TrainV2S(samples, 25)
+	hist, err := m.TrainV2SCtx(context.Background(), samples, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +233,10 @@ func TestV2STrainingConverges(t *testing.T) {
 func TestTrainErrorsWithoutSamples(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	m := NewModel(topo, DefaultConfig())
-	if _, err := m.TrainV2S(nil, 1); err == nil {
+	if _, err := m.TrainV2SCtx(context.Background(), nil, 1); err == nil {
 		t.Fatal("TrainV2S with no samples did not error")
 	}
-	if _, err := m.TrainT2V(nil, 1); err == nil {
+	if _, err := m.TrainT2VCtx(context.Background(), nil, 1); err == nil {
 		t.Fatal("TrainT2V with no samples did not error")
 	}
 }
@@ -243,7 +244,7 @@ func TestTrainErrorsWithoutSamples(t *testing.T) {
 func TestFitValidatesShape(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	m := NewModel(topo, DefaultConfig())
-	if _, _, err := m.Fit(tensor.New(3, 3), 1, nil); err == nil {
+	if _, _, err := m.FitBestCtx(context.Background(), tensor.New(3, 3), 1, 1, nil); err == nil {
 		t.Fatal("Fit with wrong observation shape did not error")
 	}
 }
@@ -256,7 +257,7 @@ func TestFitReducesSpeedLoss(t *testing.T) {
 	// Target: the speed the untrained chain produces for some hidden TOD.
 	hidden := tensor.Full(30, 4, 6)
 	_, speedObs := m.Forward(hidden)
-	_, hist, err := m.Fit(speedObs, 40, nil)
+	_, hist, err := m.FitBestCtx(context.Background(), speedObs, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +279,12 @@ func TestAuxCensusPullsDailySums(t *testing.T) {
 		census[i] = hidden.Row(i).Sum() // 120
 	}
 	aux := &AuxData{CensusSum: census, CensusWeight: 20}
-	recAux, _, err := m.Fit(speedObs, 60, aux)
+	recAux, _, err := m.FitBestCtx(context.Background(), speedObs, 60, 1, aux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewModel(topo, cfg)
-	recPlain, _, err := m2.Fit(speedObs, 60, nil)
+	recPlain, _, err := m2.FitBestCtx(context.Background(), speedObs, 60, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +303,99 @@ func TestAuxLossValidation(t *testing.T) {
 	m := NewModel(topo, DefaultConfig())
 	hidden := tensor.Full(10, 4, 4)
 	_, speedObs := m.Forward(hidden)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("census length mismatch did not panic")
+	if _, _, err := m.FitBestCtx(context.Background(), speedObs, 1, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1}); err == nil {
+		t.Fatal("census length mismatch did not error")
+	}
+}
+
+// TestFitRejectsMalformedInputs pins the fit entry points' input contract:
+// every malformed observation or auxiliary term is rejected with an error —
+// never a panic deep in graph construction, never a silently NaN TOD — on
+// both Model.FitBestCtx and Checkpointer.FitBest, single-start and
+// multi-restart. A well-formed input with every term active is the control.
+func TestFitRejectsMalformedInputs(t *testing.T) {
+	topo := testTopo(t, 4, 1)
+	n, links, steps := topo.N, topo.M, topo.T
+	cfg := ckptTestConfig(1, 1)
+	obs := fitObs(NewModel(topo, cfg), 12)
+
+	nanObs := obs.Clone()
+	nanObs.Data[3] = math.NaN()
+	valid := func() *AuxData {
+		return &AuxData{
+			CensusSum:    make([]float64, n),
+			CensusWeight: 1,
+			CameraLinks:  []int{0, links - 1},
+			CameraVolume: tensor.New(2, steps),
+			CameraWeight: 1,
+			TrajODIdx:    []int{0, n - 1},
+			TrajG:        tensor.New(2, steps),
+			TrajWeight:   1,
+			LinkWeights:  make([]float64, links),
 		}
-	}()
-	//ovslint:ignore ignorederr the call is expected to panic before returning; results are unreachable
-	_, _, _ = m.Fit(speedObs, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1})
+	}
+	with := func(edit func(a *AuxData)) *AuxData {
+		a := valid()
+		edit(a)
+		return a
+	}
+
+	cases := []struct {
+		name string
+		obs  *tensor.Tensor
+		aux  *AuxData
+	}{
+		{"nil observation", nil, nil},
+		{"observation shape", tensor.New(3, 3), nil},
+		{"observation NaN", nanObs, nil},
+		{"census length", obs, with(func(a *AuxData) { a.CensusSum = []float64{1, 2} })},
+		{"census NaN", obs, with(func(a *AuxData) { a.CensusSum[1] = math.NaN() })},
+		{"link weights length", obs, with(func(a *AuxData) { a.LinkWeights = make([]float64, links+1) })},
+		{"link weight Inf", obs, with(func(a *AuxData) { a.LinkWeights[0] = math.Inf(1) })},
+		{"camera link out of range", obs, with(func(a *AuxData) { a.CameraLinks[1] = links + 5 })},
+		{"camera link negative", obs, with(func(a *AuxData) { a.CameraLinks[0] = -1 })},
+		{"camera volume shape", obs, with(func(a *AuxData) { a.CameraVolume = tensor.New(3, steps) })},
+		{"camera volume missing", obs, with(func(a *AuxData) { a.CameraVolume = nil })},
+		{"camera volume NaN", obs, with(func(a *AuxData) { a.CameraVolume.Data[0] = math.NaN() })},
+		{"trajectory OD negative", obs, with(func(a *AuxData) { a.TrajODIdx[0] = -1 })},
+		{"trajectory OD out of range", obs, with(func(a *AuxData) { a.TrajODIdx[1] = n })},
+		{"trajectory TOD shape", obs, with(func(a *AuxData) { a.TrajG = tensor.New(2, steps+1) })},
+	}
+
+	fits := []struct {
+		name string
+		fit  func(obs *tensor.Tensor, restarts int, aux *AuxData) (*tensor.Tensor, error)
+	}{
+		{"Model.FitBestCtx", func(obs *tensor.Tensor, restarts int, aux *AuxData) (*tensor.Tensor, error) {
+			rec, _, err := NewModel(topo, cfg).FitBestCtx(context.Background(), obs, 2, restarts, aux)
+			return rec, err
+		}},
+		{"Checkpointer.FitBest", func(obs *tensor.Tensor, restarts int, aux *AuxData) (*tensor.Tensor, error) {
+			c, err := NewCheckpointer(NewModel(topo, cfg), CkptOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, _, err := c.FitBest(context.Background(), obs, 2, restarts, aux)
+			return rec, err
+		}},
+	}
+
+	for _, f := range fits {
+		for _, restarts := range []int{1, 3} {
+			rec, err := f.fit(obs, restarts, valid())
+			if err != nil {
+				t.Fatalf("%s restarts=%d: well-formed input rejected: %v", f.name, restarts, err)
+			}
+			if err := checkFinite("recovered TOD", rec.Data); err != nil {
+				t.Fatalf("%s restarts=%d: %v", f.name, restarts, err)
+			}
+			for _, tc := range cases {
+				if _, err := f.fit(tc.obs, restarts, tc.aux); err == nil {
+					t.Errorf("%s restarts=%d: %s accepted", f.name, restarts, tc.name)
+				}
+			}
+		}
+	}
 }
 
 func TestAblationVariants(t *testing.T) {

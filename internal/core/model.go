@@ -128,7 +128,7 @@ type Model struct {
 // Reseed redraws the Gaussian seeds, giving test-time fitting a fresh
 // starting point (used by multi-restart fitting). StateTensors exposes the
 // tensors that fully determine the generator's output, in a fixed order
-// shared across instances of the same concrete type — FitBest copies them
+// shared across instances of the same concrete type — FitBestCtx copies them
 // to snapshot and restore the winning restart.
 type TODGenModule interface {
 	Generate(g *autodiff.Graph) *autodiff.Node
@@ -137,7 +137,7 @@ type TODGenModule interface {
 	StateTensors() []*tensor.Tensor
 }
 
-// CloneableTODGen is the optional capability FitBest uses to run restarts
+// CloneableTODGen is the optional capability FitBestCtx uses to run restarts
 // concurrently: CloneTODGen returns a deep, independent copy of the
 // generator whose StateTensors align index-for-index with the original's.
 type CloneableTODGen interface {

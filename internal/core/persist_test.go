@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"ovs/internal/autodiff"
@@ -181,12 +182,8 @@ func TestFitLossLinkWeights(t *testing.T) {
 	if full <= 0 {
 		t.Fatalf("unmasked loss = %v, want > 0", full)
 	}
-	// Length mismatch must panic loudly.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-length link weights did not panic")
-		}
-	}()
-	g3 := autodiff.NewGraph()
-	m.fitLoss(g3, g3.Const(pred), obs, []float64{1, 2})
+	// A length mismatch is rejected at the fit entry point.
+	if _, _, err := m.FitBestCtx(context.Background(), obs, 1, 1, &AuxData{LinkWeights: []float64{1, 2}}); err == nil {
+		t.Fatal("wrong-length link weights did not error")
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -33,10 +34,11 @@ func poolingSamples(topo *Topology, n int) []Sample {
 }
 
 // TestTrainFullPoolingEquivalence is the tentpole determinism guarantee for
-// the arena: the full train-then-fit pipeline must produce bitwise-identical
-// recoveries with tensor pooling enabled and disabled, at every worker count.
-// Pooled buffers are zeroed on reuse, so a pooled run is indistinguishable
-// from a fresh-allocation run.
+// the arena and the worker pool: the full train-then-fit pipeline must
+// produce a recovery bitwise-identical to the Workers=1 pooled run with
+// tensor pooling enabled and disabled, at every worker count. Pooled buffers
+// are zeroed on reuse, so a pooled run is indistinguishable from a
+// fresh-allocation run.
 func TestTrainFullPoolingEquivalence(t *testing.T) {
 	restore := tensor.PoolingEnabled()
 	defer tensor.SetPooling(restore)
@@ -52,18 +54,19 @@ func TestTrainFullPoolingEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, err := m.TrainFull(samples, obs, 2, 2, 2, nil)
+		rec, err := m.TrainFullCtx(context.Background(), samples, obs, 2, 2, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
 
+	ref := run(1, true)
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		pooled := run(w, true)
-		fresh := run(w, false)
-		if !tensor.AllClose(pooled, fresh, 0) {
-			t.Fatalf("workers=%d: TrainFull recovery differs between pooled and fresh allocation", w)
+		for _, pooled := range []bool{true, false} {
+			if got := run(w, pooled); !tensor.AllClose(got, ref, 0) {
+				t.Fatalf("workers=%d pooled=%v: TrainFull recovery differs from the workers=1 pooled run", w, pooled)
+			}
 		}
 	}
 }
@@ -86,7 +89,7 @@ func TestFitBestPoolingEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, _, err := m.FitBest(obs, 2, 3, nil)
+		rec, _, err := m.FitBestCtx(context.Background(), obs, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

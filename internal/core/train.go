@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,33 +13,44 @@ import (
 )
 
 // stageHook is called after every completed epoch of a resumable training
-// stage with the number of epochs done so far, the loss history, and the live
-// optimizer. Returning an error aborts the stage; the error (typically
-// ErrInterrupted) propagates to the caller with the partial history.
-type stageHook func(done int, hist []float64, opt nn.StatefulOptimizer) error
+// stage with the number of epochs done so far, the loss history, the live
+// optimizer, and whether the run's context was cancelled at this boundary.
+// Returning an error aborts the stage; the error (typically ErrInterrupted)
+// propagates to the caller with the partial history.
+type stageHook func(done int, hist []float64, opt nn.StatefulOptimizer, cancelled bool) error
 
-// TrainV2S runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
-// mapping on generated (volume, speed) pairs. It returns the per-epoch mean
-// loss curve.
-func (m *Model) TrainV2S(samples []Sample, epochs int) ([]float64, error) {
-	return m.TrainV2SCtx(context.Background(), samples, epochs)
+// endEpoch is the single cancellation point of every training loop: it polls
+// ctx once per completed epoch, hands the verdict to the optional hook (a
+// checkpointing hook writes its final checkpoint and returns ErrInterrupted),
+// and otherwise turns a cancellation into the context's cause.
+func endEpoch(ctx context.Context, hook stageHook, done int, hist []float64, opt nn.StatefulOptimizer) error {
+	cancelled := ctx.Err() != nil
+	if hook != nil {
+		if err := hook(done, hist, opt, cancelled); err != nil {
+			return err
+		}
+	}
+	if cancelled {
+		return context.Cause(ctx)
+	}
+	return nil
 }
 
-// TrainV2SCtx is TrainV2S with cooperative cancellation: ctx is observed
-// only at epoch boundaries, so the epochs completed before a cancelled
-// return are bitwise-identical to an uncancelled run's prefix. A cancelled
-// call returns the partial history with the context's cancellation cause.
+// TrainV2SCtx runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
+// mapping on generated (volume, speed) pairs. It returns the per-epoch mean
+// loss curve. ctx is observed only at epoch boundaries, so the epochs
+// completed before a cancelled return are bitwise-identical to an
+// uncancelled run's prefix; a cancelled call returns the partial history
+// with the context's cancellation cause.
 func (m *Model) TrainV2SCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
 	return m.trainV2S(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
 }
 
-// trainV2S is the resumable core of TrainV2S: it continues from start
+// trainV2S is the resumable core of TrainV2SCtx: it continues from start
 // completed epochs with the given optimizer and accumulated history.
-// Cancellation is observed after the per-epoch hook, so a checkpointing hook
-// gets to convert it into a durable checkpoint + ErrInterrupted first.
 func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainV2S requires samples")
+		return nil, fmt.Errorf("core: TrainV2SCtx requires samples")
 	}
 	params := m.V2S.Params()
 	history := hist
@@ -63,36 +73,26 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
 }
 
-// TrainT2V runs stage 2: freeze Volume-Speed, fit TOD-Volume by passing
+// TrainT2VCtx runs stage 2: freeze Volume-Speed, fit TOD-Volume by passing
 // generated TOD through both mappings and comparing against the generated
 // speed (plus optional direct volume supervision weighted by
 // Cfg.VolumeLossWeight; the paper's protocol corresponds to weight 0).
-func (m *Model) TrainT2V(samples []Sample, epochs int) ([]float64, error) {
-	return m.TrainT2VCtx(context.Background(), samples, epochs)
-}
-
-// TrainT2VCtx is TrainT2V with cooperative cancellation at epoch boundaries
-// (see TrainV2SCtx).
+// Cancellation is observed at epoch boundaries (see TrainV2SCtx).
 func (m *Model) TrainT2VCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
 	return m.trainT2V(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
 }
 
-// trainT2V is the resumable core of TrainT2V (see trainV2S).
+// trainT2V is the resumable core of TrainT2VCtx (see trainV2S).
 func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainT2V requires samples")
+		return nil, fmt.Errorf("core: TrainT2VCtx requires samples")
 	}
 	// Volume-Speed is frozen for the whole stage: its parameters are read
 	// concurrently by parallel graph construction and must not accumulate
@@ -126,13 +126,8 @@ func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start in
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
@@ -166,39 +161,96 @@ type AuxData struct {
 	LinkWeights []float64
 }
 
-// Fit runs the test stage: freeze TOD-Volume and Volume-Speed, optimize the
-// TOD generator so the end-to-end speed matches the observation (Eq. 12),
-// plus any auxiliary losses (Eq. 13). It returns the recovered TOD tensor
-// and the loss history.
-func (m *Model) Fit(speedObs *tensor.Tensor, epochs int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	return m.FitCtx(context.Background(), speedObs, epochs, aux)
+// checkFitInputs validates the observation and every active auxiliary term
+// against the topology once, at the fit entry points: shapes, lengths and
+// index ranges must match, and every value must be finite. Malformed inputs
+// would otherwise panic deep inside graph construction or silently fit a
+// NaN TOD.
+func (m *Model) checkFitInputs(speedObs *tensor.Tensor, aux *AuxData) error {
+	n, links, t := m.Topo.N, m.Topo.M, m.Topo.T
+	if err := checkMatrix("Fit observation", speedObs, links, t); err != nil {
+		return err
+	}
+	if aux == nil {
+		return nil
+	}
+	if aux.LinkWeights != nil {
+		if len(aux.LinkWeights) != links {
+			return fmt.Errorf("core: %d link weights for %d links", len(aux.LinkWeights), links)
+		}
+		if err := checkFinite("link weight", aux.LinkWeights); err != nil {
+			return err
+		}
+	}
+	if len(aux.CensusSum) > 0 && aux.CensusWeight > 0 {
+		if len(aux.CensusSum) != n {
+			return fmt.Errorf("core: census length %d, want N=%d", len(aux.CensusSum), n)
+		}
+		if err := checkFinite("census", aux.CensusSum); err != nil {
+			return err
+		}
+	}
+	if len(aux.CameraLinks) > 0 && aux.CameraWeight > 0 {
+		if err := checkIndices("camera link", aux.CameraLinks, links); err != nil {
+			return err
+		}
+		if err := checkMatrix("camera volume", aux.CameraVolume, len(aux.CameraLinks), t); err != nil {
+			return err
+		}
+	}
+	if len(aux.TrajODIdx) > 0 && aux.TrajWeight > 0 {
+		if err := checkIndices("trajectory OD", aux.TrajODIdx, n); err != nil {
+			return err
+		}
+		if err := checkMatrix("trajectory TOD", aux.TrajG, len(aux.TrajODIdx), t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// FitCtx is Fit with cooperative cancellation at epoch boundaries (see
-// TrainV2SCtx).
-func (m *Model) FitCtx(ctx context.Context, speedObs *tensor.Tensor, epochs int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
-	defer restore()
-	history, err := m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
-	if err != nil {
-		return nil, nil, err
+// checkMatrix requires x to be a finite rows × cols tensor.
+func checkMatrix(what string, x *tensor.Tensor, rows, cols int) error {
+	if x == nil {
+		return fmt.Errorf("core: %s missing, want shape [%d %d]", what, rows, cols)
 	}
-	return m.GenerateTOD(), history, nil
+	if x.Rank() != 2 || x.Dim(0) != rows || x.Dim(1) != cols {
+		return fmt.Errorf("core: %s shape %v, want [%d %d]", what, x.Shape(), rows, cols)
+	}
+	return checkFinite(what, x.Data)
+}
+
+// checkFinite rejects NaN and ±Inf entries.
+func checkFinite(what string, xs []float64) error {
+	for i, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: %s entry %d is %v", what, i, v)
+		}
+	}
+	return nil
+}
+
+// checkIndices requires every index to lie in [0, n).
+func checkIndices(what string, idx []int, n int) error {
+	for i, j := range idx {
+		if j < 0 || j >= n {
+			return fmt.Errorf("core: %s index %d is %d, want [0, %d)", what, i, j, n)
+		}
+	}
+	return nil
 }
 
 // fitGen optimizes one TOD generator against the observation. The frozen
 // TOD-Volume and Volume-Speed modules are only read, so multiple fitGen
-// calls on distinct generators may run concurrently (FitBest restarts);
-// callers must freeze those modules' parameters first.
+// calls on distinct generators may run concurrently (FitBestCtx restarts);
+// callers must freeze those modules' parameters and validate the inputs
+// (checkFitInputs) first.
 func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
 	return m.fitGenFrom(ctx, gen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
 }
 
 // fitGenFrom is the resumable core of fitGen (see trainV2S).
 func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs, start int, hist []float64, opt *nn.Adam, aux *AuxData, hook stageHook) ([]float64, error) {
-	if speedObs.Rank() != 2 || speedObs.Dim(0) != m.Topo.M || speedObs.Dim(1) != m.Topo.T {
-		return nil, fmt.Errorf("core: Fit observation shape %v, want [%d %d]", speedObs.Shape(), m.Topo.M, m.Topo.T)
-	}
 	params := gen.Params()
 	history := hist
 	g := autodiff.NewGraph()
@@ -226,13 +278,8 @@ func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tens
 		}
 		opt.Step(params)
 		nn.ZeroGrads(params)
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
@@ -263,9 +310,6 @@ func freezeParams(ps []*autodiff.Parameter) (restore func()) {
 func (m *Model) fitLoss(g *autodiff.Graph, speed *autodiff.Node, speedObs *tensor.Tensor, linkWeights []float64) *autodiff.Node {
 	var weights *tensor.Tensor
 	if linkWeights != nil {
-		if len(linkWeights) != m.Topo.M {
-			panic(fmt.Sprintf("core: %d link weights for %d links", len(linkWeights), m.Topo.M))
-		}
 		weights = g.Alloc(m.Topo.M, m.Topo.T)
 		for j, w := range linkWeights {
 			for t := 0; t < m.Topo.T; t++ {
@@ -306,7 +350,8 @@ func (m *Model) smoothPenalty(g *autodiff.Graph, tod *autodiff.Node) *autodiff.N
 	return autodiff.Mean(autodiff.Mul(diff, diff))
 }
 
-// auxLoss assembles the auxiliary terms of Eq. 13 on the current graph.
+// auxLoss assembles the auxiliary terms of Eq. 13 on the current graph. The
+// terms were validated by checkFitInputs.
 func (m *Model) auxLoss(g *autodiff.Graph, tod, vol *autodiff.Node, aux *AuxData) *autodiff.Node {
 	zero := g.Const(g.Alloc(1))
 	total := zero
@@ -314,9 +359,6 @@ func (m *Model) auxLoss(g *autodiff.Graph, tod, vol *autodiff.Node, aux *AuxData
 	// Census (TOD level, static): || Σ_t g_i - census_i ||² per OD,
 	// normalized by MaxTrips² so weights are unit-comparable.
 	if len(aux.CensusSum) > 0 && aux.CensusWeight > 0 {
-		if len(aux.CensusSum) != m.Topo.N {
-			panic(fmt.Sprintf("core: census length %d != N=%d", len(aux.CensusSum), m.Topo.N))
-		}
 		// Row sums of the TOD node: tod · 1_T.
 		onesT := g.Alloc(m.Topo.T, 1)
 		onesT.Fill(1)
@@ -355,7 +397,7 @@ func (m *Model) auxLoss(g *autodiff.Graph, tod, vol *autodiff.Node, aux *AuxData
 }
 
 // speedScore re-evaluates the pure speed-observation loss of a fitted
-// generator on a fresh graph — no smoothness or auxiliary terms. FitBest
+// generator on a fresh graph — no smoothness or auxiliary terms. FitBestCtx
 // compares restarts on this score: the final training loss mixes the
 // regularizers and is a single noisy last-epoch value, so it can prefer a
 // restart whose actual speed match is worse.
@@ -372,26 +414,31 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 	return m.fitLoss(g, speed, speedObs, linkWeights).Value.Data[0]
 }
 
-// FitBest runs the test-time fit from `restarts` independent TOD-generator
-// starts and keeps the best recovery. Each restart begins from the
-// generator's entry state with freshly drawn Gaussian seeds — the seeds for
-// all restarts are drawn serially from a single root-derived rng, so the
-// start set is identical at any worker count — and the restarts run
-// concurrently (bounded by Cfg.Workers) when the generator supports cloning.
+// FitBestCtx runs the test stage of the Fig. 8 pipeline: freeze TOD-Volume
+// and Volume-Speed and optimize the TOD generator so the end-to-end speed
+// matches the observation (Eq. 12), plus any auxiliary losses (Eq. 13). It
+// returns the recovered TOD and the winning loss history; restarts <= 1 is
+// the single-start fit.
 //
-// The winner is the restart with the lowest re-evaluated pure speed loss
-// (see speedScore), ties broken by the lowest restart index. Its generator
-// state is installed into m.TODGen before returning, so m.GenerateTOD() and
-// Model.Save afterwards agree exactly with the returned tensor.
-func (m *Model) FitBest(speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	return m.fitBest(context.Background(), speedObs, epochs, restarts, aux, nil)
-}
-
-// FitBestCtx is FitBest with cooperative cancellation at restart and epoch
-// boundaries: once ctx is cancelled no new restart starts, in-flight
-// restarts abort at their next epoch boundary, and the call returns the
-// context's cancellation cause with the generator's entry state intact.
+// With restarts > 1 every restart begins from the generator's entry state
+// with freshly drawn Gaussian seeds — the seeds for all restarts are drawn
+// serially from a single root-derived rng, so the start set is identical at
+// any worker count — and the restarts run concurrently (bounded by
+// Cfg.Workers) when the generator supports cloning. The winner is the
+// restart with the lowest re-evaluated pure speed loss (see speedScore),
+// ties broken by the lowest restart index. Its generator state is installed
+// into m.TODGen before returning, so m.GenerateTOD() and Model.Save
+// afterwards agree exactly with the returned tensor.
+//
+// Cancellation is cooperative at restart and epoch boundaries: once ctx is
+// cancelled no new restart starts, in-flight restarts abort at their next
+// epoch boundary, and the call returns the context's cancellation cause.
+// Malformed observations or auxiliary data are rejected with an error before
+// any fitting starts.
 func (m *Model) FitBestCtx(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
+	if err := m.checkFitInputs(speedObs, aux); err != nil {
+		return nil, nil, err
+	}
 	return m.fitBest(ctx, speedObs, epochs, restarts, aux, nil)
 }
 
@@ -402,50 +449,41 @@ type restartRecord struct {
 	hist  []float64
 }
 
-// restartCtl lets a checkpointing caller observe and steer a multi-restart
-// fit. Restarts listed in restored skip fitting and reuse the recorded
-// outcome; onDone reports each freshly completed restart (called from worker
-// goroutines — implementations synchronize internally); stop, polled before
-// and during each restart, requests a restart-granular interrupt. All fields
-// are optional.
+// restartCtl lets a checkpointing caller steer a multi-restart fit.
+// Restarts listed in restored skip fitting and reuse the recorded outcome;
+// onDone reports each freshly completed restart (called from worker
+// goroutines — implementations synchronize internally). Both fields are
+// optional.
 type restartCtl struct {
 	restored map[int]restartRecord
 	onDone   func(r int, state []*tensor.Tensor, hist []float64) error
-	stop     func() bool
 }
 
-func (c *restartCtl) stopped() bool {
-	return c != nil && c.stop != nil && c.stop()
-}
-
-// restartHook aborts a restart's fit between epochs once stop fires. The
-// partial restart is discarded — resume refits it from its entry state — so
-// nothing is recorded here.
-func (c *restartCtl) restartHook() stageHook {
-	if c == nil || c.stop == nil {
-		return nil
-	}
-	return func(done int, hist []float64, opt nn.StatefulOptimizer) error {
-		if c.stop() {
-			return ErrInterrupted
-		}
-		return nil
-	}
-}
-
-// fitBest is the controllable core of FitBest. With a nil ctl it behaves
+// fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
 // exactly like the public method; a checkpointing caller passes a ctl to
-// restore completed restarts, record new ones, and interrupt cleanly (the
-// interrupt surfaces as ErrInterrupted with the model's entry state intact).
-// Cancellation via ctx is restart-granular like a ctl stop: with a ctl it
-// surfaces as ErrInterrupted (the checkpointed, resumable form), without one
-// as the context's cancellation cause.
+// restore completed restarts and record new ones. Cancellation is
+// restart-granular: a restart interrupted mid-fit is discarded and the
+// model keeps its entry state. With a ctl the interrupt surfaces as
+// ErrInterrupted (the checkpointed, resumable form), without one as the
+// context's cancellation cause. Callers validate the inputs first.
 func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
-	if restarts <= 1 {
-		return m.FitCtx(ctx, speedObs, epochs, aux)
-	}
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
 	defer restore()
+	if restarts <= 1 {
+		history, err := m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
+		if err != nil {
+			return nil, nil, err
+		}
+		return m.GenerateTOD(), history, nil
+	}
+	interrupted := func() error {
+		if ctl != nil {
+			// Checkpointed caller: surface the resumable sentinel — the
+			// completed restarts are already on disk via ctl.onDone.
+			return ErrInterrupted
+		}
+		return context.Cause(ctx)
+	}
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
 
 	if cl, ok := m.TODGen.(CloneableTODGen); ok {
@@ -468,20 +506,18 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 		for r := range fns {
 			r := r
 			fns[r] = func() {
-				if ctl != nil {
-					if rec, ok := ctl.restored[r]; ok {
-						copyStateTensors(gens[r].StateTensors(), rec.state)
-						hists[r] = rec.hist
-						return
-					}
+				if rec, ok := restoredOf(ctl, r); ok {
+					copyStateTensors(gens[r].StateTensors(), rec.state)
+					hists[r] = rec.hist
+					return
 				}
-				if ctl.stopped() || ctx.Err() != nil {
+				if ctx.Err() != nil {
 					skipped[r] = true
 					return
 				}
-				hists[r], errs[r] = m.fitGenFrom(ctx, gens[r], speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, ctl.restartHook())
+				hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
 				if errs[r] != nil {
-					if errors.Is(errs[r], ErrInterrupted) || ctx.Err() != nil {
+					if ctx.Err() != nil {
 						skipped[r], errs[r] = true, nil
 					}
 					return
@@ -493,25 +529,17 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 		}
 		// RunCtx stops launching restarts once ctx is cancelled; restarts the
 		// pool never started are equivalent to skipped ones below.
-		runErr := parallel.RunCtx(ctx, m.Cfg.Workers, fns...)
-		interrupted := runErr != nil
+		cancelled := parallel.RunCtx(ctx, m.Cfg.Workers, fns...) != nil
 		for _, err := range errs {
 			if err != nil {
 				return nil, nil, err
 			}
 		}
 		for _, s := range skipped {
-			if s {
-				interrupted = true
-			}
+			cancelled = cancelled || s
 		}
-		if interrupted {
-			if ctl != nil {
-				// Checkpointed caller: surface the resumable sentinel — the
-				// completed restarts are already on disk via ctl.onDone.
-				return nil, nil, ErrInterrupted
-			}
-			return nil, nil, context.Cause(ctx)
+		if cancelled {
+			return nil, nil, interrupted()
 		}
 		best, bestScore := -1, math.Inf(1)
 		for r := range gens {
@@ -541,18 +569,16 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 			copyStateTensors(m.TODGen.StateTensors(), rec.state)
 			hist = rec.hist
 		} else {
-			if ctl.stopped() || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				copyStateTensors(m.TODGen.StateTensors(), entry)
-				if ctl != nil {
-					return nil, nil, ErrInterrupted
-				}
-				return nil, nil, context.Cause(ctx)
+				return nil, nil, interrupted()
 			}
 			var err error
-			hist, err = m.fitGenFrom(ctx, m.TODGen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, ctl.restartHook())
+			hist, err = m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
 			if err != nil {
-				if errors.Is(err, ErrInterrupted) || ctx.Err() != nil {
+				if ctx.Err() != nil {
 					copyStateTensors(m.TODGen.StateTensors(), entry)
+					return nil, nil, interrupted()
 				}
 				return nil, nil, err
 			}
@@ -603,17 +629,11 @@ func copyStateTensors(dst, src []*tensor.Tensor) {
 	}
 }
 
-// TrainFull is a convenience wrapper running the complete Fig. 8 pipeline:
-// stage-1 Volume-Speed training, stage-2 TOD-Volume training, then the
-// test-time fit against the observed speed (with optional restarts). It
-// returns the recovered TOD.
-func (m *Model) TrainFull(samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*tensor.Tensor, error) {
-	return m.TrainFullCtx(context.Background(), samples, speedObs, v2sEpochs, t2vEpochs, fitEpochs, aux)
-}
-
-// TrainFullCtx is TrainFull with cooperative cancellation: each stage
-// observes ctx at its epoch (or restart) boundaries, and a cancelled call
-// returns the context's cancellation cause.
+// TrainFullCtx runs the complete Fig. 8 pipeline: stage-1 Volume-Speed
+// training, stage-2 TOD-Volume training, then the test-time fit against the
+// observed speed (with Cfg.FitRestarts restarts). It returns the recovered
+// TOD. Each stage observes ctx at its epoch (or restart) boundaries, and a
+// cancelled call returns the context's cancellation cause.
 func (m *Model) TrainFullCtx(ctx context.Context, samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*tensor.Tensor, error) {
 	if _, err := m.TrainV2SCtx(ctx, samples, v2sEpochs); err != nil {
 		return nil, err

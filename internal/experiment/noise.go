@@ -59,7 +59,7 @@ func RunNoiseRobustness(ctx context.Context, sc Scale, levels []float64, seed in
 			}
 		}
 		model.TODGen.Reseed(rand.New(rand.NewSource(seed + 52)))
-		rec, _, err := model.FitCtx(ctx, obs, sc.FitEpochs, nil)
+		rec, _, err := model.FitBestCtx(ctx, obs, sc.FitEpochs, 1, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"ovs/internal/autodiff"
 	"ovs/internal/tensor"
@@ -19,19 +18,6 @@ type LSTM struct {
 	Wx, Wh, B *autodiff.Parameter
 	hidden    int
 }
-
-// fusedLSTMOff disables the fused-cell path when set (the zero value keeps
-// fusion on). The graph-op path stays available both as the oracle the
-// equivalence tests compare against and as an escape hatch; the two paths
-// produce bitwise-identical values and gradients (see autodiff.LSTMCell).
-var fusedLSTMOff atomic.Bool
-
-// SetFusedLSTM switches every LSTM in the process between the fused-cell
-// forward (the default) and the unfused graph-op forward.
-func SetFusedLSTM(on bool) { fusedLSTMOff.Store(!on) }
-
-// FusedLSTMEnabled reports whether LSTM forwards use the fused cell.
-func FusedLSTMEnabled() bool { return !fusedLSTMOff.Load() }
 
 // NewLSTM constructs an LSTM with the given input and hidden sizes. The
 // forget-gate bias is initialized to 1, the standard trick to preserve
@@ -61,42 +47,19 @@ func (l *LSTM) Hidden() int { return l.hidden }
 // (T × hidden), one row per timestep.
 //
 // The input projection for all timesteps is hoisted into one sequence-level
-// GEMM, X·Wx + b, before the recurrence; the timestep loop then either
-// records one fused autodiff.LSTMCell node per step (default) or the
-// explicit graph-op chain the cell replaces.
+// GEMM, X·Wx + b, before the recurrence; the timestep loop then records one
+// fused autodiff.LSTMCell node per step. The explicit graph-op chain the
+// cell replaces lives on as the test oracle in lstm_oracle_test.go.
 func (l *LSTM) Forward(x *autodiff.Node, _ bool) *autodiff.Node {
 	g := x.Graph()
 	steps := x.Value.Dim(0)
 	wx, wh, b := g.Param(l.Wx), g.Param(l.Wh), g.Param(l.B)
 	pre := autodiff.AddRowVector(autodiff.MatMul(x, wx), b) // (T × 4*hidden)
 	outs := make([]*autodiff.Node, steps)
-
-	if FusedLSTMEnabled() {
-		var prev *autodiff.Node
-		for step := 0; step < steps; step++ {
-			prev = autodiff.LSTMCell(pre, step, prev, wh, l.hidden)
-			outs[step] = prev
-		}
-		return autodiff.StackRows(outs)
-	}
-
-	h := g.Const(g.Alloc(1, l.hidden))
-	c := g.Const(g.Alloc(l.hidden))
+	var prev *autodiff.Node
 	for step := 0; step < steps; step++ {
-		flat := autodiff.Add(
-			autodiff.Row(pre, step),
-			autodiff.Reshape(autodiff.MatMul(h, wh), 4*l.hidden),
-		)
-		in := autodiff.Sigmoid(autodiff.SliceVec(flat, 0, l.hidden))
-		fg := autodiff.Sigmoid(autodiff.SliceVec(flat, l.hidden, 2*l.hidden))
-		og := autodiff.Sigmoid(autodiff.SliceVec(flat, 2*l.hidden, 3*l.hidden))
-		gg := autodiff.Tanh(autodiff.SliceVec(flat, 3*l.hidden, 4*l.hidden))
-
-		c = autodiff.Add(autodiff.Mul(fg, c), autodiff.Mul(in, gg))
-		hFlat := autodiff.Mul(og, autodiff.Tanh(c))
-
-		outs[step] = hFlat
-		h = autodiff.Reshape(hFlat, 1, l.hidden)
+		prev = autodiff.LSTMCell(pre, step, prev, wh, l.hidden)
+		outs[step] = prev
 	}
 	return autodiff.StackRows(outs)
 }

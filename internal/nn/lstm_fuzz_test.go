@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // FuzzLSTMCell cross-checks the fused LSTM cell against the unfused graph-op
-// path over random sequence/input/hidden sizes with special values (signed
+// oracle (forwardGraphOracle) over random sequence/input/hidden sizes with special values (signed
 // zeros, infinities, NaN, extreme magnitudes) planted at fuzzer-chosen
 // positions. Outputs and all three parameter gradients must agree bitwise —
 // NaN payload bits excepted, since x86 NaN propagation follows instruction
@@ -40,14 +41,17 @@ func FuzzLSTMCell(f *testing.F) {
 		}
 
 		run := func(fused bool) (*tensor.Tensor, [][]float64) {
-			SetFusedLSTM(fused)
-			defer SetFusedLSTM(true)
 			for _, p := range l.Params() {
 				p.ZeroGrad()
 			}
 			g := autodiff.NewGraph()
 			defer g.Release()
-			out := l.Forward(g.Const(x), false)
+			var out *autodiff.Node
+			if fused {
+				out = l.Forward(g.Const(x), false)
+			} else {
+				out = l.forwardGraphOracle(g.Const(x))
+			}
 			loss := autodiff.Sum(autodiff.Mul(out, g.Const(seedWeights)))
 			g.Backward(loss)
 			grads := make([][]float64, 0, 3)
@@ -60,22 +64,28 @@ func FuzzLSTMCell(f *testing.F) {
 		fusedOut, fusedGrads := run(true)
 		refOut, refGrads := run(false)
 
-		check := func(what string, got, want []float64) {
-			t.Helper()
-			for i := range got {
-				if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
-					continue
-				}
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("T=%d in=%d hidden=%d: %s[%d] fused %v (%#x) vs unfused %v (%#x)",
-						steps, in, hidden, what, i,
-						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-				}
-			}
-		}
-		check("output", fusedOut.Data, refOut.Data)
+		label := fmt.Sprintf("T=%d in=%d hidden=%d", steps, in, hidden)
+		requireSameBits(t, label+" output", fusedOut.Data, refOut.Data)
 		for i, p := range l.Params() {
-			check(p.Name+".Grad", fusedGrads[i], refGrads[i])
+			requireSameBits(t, label+" "+p.Name+".Grad", fusedGrads[i], refGrads[i])
 		}
 	})
+}
+
+// requireSameBits fails unless got and want agree bitwise, element for
+// element; two NaNs match whatever their payload bits.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: fused %v (%#x) vs unfused %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
 }

@@ -13,7 +13,7 @@
 //	...                                  // generate samples, observe speed
 //	topo, _ := ovs.NewTopology(city.Net, pairs, 8, 1)
 //	model := ovs.NewModel(topo, ovs.DefaultModelConfig())
-//	recovered, _ := model.TrainFull(samples, speedObs, 30, 25, 200, nil)
+//	recovered, _ := model.TrainFullCtx(context.Background(), samples, speedObs, 30, 25, 200, nil)
 //
 // See examples/ for runnable end-to-end programs and internal/experiment for
 // the table/figure reproduction harness behind cmd/ovstables.

@@ -1,6 +1,7 @@
 package ovs_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.MaxTrips = maxTrips * 1.2
 	cfg.Seed = seed
 	model := ovs.NewModel(topo, cfg)
-	recovered, err := model.TrainFull(samples, obs.Speed, 4, 3, 15, nil)
+	recovered, err := model.TrainFullCtx(context.Background(), samples, obs.Speed, 4, 3, 15, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
