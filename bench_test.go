@@ -258,12 +258,18 @@ func BenchmarkSimulatorMicro(b *testing.B) {
 // micro-benchmarks.
 func benchModel(b *testing.B) *ovs.Model {
 	b.Helper()
-	city := dataset.SyntheticGrid(8, 1)
+	return benchModelOn(b, dataset.SyntheticGrid(8, 1), 8)
+}
+
+// benchModelOn builds the standard OVS model on a city's OD pairs with the
+// given number of intervals.
+func benchModelOn(b *testing.B, city *dataset.City, intervals int) *ovs.Model {
+	b.Helper()
 	pairs := make([][2]int, len(city.ODs))
 	for i, od := range city.ODs {
 		pairs[i] = [2]int{od.Origin, od.Dest}
 	}
-	topo, err := ovs.NewTopology(city.Net, pairs, 8, 1)
+	topo, err := ovs.NewTopology(city.Net, pairs, intervals, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,6 +314,22 @@ func BenchmarkFitEpoch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFitEpochManhattan measures one test-time fitting epoch on the
+// 360-link Manhattan preset (5 OD pairs, 6 intervals): the op shape of the
+// manhattan-refit benchmark workload, where the Volume-Speed LSTM over all
+// links is nearly the whole cost of the fit.
+func BenchmarkFitEpochManhattan(b *testing.B) {
+	model := benchModelOn(b, dataset.Manhattan(dataset.CityOptions{ODPairs: 5, Seed: 1}), 6)
+	_, speed := model.Forward(tensor.Full(20, model.Topo.N, 6))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := model.FitBestCtx(context.Background(), speed, 1, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -435,7 +457,7 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Reset()
-		out := l.Forward(g.Const(x), true)
+		out := l.Forward(g.Const(x), 1)
 		loss := autodiff.MSE(out, target)
 		g.Backward(loss)
 	}
@@ -463,10 +485,10 @@ func BenchmarkLSTMCell(b *testing.B) {
 		outs := make([]*autodiff.Node, steps)
 		var prev *autodiff.Node
 		for t := 0; t < steps; t++ {
-			prev = autodiff.LSTMCell(preNode, t, prev, whNode, hidden)
+			prev = autodiff.LSTMCell(preNode, 1, t, prev, whNode, hidden)
 			outs[t] = prev
 		}
-		loss := autodiff.MSE(autodiff.StackRows(outs), target)
+		loss := autodiff.MSE(autodiff.StackSteps(outs), target)
 		g.Backward(loss)
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward' -o BENCH_7.json
 //	ovsbench -benchtime 5x -o BENCH_7.json
-//	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=16,BenchmarkModelForward=1100'
+//	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=16,BenchmarkModelForward=540'
 //
 // The default selection covers the allocation-sensitive hot-loop benchmarks
 // plus the GEMM shape sweep, routing benchmarks, and the cold lint pass
@@ -52,6 +52,9 @@ type Report struct {
 	Results    []Result `json:"results"`
 }
 
+// defaultBench is the default selection. "BenchmarkFitEpoch" selects both
+// the 3×3-grid fit epoch (arena on and off) and BenchmarkFitEpochManhattan,
+// the 360-link fit epoch of the manhattan-refit benchmark workload.
 const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulParallel|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkLintRepo"
 
 func main() {

@@ -103,6 +103,103 @@ func StackRows(rows []*Node) *Node {
 	return out
 }
 
+func backStackSteps(out *Node) {
+	n := out.Value.Dim(1)
+	steps := len(out.srcs)
+	for t, s := range out.srcs {
+		if !s.requires {
+			continue
+		}
+		gs := s.ensureGrad().Data
+		for b := 0; b < s.Value.Dim(0); b++ {
+			row := out.Grad.Data[(b*steps+t)*n : (b*steps+t+1)*n]
+			gr := gs[b*n : (b+1)*n]
+			for j, v := range row {
+				gr[j] += v
+			}
+		}
+	}
+}
+
+// StackSteps assembles the per-timestep outputs of a batched recurrence into
+// one sequence-major node: every steps[t] is (batch × n), and row b·T+t of
+// the (batch·T × n) result is row b of steps[t], so each sequence's T rows
+// are contiguous. With batch 1 it stacks the steps' single rows in order, as
+// StackRows does.
+func StackSteps(steps []*Node) *Node {
+	if len(steps) == 0 {
+		panic("autodiff: StackSteps requires at least one step")
+	}
+	g := sameGraph("StackSteps", steps...)
+	first := steps[0].Value
+	req := false
+	for t, s := range steps {
+		if first.Rank() != 2 || !s.Value.SameShape(first) {
+			panic(fmt.Sprintf("autodiff: StackSteps step %d shape %v, want a rank-2 %v", t, s.Value.Shape(), first.Shape()))
+		}
+		req = req || s.requires
+	}
+	batch, n := first.Dim(0), first.Dim(1)
+	val := g.Alloc(batch*len(steps), n)
+	for t, s := range steps {
+		for b := 0; b < batch; b++ {
+			copy(val.Data[(b*len(steps)+t)*n:(b*len(steps)+t+1)*n], s.Value.Data[b*n:(b+1)*n])
+		}
+	}
+	out := g.newNode(val, req)
+	out.backFn, out.srcs = backStackSteps, steps
+	return out
+}
+
+func backConcatCols(out *Node) {
+	rows, cols := out.Value.Dim(0), out.Value.Dim(1)
+	off := 0
+	for _, p := range out.srcs {
+		w := p.Value.Dim(1)
+		if p.requires {
+			gp := p.ensureGrad().Data
+			for r := 0; r < rows; r++ {
+				gr := gp[r*w : (r+1)*w]
+				for j, v := range out.Grad.Data[r*cols+off : r*cols+off+w] {
+					gr[j] += v
+				}
+			}
+		}
+		off += w
+	}
+}
+
+// ConcatCols concatenates rank-2 nodes with equal row counts side by side:
+// row r of the result is row r of every part, in argument order.
+func ConcatCols(parts ...*Node) *Node {
+	if len(parts) == 0 {
+		panic("autodiff: ConcatCols requires at least one part")
+	}
+	g := sameGraph("ConcatCols", parts...)
+	rows := parts[0].Value.Dim(0)
+	cols := 0
+	req := false
+	for _, p := range parts {
+		if p.Value.Rank() != 2 || p.Value.Dim(0) != rows {
+			panic(fmt.Sprintf("autodiff: ConcatCols part shape %v, want %d rows", p.Value.Shape(), rows))
+		}
+		cols += p.Value.Dim(1)
+		req = req || p.requires
+	}
+	val := g.Alloc(rows, cols)
+	off := 0
+	for _, p := range parts {
+		w := p.Value.Dim(1)
+		for r := 0; r < rows; r++ {
+			copy(val.Data[r*cols+off:r*cols+off+w], p.Value.Data[r*w:(r+1)*w])
+		}
+		off += w
+	}
+	out := g.newNode(val, req)
+	out.backFn, out.srcs = backConcatCols, parts
+	return out
+}
+
 func backConcatVec(out *Node) {
 	off := 0
 	for _, p := range out.srcs {

@@ -56,8 +56,8 @@ func (m *LSTM) Recover(ctx *Context) (*tensor.Tensor, error) {
 
 	forward := func(g *autodiff.Graph, speed *tensor.Tensor, train bool) *autodiff.Node {
 		in := tensor.Scale(tensor.Transpose(speed), 1/speedNorm) // (T × M)
-		h := l1.Forward(g.Const(in), train)
-		h = l2.Forward(h, train)
+		h := l1.Forward(g.Const(in), 1)
+		h = l2.Forward(h, 1)
 		return head.Forward(h, train) // (T × N) in (0,1)
 	}
 

@@ -133,6 +133,11 @@ func (c *Checkpointer) restoreSnapshot(snap *ckpt.Snapshot) error {
 // with periodic checkpoints, resuming either stage mid-flight when a
 // snapshot is pending. It returns both loss curves.
 func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sEpochs, t2vEpochs int) ([]float64, []float64, error) {
+	// Both stages' samples are checked up front, so a sample only the T2V
+	// stage reads cannot fail after the V2S epochs have run.
+	if err := c.m.checkSamples("TrainMappings", samples, true); err != nil {
+		return nil, nil, err
+	}
 	v2s, err := c.runEpochStage(StageV2S, v2sEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 		return c.m.trainV2S(ctx, samples, v2sEpochs, start, hist, opt, hook)
 	}, c.m.V2S.Params())
@@ -227,6 +232,11 @@ type TrainResult struct {
 // state. Resuming a completed run reproduces the same result without
 // retraining.
 func (c *Checkpointer) TrainFull(ctx context.Context, samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*TrainResult, error) {
+	// TrainMappings validates the samples; the fit inputs are checked here
+	// so a bad observation fails before the training stages spend epochs.
+	if err := c.m.checkFitInputs(speedObs, aux); err != nil {
+		return nil, err
+	}
 	v2s, t2v, err := c.TrainMappings(ctx, samples, v2sEpochs, t2vEpochs)
 	if err != nil {
 		return nil, err

@@ -352,6 +352,8 @@ func TestFitRejectsMalformedInputs(t *testing.T) {
 		{"census NaN", obs, with(func(a *AuxData) { a.CensusSum[1] = math.NaN() })},
 		{"link weights length", obs, with(func(a *AuxData) { a.LinkWeights = make([]float64, links+1) })},
 		{"link weight Inf", obs, with(func(a *AuxData) { a.LinkWeights[0] = math.Inf(1) })},
+		{"link weight negative", obs, with(func(a *AuxData) { a.LinkWeights[2] = -0.5 })},
+		{"link weight -Inf", obs, with(func(a *AuxData) { a.LinkWeights[links-1] = math.Inf(-1) })},
 		{"camera link out of range", obs, with(func(a *AuxData) { a.CameraLinks[1] = links + 5 })},
 		{"camera link negative", obs, with(func(a *AuxData) { a.CameraLinks[0] = -1 })},
 		{"camera volume shape", obs, with(func(a *AuxData) { a.CameraVolume = tensor.New(3, steps) })},
@@ -396,6 +398,122 @@ func TestFitRejectsMalformedInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrainRejectsMalformedSamples pins the training entry points' sample
+// contract: an empty sample slice, or a sample whose G (N×T), Volume or
+// Speed (M×T) is nil, misshaped — including a right-sized volume of the
+// wrong shape, which a reshape would otherwise pass silently — or
+// non-finite, is rejected with an error before any epoch runs. TrainV2SCtx
+// never reads G, so only the G-reading entry points must reject a bad one.
+// Well-formed samples are the control.
+func TestTrainRejectsMalformedSamples(t *testing.T) {
+	topo := testTopo(t, 4, 1)
+	cfg := ckptTestConfig(1, 1)
+	good := poolingSamples(topo, 2)
+
+	with := func(edit func(s *Sample)) []Sample {
+		out := make([]Sample, len(good))
+		for i, s := range good {
+			out[i] = Sample{G: s.G.Clone(), Volume: s.Volume.Clone(), Speed: s.Speed.Clone()}
+		}
+		edit(&out[1])
+		return out
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name    string
+		samples []Sample
+		readsG  bool // only the G-reading entry points must reject it
+	}{
+		{"no samples", nil, false},
+		{"nil volume", with(func(s *Sample) { s.Volume = nil }), false},
+		{"volume transposed", with(func(s *Sample) { s.Volume = tensor.New(topo.T, topo.M) }), false},
+		{"volume rank 1", with(func(s *Sample) { s.Volume = tensor.New(topo.M * topo.T) }), false},
+		{"volume NaN", with(func(s *Sample) { s.Volume.Data[5] = nan }), false},
+		{"nil speed", with(func(s *Sample) { s.Speed = nil }), false},
+		{"speed shape", with(func(s *Sample) { s.Speed = tensor.New(topo.M, topo.T+1) }), false},
+		{"speed Inf", with(func(s *Sample) { s.Speed.Data[0] = math.Inf(-1) }), false},
+		{"nil G", with(func(s *Sample) { s.G = nil }), true},
+		{"G shape", with(func(s *Sample) { s.G = tensor.New(topo.N+1, topo.T) }), true},
+		{"G NaN", with(func(s *Sample) { s.G.Data[2] = nan }), true},
+	}
+
+	obs := fitObs(NewModel(topo, cfg), 12)
+	entries := []struct {
+		name   string
+		readsG bool
+		train  func(m *Model, samples []Sample) error
+	}{
+		{"Model.TrainV2SCtx", false, func(m *Model, samples []Sample) error {
+			_, err := m.TrainV2SCtx(context.Background(), samples, 1)
+			return err
+		}},
+		{"Model.TrainT2VCtx", true, func(m *Model, samples []Sample) error {
+			_, err := m.TrainT2VCtx(context.Background(), samples, 1)
+			return err
+		}},
+		{"Model.TrainFullCtx", true, func(m *Model, samples []Sample) error {
+			_, err := m.TrainFullCtx(context.Background(), samples, obs, 1, 1, 1, nil)
+			return err
+		}},
+		{"Checkpointer.TrainMappings", true, func(m *Model, samples []Sample) error {
+			c, err := NewCheckpointer(m, CkptOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = c.TrainMappings(context.Background(), samples, 1, 1)
+			return err
+		}},
+		{"Checkpointer.TrainFull", true, func(m *Model, samples []Sample) error {
+			c, err := NewCheckpointer(m, CkptOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.TrainFull(context.Background(), samples, obs, 1, 1, 1, nil)
+			return err
+		}},
+	}
+
+	for _, e := range entries {
+		if err := e.train(NewModel(topo, cfg), good); err != nil {
+			t.Fatalf("%s: well-formed samples rejected: %v", e.name, err)
+		}
+		for _, tc := range cases {
+			if tc.readsG && !e.readsG {
+				continue
+			}
+			m := NewModel(topo, cfg)
+			before := cloneTensors(paramValues(m))
+			if err := e.train(m, tc.samples); err == nil {
+				t.Errorf("%s: %s accepted", e.name, tc.name)
+				continue
+			}
+			for i, v := range paramValues(m) {
+				if !tensor.AllClose(v, before[i], 0) {
+					t.Errorf("%s: %s trained before it was rejected", e.name, tc.name)
+					break
+				}
+			}
+		}
+	}
+	// A checkpointed full run also validates its fit inputs before training.
+	c, err := NewCheckpointer(NewModel(topo, cfg), CkptOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TrainFull(context.Background(), good, tensor.New(2, 2), 1, 1, 1, nil); err == nil {
+		t.Error("Checkpointer.TrainFull: misshaped observation accepted")
+	}
+}
+
+// paramValues lists the value tensors of every model parameter.
+func paramValues(m *Model) []*tensor.Tensor {
+	var vs []*tensor.Tensor
+	for _, p := range m.Params() {
+		vs = append(vs, p.Value)
+	}
+	return vs
 }
 
 func TestAblationVariants(t *testing.T) {

@@ -81,10 +81,12 @@ func (tg *TODGenerator) CloneTODGen() TODGenModule {
 	return &TODGenerator{Z: tg.Z.Clone(), L1: tg.L1.Clone(), L2: tg.L2.Clone(), MaxTrips: tg.MaxTrips}
 }
 
-// moduleWorkers returns the worker count for parallel graph construction
-// inside a module forward pass. Dropout draws its masks from a single shared
-// rng in recording order, so training passes with active dropout are forced
-// serial — the draw order, and therefore every mask, must match Workers=1.
+// moduleWorkers returns the worker count for the TOD-Volume mapping's
+// per-route and per-link graph construction (the Volume-Speed mapping runs
+// all links as one batch and forks nothing). Dropout draws its masks from a
+// single shared rng in recording order, so training passes with active
+// dropout are forced serial — the draw order, and therefore every mask, must
+// match Workers=1.
 func moduleWorkers(cfg Config, train bool) int {
 	if train && cfg.DropoutRate > 0 {
 		return 1
@@ -280,48 +282,54 @@ type LSTMV2S struct {
 	lstm1, lstm2 *nn.LSTM
 	fc1, fc2     *nn.Dense
 	drop         *nn.DropoutLayer
+
+	// Per-topology constants of MapSpeed's link-major layout: static holds
+	// the four link features of every (link, step) row, (M·T × 4), and
+	// limits every link's speed limit at every step, (M × T).
+	static, limits *tensor.Tensor
 }
 
 // NewLSTMV2S builds the shared volume→speed stack.
 func NewLSTMV2S(topo *Topology, cfg Config, rng *rand.Rand) *LSTMV2S {
 	const staticFeatures = 4
+	static := tensor.New(topo.M*topo.T, staticFeatures)
+	limits := tensor.New(topo.M, topo.T)
+	for j := 0; j < topo.M; j++ {
+		feats := topo.linkFeatures.Data[j*staticFeatures : (j+1)*staticFeatures]
+		for t := 0; t < topo.T; t++ {
+			copy(static.Data[(j*topo.T+t)*staticFeatures:], feats)
+			limits.Data[j*topo.T+t] = topo.speedLimits[j]
+		}
+	}
 	return &LSTMV2S{
-		topo:  topo,
-		cfg:   cfg,
-		lstm1: nn.NewLSTM(rng, "v2s.lstm1", 1+staticFeatures, cfg.LSTMHidden),
-		lstm2: nn.NewLSTM(rng, "v2s.lstm2", cfg.LSTMHidden, cfg.LSTMHidden),
-		fc1:   nn.NewDense(rng, "v2s.fc1", cfg.LSTMHidden, cfg.V2SFC, nn.ActSigmoid),
-		fc2:   nn.NewDense(rng, "v2s.fc2", cfg.V2SFC, 1, nn.ActSigmoid),
-		drop:  nn.NewDropout(rng, cfg.DropoutRate),
+		topo:   topo,
+		cfg:    cfg,
+		lstm1:  nn.NewLSTM(rng, "v2s.lstm1", 1+staticFeatures, cfg.LSTMHidden),
+		lstm2:  nn.NewLSTM(rng, "v2s.lstm2", cfg.LSTMHidden, cfg.LSTMHidden),
+		fc1:    nn.NewDense(rng, "v2s.fc1", cfg.LSTMHidden, cfg.V2SFC, nn.ActSigmoid),
+		fc2:    nn.NewDense(rng, "v2s.fc2", cfg.V2SFC, 1, nn.ActSigmoid),
+		drop:   nn.NewDropout(rng, cfg.DropoutRate),
+		static: static,
+		limits: limits,
 	}
 }
 
-// MapSpeed converts link volumes (M × T) to speeds (M × T) in m/s. The
-// per-link LSTM applications share weights but are otherwise independent, so
-// each link's sub-graph is built on a forked child tape and spliced back in
-// link order — the dominant parallel win of the forward pass.
+// MapSpeed converts link volumes (M × T) to speeds (M × T) in m/s. Every
+// link runs the same weights over its own sequence, so all M links go
+// through the stack as one batch: the rows of the (M·T × 5) input are
+// link-major (row j·T+t is link j at step t), which makes the volume a plain
+// reshape and keeps the dropout draws and FC rows in link order. The tape it
+// records does not grow with M.
 func (v *LSTMV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node {
 	topo := v.topo
-	workers := moduleWorkers(v.cfg, train)
-	rows := autodiff.ForkJoin(g, workers, topo.M, func(sub *autodiff.Graph, j int) *autodiff.Node {
-		volRef := sub.Ref(vol)
-		q := autodiff.Scale(autodiff.Row(volRef, j), 1/v.cfg.VolumeNorm) // (T)
-		// Assemble (T × 5): volume plus broadcast static features.
-		featRows := []*autodiff.Node{q}
-		for f := 0; f < 4; f++ {
-			ft := sub.Alloc(topo.T)
-			ft.Fill(v.topo.linkFeatures.At(j, f))
-			featRows = append(featRows, sub.Const(ft))
-		}
-		x := autodiff.Transpose(autodiff.StackRows(featRows)) // (T × 5)
-		h := v.lstm1.Forward(x, train)
-		h = v.drop.Forward(h, train)
-		h = v.lstm2.Forward(h, train)
-		h = v.fc1.Forward(h, train)
-		out := v.fc2.Forward(h, train) // (T × 1), sigmoid in (0,1)
-		return autodiff.Scale(autodiff.Reshape(out, topo.T), topo.speedLimits[j])
-	})
-	return autodiff.StackRows(rows)
+	q := autodiff.Reshape(autodiff.Scale(vol, 1/v.cfg.VolumeNorm), topo.M*topo.T, 1)
+	x := autodiff.ConcatCols(q, g.Const(v.static)) // (M·T × 5)
+	h := v.lstm1.Forward(x, topo.M)
+	h = v.drop.Forward(h, train)
+	h = v.lstm2.Forward(h, topo.M)
+	h = v.fc1.Forward(h, train)
+	out := v.fc2.Forward(h, train) // (M·T × 1), sigmoid in (0,1)
+	return autodiff.Mul(autodiff.Reshape(out, topo.M, topo.T), g.Const(v.limits))
 }
 
 // Params returns the mapping's trainable parameters.

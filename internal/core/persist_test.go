@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ovs/internal/autodiff"
@@ -186,4 +190,46 @@ func TestFitLossLinkWeights(t *testing.T) {
 	if _, _, err := m.FitBestCtx(context.Background(), obs, 1, 1, &AuxData{LinkWeights: []float64{1, 2}}); err == nil {
 		t.Fatal("wrong-length link weights did not error")
 	}
+}
+
+// TestPerLinkModelFileLoads pins model-file compatibility across the batched
+// Volume-Speed LSTM: testdata/v2s_per_link_model.json was saved by the
+// per-link build (a small configuration on testTopo(4, 1), after two V2S
+// training epochs on poolingSamples(topo, 2)), and
+// testdata/v2s_per_link_speed.hex holds that build's PredictSpeed output
+// for the volume below, one float64 bit pattern per line. The batched
+// module must load the file unchanged — same parameter names and shapes —
+// and reproduce every bit.
+func TestPerLinkModelFileLoads(t *testing.T) {
+	topo := testTopo(t, 4, 1)
+	cfg := DefaultConfig()
+	cfg.Hidden, cfg.LSTMHidden, cfg.V2SFC, cfg.ConvChannels, cfg.Lookback, cfg.MaxPos = 4, 5, 3, 2, 3, 3
+	cfg.Seed = 43
+	m := NewModel(topo, cfg)
+	file, err := os.ReadFile("testdata/v2s_per_link_model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	hex, err := os.ReadFile("testdata/v2s_per_link_speed.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(hex))
+	want := make([]float64, len(lines))
+	for i, l := range lines {
+		bits, err := strconv.ParseUint(l, 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = math.Float64frombits(bits)
+	}
+
+	vol := tensor.New(topo.M, topo.T)
+	for i := range vol.Data {
+		vol.Data[i] = float64(i%13) * 7.5
+	}
+	requireBitsEqual(t, "PredictSpeed", m.PredictSpeed(vol).Data, want)
 }

@@ -49,8 +49,8 @@ func (m *Model) TrainV2SCtx(ctx context.Context, samples []Sample, epochs int) (
 // trainV2S is the resumable core of TrainV2SCtx: it continues from start
 // completed epochs with the given optimizer and accumulated history.
 func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainV2SCtx requires samples")
+	if err := m.checkSamples("TrainV2SCtx", samples, false); err != nil {
+		return nil, err
 	}
 	params := m.V2S.Params()
 	history := hist
@@ -91,8 +91,8 @@ func (m *Model) TrainT2VCtx(ctx context.Context, samples []Sample, epochs int) (
 
 // trainT2V is the resumable core of TrainT2VCtx (see trainV2S).
 func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainT2VCtx requires samples")
+	if err := m.checkSamples("TrainT2VCtx", samples, true); err != nil {
+		return nil, err
 	}
 	// Volume-Speed is frozen for the whole stage: its parameters are read
 	// concurrently by parallel graph construction and must not accumulate
@@ -157,7 +157,9 @@ type AuxData struct {
 	// to the main speed loss. Setting a link to 0 excludes it — the RQ3
 	// mechanism for links whose physics changed after training (road work):
 	// such links are detectable from data because their maximum observed
-	// speed sits far below the speed limit even in empty intervals.
+	// speed sits far below the speed limit even in empty intervals. Weights
+	// must be finite and non-negative: a negative weight would turn that
+	// link's squared error into a reward and leave the loss unbounded below.
 	LinkWeights []float64
 }
 
@@ -181,6 +183,11 @@ func (m *Model) checkFitInputs(speedObs *tensor.Tensor, aux *AuxData) error {
 		if err := checkFinite("link weight", aux.LinkWeights); err != nil {
 			return err
 		}
+		for j, w := range aux.LinkWeights {
+			if w < 0 {
+				return fmt.Errorf("core: link weight %d is %v, want >= 0", j, w)
+			}
+		}
 	}
 	if len(aux.CensusSum) > 0 && aux.CensusWeight > 0 {
 		if len(aux.CensusSum) != n {
@@ -203,6 +210,31 @@ func (m *Model) checkFitInputs(speedObs *tensor.Tensor, aux *AuxData) error {
 			return err
 		}
 		if err := checkMatrix("trajectory TOD", aux.TrajG, len(aux.TrajODIdx), t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkSamples validates training samples against the topology before any
+// epoch runs: there must be at least one, and every sample's Volume and
+// Speed — and its G when the stage reads it — must be a finite tensor of
+// the right shape. op names the caller in the error.
+func (m *Model) checkSamples(op string, samples []Sample, needG bool) error {
+	if len(samples) == 0 {
+		return fmt.Errorf("core: %s requires samples", op)
+	}
+	n, links, t := m.Topo.N, m.Topo.M, m.Topo.T
+	for i, s := range samples {
+		if needG {
+			if err := checkMatrix(fmt.Sprintf("%s sample %d TOD", op, i), s.G, n, t); err != nil {
+				return err
+			}
+		}
+		if err := checkMatrix(fmt.Sprintf("%s sample %d volume", op, i), s.Volume, links, t); err != nil {
+			return err
+		}
+		if err := checkMatrix(fmt.Sprintf("%s sample %d speed", op, i), s.Speed, links, t); err != nil {
 			return err
 		}
 	}
@@ -633,8 +665,15 @@ func copyStateTensors(dst, src []*tensor.Tensor) {
 // training, stage-2 TOD-Volume training, then the test-time fit against the
 // observed speed (with Cfg.FitRestarts restarts). It returns the recovered
 // TOD. Each stage observes ctx at its epoch (or restart) boundaries, and a
-// cancelled call returns the context's cancellation cause.
+// cancelled call returns the context's cancellation cause. The samples and
+// the fit inputs are validated before the first epoch.
 func (m *Model) TrainFullCtx(ctx context.Context, samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*tensor.Tensor, error) {
+	if err := m.checkSamples("TrainFullCtx", samples, true); err != nil {
+		return nil, err
+	}
+	if err := m.checkFitInputs(speedObs, aux); err != nil {
+		return nil, err
+	}
 	if _, err := m.TrainV2SCtx(ctx, samples, v2sEpochs); err != nil {
 		return nil, err
 	}

@@ -1,17 +1,20 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ovs/internal/autodiff"
 	"ovs/internal/tensor"
 )
 
-// LSTM is a single-layer long short-term memory network processing a
-// sequence laid out as a rank-2 tensor (T × in) and emitting the hidden
-// state sequence (T × hidden). The paper's Volume-Speed mapping stacks two
-// of these followed by fully connected layers (Table IV), with weights
-// shared across all road links.
+// LSTM is a single-layer long short-term memory network. It processes a
+// batch of equal-length sequences laid out sequence-major as one rank-2
+// tensor (batch·T × in), row b·T+t holding sequence b at step t, and emits
+// the hidden states in the same layout (batch·T × hidden). The paper's
+// Volume-Speed mapping stacks two of these followed by fully connected
+// layers (Table IV), with weights shared across all road links — one
+// sequence per link, all links in one batch.
 type LSTM struct {
 	// Wx maps the input, Wh the previous hidden state, into the concatenated
 	// gate pre-activations [i | f | o | g], each of width hidden.
@@ -43,25 +46,31 @@ func NewLSTM(rng *rand.Rand, name string, in, hidden int) *LSTM {
 // Hidden returns the hidden-state width.
 func (l *LSTM) Hidden() int { return l.hidden }
 
-// Forward runs the LSTM over the full sequence. x is (T × in); the result is
-// (T × hidden), one row per timestep.
+// Forward runs the LSTM over batch sequences at once. x is
+// (batch·T × in), sequence-major; the result is (batch·T × hidden) in the
+// same layout. batch 1 is a single (T × in) sequence.
 //
-// The input projection for all timesteps is hoisted into one sequence-level
+// The input projection for every sequence and timestep is hoisted into one
 // GEMM, X·Wx + b, before the recurrence; the timestep loop then records one
-// fused autodiff.LSTMCell node per step. The explicit graph-op chain the
-// cell replaces lives on as the test oracle in lstm_oracle_test.go.
-func (l *LSTM) Forward(x *autodiff.Node, _ bool) *autodiff.Node {
+// fused autodiff.LSTMCell node per step for the whole batch, and StackSteps
+// reassembles the per-step (batch × hidden) states. The explicit graph-op
+// chain the cell replaces lives on as the test oracle in
+// lstm_oracle_test.go.
+func (l *LSTM) Forward(x *autodiff.Node, batch int) *autodiff.Node {
+	if batch <= 0 || x.Value.Rank() != 2 || x.Value.Dim(0)%batch != 0 {
+		panic(fmt.Sprintf("nn: LSTM input shape %v is not %d equal-length sequences", x.Value.Shape(), batch))
+	}
 	g := x.Graph()
-	steps := x.Value.Dim(0)
+	steps := x.Value.Dim(0) / batch
 	wx, wh, b := g.Param(l.Wx), g.Param(l.Wh), g.Param(l.B)
-	pre := autodiff.AddRowVector(autodiff.MatMul(x, wx), b) // (T × 4*hidden)
+	pre := autodiff.AddRowVector(autodiff.MatMul(x, wx), b) // (batch·T × 4*hidden)
 	outs := make([]*autodiff.Node, steps)
 	var prev *autodiff.Node
 	for step := 0; step < steps; step++ {
-		prev = autodiff.LSTMCell(pre, step, prev, wh, l.hidden)
+		prev = autodiff.LSTMCell(pre, batch, step, prev, wh, l.hidden)
 		outs[step] = prev
 	}
-	return autodiff.StackRows(outs)
+	return autodiff.StackSteps(outs)
 }
 
 // Params returns the LSTM's trainable parameters.

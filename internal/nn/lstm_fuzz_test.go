@@ -48,7 +48,7 @@ func FuzzLSTMCell(f *testing.F) {
 			defer g.Release()
 			var out *autodiff.Node
 			if fused {
-				out = l.Forward(g.Const(x), false)
+				out = l.Forward(g.Const(x), 1)
 			} else {
 				out = l.forwardGraphOracle(g.Const(x))
 			}

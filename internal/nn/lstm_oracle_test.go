@@ -79,7 +79,7 @@ func TestLSTMMatchesGraphOracle(t *testing.T) {
 			for step := 0; step < 4; step++ {
 				fg.Reset()
 				og.Reset()
-				fout := fused.Forward(fg.Const(x), true)
+				fout := fused.Forward(fg.Const(x), 1)
 				oout := oracle.forwardGraphOracle(og.Const(x))
 				fg.Backward(autodiff.Sum(autodiff.Mul(fout, fg.Const(seedWeights))))
 				og.Backward(autodiff.Sum(autodiff.Mul(oout, og.Const(seedWeights))))

@@ -46,12 +46,12 @@ func TestLSTMCausalityProperty(t *testing.T) {
 		tc := 1 + rng.Intn(T-1)
 		y1 := func() *tensor.Tensor {
 			g := autodiff.NewGraph()
-			return l.Forward(g.Const(x), false).Value
+			return l.Forward(g.Const(x), 1).Value
 		}()
 		x2 := x.Clone()
 		x2.Set(x2.At(tc, 0)+5, tc, 0)
 		g := autodiff.NewGraph()
-		y2 := l.Forward(g.Const(x2), false).Value
+		y2 := l.Forward(g.Const(x2), 1).Value
 		for step := 0; step < tc; step++ {
 			if !tensor.AllClose(y1.Row(step), y2.Row(step), 1e-12) {
 				t.Fatalf("trial %d: output at %d changed by future input at %d", trial, step, tc)
@@ -71,7 +71,7 @@ func TestLSTMOutputBounded(t *testing.T) {
 	l := NewLSTM(rng, "l", 2, 4)
 	x := tensor.Scale(tensor.Randn(rng, 1, 10, 2), 100) // huge inputs
 	g := autodiff.NewGraph()
-	y := l.Forward(g.Const(x), false).Value
+	y := l.Forward(g.Const(x), 1).Value
 	for _, v := range y.Data {
 		if math.Abs(v) >= 1 {
 			t.Fatalf("LSTM output %v out of (-1,1)", v)

@@ -85,7 +85,7 @@ func TestLSTMShapesAndStatefulness(t *testing.T) {
 	g := autodiff.NewGraph()
 	x := tensor.New(5, 2)
 	x.Set(1, 2, 0) // single spike at t=2
-	y := l.Forward(g.Const(x), false)
+	y := l.Forward(g.Const(x), 1)
 	if y.Value.Dim(0) != 5 || y.Value.Dim(1) != 6 {
 		t.Fatalf("LSTM output shape %v, want [5 6]", y.Value.Shape())
 	}
@@ -100,7 +100,7 @@ func TestLSTMShapesAndStatefulness(t *testing.T) {
 	g2 := autodiff.NewGraph()
 	xShort := tensor.New(3, 2)
 	xShort.Set(1, 2, 0)
-	yShort := l.Forward(g2.Const(xShort), false)
+	yShort := l.Forward(g2.Const(xShort), 1)
 	for step := 0; step < 3; step++ {
 		if !tensor.AllClose(yShort.Value.Row(step), y.Value.Row(step), 1e-12) {
 			t.Fatalf("LSTM is not causal at step %d", step)
@@ -134,7 +134,7 @@ func TestLSTMLearnsRunningMean(t *testing.T) {
 	for epoch := 0; epoch < 300; epoch++ {
 		x, y := sample(rng)
 		g := autodiff.NewGraph()
-		out := head.Forward(l.Forward(g.Const(x), true), true)
+		out := head.Forward(l.Forward(g.Const(x), 1), true)
 		lnode := autodiff.MSE(out, y)
 		loss = lnode.Value.Data[0]
 		g.Backward(lnode)

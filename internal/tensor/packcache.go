@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // This file implements the persistent packed-panel cache of the GEMM core.
 //
@@ -9,7 +12,7 @@ import "sync"
 // forward pass — but the B operand of the training hot loop's large products
 // is very often a weight matrix (Dense.W, LSTM Wx/Wh) that changes exactly
 // once per optimizer step. The cache stores the fully packed B layout of such
-// matrices keyed by (tensor pointer, orientation) and validated by the
+// matrices keyed by (tensor identity, orientation) and validated by the
 // tensor's mutation version (see Tensor.MarkPackable/NoteMutation), so a
 // weight repacks once per update instead of once per product.
 //
@@ -57,7 +60,11 @@ type PackCacheStats struct {
 }
 
 type packKey struct {
-	t *Tensor
+	// id is the source tensor's cache identity (Tensor.packID), assigned on
+	// its first pack and never reused. The key deliberately holds no pointer
+	// to the tensor: the cache must not keep a dead weight — and its packs —
+	// alive (see forgetPacks).
+	id uint64
 	// trans distinguishes the two B orientations the entry points produce:
 	// false for row-major B (MatMulTo, MatMulTNAcc), true for the transposed
 	// view of MatMulNTAcc. A weight used in forward and backward products is
@@ -83,6 +90,8 @@ type packCacheState struct {
 	clock   uint64
 
 	hits, misses, invalidations, evictions uint64
+	// lastID is the most recently assigned Tensor.packID.
+	lastID uint64
 }
 
 // packCacheDefaultCap bounds the cache payload. The largest weight in the
@@ -138,7 +147,12 @@ func acquirePack(t *Tensor, b gemmView, k, n int) *packEntry {
 		c.mu.Unlock()
 		return nil
 	}
-	key := packKey{t: t, trans: b.cs != 1}
+	if t.packID == 0 {
+		c.lastID++
+		t.packID = c.lastID
+		runtime.SetFinalizer(t, forgetPacks)
+	}
+	key := packKey{id: t.packID, trans: b.cs != 1}
 	if e := c.entries[key]; e != nil {
 		if e.version == t.version && e.k == k && e.n == n {
 			e.pins++
@@ -161,6 +175,24 @@ func acquirePack(t *Tensor, b gemmView, k, n int) *packEntry {
 	packWholeB(e.buf.Data, b, k, n)
 	c.mu.Unlock()
 	return e
+}
+
+// forgetPacks is the finalizer of every tensor the cache has packed: once
+// the program drops a weight (a model goes out of scope), its packs leave
+// the cache and their buffers return to the arena, instead of lingering
+// until LRU pressure evicts them. A pinned entry cannot be dropped here: a
+// GEMM reading it still references the tensor. The identity is never
+// reused, so no later tensor can match a pack of this one.
+func forgetPacks(t *Tensor) {
+	c := &packs
+	c.mu.Lock()
+	for _, trans := range [2]bool{false, true} {
+		key := packKey{id: t.packID, trans: trans}
+		if e := c.entries[key]; e != nil {
+			c.dropLocked(key, e)
+		}
+	}
+	c.mu.Unlock()
 }
 
 // releasePack unpins an entry acquired by acquirePack, returning its buffer

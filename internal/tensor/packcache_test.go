@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // withCleanPackCache runs fn against a flushed, enabled, default-capacity
@@ -271,6 +273,40 @@ func TestPackCacheParallelStress(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
+		})
+	})
+}
+
+// TestPackCacheForgetsCollectedWeights: the cache holds no reference to the
+// weights it packs, so once a weight is garbage, its packs leave the cache
+// (and their buffers return to the arena). Before, every model a process
+// built and dropped kept its packed weights alive until LRU pressure, which
+// grew a long run's heap by the cache's whole byte cap.
+func TestPackCacheForgetsCollectedWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	const m, n, k = 9, 40, 21
+	withCleanPackCache(t, func() {
+		forceBlocked(t, func() {
+			a := Randn(rng, 1, m, k)
+			func() {
+				for i := 0; i < 3; i++ {
+					b := Randn(rng, 1, k, n)
+					b.MarkPackable()
+					MatMulTo(New(m, n), a, b)
+					MatMulNTAcc(New(m, k), New(m, n), b)
+				}
+			}()
+			if st := PackCacheStatsSnapshot(); st.Entries == 0 {
+				t.Fatal("no pack was cached")
+			}
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				if PackCacheStatsSnapshot().Entries == 0 {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+			t.Fatalf("%d packs of collected weights still cached", PackCacheStatsSnapshot().Entries)
 		})
 	})
 }

@@ -24,11 +24,14 @@ type Tensor struct {
 	// packable.
 	packable bool
 	// version counts in-place mutations of a packable tensor. The pack cache
-	// keys entries by (tensor pointer, version), so any bump invalidates every
+	// keys entries by (tensor identity, version), so any bump invalidates every
 	// cached panel. Mutating kernels call NoteMutation; the counter follows
 	// the same synchronization rules as Data (external synchronization between
 	// writers and readers).
 	version uint64
+	// packID is t's pack-cache identity, 0 until its first cached pack;
+	// guarded by the pack cache's lock (see packcache.go).
+	packID uint64
 }
 
 // MarkPackable declares t a long-lived weight matrix eligible for packed-panel
