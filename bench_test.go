@@ -12,6 +12,7 @@ package ovs_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -490,6 +491,49 @@ func BenchmarkLSTMCell(b *testing.B) {
 		}
 		loss := autodiff.MSE(autodiff.StackSteps(outs), target)
 		g.Backward(loss)
+	}
+}
+
+// BenchmarkGateKernels measures the LSTM gate nonlinearities on slabs of
+// 24 (one gate of one sequence at the Volume-Speed hidden width), 72 (the
+// three sigmoid gates) and 1024 elements: the vector kernels behind
+// tensor.SigmoidSlice/TanhSlice against the scalar loops they replace, so
+// per-call overhead shows at the short end. Inputs are N(0, 5²), which puts
+// 90% of them on tanh's exp branch (|x| ≥ 0.625): the share measured for the
+// Volume-Speed LSTM's tanh inputs on odbench's manhattan-refit workload
+// (93% of the g pre-activations, 86% of the cell states). The untrained model
+// of BenchmarkFitEpochManhattan has under 1% there, so that benchmark barely
+// exercises the vector tanh. The sigmoid kernel's cost does not depend on
+// the inputs: only |x| > 708 leaves its vector lanes.
+func BenchmarkGateKernels(b *testing.B) {
+	for _, n := range []int{24, 72, 1024} {
+		rng := rand.New(rand.NewSource(1))
+		src := tensor.Randn(rng, 5, n).Data
+		dst := make([]float64, n)
+		b.Run(fmt.Sprintf("sigmoid/n=%d/vector", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.SigmoidSlice(dst, src)
+			}
+		})
+		b.Run(fmt.Sprintf("sigmoid/n=%d/scalar", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, x := range src {
+					dst[j] = 1 / (1 + math.Exp(-x))
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("tanh/n=%d/vector", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.TanhSlice(dst, src)
+			}
+		})
+		b.Run(fmt.Sprintf("tanh/n=%d/scalar", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, x := range src {
+					dst[j] = math.Tanh(x)
+				}
+			}
+		})
 	}
 }
 

@@ -220,7 +220,7 @@ func backAdd(out *Node) {
 // Add returns a + b elementwise.
 func Add(a, b *Node) *Node {
 	g := sameGraph("Add", a, b)
-	val := tensor.AddTo(g.AllocLike(a.Value), a.Value, b.Value)
+	val := tensor.AddTo(g.AllocLikeUninit(a.Value), a.Value, b.Value)
 	out := g.newNode(val, a.requires || b.requires)
 	out.backFn, out.a, out.b = backAdd, a, b
 	return out
@@ -238,7 +238,7 @@ func backSub(out *Node) {
 // Sub returns a - b elementwise.
 func Sub(a, b *Node) *Node {
 	g := sameGraph("Sub", a, b)
-	val := tensor.SubTo(g.AllocLike(a.Value), a.Value, b.Value)
+	val := tensor.SubTo(g.AllocLikeUninit(a.Value), a.Value, b.Value)
 	out := g.newNode(val, a.requires || b.requires)
 	out.backFn, out.a, out.b = backSub, a, b
 	return out
@@ -263,7 +263,7 @@ func backMul(out *Node) {
 // Mul returns the elementwise product a * b.
 func Mul(a, b *Node) *Node {
 	g := sameGraph("Mul", a, b)
-	val := tensor.MulTo(g.AllocLike(a.Value), a.Value, b.Value)
+	val := tensor.MulTo(g.AllocLikeUninit(a.Value), a.Value, b.Value)
 	out := g.newNode(val, a.requires || b.requires)
 	out.backFn, out.a, out.b = backMul, a, b
 	return out
@@ -278,7 +278,7 @@ func backScale(out *Node) {
 // Scale returns a * s for a constant scalar s.
 func Scale(a *Node, s float64) *Node {
 	g := a.graph
-	val := tensor.ScaleTo(g.AllocLike(a.Value), a.Value, s)
+	val := tensor.ScaleTo(g.AllocLikeUninit(a.Value), a.Value, s)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a, out.x0 = backScale, a, s
 	return out
@@ -296,7 +296,7 @@ func backPassthrough(out *Node) {
 // AddScalar returns a + s elementwise for a constant scalar s.
 func AddScalar(a *Node, s float64) *Node {
 	g := a.graph
-	val := tensor.AddScalarTo(g.AllocLike(a.Value), a.Value, s)
+	val := tensor.AddScalarTo(g.AllocLikeUninit(a.Value), a.Value, s)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backPassthrough, a
 	return out
@@ -324,7 +324,7 @@ func MatMul(a, b *Node) *Node {
 	if a.Value.Dim(1) != b.Value.Dim(0) {
 		panic(fmt.Sprintf("autodiff: MatMul inner dimensions differ: %v x %v", a.Value.Shape(), b.Value.Shape()))
 	}
-	val := tensor.MatMulTo(g.Alloc(a.Value.Dim(0), b.Value.Dim(1)), a.Value, b.Value)
+	val := tensor.MatMulTo(g.AllocUninit(a.Value.Dim(0), b.Value.Dim(1)), a.Value, b.Value)
 	out := g.newNode(val, a.requires || b.requires)
 	out.backFn, out.a, out.b = backMatMul, a, b
 	return out
@@ -348,9 +348,54 @@ func backAddRowVector(out *Node) {
 // AddRowVector adds a rank-1 bias node v to every row of rank-2 node a.
 func AddRowVector(a, v *Node) *Node {
 	g := sameGraph("AddRowVector", a, v)
-	val := tensor.AddRowVectorTo(g.AllocLike(a.Value), a.Value, v.Value)
+	val := tensor.AddRowVectorTo(g.AllocLikeUninit(a.Value), a.Value, v.Value)
 	out := g.newNode(val, a.requires || v.requires)
 	out.backFn, out.a, out.b = backAddRowVector, a, v
+	return out
+}
+
+func backAffine(out *Node) {
+	x, w, b := out.a, out.b, out.c
+	// out.Grad feeds both GEMMs directly. The unfused MatMul/AddRowVector
+	// pair first copies it into a zero-filled gradient (+0 + g), which would
+	// only differ from g where g is -0. out.Grad never holds -0: it is
+	// itself a zero-filled buffer that backward rules add into (+0 + v is
+	// never -0), or the root's seeded 1, so the copy is the identity.
+	if x.requires {
+		tensor.MatMulNTAcc(x.ensureGrad(), out.Grad, w.Value)
+	}
+	if w.requires {
+		tensor.MatMulTNAcc(w.ensureGrad(), x.Value, out.Grad)
+	}
+	if b.requires {
+		gb := b.ensureGrad().Data
+		m, n := out.Grad.Dim(0), out.Grad.Dim(1)
+		for i := 0; i < m; i++ {
+			for j, v := range out.Grad.Data[i*n : (i+1)*n] {
+				gb[j] += v
+			}
+		}
+	}
+}
+
+// Affine returns x·w + b for rank-2 x (m×k), rank-2 w (k×n) and a rank-1
+// bias b (n) broadcast over rows: one node in place of
+// AddRowVector(MatMul(x, w), b), and bitwise identical to that pair, value
+// and every gradient. The bias is added in the GEMM epilogue, so the node
+// saves the MatMul's intermediate value, its zero-filled gradient, and the
+// two elementwise passes between them; the bias gradient sums out.Grad's
+// rows in ascending order, as AddRowVector's backward does.
+func Affine(x, w, b *Node) *Node {
+	g := sameGraph("Affine", x, w, b)
+	if x.Value.Rank() != 2 || w.Value.Rank() != 2 || b.Value.Rank() != 1 {
+		panic(fmt.Sprintf("autodiff: Affine requires rank-2 x, w and a rank-1 bias, got %v x %v + %v", x.Value.Shape(), w.Value.Shape(), b.Value.Shape()))
+	}
+	if x.Value.Dim(1) != w.Value.Dim(0) || w.Value.Dim(1) != b.Value.Dim(0) {
+		panic(fmt.Sprintf("autodiff: Affine shape mismatch %v x %v + %v", x.Value.Shape(), w.Value.Shape(), b.Value.Shape()))
+	}
+	val := tensor.AffineTo(g.AllocUninit(x.Value.Dim(0), w.Value.Dim(1)), x.Value, w.Value, b.Value)
+	out := g.newNode(val, x.requires || w.requires || b.requires)
+	out.backFn, out.a, out.b, out.c = backAffine, x, w, b
 	return out
 }
 
@@ -366,7 +411,7 @@ func Transpose(a *Node) *Node {
 	if a.Value.Rank() != 2 {
 		panic(fmt.Sprintf("autodiff: Transpose requires rank-2, got %v", a.Value.Shape()))
 	}
-	val := tensor.TransposeTo(g.Alloc(a.Value.Dim(1), a.Value.Dim(0)), a.Value)
+	val := tensor.TransposeTo(g.AllocUninit(a.Value.Dim(1), a.Value.Dim(0)), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backTranspose, a
 	return out
@@ -383,7 +428,7 @@ func backSigmoid(out *Node) {
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(a *Node) *Node {
 	g := a.graph
-	val := tensor.SigmoidTo(g.AllocLike(a.Value), a.Value)
+	val := tensor.SigmoidTo(g.AllocLikeUninit(a.Value), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backSigmoid, a
 	return out
@@ -398,7 +443,7 @@ func backTanh(out *Node) {
 // Tanh applies the hyperbolic tangent elementwise.
 func Tanh(a *Node) *Node {
 	g := a.graph
-	val := tensor.TanhTo(g.AllocLike(a.Value), a.Value)
+	val := tensor.TanhTo(g.AllocLikeUninit(a.Value), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backTanh, a
 	return out
@@ -418,7 +463,7 @@ func backReLU(out *Node) {
 // ReLU applies max(0, x) elementwise.
 func ReLU(a *Node) *Node {
 	g := a.graph
-	val := tensor.ReLUTo(g.AllocLike(a.Value), a.Value)
+	val := tensor.ReLUTo(g.AllocLikeUninit(a.Value), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backReLU, a
 	return out
@@ -437,7 +482,7 @@ func backSqrt(out *Node) {
 // derivative diverges at zero); callers add an epsilon where needed.
 func Sqrt(a *Node) *Node {
 	g := a.graph
-	val := tensor.SqrtTo(g.AllocLike(a.Value), a.Value)
+	val := tensor.SqrtTo(g.AllocLikeUninit(a.Value), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backSqrt, a
 	return out
@@ -456,7 +501,7 @@ func backSoftplus(out *Node) {
 // for learnable gain parameters.
 func Softplus(a *Node) *Node {
 	g := a.graph
-	val := tensor.SoftplusTo(g.AllocLike(a.Value), a.Value)
+	val := tensor.SoftplusTo(g.AllocLikeUninit(a.Value), a.Value)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backSoftplus, a
 	return out
@@ -482,7 +527,7 @@ func MulScalarNode(a, s *Node) *Node {
 		panic(fmt.Sprintf("autodiff: MulScalarNode scalar has shape %v", s.Value.Shape()))
 	}
 	sv := s.Value.Data[0]
-	val := tensor.ScaleTo(g.AllocLike(a.Value), a.Value, sv)
+	val := tensor.ScaleTo(g.AllocLikeUninit(a.Value), a.Value, sv)
 	out := g.newNode(val, a.requires || s.requires)
 	out.backFn, out.a, out.b, out.x0 = backMulScalarNode, a, s, sv
 	return out
@@ -571,7 +616,7 @@ func Dropout(a *Node, p float64, train bool, rng *rand.Rand) *Node {
 			mask.Data[i] = scale
 		}
 	}
-	val := tensor.MulTo(g.AllocLike(a.Value), a.Value, mask)
+	val := tensor.MulTo(g.AllocLikeUninit(a.Value), a.Value, mask)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a, out.ext = backDropout, a, mask
 	return out

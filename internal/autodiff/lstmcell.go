@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
 
 	"ovs/internal/tensor"
 )
@@ -47,6 +46,9 @@ import (
 //  2. Scalar expressions copy the graph kernels' association exactly — e.g.
 //     the cell state is float64(f·cPrev) + float64(i·g), two individually
 //     rounded products then one add, matching the two Mul stores and the Add.
+//     The gate nonlinearities run through tensor.SigmoidSlice/TanhSlice, the
+//     same kernels the graph path's SigmoidTo/TanhTo use, and those are
+//     bitwise equal to the scalar math.Exp/math.Tanh expressions.
 //  3. The graph path materializes each backward intermediate by accumulating
 //     into a freshly zeroed gradient, and 0+x flushes a negative zero to +0.
 //     The fused backward inserts the same "0 +" at each point where the graph
@@ -90,7 +92,11 @@ func LSTMCell(pre *Node, batch, t int, prev *Node, wh *Node, hidden int) *Node {
 		g = sameGraph("LSTMCell", pre, wh)
 	}
 
-	ext := g.Alloc(lstmCellExtSlots * bh)
+	// Slots 0–5 are written in full below before anything reads them; the
+	// dcAcc slot is read by this cell's backward and written only if a step
+	// t+1 backward runs, so it alone starts from zero.
+	ext := g.AllocUninit(lstmCellExtSlots * bh)
+	clear(ext.Data[6*bh : 7*bh])
 	cv := ext.Data[0:bh]
 	iv := ext.Data[bh : 2*bh]
 	fv := ext.Data[2*bh : 3*bh]
@@ -112,32 +118,36 @@ func LSTMCell(pre *Node, batch, t int, prev *Node, wh *Node, hidden int) *Node {
 		hPrev, cPrev = zero, zero.Data
 	}
 
-	hw := tensor.MatMulTo(tensor.Get(batch, h4), hPrev, wh.Value)
-	val := g.Alloc(batch, hidden)
+	// The gate pre-activations land in their own slots — the i, f, o, g
+	// slots are (batch × hidden) each, and i, f, o are adjacent — so the
+	// nonlinearities run in place as one kernel call per (batch × gate)
+	// slab: one sigmoid call covers i, f and o for the whole batch.
+	hw := tensor.MatMulTo(tensor.GetUninit(batch, h4), hPrev, wh.Value)
 	for b := 0; b < batch; b++ {
 		preRow := pre.Value.Data[(b*steps+t)*h4 : (b*steps+t+1)*h4]
 		hwd := hw.Data[b*h4 : (b+1)*h4]
-		o := b * hidden
-		for j := 0; j < hidden; j++ {
-			zi := preRow[j] + hwd[j]
-			zf := preRow[hidden+j] + hwd[hidden+j]
-			zo := preRow[2*hidden+j] + hwd[2*hidden+j]
-			zg := preRow[3*hidden+j] + hwd[3*hidden+j]
-			ij := 1 / (1 + math.Exp(-zi))
-			fj := 1 / (1 + math.Exp(-zf))
-			oj := 1 / (1 + math.Exp(-zo))
-			gj := math.Tanh(zg)
-			// Two rounded products then one add: the exact association of
-			// the graph path's Mul/Mul/Add (the conversions forbid FMA
-			// contraction).
-			cj := float64(fj*cPrev[o+j]) + float64(ij*gj)
-			tj := math.Tanh(cj)
-			iv[o+j], fv[o+j], ov[o+j], gv[o+j] = ij, fj, oj, gj
-			cv[o+j], th[o+j] = cj, tj
-			val.Data[o+j] = oj * tj
+		for gate, slot := range [4][]float64{iv, fv, ov, gv} {
+			z := slot[b*hidden : (b+1)*hidden]
+			p := preRow[gate*hidden : (gate+1)*hidden]
+			q := hwd[gate*hidden : (gate+1)*hidden]
+			for j := range z {
+				z[j] = p[j] + q[j]
+			}
 		}
 	}
 	tensor.Put(hw)
+	tensor.SigmoidSlice(ext.Data[bh:4*bh], ext.Data[bh:4*bh])
+	tensor.TanhSlice(gv, gv)
+	for k := range cv {
+		// Two rounded products then one add: the exact association of the
+		// graph path's Mul/Mul/Add (the conversions forbid FMA contraction).
+		cv[k] = float64(fv[k]*cPrev[k]) + float64(iv[k]*gv[k])
+	}
+	tensor.TanhSlice(th, cv)
+	val := g.AllocUninit(batch, hidden)
+	for k, o := range ov {
+		val.Data[k] = o * th[k]
+	}
 	if zero != nil {
 		tensor.Put(zero)
 	}
@@ -192,7 +202,7 @@ func backLSTMCell(out *Node) {
 		hPrev, cPrev = zero, zero.Data
 	}
 
-	dg := tensor.Get(batch, h4)
+	dg := tensor.GetUninit(batch, h4) // every gate column is written below
 	for b := 0; b < batch; b++ {
 		dgd := dg.Data[b*h4 : (b+1)*h4]
 		o := b * hidden

@@ -98,6 +98,23 @@ func (g *Graph) AllocLike(t *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// AllocUninit is Alloc without the zero fill: the contents are unspecified
+// (NaN under -tags ovspoison). Use it only for an op output the op writes in
+// full before reading any element — the elementwise *To kernels, GEMM
+// overwrite outputs, copies.
+func (g *Graph) AllocUninit(shape ...int) *tensor.Tensor {
+	t := tensor.GetUninit(shape...)
+	g.owned = append(g.owned, t)
+	return t
+}
+
+// AllocLikeUninit is AllocUninit with t's shape.
+func (g *Graph) AllocLikeUninit(t *tensor.Tensor) *tensor.Tensor {
+	out := tensor.GetLikeUninit(t)
+	g.owned = append(g.owned, out)
+	return out
+}
+
 // Reset clears the tape for reuse: every owned tensor returns to the arena,
 // every node slab entry is zeroed, and full slabs return to the global pool.
 // Node pointers and owned tensors from before the Reset are invalid

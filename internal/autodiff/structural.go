@@ -140,7 +140,8 @@ func StackSteps(steps []*Node) *Node {
 		req = req || s.requires
 	}
 	batch, n := first.Dim(0), first.Dim(1)
-	val := g.Alloc(batch*len(steps), n)
+	// Every row b·T+t is copied from exactly one step below.
+	val := g.AllocUninit(batch*len(steps), n)
 	for t, s := range steps {
 		for b := 0; b < batch; b++ {
 			copy(val.Data[(b*len(steps)+t)*n:(b*len(steps)+t+1)*n], s.Value.Data[b*n:(b+1)*n])

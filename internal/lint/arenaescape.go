@@ -7,11 +7,12 @@ import (
 )
 
 // ArenaEscape enforces the arena ownership rule (DESIGN.md §11): a tensor
-// drawn from the arena — tensor.Get/GetLike, an Arena's Get/GetLike, or a
-// Graph's Alloc/AllocLike — is reclaimed by Graph.Reset (or an explicit
-// Put), and any reference that survives past that point dangles: the buffer
-// is zeroed and handed to an unrelated computation, which corrupts results
-// silently at exactly the worker count and epoch where the pool recycles it.
+// drawn from the arena — tensor.Get/GetLike, an Arena's Get/GetLike, a
+// Graph's Alloc/AllocLike, or the un-zeroed *Uninit twins of the tensor and
+// Graph entry points — is reclaimed by Graph.Reset (or an explicit Put), and
+// any reference that survives past that point dangles: the buffer is handed
+// to an unrelated computation, which corrupts results silently at exactly
+// the worker count and epoch where the pool recycles it.
 //
 // The analysis is an intraprocedural taint pass over the CFG. A source call
 // taints the assigned local; taint propagates through ident copies, Reshape
@@ -318,7 +319,8 @@ func isPackageLevel(obj types.Object) bool {
 }
 
 // isArenaSource classifies calls that hand out arena-owned tensors:
-// tensor.Get/GetLike, Arena.Get/GetLike, Graph.Alloc/AllocLike.
+// tensor.Get/GetLike and their un-zeroed twins GetUninit/GetLikeUninit,
+// Arena.Get/GetLike, and Graph.Alloc/AllocLike/AllocUninit/AllocLikeUninit.
 func isArenaSource(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -329,7 +331,9 @@ func isArenaSource(p *Pass, call *ast.CallExpr) bool {
 		if isTensorPkgIdent(p, sel.X) || isArenaType(p.TypeOf(sel.X)) {
 			return true
 		}
-	case "Alloc", "AllocLike":
+	case "GetUninit", "GetLikeUninit":
+		return isTensorPkgIdent(p, sel.X)
+	case "Alloc", "AllocLike", "AllocUninit", "AllocLikeUninit":
 		return isGraphType(p.TypeOf(sel.X))
 	}
 	return false

@@ -22,7 +22,8 @@ import (
 //   - the tensor is function-local and never packable: it flows from a
 //     tensor constructor (New/Zeros/Ones/Full/FromSlice/Randn/RandUniform/
 //     Xavier), Clone or Map, an arena Get/GetLike (recycled buffers drop the
-//     packable mark), or a Graph.Alloc/AllocLike;
+//     packable mark), or a Graph allocator (Alloc/AllocLike and their
+//     *Uninit twins);
 //   - the tensor is a gradient: it flows from a `.Grad` field or an
 //     `ensureGrad` call — gradients are never marked packable;
 //   - the enclosing function calls NoteMutation on the same tensor (the
@@ -323,7 +324,7 @@ func (sc *dataMutScope) tensorCallProv(fact mutFact, call *ast.CallExpr) tensorP
 			if isArenaType(sc.pass.TypeOf(fun.X)) {
 				return tensorProv{safe: true, origin: origin}
 			}
-		case "Alloc", "AllocLike":
+		case "Alloc", "AllocLike", "AllocUninit", "AllocLikeUninit":
 			// Graph allocators draw from the arena.
 			if isGraphType(sc.pass.TypeOf(fun.X)) {
 				return tensorProv{safe: true, origin: origin}

@@ -1,7 +1,7 @@
 // Package arenaescape exercises the arenaescape analyzer: tensors drawn
-// from the arena (tensor.Get/GetLike, Arena.Get, Graph.Alloc) are reclaimed
-// on Graph.Reset and must not outlive the frame through fields, globals,
-// channels, or returns.
+// from the arena (tensor.Get/GetLike, Arena.Get, Graph.Alloc, and the
+// un-zeroed *Uninit twins of tensor.Get and Graph.Alloc) are reclaimed on Graph.Reset and must not
+// outlive the frame through fields, globals, channels, or returns.
 package arenaescape
 
 import (
@@ -92,4 +92,34 @@ func branchEscape(h *holder, cond bool) {
 		return
 	}
 	h.buf = t // want "arena-allocated tensor stored into a struct field"
+}
+
+// uninitFieldEscape parks an un-zeroed arena buffer in a struct field.
+func uninitFieldEscape(h *holder) {
+	t := tensor.GetUninit(4)
+	h.buf = t // want "arena-allocated tensor stored into a struct field"
+}
+
+// uninitLikeReturnEscape returns an un-zeroed buffer shaped like its input.
+func uninitLikeReturnEscape(like *tensor.Tensor) *tensor.Tensor {
+	t := tensor.GetLikeUninit(like)
+	return t // want "arena-allocated tensor returned to the caller"
+}
+
+// graphUninitChannelEscape sends an un-zeroed graph allocation away.
+func graphUninitChannelEscape(g *autodiff.Graph, ch chan *tensor.Tensor) {
+	t := g.AllocUninit(4)
+	ch <- t // want "arena-allocated tensor sent on a channel"
+}
+
+// graphUninitLikeFieldEscape parks an un-zeroed AllocLike in a field.
+func graphUninitLikeFieldEscape(g *autodiff.Graph, h *holder, like *tensor.Tensor) {
+	h.buf = g.AllocLikeUninit(like) // want "arena-allocated tensor stored into a struct field"
+}
+
+// uninitPutSettles returns the un-zeroed buffer to the pool.
+func uninitPutSettles() {
+	t := tensor.GetUninit(4)
+	t.Fill(1)
+	tensor.Put(t)
 }

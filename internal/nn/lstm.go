@@ -51,7 +51,7 @@ func (l *LSTM) Hidden() int { return l.hidden }
 // same layout. batch 1 is a single (T × in) sequence.
 //
 // The input projection for every sequence and timestep is hoisted into one
-// GEMM, X·Wx + b, before the recurrence; the timestep loop then records one
+// GEMM with the bias in its epilogue, X·Wx + b, before the recurrence; the timestep loop then records one
 // fused autodiff.LSTMCell node per step for the whole batch, and StackSteps
 // reassembles the per-step (batch × hidden) states. The explicit graph-op
 // chain the cell replaces lives on as the test oracle in
@@ -63,7 +63,7 @@ func (l *LSTM) Forward(x *autodiff.Node, batch int) *autodiff.Node {
 	g := x.Graph()
 	steps := x.Value.Dim(0) / batch
 	wx, wh, b := g.Param(l.Wx), g.Param(l.Wh), g.Param(l.B)
-	pre := autodiff.AddRowVector(autodiff.MatMul(x, wx), b) // (batch·T × 4*hidden)
+	pre := autodiff.Affine(x, wx, b) // (batch·T × 4*hidden)
 	outs := make([]*autodiff.Node, steps)
 	var prev *autodiff.Node
 	for step := 0; step < steps; step++ {

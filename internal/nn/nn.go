@@ -87,7 +87,7 @@ func NewDense(rng *rand.Rand, name string, in, out int, act Activation) *Dense {
 // Forward applies the layer. x must be rank-2 with x.Dim(1) == in.
 func (d *Dense) Forward(x *autodiff.Node, _ bool) *autodiff.Node {
 	g := x.Graph()
-	z := autodiff.AddRowVector(autodiff.MatMul(x, g.Param(d.W)), g.Param(d.B))
+	z := autodiff.Affine(x, g.Param(d.W), g.Param(d.B))
 	return d.Act.Apply(z)
 }
 

@@ -12,10 +12,18 @@ import (
 // that recycles its graph reaches a steady state with near-zero tensor
 // allocations.
 //
-// Determinism rule: a buffer handed out by Get is always fully zeroed first,
-// so a pooled tensor is indistinguishable from a fresh New tensor. Every
-// kernel therefore produces bitwise-identical results whether its operands
-// came from the pool or from the garbage collector, at any worker count.
+// Determinism rule: a buffer handed out by Get/GetLike is fully zeroed first,
+// so a pooled tensor is indistinguishable from a fresh New tensor. A buffer
+// handed out by GetUninit/GetLikeUninit is not: it holds whatever its last
+// life left behind. The un-zeroed gets serve only buffers that the caller
+// writes in full before it reads any element — GEMM overwrite outputs and
+// scratch, packing panels, elementwise *To outputs, the LSTM cell's gate
+// and state slots — so the stale contents are never observed and every
+// kernel still produces bitwise-identical results whether its operands came
+// from the pool or from the garbage collector, at any worker count. Building
+// with -tags ovspoison fills every un-zeroed buffer with NaN (see
+// poison_on.go), which turns any read-before-write into a NaN or a bitwise
+// mismatch in the equivalence suites.
 
 // numClasses bounds the power-of-two size classes. Class c holds buffers
 // whose capacity is at least 1<<c floats; 48 classes cover any tensor this
@@ -77,11 +85,11 @@ func floorClass(capacity int) int {
 
 // Get returns a zero-filled tensor of the given shape, reusing pooled memory
 // when available. It is safe for concurrent use.
-func (a *Arena) Get(shape ...int) *Tensor { return a.get(shape) }
+func (a *Arena) Get(shape ...int) *Tensor { return a.get(shape, true) }
 
 // GetLike returns a zero-filled tensor with t's shape, reusing pooled memory
 // when available.
-func (a *Arena) GetLike(t *Tensor) *Tensor { return a.get(t.shape) }
+func (a *Arena) GetLike(t *Tensor) *Tensor { return a.get(t.shape, true) }
 
 // minRankCap is the minimum capacity of the shape and stride slices of a
 // pooled tensor. Buffers cycle through shapes of different rank as they are
@@ -113,7 +121,18 @@ func arenaStrides(shape []int) []int {
 	return out
 }
 
-func (a *Arena) get(shape []int) *Tensor {
+// get serves Get (zero true) and GetUninit (zero false). Fresh memory from
+// make is zeroed either way; only a recycled buffer skips the clear.
+func (a *Arena) get(shape []int, zero bool) *Tensor {
+	t := a.take(shape, zero)
+	if !zero {
+		poison(t.Data)
+	}
+	return t
+}
+
+// take pops a pooled buffer covering shape, or allocates one, and rebinds it.
+func (a *Arena) take(shape []int, zero bool) *Tensor {
 	n := checkShape(shape)
 	if !a.enabled.Load() {
 		return &Tensor{
@@ -149,15 +168,15 @@ func (a *Arena) get(shape []int) *Tensor {
 		}
 	}
 	a.hits.Add(1)
-	t.reinit(shape, n)
+	t.reinit(shape, n, zero)
 	return t
 }
 
-// reinit rebinds a pooled tensor to a new shape and zeroes its data. The
-// shape and stride slices are reused in place when their capacity allows
-// (always, for tensors born in the pool — see minRankCap), so a steady-state
-// Get performs no allocation at all.
-func (t *Tensor) reinit(shape []int, n int) {
+// reinit rebinds a pooled tensor to a new shape and, when zero is set,
+// zeroes its data. The shape and stride slices are reused in place when
+// their capacity allows (always, for tensors born in the pool — see
+// minRankCap), so a steady-state Get performs no allocation at all.
+func (t *Tensor) reinit(shape []int, n int, zero bool) {
 	// A recycled buffer must never serve stale packed panels: drop the
 	// packable mark (pool tensors are short-lived op outputs, never weights)
 	// and bump the version so any cache entry keyed to a previous life of
@@ -167,8 +186,8 @@ func (t *Tensor) reinit(shape []int, n int) {
 		t.version++
 	}
 	t.Data = t.Data[:n]
-	for i := range t.Data {
-		t.Data[i] = 0
+	if zero {
+		clear(t.Data)
 	}
 	if cap(t.shape) >= len(shape) {
 		t.shape = t.shape[:len(shape)]
@@ -255,10 +274,18 @@ func (a *Arena) Drain() {
 var Default = NewArena()
 
 // Get returns a zeroed tensor of the given shape from the default arena.
-func Get(shape ...int) *Tensor { return Default.get(shape) }
+func Get(shape ...int) *Tensor { return Default.get(shape, true) }
 
 // GetLike returns a zeroed tensor shaped like t from the default arena.
-func GetLike(t *Tensor) *Tensor { return Default.get(t.shape) }
+func GetLike(t *Tensor) *Tensor { return Default.get(t.shape, true) }
+
+// GetUninit is Get without the zero fill: the contents are unspecified (NaN
+// under -tags ovspoison). Use it only for a buffer the caller overwrites in
+// full before reading any element.
+func GetUninit(shape ...int) *Tensor { return Default.get(shape, false) }
+
+// GetLikeUninit is GetLike without the zero fill; see GetUninit.
+func GetLikeUninit(t *Tensor) *Tensor { return Default.get(t.shape, false) }
 
 // Put returns a tensor to the default arena. See Arena.Put for the ownership
 // contract.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,6 +33,46 @@ func TestArenaReuseHitAndZero(t *testing.T) {
 	st := a.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 put", st)
+	}
+}
+
+// TestArenaGetUninit checks the un-zeroed get behind GetUninit and
+// GetLikeUninit: it reuses pooled buffers like Get and rebinds the shape,
+// but skips the clear — except in the ovspoison build, where every element
+// it hands out is NaN. A zeroed Get of the same buffer afterwards is still
+// fully zeroed.
+func TestArenaGetUninit(t *testing.T) {
+	a := NewArena()
+	x := a.Get(2, 8)
+	for i := range x.Data {
+		x.Data[i] = float64(i) + 1
+	}
+	data := &x.Data[0]
+	a.Put(x)
+
+	y := a.get([]int{4, 4}, false)
+	if &y.Data[0] != data {
+		t.Fatal("an un-zeroed get after Put did not reuse the pooled buffer")
+	}
+	if y.Rank() != 2 || y.Dim(0) != 4 || y.Dim(1) != 4 {
+		t.Fatalf("reused tensor has shape %v, want [4 4]", y.Shape())
+	}
+	for i, v := range y.Data {
+		switch {
+		case poisonUnzeroed && !math.IsNaN(v):
+			t.Fatalf("ovspoison build: element %d = %v, want NaN", i, v)
+		case !poisonUnzeroed && v != float64(i)+1:
+			t.Fatalf("element %d = %v, want the stale %v (no clear)", i, v, float64(i)+1)
+		}
+	}
+	a.Put(y)
+	for i, v := range a.GetLike(y).Data {
+		if v != 0 {
+			t.Fatalf("Get after GetUninit not zeroed at %d: %v", i, v)
+		}
+	}
+	if fresh := a.get([]int{3}, false); poisonUnzeroed && !math.IsNaN(fresh.Data[0]) {
+		t.Fatalf("ovspoison build: fresh un-zeroed buffer holds %v, want NaN", fresh.Data[0])
 	}
 }
 

@@ -154,7 +154,29 @@ func MatMulTo(dst, a, b *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, false, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, false, nil, packSource(b))
+	return dst
+}
+
+// AffineTo computes the affine map dst = x · w + bias for x (m×k), w (k×n)
+// and bias (n), broadcast over rows, and returns dst. dst must not alias x,
+// w or bias; its prior contents are overwritten. The bias is added in the
+// GEMM epilogue as each output tile is stored — the same single IEEE add
+// per element as MatMulTo followed by AddRowVectorTo, so the result is
+// bitwise identical without the second pass over the output.
+func AffineTo(dst, x, w, bias *Tensor) *Tensor {
+	if x.Rank() != 2 || w.Rank() != 2 || bias.Rank() != 1 {
+		panic(fmt.Sprintf("tensor: AffineTo requires rank-2 x, w and rank-1 bias, got %v x %v + %v", x.shape, w.shape, bias.shape))
+	}
+	m, k := x.shape[0], x.shape[1]
+	k2, n := w.shape[0], w.shape[1]
+	if k != k2 || bias.shape[0] != n {
+		panic(fmt.Sprintf("tensor: AffineTo shape mismatch %v x %v + %v", x.shape, w.shape, bias.shape))
+	}
+	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: AffineTo output shape %v, want [%d %d]", dst.shape, m, n))
+	}
+	gemm(dst.Data, n, gemmView{x.Data, k, 1}, gemmView{w.Data, n, 1}, m, n, k, false, bias.Data, packSource(w))
 	return dst
 }
 
@@ -171,7 +193,7 @@ func MatMulNTAcc(dst, a, b *Tensor) *Tensor {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulNTAcc shape mismatch %v += %v x %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil, packSource(b))
 	return dst
 }
 
@@ -187,7 +209,7 @@ func MatMulTNAcc(dst, a, b *Tensor) *Tensor {
 	if m != m2 || dst.shape[0] != k || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTNAcc shape mismatch %v += %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, 1, k}, gemmView{b.Data, n, 1}, k, n, m, true, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, 1, k}, gemmView{b.Data, n, 1}, k, n, m, true, nil, packSource(b))
 	return dst
 }
 
@@ -255,12 +277,10 @@ func AddRowVectorTo(dst, a, v *Tensor) *Tensor {
 }
 
 // SigmoidTo computes dst = 1/(1+e^-a) elementwise and returns dst. dst may
-// alias a.
+// alias a. It runs the vector gate kernel (see gate.go).
 func SigmoidTo(dst, a *Tensor) *Tensor {
 	assertSameShape("SigmoidTo", dst, a)
-	for i, x := range a.Data {
-		dst.Data[i] = 1 / (1 + math.Exp(-x))
-	}
+	SigmoidSlice(dst.Data, a.Data)
 	return dst
 }
 
@@ -277,11 +297,10 @@ func SigmoidBackwardAcc(dst, grad, val *Tensor) *Tensor {
 }
 
 // TanhTo computes dst = tanh(a) elementwise and returns dst. dst may alias a.
+// It runs the vector gate kernel (see gate.go).
 func TanhTo(dst, a *Tensor) *Tensor {
 	assertSameShape("TanhTo", dst, a)
-	for i, x := range a.Data {
-		dst.Data[i] = math.Tanh(x)
-	}
+	TanhSlice(dst.Data, a.Data)
 	return dst
 }
 

@@ -30,11 +30,18 @@ import (
 //
 //	s = 0; s = fma(A[i,0], B[0,j], s); s = fma(A[i,1], B[1,j], s); ...
 //
-// in ascending k order, followed by a single store (overwrite) or a single
-// dst[i,j] += s (accumulate). K-panel boundaries only decide when the
-// running value parks between register residencies — in dst for overwrite,
-// in a zeroed scratch accumulator for accumulate — they never reorder or
-// reassociate the adds. The accumulate form must keep the k-sum separate
+// in ascending k order, followed by one of three epilogues:
+//
+//	overwrite:  dst[i,j] = s
+//	accumulate: dst[i,j] += s
+//	bias:       dst[i,j] = s + bias[j]
+//
+// K-panel boundaries only decide when the running value parks between
+// register residencies — in dst for overwrite and bias, in a scratch
+// accumulator for accumulate — they never reorder or reassociate the adds.
+// The bias epilogue runs only when the last K panel stores: it is the one
+// IEEE add a separate AddRowVector pass would perform, so fusing it changes
+// no bit. The accumulate form must keep the k-sum separate
 // from dst: the autodiff Fork/Ref/Join path materializes a child gradient
 // (the bare k-sum) and adds it to the parent's, and gradient accumulation is
 // only worker-count-invariant if the direct path performs the same
@@ -92,22 +99,29 @@ type gemmView struct {
 	rs, cs int
 }
 
-// gemm computes dst (+)= A·B where A and B are logical m×k and k×n views and
-// dst is the row-major m×n output with leading dimension ldc. acc selects
-// accumulate (dst +=) over overwrite (dst =). The accumulate form computes
-// the product into a zeroed arena scratch block and folds it into dst with a
-// single add per element, preserving the "sum-then-one-add" association the
+// gemm computes dst (+)= A·B (+ bias) where A and B are logical m×k and k×n
+// views and dst is the row-major m×n output with leading dimension ldc. acc
+// selects accumulate (dst +=) over overwrite (dst =); a non-nil bias (length
+// n, overwrite only) selects the bias epilogue. The accumulate form computes
+// the product into an arena scratch block — fully written by the overwrite
+// pass, so it needs no zero fill — and folds it into dst with a single add
+// per element, preserving the "sum-then-one-add" association the
 // determinism argument above requires. bsrc, when non-nil, is the packable
 // tensor backing the B view; the blocked path then serves B panels from the
 // persistent pack cache (see packcache.go) instead of repacking.
-func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bsrc *Tensor) {
-	if m*n*k < gemmBlockedMin {
-		gemmNaive(dst, ldc, a, b, m, n, k, acc)
+func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64, bsrc *Tensor) {
+	if acc && bias != nil {
+		panic("tensor: gemm bias epilogue with accumulate")
+	}
+	// k == 0 stays naive too: the blocked path runs no K panel, so it would
+	// never store the empty sum.
+	if m*n*k < gemmBlockedMin || k == 0 {
+		gemmNaive(dst, ldc, a, b, m, n, k, acc, bias)
 		return
 	}
 	if acc {
-		scratch := Get(m * n) // Get zero-fills
-		gemmBlocked(scratch.Data, n, a, b, m, n, k, bsrc)
+		scratch := GetUninit(m * n)
+		gemmBlocked(scratch.Data, n, a, b, m, n, k, nil, bsrc)
 		sd := scratch.Data
 		if ldc == n {
 			parallel.For(m*n, parMinWork, func(lo, hi int) {
@@ -127,7 +141,7 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bsrc *Te
 		Put(scratch)
 		return
 	}
-	gemmBlocked(dst, ldc, a, b, m, n, k, bsrc)
+	gemmBlocked(dst, ldc, a, b, m, n, k, bias, bsrc)
 }
 
 // packSource returns b when it is eligible for B-panel caching — marked
@@ -140,11 +154,13 @@ func packSource(b *Tensor) *Tensor {
 	return nil
 }
 
-// gemmBlocked overwrites dst = A·B via the packed cache-blocked path. When
-// bsrc is non-nil the B micro-panels come from the persistent pack cache (a
-// hit skips every packB call; a miss packs the whole matrix once); the cached
-// bytes are identical to a fresh pack, so the dispatch cannot affect results.
-func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bsrc *Tensor) {
+// gemmBlocked overwrites dst = A·B (+ bias) via the packed cache-blocked
+// path. When bsrc is non-nil the B micro-panels come from the persistent pack
+// cache (a hit skips every packB call; a miss packs the whole matrix once);
+// the cached bytes are identical to a fresh pack, so the dispatch cannot
+// affect results. The packing buffers need no zero fill: packA/packB write
+// every entry the micro-kernels read.
+func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []float64, bsrc *Tensor) {
 	var cached *packEntry
 	if bsrc != nil {
 		cached = acquirePack(bsrc, b, k, n)
@@ -158,22 +174,27 @@ func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bsrc *Tenso
 			// The first K panel starts its accumulators at zero; every later
 			// panel resumes from the value parked in dst.
 			load := pc > 0
+			// Only the last K panel's store is final; it carries the bias.
+			var pbias []float64
+			if bias != nil && pc+kc == k {
+				pbias = bias[jc : jc+nc]
+			}
 			var bbuf *Tensor
 			var bp []float64
 			if cached != nil {
 				bp = cached.buf.Data[jc*k+pc*ncPad:]
 			} else {
-				bbuf = Get(kc * ncPad)
+				bbuf = GetUninit(kc * ncPad)
 				packB(bbuf.Data, b, pc, jc, kc, nc)
 				bp = bbuf.Data
 			}
 			parallel.For(mBlocks, 1, func(lo, hi int) {
-				abuf := Get(gemmMC * kc)
+				abuf := GetUninit(gemmMC * kc)
 				for blk := lo; blk < hi; blk++ {
 					i0 := blk * gemmMC
 					mc := min(gemmMC, m-i0)
 					packA(abuf.Data, a, i0, pc, mc, kc)
-					gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load)
+					gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load, pbias)
 				}
 				Put(abuf)
 			})
@@ -247,22 +268,29 @@ func packA(dst []float64, a gemmView, i0, pc, mc, kc int) {
 }
 
 // gemmMacro runs the micro-kernel over one packed A block × packed B panel,
-// covering output rows [i0, i0+mc) and columns [jc, jc+nc).
-func gemmMacro(dst []float64, ldc int, ap, bp []float64, i0, jc, mc, nc, kc int, load bool) {
+// covering output rows [i0, i0+mc) and columns [jc, jc+nc). bias, when
+// non-nil, holds the panel's nc bias values for the final store.
+func gemmMacro(dst []float64, ldc int, ap, bp []float64, i0, jc, mc, nc, kc int, load bool, bias []float64) {
 	for jj := 0; jj < nc; jj += gemmNR {
 		nr := min(gemmNR, nc-jj)
 		bpanel := bp[(jj/gemmNR)*kc*gemmNR:]
+		var tbias []float64
+		var tbiasp *float64
+		if bias != nil {
+			tbias = bias[jj : jj+nr]
+			tbiasp = &tbias[0]
+		}
 		for ii := 0; ii < mc; ii += gemmMR {
 			mr := min(gemmMR, mc-ii)
 			apanel := ap[(ii/gemmMR)*kc*gemmMR:]
 			ctile := dst[(i0+ii)*ldc+jc+jj:]
 			switch {
 			case mr == gemmMR && nr == gemmNR && gemmHasAsm:
-				gemmMicroAsm(&ctile[0], ldc, &apanel[0], &bpanel[0], kc, load)
+				gemmMicroAsm(&ctile[0], ldc, &apanel[0], &bpanel[0], kc, load, tbiasp)
 			case mr == gemmMR && nr == gemmNR:
-				gemmMicroGo(ctile, ldc, apanel, bpanel, kc, load)
+				gemmMicroGo(ctile, ldc, apanel, bpanel, kc, load, tbias)
 			default:
-				gemmMicroEdge(ctile, ldc, apanel, bpanel, kc, mr, nr, load)
+				gemmMicroEdge(ctile, ldc, apanel, bpanel, kc, mr, nr, load, tbias)
 			}
 		}
 	}
@@ -274,16 +302,16 @@ func gemmMacro(dst []float64, ldc int, ap, bp []float64, i0, jc, mc, nc, kc int,
 // panel and the gemmMR-strided A panel, so the per-element FMA sequence is
 // identical to the amd64 vector kernel (VFMADD231PD lanes are the same
 // correctly-rounded IEEE operation as math.FMA).
-func gemmMicroGo(c []float64, ldc int, ap, bp []float64, kc int, load bool) {
-	gemmMicroGo4(c, ldc, ap, bp, kc, load)
-	gemmMicroGo4(c[4*ldc:], ldc, ap[4:], bp, kc, load)
+func gemmMicroGo(c []float64, ldc int, ap, bp []float64, kc int, load bool, bias []float64) {
+	gemmMicroGo4(c, ldc, ap, bp, kc, load, bias)
+	gemmMicroGo4(c[4*ldc:], ldc, ap[4:], bp, kc, load, bias)
 }
 
 // gemmMicroGo4 advances a 4×4 accumulator tile one K step at a time. The A
 // panel rows live at ap[p*gemmMR+r] (ap is pre-offset for the upper/lower
 // half); load selects whether the tile starts from dst (accumulate / later K
-// panel) or zero.
-func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool) {
+// panel) or zero; a non-nil bias (4 values) is added at the store.
+func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool, bias []float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
@@ -320,6 +348,13 @@ func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool) {
 		c32 = math.FMA(a3, b2, c32)
 		c33 = math.FMA(a3, b3, c33)
 	}
+	if bias != nil {
+		b0, b1, b2, b3 := bias[0], bias[1], bias[2], bias[3]
+		c00, c01, c02, c03 = c00+b0, c01+b1, c02+b2, c03+b3
+		c10, c11, c12, c13 = c10+b0, c11+b1, c12+b2, c13+b3
+		c20, c21, c22, c23 = c20+b0, c21+b1, c22+b2, c23+b3
+		c30, c31, c32, c33 = c30+b0, c31+b1, c32+b2, c33+b3
+	}
 	r0 := c[0*ldc : 0*ldc+4]
 	r1 := c[1*ldc : 1*ldc+4]
 	r2 := c[2*ldc : 2*ldc+4]
@@ -333,7 +368,7 @@ func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool) {
 // gemmMicroEdge handles partial tiles at the right/bottom fringe. It reads
 // only the mr valid rows and nr valid columns of the packed panels, so the
 // unwritten padding lanes of the packing layout are never consumed.
-func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load bool) {
+func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load bool, bias []float64) {
 	for r := 0; r < mr; r++ {
 		crow := c[r*ldc : r*ldc+nr]
 		for j := 0; j < nr; j++ {
@@ -343,6 +378,9 @@ func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load 
 			}
 			for p := 0; p < kc; p++ {
 				s = math.FMA(ap[p*gemmMR+r], bp[p*gemmNR+j], s)
+			}
+			if bias != nil {
+				s += bias[j]
 			}
 			crow[j] = s
 		}
@@ -355,18 +393,34 @@ func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load 
 // equivalence tests compare the blocked path against. The three stride
 // patterns the entry points produce get cache-aware loop orders; the generic
 // fallback covers any other view.
-func gemmNaive(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
-	if gemmHasAsm && n > 0 && k > 0 {
-		gemmNaiveAsm(dst, ldc, a, b, m, n, k, acc)
-		return
-	}
+//
+// Under the bias epilogue the assembly path adds the bias to each output row
+// right after storing it, and the portable kernels add it in a trailing pass
+// over the stored rows.
+func gemmNaive(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	switch {
+	case gemmHasAsm && n > 0 && k > 0:
+		gemmNaiveAsm(dst, ldc, a, b, m, n, k, acc, bias)
+		return
 	case !acc && a.cs == 1 && b.cs == 1:
 		gemmNaiveNN(dst, ldc, a, b, m, n, k)
 	case a.cs == 1 && b.rs == 1:
 		gemmNaiveNT(dst, ldc, a, b, m, n, k, acc)
 	default:
 		gemmNaiveGeneric(dst, ldc, a, b, m, n, k, acc)
+	}
+	if bias != nil {
+		for i := 0; i < m; i++ {
+			addBiasRow(dst[i*ldc:i*ldc+n], bias)
+		}
+	}
+}
+
+// addBiasRow is the bias epilogue of one stored output row.
+func addBiasRow(crow, bias []float64) {
+	bias = bias[:len(crow)]
+	for j := range crow {
+		crow[j] += bias[j]
 	}
 }
 
@@ -375,7 +429,7 @@ func gemmNaive(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
 // call, which dominates the tiny matmuls the training graph is made of; the
 // helpers issue the FMA instructions directly. The per-element chains are
 // identical to the portable kernels, so this is a speed-only dispatch.
-func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
+func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if b.cs == 1 {
 		// Unit-stride output columns (MatMulTo's NN and MatMulTNAcc's TN
 		// orientations): the row kernel computes a full output row per call,
@@ -383,12 +437,15 @@ func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) 
 		if !acc {
 			for i := 0; i < m; i++ {
 				gemmRowFMAAsm(&dst[i*ldc], &a.data[i*a.rs], a.cs, &b.data[0], b.rs, k, n)
+				if bias != nil {
+					addBiasRow(dst[i*ldc:i*ldc+n], bias)
+				}
 			}
 			return
 		}
 		// Accumulate: the bare k-sum lands in a scratch row, then one add per
 		// element (the sum-then-one-add association, as everywhere).
-		scratch := Get(n)
+		scratch := GetUninit(n)
 		row := scratch.Data
 		for i := 0; i < m; i++ {
 			gemmRowFMAAsm(&row[0], &a.data[i*a.rs], a.cs, &b.data[0], b.rs, k, n)
@@ -430,6 +487,9 @@ func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) 
 			} else {
 				crow[j] = s
 			}
+		}
+		if bias != nil {
+			addBiasRow(crow, bias)
 		}
 	}
 }

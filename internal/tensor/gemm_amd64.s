@@ -9,8 +9,8 @@
 
 #include "textflag.h"
 
-// func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool)
-TEXT ·gemmMicroAsm(SB), NOSPLIT, $0-41
+// func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias *float64)
+TEXT ·gemmMicroAsm(SB), NOSPLIT, $0-56
 	MOVQ    c+0(FP), DI
 	MOVQ    ldc+8(FP), SI
 	MOVQ    ap+16(FP), AX
@@ -73,6 +73,21 @@ loop:
 	DECQ         CX
 	JNZ          loop
 
+	// Bias epilogue: add the tile's four bias columns to every row.
+	MOVQ    bias+48(FP), R10
+	TESTQ   R10, R10
+	JZ      store
+	VMOVUPD (R10), Y8
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y8, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y8, Y5, Y5
+	VADDPD  Y8, Y6, Y6
+	VADDPD  Y8, Y7, Y7
+
+store:
 	MOVQ    DI, R9
 	VMOVUPD Y0, (R9)
 	ADDQ    SI, R9

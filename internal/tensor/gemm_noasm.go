@@ -9,7 +9,7 @@ const gemmHasAsm = false
 
 // gemmMicroAsm is never called when gemmHasAsm is false; this stub keeps the
 // dispatch in gemmMacro compiling on all platforms.
-func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool) {
+func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias *float64) {
 	panic("tensor: gemmMicroAsm called without assembly support")
 }
 
@@ -25,4 +25,20 @@ func gemmDotFMAAsm(a *float64, as int, b *float64, bs int, k int) float64 {
 
 func gemmDot4FMAAsm(dst, a *float64, as int, b *float64, bs, brs int, k int) {
 	panic("tensor: gemmDot4FMAAsm called without assembly support")
+}
+
+// gateHasAsm is false without the vector gate kernels; gate.go then runs
+// math.Exp and math.Tanh element by element.
+const gateHasAsm = false
+
+func gateExpAsm(dst, src *float64, n int) uint64 {
+	panic("tensor: gateExpAsm called without assembly support")
+}
+
+func gateSigmoidAsm(dst, src *float64, n int) uint64 {
+	panic("tensor: gateSigmoidAsm called without assembly support")
+}
+
+func gateTanhAsm(dst, src *float64, n int) uint64 {
+	panic("tensor: gateTanhAsm called without assembly support")
 }

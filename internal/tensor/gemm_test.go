@@ -105,9 +105,19 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 			aT := RandUniform(rng, -1, 1, k, m) // A operand of TNAcc, stored kxm
 			bT := RandUniform(rng, -1, 1, n, k) // B operand of NTAcc, stored nxk
 			seed := RandUniform(rng, -1, 1, m, n)
+			bias := RandUniform(rng, -1, 1, n)
 
 			wantTo := New(m, n)
 			refProduct(wantTo, a, b, m, n, k, false, false, false)
+			wantAff := wantTo.Clone()
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					wantAff.Data[i*n+j] += bias.Data[j]
+				}
+			}
+			// NaN-filled outputs prove the overwrite forms write every
+			// element: their destinations come from un-zeroed arena gets.
+			nanOut := func() *Tensor { return Full(math.NaN(), m, n) }
 			wantNT := seed.Clone()
 			refProduct(wantNT, a, bT, m, n, k, false, true, true)
 			wantTN := seed.Clone()
@@ -124,13 +134,15 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 				parallel.SetWorkers(w)
 				// Default dispatch (small shapes take the naive path).
 				check("MatMul", wantTo, MatMul(a, b))
-				check("MatMulTo", wantTo, MatMulTo(New(m, n), a, b))
+				check("MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
+				check("AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
 				check("MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
 				check("MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
 				// Forced blocked path.
 				forceBlocked(t, func() {
 					check("blocked MatMul", wantTo, MatMul(a, b))
-					check("blocked MatMulTo", wantTo, MatMulTo(New(m, n), a, b))
+					check("blocked MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
+					check("blocked AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
 					check("blocked MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
 					check("blocked MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
 				})
@@ -162,6 +174,40 @@ func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
 			t.Fatal("blocked path differs bitwise from naive reference on special values")
 		}
 	})
+}
+
+// TestGEMMMicroKernelsAgree runs the portable and the assembly full-tile
+// micro-kernels side by side on the same packed panels — fresh and resumed
+// accumulators, with and without the bias epilogue — and requires equal
+// bits. The dispatch picks one per CPU, so without this test the portable
+// kernel would go unchecked on machines that have the assembly.
+func TestGEMMMicroKernelsAgree(t *testing.T) {
+	if !gemmHasAsm {
+		t.Skip("no assembly micro-kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(5))
+	const kc, ldc = 37, gemmNR + 3
+	ap := RandUniform(rng, -1, 1, gemmMR*kc).Data
+	bp := RandUniform(rng, -1, 1, gemmNR*kc).Data
+	bias := []float64{0.5, math.Copysign(0, -1), -2, 1e-300}
+	start := RandUniform(rng, -1, 1, gemmMR*ldc).Data
+	for _, load := range []bool{false, true} {
+		for _, b := range [][]float64{nil, bias} {
+			goC := append([]float64(nil), start...)
+			asmC := append([]float64(nil), start...)
+			gemmMicroGo(goC, ldc, ap, bp, kc, load, b)
+			var bptr *float64
+			if b != nil {
+				bptr = &b[0]
+			}
+			gemmMicroAsm(&asmC[0], ldc, &ap[0], &bp[0], kc, load, bptr)
+			for i := range goC {
+				if math.Float64bits(goC[i]) != math.Float64bits(asmC[i]) {
+					t.Fatalf("load=%v bias=%v: element %d: Go %v, asm %v", load, b != nil, i, goC[i], asmC[i])
+				}
+			}
+		}
+	}
 }
 
 // TestGEMMAccSumThenAdd pins the accumulate association: the k-sum must be
