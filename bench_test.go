@@ -384,13 +384,29 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMM sweeps the packed blocked GEMM core across square and ragged
-// shapes (64..512, including non-tile-multiples) for all four entry points.
-// Each subtest reports effective GFLOPS alongside the standard metrics.
+// BenchmarkGEMM sweeps the GEMM entry points across square and ragged
+// shapes (64..512, including non-tile-multiples, all four entry points) and
+// across the small products the LSTM training graph is made of, each with
+// the entry points that graph calls at that shape. Shapes read m×n×k. Each
+// subtest reports effective GFLOPS alongside the standard metrics.
 func BenchmarkGEMM(b *testing.B) {
-	shapes := []struct{ m, n, k int }{
-		{64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {512, 512, 512},
-		{512, 64, 256}, {64, 512, 128}, {256, 256, 33}, {96, 200, 72},
+	const (
+		matMul = 1 << iota
+		matMulTo
+		ntAcc
+		tnAcc
+		all = matMul | matMulTo | ntAcc | tnAcc
+	)
+	shapes := []struct{ m, n, k, ops int }{
+		{64, 64, 64, all}, {128, 128, 128, all}, {256, 256, 256, all}, {512, 512, 512, all},
+		{512, 64, 256, all}, {64, 512, 128, all}, {256, 256, 33, all}, {96, 200, 72, all},
+		// The batched LSTM at hidden 24 over 24 links: the cell forward's
+		// H(t-1)·Wh and the dWh accumulation (24×96×24), the backward's
+		// dH += DG·Whᵀ (24×24×96) and its one-sequence form (1×24×96), a
+		// dense layer's dX (144×24×16), and the first layer's dWx, a
+		// blocked product made of fringe tiles (5×96×144).
+		{24, 96, 24, matMulTo | tnAcc}, {24, 24, 96, ntAcc}, {1, 24, 96, ntAcc},
+		{144, 24, 16, ntAcc}, {5, 96, 144, tnAcc},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range shapes {
@@ -401,7 +417,10 @@ func BenchmarkGEMM(b *testing.B) {
 		bT := tensor.Randn(rng, 1, s.n, s.k)
 		dst := tensor.New(s.m, s.n)
 		flops := 2 * float64(s.m) * float64(s.n) * float64(s.k)
-		run := func(variant string, fn func()) {
+		run := func(op int, variant string, fn func()) {
+			if s.ops&op == 0 {
+				return
+			}
 			b.Run(variant+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -411,10 +430,10 @@ func BenchmarkGEMM(b *testing.B) {
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})
 		}
-		run("MatMul", func() { _ = tensor.MatMul(a, bb) })
-		run("MatMulTo", func() { tensor.MatMulTo(dst, a, bb) })
-		run("MatMulNTAcc", func() { tensor.MatMulNTAcc(dst, a, bT) })
-		run("MatMulTNAcc", func() { tensor.MatMulTNAcc(dst, aT, bb) })
+		run(matMul, "MatMul", func() { _ = tensor.MatMul(a, bb) })
+		run(matMulTo, "MatMulTo", func() { tensor.MatMulTo(dst, a, bb) })
+		run(ntAcc, "MatMulNTAcc", func() { tensor.MatMulNTAcc(dst, a, bT) })
+		run(tnAcc, "MatMulTNAcc", func() { tensor.MatMulTNAcc(dst, aT, bb) })
 	}
 }
 

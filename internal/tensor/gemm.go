@@ -289,6 +289,8 @@ func gemmMacro(dst []float64, ldc int, ap, bp []float64, i0, jc, mc, nc, kc int,
 				gemmMicroAsm(&ctile[0], ldc, &apanel[0], &bpanel[0], kc, load, tbiasp)
 			case mr == gemmMR && nr == gemmNR:
 				gemmMicroGo(ctile, ldc, apanel, bpanel, kc, load, tbias)
+			case gemmHasAsm && !load:
+				gemmEdgeRowsAsm(ctile, ldc, apanel, bpanel, kc, mr, nr, tbias)
 			default:
 				gemmMicroEdge(ctile, ldc, apanel, bpanel, kc, mr, nr, load, tbias)
 			}
@@ -365,9 +367,26 @@ func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool, bia
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// gemmMicroEdge handles partial tiles at the right/bottom fringe. It reads
-// only the mr valid rows and nr valid columns of the packed panels, so the
-// unwritten padding lanes of the packing layout are never consumed.
+// gemmEdgeRowsAsm computes a partial fringe tile from zero (the first K
+// panel) through the assembly row kernels, reading the packed panels in
+// place: tile row r is the packed A column at ap[r] with step gemmMR, and B
+// is the packed panel with row stride gemmNR. Only the mr valid rows and nr
+// valid columns are read. A later K panel resumes its chains from dst, which
+// the from-zero row kernels cannot do, so it stays on gemmMicroEdge.
+func gemmEdgeRowsAsm(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, bias []float64) {
+	gemmRowsFMA(c, ldc, ap, 1, gemmMR, bp, gemmNR, mr, nr, kc, false)
+	if bias != nil {
+		for r := 0; r < mr; r++ {
+			addBiasRow(c[r*ldc:r*ldc+nr], bias)
+		}
+	}
+}
+
+// gemmMicroEdge handles the partial tiles at the right/bottom fringe that
+// gemmEdgeRowsAsm cannot: all of them without the assembly, and with it
+// those of a later K panel, whose chains resume from dst. It reads only the
+// mr valid rows and nr valid columns of the packed panels, so the unwritten
+// padding lanes of the packing layout are never consumed.
 func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load bool, bias []float64) {
 	for r := 0; r < mr; r++ {
 		crow := c[r*ldc : r*ldc+nr]
@@ -390,18 +409,22 @@ func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load 
 // gemmNaive is the retained reference kernel: the plain triple loop with the
 // canonical per-element FMA sequence. It is both the small-size fast path
 // (packing cannot pay for itself under gemmBlockedMin) and the oracle the
-// equivalence tests compare the blocked path against. The three stride
-// patterns the entry points produce get cache-aware loop orders; the generic
-// fallback covers any other view.
-//
-// Under the bias epilogue the assembly path adds the bias to each output row
-// right after storing it, and the portable kernels add it in a trailing pass
-// over the stored rows.
+// equivalence tests compare the blocked path against. With the FMA
+// assembly available it runs gemmNaiveAsm; otherwise gemmNaiveGo.
 func gemmNaive(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
-	switch {
-	case gemmHasAsm && n > 0 && k > 0:
+	if gemmHasAsm && n > 0 && k > 0 {
 		gemmNaiveAsm(dst, ldc, a, b, m, n, k, acc, bias)
 		return
+	}
+	gemmNaiveGo(dst, ldc, a, b, m, n, k, acc, bias)
+}
+
+// gemmNaiveGo is the portable naive path. The three stride patterns the
+// entry points produce get cache-aware loop orders; the generic fallback
+// covers any other view. The bias epilogue is a trailing pass over the
+// stored rows.
+func gemmNaiveGo(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+	switch {
 	case !acc && a.cs == 1 && b.cs == 1:
 		gemmNaiveNN(dst, ldc, a, b, m, n, k)
 	case a.cs == 1 && b.rs == 1:
@@ -424,44 +447,96 @@ func addBiasRow(crow, bias []float64) {
 	}
 }
 
+// gemmNTRowMin is the output row count from which an NT product (strided
+// B columns, MatMulNTAcc) copies B once into a row-major scratch and runs
+// the row kernels instead of one strided dot chain per element. The copy
+// costs k·n moves per call, which only amortises over enough output rows.
+// Measured per MatMulNTAcc call on a 2-vCPU Intel Xeon VM, median of 6 runs
+// (dot kernels vs copy + row kernels, m×n×k): 1×24×96 1.2 vs 1.9 µs,
+// 2×24×96 2.3 vs 2.2 µs (a tie within noise), 3×24×96 3.6 vs 2.4 µs,
+// 4×24×96 4.6 vs 2.7 µs, 24×24×96 28.3 vs 6.0 µs.
+const gemmNTRowMin = 3
+
 // gemmNaiveAsm runs the small-size path through the FMA assembly helpers.
 // math.FMA compiled below GOAMD64=v3 pays a feature-dispatch branch on every
 // call, which dominates the tiny matmuls the training graph is made of; the
 // helpers issue the FMA instructions directly. The per-element chains are
 // identical to the portable kernels, so this is a speed-only dispatch.
+//
+// Unit-stride output columns (MatMulTo's NN and MatMulTNAcc's TN
+// orientations) run the row kernels: vector lanes across output columns,
+// streaming B rows contiguously, and in the accumulate form one add of each
+// finished sum into dst (the sum-then-one-add association, as everywhere).
+// Strided output columns (MatMulNTAcc's NT orientation) run them too once m
+// reaches gemmNTRowMin, against a row-major copy of B; below that they run
+// the dot kernels.
 func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
-	if b.cs == 1 {
-		// Unit-stride output columns (MatMulTo's NN and MatMulTNAcc's TN
-		// orientations): the row kernel computes a full output row per call,
-		// vector lanes across columns, streaming B rows contiguously.
-		if !acc {
-			for i := 0; i < m; i++ {
-				gemmRowFMAAsm(&dst[i*ldc], &a.data[i*a.rs], a.cs, &b.data[0], b.rs, k, n)
-				if bias != nil {
-					addBiasRow(dst[i*ldc:i*ldc+n], bias)
-				}
-			}
+	if b.cs != 1 {
+		if m < gemmNTRowMin {
+			gemmNaiveDotAsm(dst, ldc, a, b, m, n, k, acc, bias)
 			return
 		}
-		// Accumulate: the bare k-sum lands in a scratch row, then one add per
-		// element (the sum-then-one-add association, as everywhere).
-		scratch := GetUninit(n)
-		row := scratch.Data
-		for i := 0; i < m; i++ {
-			gemmRowFMAAsm(&row[0], &a.data[i*a.rs], a.cs, &b.data[0], b.rs, k, n)
-			crow := dst[i*ldc : i*ldc+n]
-			for j, s := range row[:n] {
-				crow[j] += s
-			}
-		}
-		Put(scratch)
+		bt := GetUninit(k * n)
+		transposeView(bt.Data, b, k, n)
+		gemmNaiveAsm(dst, ldc, a, gemmView{bt.Data, n, 1}, m, n, k, acc, bias)
+		Put(bt)
 		return
 	}
-	// Strided output columns (MatMulNTAcc's NT orientation): one strided
-	// FMA-chain dot per element, both runs unit-stride in the NT case. Four
-	// adjacent output columns run interleaved — independent chains, each with
-	// the exact per-element sequence of the single-dot kernel — to keep the
-	// FMA pipeline full.
+	gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, b.data, b.rs, m, n, k, acc)
+	if bias != nil {
+		for i := 0; i < m; i++ {
+			addBiasRow(dst[i*ldc:i*ldc+n], bias)
+		}
+	}
+}
+
+// gemmRowsFMA runs m output rows through the assembly row kernels, two rows
+// per call and an odd last row alone: row i of dst (stride ldd) receives the
+// from-zero ascending-k FMA chain of A row i (at a[i*ars], step as) against
+// B (row stride bs, unit column stride), for n columns — stored, or with acc
+// added once.
+func gemmRowsFMA(dst []float64, ldd int, a []float64, ars, as int, b []float64, bs, m, n, k int, acc bool) {
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		gemmRow2FMAAsm(&dst[i*ldd], ldd, &a[i*ars], ars, as, &b[0], bs, k, n, acc)
+	}
+	if i < m {
+		gemmRowFMAAsm(&dst[i*ldd], &a[i*ars], as, &b[0], bs, k, n, acc)
+	}
+}
+
+// transposeView copies the logical k×n view b into dst as a row-major k×n
+// matrix. The NT view of an n×k tensor (unit row stride) is copied four
+// logical columns — four contiguous storage rows — at a time, so every K
+// step writes four adjacent outputs.
+func transposeView(dst []float64, b gemmView, k, n int) {
+	dst = dst[:k*n]
+	j := 0
+	if b.rs == 1 {
+		for ; j+4 <= n; j += 4 {
+			c0 := b.data[j*b.cs : j*b.cs+k]
+			c1 := b.data[(j+1)*b.cs:][:len(c0)]
+			c2 := b.data[(j+2)*b.cs:][:len(c0)]
+			c3 := b.data[(j+3)*b.cs:][:len(c0)]
+			for p, v := range c0 {
+				o := dst[p*n+j : p*n+j+4]
+				o[0], o[1], o[2], o[3] = v, c1[p], c2[p], c3[p]
+			}
+		}
+	}
+	for ; j < n; j++ {
+		for p := 0; p < k; p++ {
+			dst[p*n+j] = b.data[p*b.rs+j*b.cs]
+		}
+	}
+}
+
+// gemmNaiveDotAsm is the NT path for fewer than gemmNTRowMin output rows:
+// one strided FMA-chain dot per element, both runs unit-stride in the NT
+// case. Four adjacent output columns run interleaved — independent chains,
+// each with the exact per-element sequence of the single-dot kernel — to
+// keep the FMA pipeline full.
+func gemmNaiveDotAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	var s4 [4]float64
 	for i := 0; i < m; i++ {
 		crow := dst[i*ldc : i*ldc+n]

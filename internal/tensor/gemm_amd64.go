@@ -12,12 +12,22 @@ import "math"
 //go:noescape
 func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias *float64)
 
-// gemmRowFMAAsm computes one output row from zero: dst[j] = ascending-p FMA
-// chain of a[p*as]*b[p*bs+j] for j in [0, n). Vector lanes run across output
-// columns, so each element keeps its own scalar chain.
+// gemmRowFMAAsm computes one output row: s[j] = ascending-p FMA chain of
+// a[p*as]*b[p*bs+j] from zero for j in [0, n), then dst[j] = s[j], or with
+// acc dst[j] += s[j] (the sum-then-one-add association). Vector lanes run
+// across output columns, so each element keeps its own scalar chain.
 //
 //go:noescape
-func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int)
+func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool)
+
+// gemmRow2FMAAsm computes two output rows in one pass: row r in {0, 1} is
+// the gemmRowFMAAsm row of a+r*ars, stored (or with acc, added) at
+// dst+r*ldd. Each B vector load feeds both rows, so a 16-column chunk keeps
+// 8 independent ymm chains in flight; every element's FMA sequence is
+// unchanged.
+//
+//go:noescape
+func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool)
 
 // gemmDotFMAAsm is the strided scalar FMA-chain dot product.
 //

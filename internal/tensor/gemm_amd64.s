@@ -126,13 +126,15 @@ TEXT ·gemmXGETBV(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int)
+// func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool)
 //
-// dst[j] = fma-chain over p ascending of a[p*as]*b[p*bs+j], from zero, for
-// j in [0, n). Lanes run across output columns, so every element keeps its
-// own scalar ascending-k chain; VFMADD231PD/SD are the same correctly-rounded
-// operation as math.FMA. Strides arrive in elements and are scaled to bytes.
-TEXT ·gemmRowFMAAsm(SB), NOSPLIT, $0-56
+// s[j] = fma-chain over p ascending of a[p*as]*b[p*bs+j], from zero, for
+// j in [0, n); then dst[j] = s[j], or dst[j] += s[j] with acc set (one add
+// of the finished sum). Lanes run across output columns, so every element
+// keeps its own scalar ascending-k chain; VFMADD231PD/SD are the same
+// correctly-rounded operation as math.FMA. Strides arrive in elements and
+// are scaled to bytes.
+TEXT ·gemmRowFMAAsm(SB), NOSPLIT, $0-57
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ as+16(FP), AX
@@ -168,6 +170,14 @@ loop16:
 	JNZ          loop16
 
 store16:
+	CMPB    acc+56(FP), $0
+	JEQ     put16
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+
+put16:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -196,6 +206,11 @@ loop4:
 	JNZ          loop4
 
 store4:
+	CMPB    acc+56(FP), $0
+	JEQ     put4
+	VADDPD  (DI), Y0, Y0
+
+put4:
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, DI
 	ADDQ    $32, BX
@@ -222,6 +237,11 @@ loop1:
 	JNZ         loop1
 
 store1:
+	CMPB   acc+56(FP), $0
+	JEQ    put1
+	VADDSD (DI), X0, X0
+
+put1:
 	VMOVSD X0, (DI)
 	ADDQ   $8, DI
 	ADDQ   $8, BX
@@ -314,4 +334,211 @@ dot4done:
 	VMOVSD X1, 8(DI)
 	VMOVSD X2, 16(DI)
 	VMOVSD X3, 24(DI)
+	RET
+
+// func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool)
+//
+// Two output rows of gemmRowFMAAsm in one pass: for r in {0, 1}, the
+// from-zero fma-chain over p ascending of a[r*ars+p*as]*b[p*bs+j] is stored
+// to dst[r*ldd+j] (or, with acc set, added to it once), for j in [0, n).
+// Each B vector is loaded once and feeds both rows,
+// and a 16-column chunk carries 8 independent ymm chains (Y0-Y3 row 0, Y4-Y7
+// row 1) where the one-row kernel carries 4. Every element still runs its
+// own scalar ascending-k chain, so the result is exactly two gemmRowFMAAsm
+// calls. Strides arrive in elements and are scaled to bytes.
+TEXT ·gemmRow2FMAAsm(SB), NOSPLIT, $0-73
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R12
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R13
+	MOVQ as+32(FP), AX
+	MOVQ b+40(FP), BX
+	MOVQ bs+48(FP), DX
+	MOVQ k+56(FP), CX
+	MOVQ n+64(FP), R8
+	SHLQ $3, R12              // dst row-to-row stride in bytes
+	SHLQ $3, R13              // a row-to-row stride in bytes
+	SHLQ $3, AX               // a step stride in bytes
+	SHLQ $3, DX               // b row stride in bytes
+
+r2chunk16:
+	CMPQ   R8, $16
+	JLT    r2chunk8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   SI, R9             // a cursor (row 0; row 1 at +R13)
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     r2store16
+
+r2loop16:
+	VMOVUPD      (R10), Y8
+	VMOVUPD      32(R10), Y9
+	VMOVUPD      64(R10), Y10
+	VMOVUPD      96(R10), Y11
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD (R9)(R13*1), Y13
+	VFMADD231PD  Y8, Y12, Y0
+	VFMADD231PD  Y9, Y12, Y1
+	VFMADD231PD  Y10, Y12, Y2
+	VFMADD231PD  Y11, Y12, Y3
+	VFMADD231PD  Y8, Y13, Y4
+	VFMADD231PD  Y9, Y13, Y5
+	VFMADD231PD  Y10, Y13, Y6
+	VFMADD231PD  Y11, Y13, Y7
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          r2loop16
+
+r2store16:
+	CMPB    acc+72(FP), $0
+	JEQ     r2put16
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VADDPD  (DI)(R12*1), Y4, Y4
+	VADDPD  32(DI)(R12*1), Y5, Y5
+	VADDPD  64(DI)(R12*1), Y6, Y6
+	VADDPD  96(DI)(R12*1), Y7, Y7
+
+r2put16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, (DI)(R12*1)
+	VMOVUPD Y5, 32(DI)(R12*1)
+	VMOVUPD Y6, 64(DI)(R12*1)
+	VMOVUPD Y7, 96(DI)(R12*1)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	SUBQ    $16, R8
+	JMP     r2chunk16
+
+r2chunk8:
+	CMPQ   R8, $8
+	JLT    r2chunk4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     r2store8
+
+r2loop8:
+	VMOVUPD      (R10), Y8
+	VMOVUPD      32(R10), Y9
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD (R9)(R13*1), Y13
+	VFMADD231PD  Y8, Y12, Y0
+	VFMADD231PD  Y9, Y12, Y1
+	VFMADD231PD  Y8, Y13, Y4
+	VFMADD231PD  Y9, Y13, Y5
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          r2loop8
+
+r2store8:
+	CMPB    acc+72(FP), $0
+	JEQ     r2put8
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  (DI)(R12*1), Y4, Y4
+	VADDPD  32(DI)(R12*1), Y5, Y5
+
+r2put8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y4, (DI)(R12*1)
+	VMOVUPD Y5, 32(DI)(R12*1)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $8, R8
+
+r2chunk4:
+	CMPQ   R8, $4
+	JLT    r2scalar
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     r2store4
+
+r2loop4:
+	VMOVUPD      (R10), Y8
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD (R9)(R13*1), Y13
+	VFMADD231PD  Y8, Y12, Y0
+	VFMADD231PD  Y8, Y13, Y4
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          r2loop4
+
+r2store4:
+	CMPB    acc+72(FP), $0
+	JEQ     r2put4
+	VADDPD  (DI), Y0, Y0
+	VADDPD  (DI)(R12*1), Y4, Y4
+
+r2put4:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (DI)(R12*1)
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	SUBQ    $4, R8
+
+r2scalar:
+	TESTQ  R8, R8
+	JZ     r2done
+	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     r2store1
+
+r2loop1:
+	VMOVSD      (R10), X8
+	VMOVSD      (R9), X12
+	VMOVSD      (R9)(R13*1), X13
+	VFMADD231SD X8, X12, X0
+	VFMADD231SD X8, X13, X4
+	ADDQ        AX, R9
+	ADDQ        DX, R10
+	DECQ        R11
+	JNZ         r2loop1
+
+r2store1:
+	CMPB   acc+72(FP), $0
+	JEQ    r2put1
+	VADDSD (DI), X0, X0
+	VADDSD (DI)(R12*1), X4, X4
+
+r2put1:
+	VMOVSD X0, (DI)
+	VMOVSD X4, (DI)(R12*1)
+	ADDQ   $8, DI
+	ADDQ   $8, BX
+	DECQ   R8
+	JMP    r2scalar
+
+r2done:
+	VZEROUPPER
 	RET

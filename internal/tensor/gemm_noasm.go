@@ -13,10 +13,15 @@ func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias 
 	panic("tensor: gemmMicroAsm called without assembly support")
 }
 
-// gemmRowFMAAsm and gemmDotFMAAsm are likewise unreachable without assembly
-// support; the naive dispatch takes the portable math.FMA kernels instead.
-func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int) {
+// gemmRowFMAAsm, gemmRow2FMAAsm and the dot kernels are likewise unreachable
+// without assembly support; the naive dispatch takes the portable math.FMA
+// kernels instead, and gemmMacro the portable edge kernel.
+func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool) {
 	panic("tensor: gemmRowFMAAsm called without assembly support")
+}
+
+func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool) {
+	panic("tensor: gemmRow2FMAAsm called without assembly support")
 }
 
 func gemmDotFMAAsm(a *float64, as int, b *float64, bs int, k int) float64 {

@@ -151,29 +151,177 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGEMMBlockedMatchesNaiveSpecialValues pushes signed zeros, infinities
-// and NaNs through both paths: the blocked kernel must reproduce the naive
-// reference's bits even where the old zero-skip style shortcuts would have
-// diverged.
-func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
-	m, n, k := 9, 11, gemmKC+3 // two K panels on the blocked path
-	a := New(m, k)
-	b := New(k, n)
-	rng := rand.New(rand.NewSource(7))
-	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
-	for i := range a.Data {
-		a.Data[i] = specials[rng.Intn(len(specials))]
+// sameBits reports whether x and y have equal bits. With nanClass set, any
+// two NaNs also count as equal: a product that ends in a plain add (the
+// accumulate and bias epilogues) returns one of two NaN operands' payloads,
+// IEEE 754 leaves which one unspecified, and the Go compiler is free to
+// commute the operands of a float add, so only the FMA chain itself pins
+// NaN payloads.
+func sameBits(x, y float64, nanClass bool) bool {
+	if nanClass && math.IsNaN(x) && math.IsNaN(y) {
+		return true
 	}
-	for i := range b.Data {
-		b.Data[i] = specials[rng.Intn(len(specials))]
-	}
-	want := MatMul(a, b) // small path: naive reference
-	forceBlocked(t, func() {
-		got := MatMul(a, b)
-		if !bitwiseEqual(got, want) {
-			t.Fatal("blocked path differs bitwise from naive reference on special values")
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
+// firstDiff returns the first index where got and want differ under
+// sameBits, or -1.
+func firstDiff(got, want []float64, nanClass bool) int {
+	for i := range want {
+		if !sameBits(got[i], want[i], nanClass) {
+			return i
 		}
-	})
+	}
+	return -1
+}
+
+// gemmSpecials are the special values the bitwise tests draw operands from:
+// signed zeros, ±Inf and NaN beside ordinary ±1.
+var gemmSpecials = []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// randSpecial returns a tensor of the given shape with every element drawn
+// from gemmSpecials.
+func randSpecial(rng *rand.Rand, shape ...int) *Tensor {
+	t := New(shape...)
+	for i := range t.Data {
+		t.Data[i] = gemmSpecials[rng.Intn(len(gemmSpecials))]
+	}
+	return t
+}
+
+// TestGEMMBlockedMatchesNaiveSpecialValues pushes signed zeros, infinities
+// and NaNs through every entry point on the default and the forced blocked
+// path and requires the independent oracle's bits, even where zero-skip
+// style shortcuts would diverge. Forms that end in a plain add pin NaN-ness
+// but not the NaN payload (see sameBits). The shapes reach each small-product
+// branch: NT below the row-kernel crossover (m 1 and 2, dot kernels) and
+// above it (m 3, 4 and 9, transposed B); odd m for the two-row kernel's single
+// last row; column counts whose 16-wide remainder is 4, 7 or 11 and that are
+// not multiples of 4; blocked fringe tiles with fewer than gemmMR rows or
+// gemmNR columns; and k > gemmKC, whose later K panels resume fringe tiles
+// in Go.
+func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := [][3]int{
+		{1, 20, 7}, {2, 23, 5}, {3, 23, 5}, {4, 20, 9}, {9, 23, 6}, {5, 27, 11},
+		{gemmMR + 1, 11, gemmKC + 3}, {4, 7, gemmKC + 1},
+	}
+	for _, shape := range shapes {
+		m, n, k := shape[0], shape[1], shape[2]
+		a := randSpecial(rng, m, k)
+		b := randSpecial(rng, k, n)
+		aT := randSpecial(rng, k, m)
+		bT := randSpecial(rng, n, k)
+		seed := randSpecial(rng, m, n)
+		bias := randSpecial(rng, n)
+
+		wantTo := New(m, n)
+		refProduct(wantTo, a, b, m, n, k, false, false, false)
+		wantAff := wantTo.Clone()
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				wantAff.Data[i*n+j] += bias.Data[j]
+			}
+		}
+		wantNT := seed.Clone()
+		refProduct(wantNT, a, bT, m, n, k, false, true, true)
+		wantTN := seed.Clone()
+		refProduct(wantTN, aT, b, m, n, k, true, false, true)
+
+		run := func(path string) {
+			// endsInAdd marks the forms whose last operation is a plain add,
+			// where only NaN-ness, not the payload, is pinned (see sameBits).
+			check := func(label string, endsInAdd bool, want, got *Tensor) {
+				t.Helper()
+				if i := firstDiff(got.Data, want.Data, endsInAdd); i >= 0 {
+					t.Fatalf("%s path, shape %dx%dx%d: %s element %d is %v, reference %v", path, m, n, k, label, i, got.Data[i], want.Data[i])
+				}
+			}
+			check("MatMul", false, wantTo, MatMul(a, b))
+			check("MatMulTo", false, wantTo, MatMulTo(Full(1, m, n), a, b))
+			check("AffineTo", true, wantAff, AffineTo(Full(1, m, n), a, b, bias))
+			check("MatMulNTAcc", true, wantNT, MatMulNTAcc(seed.Clone(), a, bT))
+			check("MatMulTNAcc", true, wantTN, MatMulTNAcc(seed.Clone(), aT, b))
+		}
+		run("default")
+		forceBlocked(t, func() { run("blocked") })
+	}
+}
+
+// TestGEMMNaiveKernelsAgree runs the portable naive kernels and the
+// assembly naive path side by side, for every orientation the entry points
+// produce (NN overwrite with and without bias, NT overwrite and accumulate
+// on both sides of the row-kernel crossover, TN accumulate), and requires
+// equal bits, up to the NaN payload of a final add (see sameBits). It also
+// checks the two-row kernel against two one-row calls. The dispatch picks
+// one path per CPU, so without this test the portable kernels would go
+// unchecked on machines that have the assembly.
+func TestGEMMNaiveKernelsAgree(t *testing.T) {
+	if !gemmHasAsm {
+		t.Skip("no assembly kernels on this CPU")
+	}
+	rng := rand.New(rand.NewSource(13))
+	// fill mixes ordinary values with the special ones.
+	fill := func(n int) []float64 {
+		out := RandUniform(rng, -1, 1, n).Data
+		for i := range out {
+			if rng.Intn(8) == 0 {
+				out[i] = gemmSpecials[rng.Intn(len(gemmSpecials))]
+			}
+		}
+		return out
+	}
+	for _, shape := range [][3]int{{1, 1, 1}, {1, 24, 96}, {2, 23, 5}, {3, 23, 5}, {4, 20, 9}, {9, 27, 6}, {24, 96, 24}, {24, 24, 96}, {7, 37, 13}} {
+		m, n, k := shape[0], shape[1], shape[2]
+		a := fill(m * k)
+		b := fill(k * n)
+		aT := fill(k * m)
+		bT := fill(n * k)
+		start := fill(m * n)
+		bias := fill(n)
+		cases := []struct {
+			name string
+			a, b gemmView
+			acc  bool
+			bias []float64
+		}{
+			{"NN", gemmView{a, k, 1}, gemmView{b, n, 1}, false, nil},
+			{"NN+bias", gemmView{a, k, 1}, gemmView{b, n, 1}, false, bias},
+			{"NT", gemmView{a, k, 1}, gemmView{bT, 1, k}, false, nil},
+			{"NT acc", gemmView{a, k, 1}, gemmView{bT, 1, k}, true, nil},
+			{"TN acc", gemmView{aT, 1, m}, gemmView{b, n, 1}, true, nil},
+		}
+		for _, c := range cases {
+			goC := append([]float64(nil), start...)
+			asmC := append([]float64(nil), start...)
+			gemmNaiveGo(goC, n, c.a, c.b, m, n, k, c.acc, c.bias)
+			gemmNaiveAsm(asmC, n, c.a, c.b, m, n, k, c.acc, c.bias)
+			if i := firstDiff(asmC, goC, c.acc || c.bias != nil); i >= 0 {
+				t.Fatalf("%s %dx%dx%d: element %d: Go %v, asm %v", c.name, m, n, k, i, goC[i], asmC[i])
+			}
+		}
+	}
+	// The two-row kernel against two one-row calls, storing and adding,
+	// bit for bit (both end in the same vector add), for column counts that
+	// exercise its 16-, 8- and 4-wide chunks and its scalar tail, with a
+	// strided A (the TN view) and output rows spaced wider than n.
+	const k, as, ars, bs = 19, 3, 1, 41
+	a := fill(ars + (k-1)*as + 1)
+	b := fill(k * bs)
+	for _, n := range []int{1, 3, 4, 7, 8, 15, 16, 27, 40, 41} {
+		ldd := n + 5
+		start := fill(2 * ldd)
+		for _, acc := range []bool{false, true} {
+			want := append([]float64(nil), start...)
+			got := append([]float64(nil), start...)
+			gemmRowFMAAsm(&want[0], &a[0], as, &b[0], bs, k, n, acc)
+			gemmRowFMAAsm(&want[ldd], &a[ars], as, &b[0], bs, k, n, acc)
+			gemmRow2FMAAsm(&got[0], ldd, &a[0], ars, as, &b[0], bs, k, n, acc)
+			if i := firstDiff(got, want, false); i >= 0 {
+				t.Fatalf("gemmRow2FMAAsm n=%d acc=%v: element %d: %v, two gemmRowFMAAsm calls %v", n, acc, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestGEMMMicroKernelsAgree runs the portable and the assembly full-tile
