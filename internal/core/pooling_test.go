@@ -118,7 +118,7 @@ func TestFitHitsPackCacheForFrozenV2S(t *testing.T) {
 	defer tensor.SetPackCaching(restore)
 	tensor.SetPackCaching(true)
 
-	topo := oracleTopo(t, dataset.Manhattan(dataset.CityOptions{ODPairs: 5, Seed: 1}), 6)
+	topo := oracleTopo(t, dataset.Manhattan(dataset.CityOptions{ODPairs: 5, Seed: 1}), 6, 1)
 	cfg := DefaultConfig()
 	cfg.MaxTrips = 50
 	cfg.Seed = 37
