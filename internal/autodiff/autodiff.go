@@ -11,10 +11,11 @@
 // everything on Graph.Reset — see recycle.go.
 //
 // Backward rules are static functions dispatched through Node.backFn, with
-// operands stored in the node itself (a, b, c, srcs, ext, x0, i0, i1) rather
-// than captured in closures. A closure per op would be one heap allocation
-// per tape node; the static form keeps the steady-state hot loop free of
-// per-node allocations because the Node structs live in pooled slabs.
+// operands stored in the node itself (a, b, c, srcs, ext, x0, i0, i1, idx,
+// segs) rather than captured in closures. A closure per op would be one heap
+// allocation per tape node; the static form keeps the steady-state hot loop
+// free of per-node allocations because the Node structs live in pooled
+// slabs.
 package autodiff
 
 import (
@@ -78,19 +79,22 @@ type Node struct {
 	a      *Node          // first operand
 	b      *Node          // second operand
 	c      *Node          // third operand (Conv1DSame bias)
-	srcs   []*Node        // variadic operands (StackRows, ConcatVec)
+	srcs   []*Node        // variadic operands (StackRows, StackSteps, ConcatCols)
 	ext    *tensor.Tensor // auxiliary tensor (dropout mask)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)
+	idx    []int          // row indices (GatherRows)
+	segs   [][]int        // row groups (ScatterAddRows)
 }
 
 // Graph is a tape of nodes in forward (topological) order.
 //
 // A tape is strictly single-writer: exactly one goroutine may record nodes on
-// it at any moment. Concurrent graph construction goes through Fork/Join (see
-// parallel.go) — each worker records onto its own child tape and the children
-// are spliced back deterministically. add enforces the rule with a cheap
-// tripwire that panics on detected concurrent appends.
+// it at any moment. Work that is the same for many items (routes, links,
+// sequences) is recorded as one batched op over all of them, not as one
+// sub-graph per item, so a tape never needs concurrent construction. add
+// enforces the rule with a cheap tripwire that panics on detected
+// concurrent appends.
 //
 // Graphs recycle: Reset returns every owned tensor to the arena and every
 // node slab to the pool, so per-epoch loops reuse one graph instead of
@@ -98,8 +102,6 @@ type Node struct {
 type Graph struct {
 	nodes []*Node
 
-	// parent is non-nil for a child tape created by Fork, until Join.
-	parent *Graph
 	// busy is the single-writer tripwire flag toggled around each append.
 	busy atomic.Bool
 
@@ -110,8 +112,6 @@ type Graph struct {
 	cur     []Node
 	curUsed int
 	full    [][]Node
-	// children pools consumed child tapes for reuse by the next Fork.
-	children []*Graph
 }
 
 // NewGraph returns an empty tape.
@@ -127,7 +127,7 @@ func (n *Node) Graph() *Graph { return n.graph }
 
 func (g *Graph) add(n *Node) *Node {
 	if !g.busy.CompareAndSwap(false, true) {
-		panic("autodiff: concurrent append to a single-writer graph (use Fork/Join for parallel construction)")
+		panic("autodiff: concurrent append to a single-writer graph")
 	}
 	n.graph = g
 	g.nodes = append(g.nodes, n)
@@ -182,24 +182,12 @@ func (g *Graph) Backward(out *Node) {
 	}
 }
 
-// sameGraph resolves the tape a new node should be recorded on. All operands
-// must share one tape, with a single exception for forked construction: an
-// operand on a child tape may be mixed with operands on its parent tape, and
-// the result attaches to the child (the only tape the current worker owns).
-// Mixing nodes from sibling forks, or from unrelated graphs, panics.
+// sameGraph returns the tape all operands were recorded on, panicking if
+// they come from different graphs.
 func sameGraph(op string, nodes ...*Node) *Graph {
 	g := nodes[0].graph
 	for _, n := range nodes[1:] {
-		h := n.graph
-		if h == g {
-			continue
-		}
-		switch {
-		case h.parent == g:
-			g = h // descend from the parent tape onto the forked child
-		case g.parent == h:
-			// g is already the forked child; keep it.
-		default:
+		if n.graph != g {
 			panic("autodiff: " + op + " mixes nodes from different graphs")
 		}
 	}
@@ -285,8 +273,8 @@ func Scale(a *Node, s float64) *Node {
 }
 
 // backPassthrough accumulates the output gradient into the sole operand
-// unchanged. Shared by AddScalar, Ref, and any other identity-gradient op
-// whose operand has the same shape as the output.
+// unchanged. Shared by AddScalar and any other identity-gradient op whose
+// operand has the same shape as the output.
 func backPassthrough(out *Node) {
 	if out.a.requires {
 		tensor.AddInPlace(out.a.ensureGrad(), out.Grad)
@@ -405,13 +393,20 @@ func backTranspose(out *Node) {
 	}
 }
 
-// Transpose returns the transpose of a rank-2 node.
+// Transpose returns the transpose of a rank-2 node, or of each matrix of a
+// rank-3 (B × m × n) node.
 func Transpose(a *Node) *Node {
-	g := a.graph
-	if a.Value.Rank() != 2 {
-		panic(fmt.Sprintf("autodiff: Transpose requires rank-2, got %v", a.Value.Shape()))
+	g, v := a.graph, a.Value
+	var val *tensor.Tensor
+	switch v.Rank() {
+	case 2:
+		val = g.AllocUninit(v.Dim(1), v.Dim(0))
+	case 3:
+		val = g.AllocUninit(v.Dim(0), v.Dim(2), v.Dim(1))
+	default:
+		panic(fmt.Sprintf("autodiff: Transpose requires rank 2 or 3, got %v", v.Shape()))
 	}
-	val := tensor.TransposeTo(g.AllocUninit(a.Value.Dim(1), a.Value.Dim(0)), a.Value)
+	tensor.TransposeTo(val, v)
 	out := g.newNode(val, a.requires)
 	out.backFn, out.a = backTranspose, a
 	return out

@@ -127,7 +127,8 @@ func TestGradStructuralOps(t *testing.T) {
 	gradCheck(t, []*Parameter{a}, func(g *Graph) *Node {
 		na := g.Param(a)
 		r0, r2 := Row(na, 0), Row(na, 2)
-		stacked := StackRows([]*Node{r0, r2, SliceVec(ConcatVec(r0, r2), 2, 6)})
+		joined := Reshape(ConcatCols(Reshape(r0, 1, 4), Reshape(r2, 1, 4)), 8)
+		stacked := StackRows([]*Node{r0, r2, SliceVec(joined, 2, 6)})
 		return Mean(Mul(stacked, stacked))
 	})
 }
@@ -143,9 +144,10 @@ func TestGradReshape(t *testing.T) {
 
 func TestGradLagAttend(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	alpha := randParam(rng, "alpha", 3, 8)
-	p := randParam(rng, "p", 8)
-	target := tensor.Randn(rng, 1, 8)
+	// Two series of 8 steps over 3 lags.
+	alpha := randParam(rng, "alpha", 2*8, 3)
+	p := randParam(rng, "p", 2, 8)
+	target := tensor.Randn(rng, 1, 2, 8)
 	gradCheck(t, []*Parameter{alpha, p}, func(g *Graph) *Node {
 		return MSE(LagAttend(g.Param(alpha), g.Param(p)), target)
 	})
@@ -153,21 +155,85 @@ func TestGradLagAttend(t *testing.T) {
 
 func TestLagAttendValue(t *testing.T) {
 	g := NewGraph()
-	// W=2, T=3: out[t] = a[0,t]*p[t] + a[1,t]*p[t-1]
+	// W=2, T=3, two series: out[b,t] = a[b·3+t,0]*p[b,t] + a[b·3+t,1]*p[b,t-1]
 	alpha := g.Const(tensor.FromSlice([]float64{
+		1, 4,
+		2, 5,
+		3, 6,
+		1, 1,
+		0, 2,
+		1, 0,
+	}, 6, 2))
+	p := g.Const(tensor.FromSlice([]float64{
+		10, 20, 30,
 		1, 2, 3,
-		4, 5, 6,
 	}, 2, 3))
-	p := g.Const(tensor.FromSlice([]float64{10, 20, 30}, 3))
 	out := LagAttend(alpha, p)
 	want := tensor.FromSlice([]float64{
-		1 * 10,
-		2*20 + 5*10,
-		3*30 + 6*20,
-	}, 3)
+		1 * 10, 2*20 + 5*10, 3*30 + 6*20,
+		1 * 1, 0*2 + 2*1, 1*3 + 0*2,
+	}, 2, 3)
 	if !tensor.AllClose(out.Value, want, 1e-12) {
 		t.Fatalf("LagAttend = %v, want %v", out.Value, want)
 	}
+}
+
+func TestGradGatherScatterSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a := randParam(rng, "a", 3, 4)
+	frac := randParam(rng, "frac", 3, 2)
+	target := tensor.Randn(rng, 1, 4, 4)
+	gradCheck(t, []*Parameter{a, frac}, func(g *Graph) *Node {
+		routes := SplitRows(g.Param(a), g.Param(frac))           // (6 × 4)
+		picked := GatherRows(routes, []int{5, 0, 5, 2, 3, 0, 1}) // repeats
+		sums := ScatterAddRows(picked, [][]int{{2, 0}, {}, {6, 1, 3}, {4, 5}})
+		return MSE(sums, target)
+	})
+}
+
+// TestGatherScatterMatchRowOps: GatherRows is bitwise a stack of Row copies,
+// gradient included, and ScatterAddRows bitwise a SumNodes per group over
+// those rows.
+func TestGatherScatterMatchRowOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	src := tensor.Randn(rng, 1, 5, 3)
+	weights := tensor.Randn(rng, 1, 3, 3)
+	idx := []int{4, 1, 4, 0, 4, 2, 1}
+	segs := [][]int{{3, 0, 6}, {}, {1, 2, 4, 5}}
+	run := func(batched bool) (val, grad *tensor.Tensor) {
+		a := NewParameter("a", src.Clone())
+		g := NewGraph()
+		defer g.Release()
+		na := g.Param(a)
+		var sums *Node
+		if batched {
+			sums = ScatterAddRows(GatherRows(na, idx), segs)
+		} else {
+			rows := make([]*Node, len(idx))
+			for i, r := range idx {
+				rows[i] = Row(na, r)
+			}
+			out := make([]*Node, len(segs))
+			for s, seg := range segs {
+				if len(seg) == 0 {
+					out[s] = g.Const(g.Alloc(3))
+					continue
+				}
+				parts := make([]*Node, len(seg))
+				for j, i := range seg {
+					parts[j] = rows[i]
+				}
+				out[s] = SumNodes(parts...)
+			}
+			sums = StackRows(out)
+		}
+		g.Backward(Sum(Mul(sums, g.Const(weights))))
+		return sums.Value.Clone(), a.Grad.Clone()
+	}
+	val, grad := run(true)
+	wantVal, wantGrad := run(false)
+	requireBits(t, "value", val.Data, wantVal.Data)
+	requireBits(t, "grad", grad.Data, wantGrad.Data)
 }
 
 func TestGradConv1DSame(t *testing.T) {
@@ -179,6 +245,85 @@ func TestGradConv1DSame(t *testing.T) {
 	gradCheck(t, []*Parameter{x, k, b}, func(g *Graph) *Node {
 		return MSE(Conv1DSame(g.Param(x), g.Param(k), g.Param(b)), target)
 	})
+}
+
+func TestGradConv1DSameBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	x := randParam(rng, "x", 3, 2, 6)
+	k := randParam(rng, "k", 2, 2, 3)
+	b := randParam(rng, "b", 2)
+	target := tensor.Randn(rng, 1, 3, 2, 6)
+	gradCheck(t, []*Parameter{x, k, b}, func(g *Graph) *Node {
+		return MSE(Conv1DSame(g.Param(x), g.Param(k), g.Param(b)), target)
+	})
+}
+
+// TestConv1DSameBatchMatchesPerItem: a batched convolution is bitwise the
+// convolutions of its items recorded one after another on one tape — its
+// output and the input, kernel and bias gradients.
+func TestConv1DSameBatchMatchesPerItem(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const batch, cin, cout, steps = 5, 2, 3, 7
+	xT := tensor.Randn(rng, 1, batch, cin, steps)
+	kT := tensor.Randn(rng, 0.5, cout, cin, 3)
+	bT := tensor.Randn(rng, 0.5, cout)
+	weights := tensor.Randn(rng, 1, batch, cout, steps)
+	run := func(batched bool) []*tensor.Tensor {
+		x := NewParameter("x", xT.Clone())
+		k := NewParameter("k", kT.Clone())
+		b := NewParameter("b", bT.Clone())
+		g := NewGraph()
+		defer g.Release()
+		nx := g.Param(x)
+		var out *Node
+		if batched {
+			out = Conv1DSame(nx, g.Param(k), g.Param(b))
+		} else {
+			flat := Reshape(nx, batch*cin, steps)
+			items := make([]*Node, batch)
+			for i := range items {
+				xi := GatherRows(flat, []int{i * cin, i*cin + 1})
+				items[i] = Reshape(Conv1DSame(xi, g.Param(k), g.Param(b)), cout*steps)
+			}
+			out = Reshape(StackRows(items), batch, cout, steps)
+		}
+		g.Backward(Sum(Mul(out, g.Const(weights))))
+		return []*tensor.Tensor{out.Value.Clone(), x.Grad.Clone(), k.Grad.Clone(), b.Grad.Clone()}
+	}
+	got, want := run(true), run(false)
+	for i, name := range []string{"out", "x.Grad", "k.Grad", "b.Grad"} {
+		requireBits(t, name, got[i].Data, want[i].Data)
+	}
+}
+
+func TestGradTransposeBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a := randParam(rng, "a", 2, 3, 4)
+	target := tensor.Randn(rng, 1, 2, 4, 3)
+	gradCheck(t, []*Parameter{a}, func(g *Graph) *Node {
+		return MSE(Transpose(g.Param(a)), target)
+	})
+}
+
+func TestFrozenParameterGetsNoGradient(t *testing.T) {
+	p := NewParameter("w", tensor.Ones(3))
+	q := NewParameter("v", tensor.Ones(3))
+	q.SetFrozen(true)
+	g := NewGraph()
+	loss := Mean(Mul(g.Param(p), g.Param(q)))
+	g.Backward(loss)
+	if p.Grad.Norm2() == 0 {
+		t.Fatal("unfrozen parameter received no gradient")
+	}
+	if q.Grad.Norm2() != 0 {
+		t.Fatalf("frozen parameter received gradient %v", q.Grad.Data)
+	}
+	q.SetFrozen(false)
+	g2 := NewGraph()
+	g2.Backward(Mean(Mul(g2.Param(p), g2.Param(q))))
+	if q.Grad.Norm2() == 0 {
+		t.Fatal("unfreezing did not restore gradient flow")
+	}
 }
 
 func TestConv1DSameIdentityKernel(t *testing.T) {

@@ -166,10 +166,11 @@ func TestLSTMCellGradcheck(t *testing.T) {
 	})
 }
 
-// TestLSTMCellChildTape exercises batch-1 cells on forked child tapes under
-// the parallel pool — one sequence per child, the build the per-link
-// Volume-Speed oracle (core's v2s_oracle_test.go) uses — and requires the
-// shared weights' gradients to be worker-count invariant.
+// TestLSTMCellChildTape records batch-1 cells for several sequences on one
+// tape — the build the per-link Volume-Speed oracle (core's
+// v2s_oracle_test.go) uses — and requires the shared weights' gradients to
+// equal, bit for bit, those of every sequence run on a tape of its own,
+// backward in reverse sequence order into the same parameters.
 func TestLSTMCellChildTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const steps, in, hidden, links = 7, 3, 5, 9
@@ -180,28 +181,33 @@ func TestLSTMCellChildTape(t *testing.T) {
 	for i := range xs {
 		xs[i] = tensor.Randn(rng, 1, steps, in)
 	}
-
-	run := func(workers int) (*tensor.Tensor, *tensor.Tensor) {
+	zeroGrads := func() {
 		wx.ZeroGrad()
 		wh.ZeroGrad()
 		b.ZeroGrad()
-		g := NewGraph()
-		defer g.Release()
-		outs := ForkJoin(g, workers, links, func(cg *Graph, i int) *Node {
-			return fusedLSTMRef(cg.Const(xs[i]), cg.Param(wx), cg.Param(wh), cg.Param(b), 1, hidden)
-		})
-		total := Sum(outs[0])
-		for _, o := range outs[1:] {
-			total = Add(total, Sum(o))
-		}
-		g.Backward(total)
-		return wh.Grad.Clone(), wx.Grad.Clone()
+	}
+	sequence := func(g *Graph, i int) *Node {
+		return Sum(fusedLSTMRef(g.Const(xs[i]), g.Param(wx), g.Param(wh), g.Param(b), 1, hidden))
 	}
 
-	whSerial, wxSerial := run(1)
-	whPar, wxPar := run(4)
-	requireBits(t, "wh.Grad workers=4", whPar.Data, whSerial.Data)
-	requireBits(t, "wx.Grad workers=4", wxPar.Data, wxSerial.Data)
+	zeroGrads()
+	g := NewGraph()
+	defer g.Release()
+	total := sequence(g, 0)
+	for i := 1; i < links; i++ {
+		total = Add(total, sequence(g, i))
+	}
+	g.Backward(total)
+	whShared, wxShared := wh.Grad.Clone(), wx.Grad.Clone()
+
+	zeroGrads()
+	for i := links - 1; i >= 0; i-- {
+		own := NewGraph()
+		own.Backward(sequence(own, i))
+		own.Release()
+	}
+	requireBits(t, "wh.Grad shared tape", whShared.Data, wh.Grad.Data)
+	requireBits(t, "wx.Grad shared tape", wxShared.Data, wx.Grad.Data)
 }
 
 // requireClose requires every element of got to lie within tol of want,

@@ -23,9 +23,7 @@ import (
 // zeroes every used slab entry; chunks in the global pool are therefore
 // always fully zeroed, and a recycled chunk behaves exactly like a fresh one.
 
-// nodeChunkSize is the number of Node structs per pooled slab. Child tapes
-// created by Fork draw whole chunks too, so the value balances per-fork slab
-// waste against slab churn on large tapes.
+// nodeChunkSize is the number of Node structs per pooled slab.
 const nodeChunkSize = 256
 
 var nodeChunks struct {
@@ -118,13 +116,9 @@ func (g *Graph) AllocLikeUninit(t *tensor.Tensor) *tensor.Tensor {
 // Reset clears the tape for reuse: every owned tensor returns to the arena,
 // every node slab entry is zeroed, and full slabs return to the global pool.
 // Node pointers and owned tensors from before the Reset are invalid
-// afterwards. The graph keeps its node list capacity, its current slab, and
-// its pooled children, so a steady-state epoch loop performs no tape
-// allocation at all.
+// afterwards. The graph keeps its node list capacity and its current slab,
+// so a steady-state epoch loop performs no tape allocation at all.
 func (g *Graph) Reset() {
-	if g.parent != nil {
-		panic("autodiff: Reset of a forked child graph")
-	}
 	if !g.busy.CompareAndSwap(false, true) {
 		panic("autodiff: Reset during concurrent graph construction")
 	}
@@ -147,21 +141,13 @@ func (g *Graph) Reset() {
 	g.busy.Store(false)
 }
 
-// Release resets the graph and returns every remaining pooled resource (the
-// current slab and pooled child tapes). Call it when a graph goes out of
-// scope for good; the graph remains usable, it just starts cold again.
+// Release resets the graph and returns its current slab to the pool. Call it
+// when a graph goes out of scope for good; the graph remains usable, it just
+// starts cold again.
 func (g *Graph) Release() {
 	g.Reset()
 	if g.cur != nil {
 		putNodeChunk(g.cur)
 		g.cur = nil
 	}
-	for i, c := range g.children {
-		if c.cur != nil {
-			putNodeChunk(c.cur)
-			c.cur = nil
-		}
-		g.children[i] = nil
-	}
-	g.children = g.children[:0]
 }

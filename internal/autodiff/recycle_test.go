@@ -8,15 +8,16 @@ import (
 )
 
 // buildLossPass records a representative mix of ops (matmul, activations,
-// structural ops, a fork/join fan-out) on g and runs Backward, returning the
+// structural ops, a per-row fan-out) on g and runs Backward, returning the
 // scalar loss. Parameter gradients accumulate into p1/p2.
 func buildLossPass(g *Graph, p1, p2 *Parameter, x *tensor.Tensor) float64 {
 	in := g.Const(x)
 	h := Tanh(MatMul(in, g.Param(p1)))
-	rows := ForkJoin(g, 2, x.Dim(0), func(sub *Graph, i int) *Node {
-		r := Row(sub.Ref(h), i)
-		return Sigmoid(SliceVec(ConcatVec(r, r), 0, r.Value.Dim(0)))
-	})
+	rows := make([]*Node, x.Dim(0))
+	for i := range rows {
+		r := Row(h, i)
+		rows[i] = Sigmoid(SliceVec(r, 0, r.Value.Dim(0)))
+	}
 	s := Reshape(StackRows(rows), x.Dim(0)*p1.Value.Dim(1))
 	v := MatMul(Reshape(s, 1, s.Value.Dim(0)), g.Param(p2))
 	loss := Mean(Mul(v, v))
@@ -114,19 +115,4 @@ func TestResetReclaimsOwnedTensors(t *testing.T) {
 	p2.ZeroGrad()
 	buildLossPass(g, p1, p2, x)
 	g.Release()
-}
-
-// TestForkPoolingReusesChildren checks that Join parks child tapes for the
-// next Fork instead of leaking them.
-func TestForkPoolingReusesChildren(t *testing.T) {
-	g := NewGraph()
-	defer g.Release()
-	sub := g.Fork()
-	sub.Const(tensor.New(1))
-	g.Join(sub)
-	sub2 := g.Fork()
-	if sub2 != sub {
-		t.Fatal("Fork did not reuse the pooled child tape")
-	}
-	g.Join(sub2)
 }

@@ -85,11 +85,10 @@ type Config struct {
 	SmoothWeight float64
 	// Seed drives weight initialization and the generator's Gaussian seeds.
 	Seed int64
-	// Workers bounds the goroutines used by parallel graph construction and
-	// multi-restart fitting: 0 uses the process-wide default (see
-	// internal/parallel, runtime.GOMAXPROCS at startup), 1 forces exact
-	// serial execution. Results are identical at every setting; see the
-	// determinism contract in internal/parallel.
+	// Workers bounds the FitBestCtx restarts that run concurrently: 0 uses
+	// the process-wide default (see internal/parallel, runtime.GOMAXPROCS at
+	// startup), 1 runs them one after another. Results are identical at
+	// every setting; see the determinism contract in internal/parallel.
 	Workers int
 }
 

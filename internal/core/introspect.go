@@ -28,47 +28,20 @@ func (m *Model) AttentionProfile(tod *tensor.Tensor, od, pos int) (*tensor.Tenso
 	if tod.Rank() != 2 || tod.Dim(0) != m.Topo.N || tod.Dim(1) != m.Topo.T {
 		return nil, fmt.Errorf("core: TOD shape %v, want [%d %d]", tod.Shape(), m.Topo.N, m.Topo.T)
 	}
-	return att.lagAttention(tod, od*m.Topo.K, pos), nil
+	return att.attentionProfile(tod, od*m.Topo.K, pos), nil
 }
 
-// lagAttention recomputes the softmax lag attention for one (route, pos).
-func (a *AttentionT2V) lagAttention(tod *tensor.Tensor, routeIdx, pos int) *tensor.Tensor {
+// attentionProfile evaluates the lag attention of one (route, position) as
+// MapVolume does in inference mode, transposed to (Lookback × T).
+func (a *AttentionT2V) attentionProfile(tod *tensor.Tensor, route, pos int) *tensor.Tensor {
 	g := autodiff.NewGraph()
-	topo := a.topo
-	// Recompute embeddings exactly as MapVolume does (inference mode).
-	routeRows := make([]*autodiff.Node, topo.N*topo.K)
-	todNode := g.Const(tod)
-	if topo.K == 1 {
-		for i := 0; i < topo.N; i++ {
-			routeRows[i] = autodiff.Row(todNode, i)
-		}
-	} else {
-		split := autodiff.SoftmaxRows(g.Param(a.splitLogits))
-		for i := 0; i < topo.N; i++ {
-			gi := autodiff.Row(todNode, i)
-			fr := autodiff.Row(split, i)
-			for k := 0; k < topo.K; k++ {
-				frac := autodiff.Reshape(autodiff.SliceVec(fr, k, k+1), 1, 1)
-				giMat := autodiff.Reshape(gi, 1, topo.T)
-				routeRows[i*topo.K+k] = autodiff.Reshape(autodiff.MatMul(frac, giMat), topo.T)
-			}
-		}
+	defer g.Release()
+	_, logits, _ := a.routeHeads(g, g.Const(tod), false)
+	rows := make([]int, a.topo.T)
+	positions := make([]int, a.topo.T)
+	for t := range rows {
+		rows[t] = route*a.topo.T + t
+		positions[t] = a.clampPos(pos)
 	}
-	norm := 1.0 / a.cfg.MaxTrips
-	embeds := make([]*autodiff.Node, len(routeRows))
-	for r, p := range routeRows {
-		x := autodiff.Reshape(autodiff.Scale(p, norm), 1, topo.T)
-		h := a.conv1.Forward(x, false)
-		embeds[r] = a.conv2.Forward(h, false)
-	}
-	system := autodiff.Scale(autodiff.SumNodes(embeds...), 1/float64(len(embeds)))
-
-	u := autodiff.Add(embeds[routeIdx], system)
-	logits := autodiff.MatMul(g.Param(a.attW), u)
-	logits = addColVector(logits, g.Param(a.attB))
-	if pos >= a.cfg.MaxPos {
-		pos = a.cfg.MaxPos - 1
-	}
-	logits = addColVector(logits, autodiff.Row(g.Param(a.posEmb), pos))
-	return softmaxCols(logits).Value.Clone()
+	return tensor.Transpose(a.lagAttention(g, logits, rows, positions).Value)
 }

@@ -81,19 +81,6 @@ func (tg *TODGenerator) CloneTODGen() TODGenModule {
 	return &TODGenerator{Z: tg.Z.Clone(), L1: tg.L1.Clone(), L2: tg.L2.Clone(), MaxTrips: tg.MaxTrips}
 }
 
-// moduleWorkers returns the worker count for the TOD-Volume mapping's
-// per-route and per-link graph construction (the Volume-Speed mapping runs
-// all links as one batch and forks nothing). Dropout draws its masks from a
-// single shared rng in recording order, so training passes with active
-// dropout are forced serial — the draw order, and therefore every mask, must
-// match Workers=1.
-func moduleWorkers(cfg Config, train bool) int {
-	if train && cfg.DropoutRate > 0 {
-		return 1
-	}
-	return cfg.Workers
-}
-
 // ---- TOD-Volume Mapping (Eqs. 3-8) ----
 
 // AttentionT2V implements the OD→route split and the dynamic attention
@@ -123,6 +110,17 @@ type AttentionT2V struct {
 	posGain *autodiff.Parameter // (MaxPos)
 
 	drop *nn.DropoutLayer
+
+	// Per-topology row tables of MapVolume's batched layout. Route-step row
+	// r·T+t is route r at step t. Incidence i is the i-th (route, position)
+	// entry of topo.linkRoutes taken link by link, and incidence-step row
+	// i·T+t is incidence i at step t.
+	rowStep  []int   // route-step row → its step t
+	stepRows [][]int // step t → route-step rows t, T+t, … in route order
+	incRoute []int   // incidence → its route
+	incRows  []int   // incidence-step row → its route-step row
+	incPos   []int   // incidence-step row → its link position, clamped below MaxPos
+	linkIncs [][]int // link → its incidences, in topo.linkRoutes order
 }
 
 // NewAttentionT2V builds the attention mapping for a topology.
@@ -141,7 +139,7 @@ func NewAttentionT2V(topo *Topology, cfg Config, rng *rand.Rand) *AttentionT2V {
 		attB.Data[w] = -1.5 * float64(w)
 	}
 	posEmb := tensor.Randn(rng, 0.05, cfg.MaxPos, cfg.Lookback)
-	return &AttentionT2V{
+	a := &AttentionT2V{
 		topo:        topo,
 		cfg:         cfg,
 		splitLogits: autodiff.NewParameter("t2v.split", tensor.New(topo.N, topo.K)),
@@ -155,99 +153,105 @@ func NewAttentionT2V(topo *Topology, cfg Config, rng *rand.Rand) *AttentionT2V {
 		posGain:     autodiff.NewParameter("t2v.posGain", posGain),
 		drop:        nn.NewDropout(rng, cfg.DropoutRate),
 	}
-}
 
-// MapVolume converts a TOD node (N × T) to link volumes (M × T).
-func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) *autodiff.Node {
-	topo := a.topo
-	// 1. OD → route trip counts (Eq. 3): a softmax split over each OD's K
-	// route slots conserves total trips across routes.
-	routeRows := make([]*autodiff.Node, topo.N*topo.K)
-	if topo.K == 1 {
-		for i := 0; i < topo.N; i++ {
-			routeRows[i] = autodiff.Row(tod, i)
+	routes, steps := topo.N*topo.K, topo.T
+	a.rowStep = make([]int, routes*steps)
+	a.stepRows = make([][]int, steps)
+	for t := range a.stepRows {
+		a.stepRows[t] = make([]int, routes)
+		for r := range a.stepRows[t] {
+			a.stepRows[t][r] = r*steps + t
+			a.rowStep[r*steps+t] = t
 		}
-	} else {
-		split := autodiff.SoftmaxRows(g.Param(a.splitLogits)) // (N × K)
-		for i := 0; i < topo.N; i++ {
-			gi := autodiff.Row(tod, i)
-			fr := autodiff.Row(split, i) // (K)
-			for k := 0; k < topo.K; k++ {
-				frac := autodiff.SliceVec(fr, k, k+1)     // (1)
-				fracMat := autodiff.Reshape(frac, 1, 1)   // (1×1)
-				giMat := autodiff.Reshape(gi, 1, topo.T)  // (1×T)
-				scaled := autodiff.MatMul(fracMat, giMat) // (1×T)
-				routeRows[i*topo.K+k] = autodiff.Reshape(scaled, topo.T)
+	}
+	a.linkIncs = make([][]int, topo.M)
+	for j, incs := range topo.linkRoutes {
+		for _, inc := range incs {
+			a.linkIncs[j] = append(a.linkIncs[j], len(a.incRoute))
+			a.incRoute = append(a.incRoute, inc.route)
+			pos := a.clampPos(inc.pos)
+			for t := 0; t < steps; t++ {
+				a.incRows = append(a.incRows, inc.route*steps+t)
+				a.incPos = append(a.incPos, pos)
 			}
 		}
 	}
+	return a
+}
 
-	// 2. Per-route embeddings (Eqs. 5-6) and system embedding (Eq. 7). Each
-	// route's conv stack is an independent sub-graph, built on a forked child
-	// tape and spliced back in route order (see autodiff.ForkJoin for the
-	// determinism argument).
-	workers := moduleWorkers(a.cfg, train)
-	norm := 1.0 / a.cfg.MaxTrips
-	embeds := autodiff.ForkJoin(g, workers, len(routeRows), func(sub *autodiff.Graph, r int) *autodiff.Node {
-		x := autodiff.Reshape(autodiff.Scale(sub.Ref(routeRows[r]), norm), 1, topo.T)
-		h := a.conv1.Forward(x, train)
-		h = a.drop.Forward(h, train)
-		return a.conv2.Forward(h, train) // (C × T)
-	})
-	system := autodiff.SumNodes(embeds...)
-	// Average so the system embedding scale is route-count invariant.
-	system = autodiff.Scale(system, 1/float64(len(embeds)))
+// clampPos maps a link position along a route to its row of posEmb and
+// posGain: positions at or beyond MaxPos share the last one.
+func (a *AttentionT2V) clampPos(pos int) int {
+	return min(pos, a.cfg.MaxPos-1)
+}
 
-	// 3. Attention per (route, position) and volume assembly (Eqs. 4, 8).
-	attW := g.Param(a.attW)
-	attB := g.Param(a.attB)
-	posEmb := g.Param(a.posEmb)
+// MapVolume converts a TOD node (N × T) to link volumes (M × T). Every route
+// runs the same conv stack and heads, and every (route, link) incidence the
+// same lag attention, so each stage runs once over all routes or all
+// incidences, and one segment sum adds the incidences into their links. The
+// tape it records does not grow with the number of routes or links.
+func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) *autodiff.Node {
+	vol, _ := a.mapVolume(g, tod, train)
+	return vol
+}
 
-	gainW := g.Param(a.gainW)
-	// Hoisted out of the per-route builds: single-operand ops record onto
-	// their operand's tape, so shared nodes must be built on the parent once.
-	gainBVec := autodiff.Reshape(g.Param(a.gainB), 1)
-	posGain := g.Param(a.posGain)
+// mapVolume is MapVolume, also returning the incidences' lag attention
+// (I·T × Lookback), one row per incidence-step row.
+func (a *AttentionT2V) mapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) (vol, alpha *autodiff.Node) {
+	topo := a.topo
+	routes, logits, gain := a.routeHeads(g, tod, train)
 
-	// Pre-compute each route's lag logits (Lookback × T) and dynamic gain
-	// series (T): the gain reads the congestion-aware embedding and converts
+	// Volume assembly (Eq. 4): each incidence lag-attends its route's trips,
+	// times the route's gain and its position's gain.
+	alpha = a.lagAttention(g, logits, a.incRows, a.incPos)
+	incs := len(a.incRoute)
+	contrib := autodiff.Mul(
+		autodiff.LagAttend(alpha, autodiff.GatherRows(routes, a.incRoute)),
+		autodiff.Reshape(autodiff.GatherRows(gain, a.incRows), incs, topo.T),
+	)
+	posScale := autodiff.Softplus(autodiff.Reshape(g.Param(a.posGain), a.cfg.MaxPos, 1))
+	contrib = autodiff.Mul(contrib, autodiff.Reshape(autodiff.GatherRows(posScale, a.incPos), incs, topo.T))
+	return autodiff.ScatterAddRows(contrib, a.linkIncs), alpha
+}
+
+// routeHeads runs the per-route stages for all N·K routes at once and
+// returns the route trip counts (N·K × T), the lag logits (N·K·T × Lookback)
+// and the dynamic gains (N·K·T × 1), both by route-step row.
+func (a *AttentionT2V) routeHeads(g *autodiff.Graph, tod *autodiff.Node, train bool) (routes, logits, gain *autodiff.Node) {
+	topo := a.topo
+	n := topo.N * topo.K
+	// 1. OD → route trip counts (Eq. 3): a softmax split over each OD's K
+	// route slots conserves total trips across routes (with K = 1 the one
+	// fraction is exactly 1).
+	routes = autodiff.SplitRows(tod, autodiff.SoftmaxRows(g.Param(a.splitLogits)))
+
+	// 2. Route embeddings (Eqs. 5-6): one conv stack over the batch of
+	// routes. The batch is route-major, so dropout draws its masks route by
+	// route.
+	x := autodiff.Reshape(autodiff.Scale(routes, 1.0/a.cfg.MaxTrips), n, 1, topo.T)
+	h := a.conv1.Forward(x, train)
+	h = a.drop.Forward(h, train)
+	h = a.conv2.Forward(h, train) // (N·K × C × T)
+	emb := autodiff.Reshape(autodiff.Transpose(h), n*topo.T, a.cfg.ConvChannels)
+
+	// 3. System embedding (Eq. 7), averaged so its scale is route-count
+	// invariant, and added to every route's embedding.
+	system := autodiff.Scale(autodiff.ScatterAddRows(emb, a.stepRows), 1/float64(n)) // (T × C)
+	u := autodiff.Add(emb, autodiff.GatherRows(system, a.rowStep))
+
+	// 4. Heads: the lag logits of Eq. 8, and the dynamic gain that converts
 	// the trip-count attention output into occupancy.
-	routeHeads := autodiff.ForkJoinK(g, workers, len(routeRows), func(sub *autodiff.Graph, r int) []*autodiff.Node {
-		u := autodiff.Add(sub.Ref(embeds[r]), sub.Ref(system))                     // (C × T)
-		logits := autodiff.MatMul(sub.Ref(attW), u)                                // (W × T)
-		logits = addColVector(logits, sub.Ref(attB))                               // + b per lag row
-		pre := addColVector(autodiff.MatMul(sub.Ref(gainW), u), sub.Ref(gainBVec)) // (1 × T)
-		gain := autodiff.Softplus(autodiff.Reshape(pre, topo.T))
-		return []*autodiff.Node{logits, gain}
-	})
+	logits = autodiff.Affine(u, autodiff.Transpose(g.Param(a.attW)), g.Param(a.attB))
+	pre := autodiff.Affine(u, autodiff.Transpose(g.Param(a.gainW)), g.Param(a.gainB))
+	return routes, logits, autodiff.Softplus(pre)
+}
 
-	zeroRow := g.Const(g.Alloc(topo.T))
-	volRows := autodiff.ForkJoin(g, workers, topo.M, func(sub *autodiff.Graph, j int) *autodiff.Node {
-		incs := topo.linkRoutes[j]
-		if len(incs) == 0 {
-			return zeroRow // parent-tape node; nothing recorded on the child
-		}
-		posEmbRef := sub.Ref(posEmb)
-		posGainRef := sub.Ref(posGain)
-		var parts []*autodiff.Node
-		for _, inc := range incs {
-			pos := inc.pos
-			if pos >= a.cfg.MaxPos {
-				pos = a.cfg.MaxPos - 1
-			}
-			pe := autodiff.Row(posEmbRef, pos) // (W)
-			logits := addColVector(sub.Ref(routeHeads[inc.route][0]), pe)
-			alpha := softmaxCols(logits) // softmax over lags per time step
-			contrib := autodiff.Mul(
-				autodiff.LagAttend(alpha, sub.Ref(routeRows[inc.route])),
-				sub.Ref(routeHeads[inc.route][1]),
-			)
-			scale := autodiff.Softplus(autodiff.SliceVec(posGainRef, pos, pos+1))
-			parts = append(parts, autodiff.MulScalarNode(contrib, scale))
-		}
-		return autodiff.SumNodes(parts...)
-	})
-	return autodiff.StackRows(volRows)
+// lagAttention returns the lag attention (Eq. 8) of the given route-step
+// rows of the lag logits: row q is logits row rows[q] plus the positional
+// embedding of position pos[q], under a softmax over lags.
+func (a *AttentionT2V) lagAttention(g *autodiff.Graph, logits *autodiff.Node, rows, pos []int) *autodiff.Node {
+	pe := autodiff.GatherRows(g.Param(a.posEmb), pos)
+	return autodiff.SoftmaxRows(autodiff.Add(autodiff.GatherRows(logits, rows), pe))
 }
 
 // Params returns the mapping's trainable parameters.
@@ -256,16 +260,6 @@ func (a *AttentionT2V) Params() []*autodiff.Parameter {
 	ps = append(ps, a.conv1.Params()...)
 	ps = append(ps, a.conv2.Params()...)
 	return ps
-}
-
-// addColVector adds vector v (length rows) to every column of a (rows×cols).
-func addColVector(a, v *autodiff.Node) *autodiff.Node {
-	return autodiff.Transpose(autodiff.AddRowVector(autodiff.Transpose(a), v))
-}
-
-// softmaxCols applies softmax along each column of a rank-2 node.
-func softmaxCols(a *autodiff.Node) *autodiff.Node {
-	return autodiff.Transpose(autodiff.SoftmaxRows(autodiff.Transpose(a)))
 }
 
 // ---- Volume-Speed Mapping (Eqs. 9-11) ----

@@ -104,7 +104,8 @@ func TestFitBestSelectsPureSpeedLoss(t *testing.T) {
 
 // TestModuleWorkerEquivalence checks that MapVolume, MapSpeed and the full
 // test-time fit produce bitwise-identical results for Workers ∈ {1, 2,
-// GOMAXPROCS}.
+// GOMAXPROCS}: the mappings are serial batched builds, so Workers only
+// reaches the fit's restart fan-out.
 func TestModuleWorkerEquivalence(t *testing.T) {
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	topo := testTopo(t, 4, 2)

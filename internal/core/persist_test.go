@@ -162,6 +162,51 @@ func TestAttentionProfile(t *testing.T) {
 	if _, err := ablated.AttentionProfile(tod, 0, 0); err == nil {
 		t.Fatal("FC-ablated model has no attention but returned a profile")
 	}
+
+	// Every (OD, position) profile is, bit for bit, the attention MapVolume
+	// computes for that route's incidence on the link at that position, at 1
+	// and 2 routes per OD and with positions past MaxPos clamped.
+	for _, k := range []int{1, 2} {
+		topo := testTopo(t, 6, k)
+		cfg := DefaultConfig()
+		cfg.RoutesPerOD = k
+		cfg.MaxPos = 2
+		m := NewModel(topo, cfg)
+		att := m.T2V.(*AttentionT2V)
+		tod := tensor.New(topo.N, topo.T)
+		for i := range tod.Data {
+			tod.Data[i] = float64(5 + (i*7)%23)
+		}
+		g := autodiff.NewGraph()
+		_, alpha := att.mapVolume(g, g.Const(tod), false)
+		for od := 0; od < topo.N; od++ {
+			route := od * k
+			for pos, link := range topo.Routes[route] {
+				prof, err := m.AttentionProfile(tod, od, pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc := -1
+				for _, i := range att.linkIncs[link] {
+					if att.incRoute[i] == route {
+						inc = i
+					}
+				}
+				if inc < 0 {
+					t.Fatalf("k=%d od=%d pos=%d: no incidence of route %d on link %d", k, od, pos, route, link)
+				}
+				for tt := 0; tt < topo.T; tt++ {
+					for w := 0; w < cfg.Lookback; w++ {
+						got, want := prof.At(w, tt), alpha.Value.At(inc*topo.T+tt, w)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("k=%d od=%d pos=%d: profile (%d,%d) = %v, MapVolume α = %v", k, od, pos, w, tt, got, want)
+						}
+					}
+				}
+			}
+		}
+		g.Release()
+	}
 }
 
 func TestFitLossLinkWeights(t *testing.T) {

@@ -213,49 +213,65 @@ func MatMulTNAcc(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// TransposeTo computes dst = aᵀ for a rank-2 tensor and returns dst. dst must
-// not alias a.
-func TransposeTo(dst, a *Tensor) *Tensor {
-	if a.Rank() != 2 || dst.Rank() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != a.shape[0] {
-		panic(fmt.Sprintf("tensor: TransposeTo shape mismatch %v = %vᵀ", dst.shape, a.shape))
+// transposeDims checks that dst has the shape of aᵀ — a rank-2 transpose,
+// or for rank 3 (B × m × n) the transpose of each of the B matrices — and
+// returns B (1 for rank 2) and a's matrix shape m × n.
+func transposeDims(op, sym string, dst, a *Tensor) (batch, m, n int) {
+	r := a.Rank()
+	if (r != 2 && r != 3) || dst.Rank() != r || dst.shape[r-2] != a.shape[r-1] ||
+		dst.shape[r-1] != a.shape[r-2] || r == 3 && dst.shape[0] != a.shape[0] {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v %s %vᵀ", op, dst.shape, sym, a.shape))
 	}
-	m, n := a.shape[0], a.shape[1]
-	if grain := elemGrain(n); m <= grain {
-		transposeToRange(dst, a, m, n, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { transposeToRange(dst, a, m, n, lo, hi) })
+	if r == 2 {
+		return 1, a.shape[0], a.shape[1]
+	}
+	return a.shape[0], a.shape[1], a.shape[2]
+}
+
+// TransposeTo computes dst = aᵀ and returns dst: the transpose of a rank-2
+// tensor, or of each matrix of a rank-3 (B × m × n) one. dst must not alias
+// a.
+func TransposeTo(dst, a *Tensor) *Tensor {
+	batch, m, n := transposeDims("TransposeTo", "=", dst, a)
+	for b := 0; b < batch; b++ {
+		d, s := dst.Data[b*m*n:(b+1)*m*n], a.Data[b*m*n:(b+1)*m*n]
+		if grain := elemGrain(n); m <= grain {
+			transposeToRange(d, s, m, n, 0, m)
+		} else {
+			parallel.For(m, grain, func(lo, hi int) { transposeToRange(d, s, m, n, lo, hi) })
+		}
 	}
 	return dst
 }
 
-func transposeToRange(dst, a *Tensor, m, n, lo, hi int) {
+func transposeToRange(dst, a []float64, m, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		for j := 0; j < n; j++ {
-			dst.Data[j*m+i] = a.Data[i*n+j]
+			dst[j*m+i] = a[i*n+j]
 		}
 	}
 }
 
-// TransposeAcc accumulates dst += aᵀ for rank-2 tensors. It fuses the
-// Transpose backward rule. dst must not alias a.
+// TransposeAcc accumulates dst += aᵀ, for the shapes TransposeTo takes. It
+// fuses the Transpose backward rule. dst must not alias a.
 func TransposeAcc(dst, a *Tensor) *Tensor {
-	if a.Rank() != 2 || dst.Rank() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != a.shape[0] {
-		panic(fmt.Sprintf("tensor: TransposeAcc shape mismatch %v += %vᵀ", dst.shape, a.shape))
-	}
-	m, n := dst.shape[0], dst.shape[1]
-	if grain := elemGrain(n); m <= grain {
-		transposeAccRange(dst, a, m, n, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { transposeAccRange(dst, a, m, n, lo, hi) })
+	batch, n, m := transposeDims("TransposeAcc", "+=", dst, a)
+	for b := 0; b < batch; b++ {
+		d, s := dst.Data[b*m*n:(b+1)*m*n], a.Data[b*m*n:(b+1)*m*n]
+		if grain := elemGrain(n); m <= grain {
+			transposeAccRange(d, s, m, n, 0, m)
+		} else {
+			parallel.For(m, grain, func(lo, hi int) { transposeAccRange(d, s, m, n, lo, hi) })
+		}
 	}
 	return dst
 }
 
-func transposeAccRange(dst, a *Tensor, m, n, lo, hi int) {
+func transposeAccRange(dst, a []float64, m, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
+		drow := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			drow[j] += a.Data[j*m+i]
+			drow[j] += a[j*m+i]
 		}
 	}
 }

@@ -41,11 +41,12 @@ import (
 // accumulator for accumulate — they never reorder or reassociate the adds.
 // The bias epilogue runs only when the last K panel stores: it is the one
 // IEEE add a separate AddRowVector pass would perform, so fusing it changes
-// no bit. The accumulate form must keep the k-sum separate
-// from dst: the autodiff Fork/Ref/Join path materializes a child gradient
-// (the bare k-sum) and adds it to the parent's, and gradient accumulation is
-// only worker-count-invariant if the direct path performs the same
-// "sum-then-one-add". The naive reference kernels below perform the
+// no bit. The accumulate form must keep the k-sum separate from dst: a
+// batched op that accumulates a product into a gradient buffer already
+// holding other contributions is then bitwise equal to a build that
+// computes the bare product on a node of its own and adds it once — the
+// "sum-then-one-add" the per-route and per-link oracle tests of the batched
+// autodiff ops rely on. The naive reference kernels below perform the
 // identical per-element sequence, so the blocked path is bitwise-equal to
 // the reference, and — because the parallel decomposition partitions
 // disjoint output row blocks whose boundaries depend only on the shape —

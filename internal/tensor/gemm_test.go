@@ -361,8 +361,8 @@ func TestGEMMMicroKernelsAgree(t *testing.T) {
 // TestGEMMAccSumThenAdd pins the accumulate association: the k-sum must be
 // computed from zero and folded into dst with exactly one add, so that
 // accumulating into an existing buffer equals computing the bare product and
-// adding it — the invariant the autodiff Fork/Ref/Join gradient path relies
-// on for worker-count invariance.
+// adding it — the invariant that lets a batched autodiff op match, bit for
+// bit, a build that sums each product on a node of its own.
 func TestGEMMAccSumThenAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][3]int{{5, 7, 3}, {33, 29, gemmKC + 5}} {
