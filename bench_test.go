@@ -22,7 +22,6 @@ import (
 	"ovs/internal/experiment"
 	"ovs/internal/lint"
 	"ovs/internal/nn"
-	"ovs/internal/parallel"
 	"ovs/internal/roadnet"
 	"ovs/internal/sim"
 	"ovs/internal/tensor"
@@ -434,33 +433,6 @@ func BenchmarkGEMM(b *testing.B) {
 		run(matMulTo, "MatMulTo", func() { tensor.MatMulTo(dst, a, bb) })
 		run(ntAcc, "MatMulNTAcc", func() { tensor.MatMulNTAcc(dst, a, bT) })
 		run(tnAcc, "MatMulTNAcc", func() { tensor.MatMulTNAcc(dst, aT, bb) })
-	}
-}
-
-// BenchmarkMatMulParallel measures the dense kernel at a size large enough
-// for the worker pool to engage (256³ ≈ 16.8M flops, well above the per-chunk
-// grain), comparing the exact-serial setting against the process default.
-func BenchmarkMatMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.Randn(rng, 1, 256, 256)
-	y := tensor.Randn(rng, 1, 256, 256)
-	old := parallel.Workers()
-	defer parallel.SetWorkers(old)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"workers=1", 1},
-		{"workers=default", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			parallel.SetWorkers(bc.workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tensor.MatMul(x, y)
-			}
-		})
 	}
 }
 

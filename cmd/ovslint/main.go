@@ -45,6 +45,10 @@ func main() {
 	workers := flag.Int("workers", 0, "analysis worker count (0 = all cores)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "ovslint: -workers %d: want 0 (all cores) or a positive count\n", *workers)
+		os.Exit(2)
+	}
 
 	ctx, cancel := cliutil.RootContext(*timeout)
 	defer cancel()

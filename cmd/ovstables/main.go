@@ -29,12 +29,16 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id: tablevi|tablevii|tableviii|tableix|tablex|fig9|fig10|fig11|fig12|fig13|routechoice|enginecross|noise|all (comma-separated)")
 	scaleName := flag.String("scale", "quick", "effort: test|quick|full")
 	seed := flag.Int64("seed", 1, "experiment seed")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	workers := flag.Int("workers", 0, "how many experiment cells and fit restarts run at once (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	fig9Sizes := flag.String("fig9sizes", "10,50,100", "comma-separated intersection counts for fig9")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "ovstables: -workers %d: want 0 (GOMAXPROCS) or a positive count\n", *workers)
+		os.Exit(2)
+	}
 
 	stopProfiles, err := cliutil.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {

@@ -27,7 +27,7 @@ import (
 //	cNew  = Add(Mul(f, cPrev), Mul(i, g))
 //	hNew  = Mul(o, Tanh(cNew))
 //
-// at any worker count, arena mode, and input — including signed zeros and
+// in any arena mode and for any input — including signed zeros and
 // infinities. The only quantity batching reassociates is dWh: its sum over
 // the batch rows runs inside one GEMM instead of as B separate rank-1
 // accumulations, so it agrees with the per-sequence sum to rounding, not

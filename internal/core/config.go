@@ -87,8 +87,10 @@ type Config struct {
 	Seed int64
 	// Workers bounds the FitBestCtx restarts that run concurrently: 0 uses
 	// the process-wide default (see internal/parallel, runtime.GOMAXPROCS at
-	// startup), 1 runs them one after another. Results are identical at
-	// every setting; see the determinism contract in internal/parallel.
+	// startup), 1 runs them one after another. It is the only parallelism a
+	// model has: each restart's mappings and kernels run on its own
+	// goroutine. Results are identical at every setting; see the
+	// determinism contract in internal/parallel.
 	Workers int
 }
 

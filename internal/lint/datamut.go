@@ -48,7 +48,7 @@ var DataMut = &Analyzer{
 					continue
 				}
 				// The NoteMutation sanction is scoped to the whole top-level
-				// declaration: a bump before or after a parallel.ForWorkers
+				// declaration: a bump before or after a parallel.ForWorkersCtx
 				// closure covers the writes inside it (bumping inside the
 				// closure would race across workers).
 				noted := collectNoted(p, fd.Body)

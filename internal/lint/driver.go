@@ -36,6 +36,7 @@ type Driver struct {
 	Loader    *Loader
 	Analyzers []*Analyzer
 	// Workers bounds the analysis fan-out; 0 means the process default.
+	// A negative value is an error.
 	Workers int
 	// CacheFile, when non-empty, enables the incremental cache: packages
 	// whose transitive content hash matches the stored entry reuse its
@@ -78,6 +79,9 @@ func (d *Driver) Run() ([]PackageResult, error) {
 // ctx is done. A cancelled run returns context.Cause(ctx) and writes no
 // cache file, so a later full run cannot see partial results.
 func (d *Driver) RunCtx(ctx context.Context) ([]PackageResult, error) {
+	if d.Workers < 0 {
+		return nil, fmt.Errorf("lint: Workers = %d; want 0 (process default) or a positive count", d.Workers)
+	}
 	dirs, err := d.Loader.PackageDirs()
 	if err != nil {
 		return nil, err

@@ -323,6 +323,15 @@ func TestDriverCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDriverRejectsNegativeWorkers checks that a negative worker count is
+// an error rather than a silent fall-back to the process default.
+func TestDriverRejectsNegativeWorkers(t *testing.T) {
+	d := &Driver{Analyzers: All(), Workers: -3}
+	if _, err := d.Run(); err == nil || !strings.Contains(err.Error(), "Workers = -3") {
+		t.Fatalf("Run with Workers=-3: err = %v, want a Workers error", err)
+	}
+}
+
 // TestDiagnosticFormat pins the file:line:col: [analyzer] message rendering
 // CI greps for.
 func TestDiagnosticFormat(t *testing.T) {

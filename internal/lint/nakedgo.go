@@ -8,8 +8,9 @@ import (
 // NakedGo flags `go` statements outside internal/parallel. Raw goroutines
 // bypass the deterministic worker pool (DESIGN.md §10): they are unbounded,
 // their interleaving is scheduler-dependent, and nothing joins them before
-// results are read. All fan-out must flow through parallel.For / the pool so
-// chunking — and therefore floating-point reduction order — is fixed.
+// results are read. All fan-out must flow through parallel.ForWorkersCtx or
+// parallel.RunCtx so chunking — and therefore floating-point reduction
+// order — is fixed.
 var NakedGo = &Analyzer{
 	Name:  "nakedgo",
 	Doc:   "flags go statements outside internal/parallel; raw goroutines bypass the deterministic worker pool",

@@ -1,28 +1,25 @@
 // Package parallel provides the deterministic worker-pool primitives behind
-// every concurrent path in this repository: row-range loops for the tensor
-// kernels and the simulator's per-link updates, and coarse task fan-out for
-// the experiment harness and multi-restart fitting.
+// the repository's one level of concurrency: the test-time fit restarts, the
+// experiment harness's independent cells, and the lint driver's packages.
+// Everything below that level — the simulator, the tape, the tensor kernels
+// — runs serially on the goroutine that called it.
 //
-// Determinism is the design constraint, not an afterthought. For splits
-// [0, n) into contiguous chunks whose boundaries depend only on (n, grain) —
-// never on the worker count or on goroutine scheduling — and each chunk is
-// processed serially by exactly one goroutine. A chunk function that writes
-// only to its own index range and keeps any reduction inside a single index
-// therefore produces bitwise-identical results at every worker count,
-// including the exact serial fallback Workers = 1.
+// Determinism is the design constraint, not an afterthought. ForWorkersCtx
+// splits [0, n) into contiguous chunks whose boundaries depend only on
+// (n, grain) — never on the worker count or on goroutine scheduling — and
+// each chunk is processed serially by exactly one goroutine. A chunk
+// function that writes only to its own index range and keeps any reduction
+// inside a single index therefore produces bitwise-identical results at
+// every worker count, including the exact serial setting Workers = 1.
 //
 // The pool is a bounded-width spawning pool rather than a set of persistent
 // goroutines: each invocation runs on the calling goroutine plus at most
 // workers-1 short-lived helpers. The caller always participates, so nested
-// use (an experiment cell fanning out into parallel tensor kernels) can
-// never deadlock on pool capacity, and an inner loop simply runs serially
-// when its own chunk count does not warrant helpers.
+// use can never deadlock on pool capacity.
 //
-// The Ctx variants (ForCtx, ForWorkersCtx, RunCtx) add cooperative
-// cancellation on top of the same chunking: cancellation is observed only at
-// chunk boundaries, in-flight chunks always finish, and all helpers are
-// joined before returning, so a cancelled loop leaves no goroutines behind
-// and an uncancelled one is bitwise-identical to its plain counterpart.
+// Both entry points take a context: cancellation is observed only at chunk
+// boundaries, in-flight chunks always finish, and all helpers are joined
+// before returning, so a cancelled loop leaves no goroutines behind.
 package parallel
 
 import (
@@ -59,88 +56,20 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// For runs fn over [0, n) in contiguous chunks of up to grain indices using
-// the default worker count. See ForWorkers for the determinism contract.
-func For(n, grain int, fn func(lo, hi int)) { ForWorkers(0, n, grain, fn) }
-
-// ForWorkers runs fn over [0, n) in contiguous chunks of up to grain
+// ForWorkersCtx runs fn over [0, n) in contiguous chunks of up to grain
 // indices, using at most `workers` goroutines (0 = process default, 1 =
-// exact serial execution on the calling goroutine).
+// every chunk in order on the calling goroutine).
 //
 // Contract: fn(lo, hi) must compute each index independently of the chunk
 // boundaries — writes go only to the chunk's own output range and
 // reductions stay within one index. Under that contract the result is
 // bitwise-identical for every worker count.
-func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	workers = Resolve(workers)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// Run executes the given functions, at most `workers` concurrently (0 =
-// process default, 1 = serial in slice order). It is the coarse-grain
-// fan-out used for independent experiment cells and fit restarts; each
-// function must carry its own random state (derived from the root seed by
-// index) so results do not depend on the worker count.
-func Run(workers int, fns ...func()) {
-	ForWorkers(workers, len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
-}
-
-// ForCtx is For with cooperative cancellation: it runs fn over [0, n) in
-// contiguous chunks using the default worker count, draining at chunk
-// boundaries once ctx is cancelled. See ForWorkersCtx.
-func ForCtx(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
-	return ForWorkersCtx(ctx, 0, n, grain, fn)
-}
-
-// ForWorkersCtx is ForWorkers with cooperative cancellation. Cancellation is
-// observed only at chunk boundaries: each worker checks ctx before claiming
-// its next chunk, a chunk that has started always runs to completion, and
-// every helper goroutine is joined before the call returns — a cancelled
-// call therefore leaves no workers behind and no chunk half-done. Chunk
-// boundaries still depend only on (n, grain), so a call that completes
-// without observing cancellation is bitwise-identical to ForWorkers.
+//
+// Cancellation is observed only at chunk boundaries: each worker checks ctx
+// before claiming its next chunk, a chunk that has started always runs to
+// completion, and every helper goroutine is joined before the call returns
+// — a cancelled call therefore leaves no workers behind and no chunk
+// half-done.
 //
 // The return value is nil when all chunks ran, or the context's cancellation
 // cause once cancellation was observed. Which chunks ran before a cancelled
@@ -204,10 +133,14 @@ func ForWorkersCtx(ctx context.Context, workers, n, grain int, fn func(lo, hi in
 	return nil
 }
 
-// RunCtx is Run with cooperative cancellation: functions that have started
-// run to completion, no new function starts once ctx is cancelled, and the
-// call returns the cancellation cause after all in-flight functions have
-// been joined (nil if every function ran).
+// RunCtx executes the given functions, at most `workers` concurrently (0 =
+// process default, 1 = serial in slice order). It is the coarse-grain
+// fan-out used for independent experiment cells and fit restarts; each
+// function must carry its own random state (derived from the root seed by
+// index) so results do not depend on the worker count. Functions that have
+// started run to completion, no new function starts once ctx is cancelled,
+// and the call returns the cancellation cause after all in-flight functions
+// have been joined (nil if every function ran).
 func RunCtx(ctx context.Context, workers int, fns ...func()) error {
 	return ForWorkersCtx(ctx, workers, len(fns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

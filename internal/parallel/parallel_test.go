@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 97, 1024} {
 			for _, grain := range []int{0, 1, 7, 64, 5000} {
 				hits := make([]int32, n)
-				ForWorkers(workers, n, grain, func(lo, hi int) {
+				err := ForWorkersCtx(context.Background(), workers, n, grain, func(lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
 					}
@@ -19,6 +20,9 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 						atomic.AddInt32(&hits[i], 1)
 					}
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, h := range hits {
 					if h != 1 {
 						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, h)
@@ -31,7 +35,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 
 func TestForChunkBoundariesIndependentOfWorkers(t *testing.T) {
 	// The chunk set must depend only on (n, grain): record the chunks seen
-	// at several worker counts and compare.
+	// at several worker counts, serial included, and compare.
 	n, grain := 103, 10
 	collect := func(workers int) map[[2]int]bool {
 		set := make(map[[2]int]bool)
@@ -43,27 +47,33 @@ func TestForChunkBoundariesIndependentOfWorkers(t *testing.T) {
 			}
 			close(done)
 		}()
-		ForWorkers(workers, n, grain, func(lo, hi int) { ch <- [2]int{lo, hi} })
+		err := ForWorkersCtx(context.Background(), workers, n, grain, func(lo, hi int) { ch <- [2]int{lo, hi} })
 		close(ch)
 		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
 		return set
 	}
 	serial := collect(1)
-	// Serial fallback is one chunk [0, n); parallel runs split by grain. The
-	// guarantee is not identical chunking but identical results under the
-	// contract, so check the parallel chunking tiles [0, n) on grain
-	// boundaries.
-	if len(serial) != 1 {
-		t.Fatalf("serial fallback should be one chunk, got %d", len(serial))
-	}
-	par := collect(4)
 	want := (n + grain - 1) / grain
-	if len(par) != want {
-		t.Fatalf("parallel chunks = %d, want %d", len(par), want)
+	if len(serial) != want {
+		t.Fatalf("serial chunks = %d, want %d", len(serial), want)
 	}
-	for c := range par {
+	for c := range serial {
 		if c[0]%grain != 0 || (c[1] != c[0]+grain && c[1] != n) {
 			t.Fatalf("chunk %v not on grain boundary", c)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		par := collect(workers)
+		if len(par) != len(serial) {
+			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(par), len(serial))
+		}
+		for c := range par {
+			if !serial[c] {
+				t.Fatalf("workers=%d: chunk %v not in the serial chunking", workers, c)
+			}
 		}
 	}
 }
@@ -75,7 +85,9 @@ func TestRunExecutesAllTasks(t *testing.T) {
 		for i := range fns {
 			fns[i] = func() { count.Add(1) }
 		}
-		Run(workers, fns...)
+		if err := RunCtx(context.Background(), workers, fns...); err != nil {
+			t.Fatal(err)
+		}
 		if count.Load() != 17 {
 			t.Fatalf("workers=%d: ran %d of 17 tasks", workers, count.Load())
 		}
@@ -89,7 +101,9 @@ func TestRunPreservesIndexedResults(t *testing.T) {
 		i := i
 		fns[i] = func() { out[i] = i * i }
 	}
-	Run(4, fns...)
+	if err := RunCtx(context.Background(), 4, fns...); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)
@@ -120,14 +134,20 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	// An outer fan-out whose tasks themselves run parallel loops must
 	// complete: the pool spawns helpers instead of waiting on fixed
 	// capacity.
+	ctx := context.Background()
 	var total atomic.Int64
-	ForWorkers(4, 8, 1, func(lo, hi int) {
+	err := ForWorkersCtx(ctx, 4, 8, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ForWorkers(4, 1000, 10, func(l, h int) {
+			if err := ForWorkersCtx(ctx, 4, 1000, 10, func(l, h int) {
 				total.Add(int64(h - l))
-			})
+			}); err != nil {
+				t.Error(err)
+			}
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total.Load() != 8000 {
 		t.Fatalf("nested total = %d, want 8000", total.Load())
 	}

@@ -20,7 +20,7 @@ import (
 // scratch, packing panels, elementwise *To outputs, the LSTM cell's gate
 // and state slots — so the stale contents are never observed and every
 // kernel still produces bitwise-identical results whether its operands came
-// from the pool or from the garbage collector, at any worker count. Building
+// from the pool or from the garbage collector. Building
 // with -tags ovspoison fills every un-zeroed buffer with NaN (see
 // poison_on.go), which turns any read-before-write into a NaN or a bitwise
 // mismatch in the equivalence suites.

@@ -3,40 +3,25 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ovs/internal/parallel"
 )
 
 // This file holds the fused and destination-passing kernels of the
 // zero-allocation training path. The *To kernels write into a caller-provided
 // output (typically an arena tensor), the *Acc kernels accumulate a backward
 // rule directly into a gradient without materializing intermediates, and the
-// *InPlace kernels fuse optimizer updates. Every kernel partitions work over
-// output indices with the per-index computation fixed, so results are
-// bitwise-identical at any worker count (see ops.go).
-//
-// Each kernel checks its size against the parallel grain before constructing
-// the parallel.For closure: a closure passed to another function escapes to
-// the heap, so small inputs — the common case in the training hot loop — take
-// a branch to an explicit serial loop instead and allocate nothing.
+// *InPlace kernels fuse optimizer updates. Each kernel is one plain loop on
+// the calling goroutine: the independent work that runs concurrently is the
+// fit restarts and experiment cells above this package, never a kernel.
 
 // AddTo computes dst = a + b elementwise and returns dst. dst may alias a or
 // b. Shapes must match.
 func AddTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("AddTo", a, b)
 	assertSameShape("AddTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		addToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func addToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
+	return dst
 }
 
 // SubTo computes dst = a - b elementwise and returns dst. dst may alias a or
@@ -44,18 +29,10 @@ func addToRange(dst, a, b *Tensor, lo, hi int) {
 func SubTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("SubTo", a, b)
 	assertSameShape("SubTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		subToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { subToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func subToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] - b.Data[i]
 	}
+	return dst
 }
 
 // MulTo computes the elementwise product dst = a * b and returns dst. dst may
@@ -63,72 +40,29 @@ func subToRange(dst, a, b *Tensor, lo, hi int) {
 func MulTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("MulTo", a, b)
 	assertSameShape("MulTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		mulToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { mulToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func mulToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
+	return dst
 }
 
 // ScaleTo computes dst = a * s elementwise and returns dst. dst may alias a.
 func ScaleTo(dst, a *Tensor, s float64) *Tensor {
 	assertSameShape("ScaleTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		scaleToRange(dst, a, s, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { scaleToRange(dst, a, s, lo, hi) })
+	for i, x := range a.Data {
+		dst.Data[i] = x * s
 	}
 	return dst
-}
-
-func scaleToRange(dst, a *Tensor, s float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] * s
-	}
 }
 
 // AddScalarTo computes dst = a + s elementwise and returns dst. dst may
 // alias a.
 func AddScalarTo(dst, a *Tensor, s float64) *Tensor {
 	assertSameShape("AddScalarTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		addScalarToRange(dst, a, s, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addScalarToRange(dst, a, s, lo, hi) })
+	for i, x := range a.Data {
+		dst.Data[i] = x + s
 	}
 	return dst
-}
-
-func addScalarToRange(dst, a *Tensor, s float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] + s
-	}
-}
-
-// AxpyTo computes the fused add-scale dst = a + alpha*b and returns dst. dst
-// may alias a or b. Shapes must match.
-func AxpyTo(dst, a *Tensor, alpha float64, b *Tensor) *Tensor {
-	assertSameShape("AxpyTo", a, b)
-	assertSameShape("AxpyTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		axpyToRange(dst, a, alpha, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { axpyToRange(dst, a, alpha, b, lo, hi) })
-	}
-	return dst
-}
-
-func axpyToRange(dst, a *Tensor, alpha float64, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] + alpha*b.Data[i]
-	}
 }
 
 // ScaleInPlace multiplies every element of t by s and returns t.
@@ -235,21 +169,13 @@ func TransposeTo(dst, a *Tensor) *Tensor {
 	batch, m, n := transposeDims("TransposeTo", "=", dst, a)
 	for b := 0; b < batch; b++ {
 		d, s := dst.Data[b*m*n:(b+1)*m*n], a.Data[b*m*n:(b+1)*m*n]
-		if grain := elemGrain(n); m <= grain {
-			transposeToRange(d, s, m, n, 0, m)
-		} else {
-			parallel.For(m, grain, func(lo, hi int) { transposeToRange(d, s, m, n, lo, hi) })
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				d[j*m+i] = s[i*n+j]
+			}
 		}
 	}
 	return dst
-}
-
-func transposeToRange(dst, a []float64, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		for j := 0; j < n; j++ {
-			dst[j*m+i] = a[i*n+j]
-		}
-	}
 }
 
 // TransposeAcc accumulates dst += aᵀ, for the shapes TransposeTo takes. It
@@ -258,22 +184,14 @@ func TransposeAcc(dst, a *Tensor) *Tensor {
 	batch, n, m := transposeDims("TransposeAcc", "+=", dst, a)
 	for b := 0; b < batch; b++ {
 		d, s := dst.Data[b*m*n:(b+1)*m*n], a.Data[b*m*n:(b+1)*m*n]
-		if grain := elemGrain(n); m <= grain {
-			transposeAccRange(d, s, m, n, 0, m)
-		} else {
-			parallel.For(m, grain, func(lo, hi int) { transposeAccRange(d, s, m, n, lo, hi) })
+		for i := 0; i < m; i++ {
+			drow := d[i*n : (i+1)*n]
+			for j := range drow {
+				drow[j] += s[j*m+i]
+			}
 		}
 	}
 	return dst
-}
-
-func transposeAccRange(dst, a []float64, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			drow[j] += a[j*m+i]
-		}
-	}
 }
 
 // AddRowVectorTo computes dst = a + v broadcast over rows, where a and dst
@@ -378,19 +296,7 @@ func AdamStepInPlace(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 
 	assertSameShape("AdamStepInPlace", value, grad)
 	assertSameShape("AdamStepInPlace", value, m)
 	assertSameShape("AdamStepInPlace", value, v)
-	n := len(value.Data)
-	if grain := elemGrain(8); n <= grain {
-		adamStepRange(value, grad, m, v, lr, beta1, beta2, eps, bc1, bc2, 0, n)
-	} else {
-		parallel.For(n, grain, func(lo, hi int) {
-			adamStepRange(value, grad, m, v, lr, beta1, beta2, eps, bc1, bc2, lo, hi)
-		})
-	}
-	value.NoteMutation()
-}
-
-func adamStepRange(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range value.Data {
 		g := grad.Data[i]
 		m.Data[i] = beta1*m.Data[i] + (1-beta1)*g
 		v.Data[i] = beta2*v.Data[i] + (1-beta2)*g*g
@@ -398,6 +304,7 @@ func adamStepRange(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 fl
 		vHat := v.Data[i] / bc2
 		value.Data[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
+	value.NoteMutation()
 }
 
 // SGDMomentumStepInPlace applies one fused momentum-SGD update to value from
@@ -406,20 +313,9 @@ func adamStepRange(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 fl
 func SGDMomentumStepInPlace(value, grad, vel *Tensor, lr, momentum float64) {
 	assertSameShape("SGDMomentumStepInPlace", value, grad)
 	assertSameShape("SGDMomentumStepInPlace", value, vel)
-	n := len(value.Data)
-	if grain := elemGrain(4); n <= grain {
-		sgdMomentumStepRange(value, grad, vel, lr, momentum, 0, n)
-	} else {
-		parallel.For(n, grain, func(lo, hi int) {
-			sgdMomentumStepRange(value, grad, vel, lr, momentum, lo, hi)
-		})
-	}
-	value.NoteMutation()
-}
-
-func sgdMomentumStepRange(value, grad, vel *Tensor, lr, momentum float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range value.Data {
 		vel.Data[i] = momentum*vel.Data[i] - lr*grad.Data[i]
 		value.Data[i] += vel.Data[i]
 	}
+	value.NoteMutation()
 }

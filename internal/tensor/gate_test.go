@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -171,7 +172,7 @@ func TestGateKernelsRandom(t *testing.T) {
 	const slab = 4099
 	var mu sync.Mutex
 	failed := 0
-	parallel.For((total+slab-1)/slab, 1, func(lo, hi int) {
+	err := parallel.ForWorkersCtx(context.Background(), 0, (total+slab-1)/slab, 1, func(lo, hi int) {
 		src := make([]float64, slab)
 		dst := make([]float64, slab)
 		rng := rand.New(rand.NewSource(int64(lo)))
@@ -201,6 +202,9 @@ func TestGateKernelsRandom(t *testing.T) {
 			}
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if failed > 0 {
 		t.Fatalf("%d mismatches", failed)
 	}

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"math"
-
-	"ovs/internal/parallel"
-)
+import "math"
 
 // This file implements the packed, cache-blocked GEMM core behind every
 // matrix-product entry point (MatMul, MatMulTo, MatMulNTAcc, MatMulTNAcc).
@@ -48,9 +44,7 @@ import (
 // "sum-then-one-add" the per-route and per-link oracle tests of the batched
 // autodiff ops rely on. The naive reference kernels below perform the
 // identical per-element sequence, so the blocked path is bitwise-equal to
-// the reference, and — because the parallel decomposition partitions
-// disjoint output row blocks whose boundaries depend only on the shape —
-// bitwise-identical at every worker count.
+// the reference.
 
 const (
 	// gemmMR × gemmNR is the register tile: 32 independent FMA accumulator
@@ -66,19 +60,20 @@ const (
 	gemmKC = 256
 	// gemmNC bounds the packed B panel (gemmKC×gemmNC ≤ 512 KiB, L2-sized).
 	gemmNC = 256
-	// gemmMC is the output row-block height: one parallel chunk packs and
-	// consumes an A panel of gemmMC×gemmKC ≤ 64 KiB. It is also the unit of
-	// the deterministic 2D decomposition: chunk boundaries depend only on m.
+	// gemmMC is the output row-block height: each row block packs and
+	// consumes an A panel of gemmMC×gemmKC ≤ 64 KiB, L2-resident beside the
+	// B panel.
 	gemmMC = 32
 )
 
-// gemmBlockedMin is the m·n·k threshold below which gemm runs the serial
-// naive kernels: packing two operands cannot pay for itself on tiny
-// products, and the training graph is dominated by small matmuls. It is a
-// variable (not a const) so the equivalence tests can force every shape
-// through the blocked path. Both paths compute the identical per-element FMA
-// sequence, so the dispatch never affects results, only speed.
-var gemmBlockedMin = parMinWork
+// gemmBlockedMin is the naive/blocked crossover: the m·n·k scalar-op count
+// below which gemm runs the naive kernels, because packing two operands
+// cannot pay for itself on tiny products and the training graph is
+// dominated by small matmuls. It is a variable (not a const) so the
+// equivalence tests can force every shape through the blocked path. Both
+// paths compute the identical per-element FMA sequence, so the dispatch
+// never affects results, only speed.
+var gemmBlockedMin = 1 << 16
 
 // SetGEMMBlockedThreshold sets the m·n·k scalar-op count at which products
 // switch from the naive kernels to the packed blocked core, returning the
@@ -123,20 +118,10 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []f
 	if acc {
 		scratch := GetUninit(m * n)
 		gemmBlocked(scratch.Data, n, a, b, m, n, k, nil, bsrc)
-		sd := scratch.Data
-		if ldc == n {
-			parallel.For(m*n, parMinWork, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] += sd[i]
-				}
-			})
-		} else {
-			for i := 0; i < m; i++ {
-				crow := dst[i*ldc : i*ldc+n]
-				srow := sd[i*n : (i+1)*n]
-				for j := range crow {
-					crow[j] += srow[j]
-				}
+		for i := 0; i < m; i++ {
+			crow := dst[i*ldc : i*ldc+n]
+			for j, s := range scratch.Data[i*n : (i+1)*n] {
+				crow[j] += s
 			}
 		}
 		Put(scratch)
@@ -160,13 +145,13 @@ func packSource(b *Tensor) *Tensor {
 // cache (a hit skips every packB call; a miss packs the whole matrix once);
 // the cached bytes are identical to a fresh pack, so the dispatch cannot
 // affect results. The packing buffers need no zero fill: packA/packB write
-// every entry the micro-kernels read.
+// every entry the micro-kernels read. One A buffer serves every row block
+// of a K panel.
 func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []float64, bsrc *Tensor) {
 	var cached *packEntry
 	if bsrc != nil {
 		cached = acquirePack(bsrc, b, k, n)
 	}
-	mBlocks := (m + gemmMC - 1) / gemmMC
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		ncPad := (nc + gemmNR - 1) / gemmNR * gemmNR
@@ -189,16 +174,13 @@ func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []floa
 				packB(bbuf.Data, b, pc, jc, kc, nc)
 				bp = bbuf.Data
 			}
-			parallel.For(mBlocks, 1, func(lo, hi int) {
-				abuf := GetUninit(gemmMC * kc)
-				for blk := lo; blk < hi; blk++ {
-					i0 := blk * gemmMC
-					mc := min(gemmMC, m-i0)
-					packA(abuf.Data, a, i0, pc, mc, kc)
-					gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load, pbias)
-				}
-				Put(abuf)
-			})
+			abuf := GetUninit(gemmMC * kc)
+			for i0 := 0; i0 < m; i0 += gemmMC {
+				mc := min(gemmMC, m-i0)
+				packA(abuf.Data, a, i0, pc, mc, kc)
+				gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load, pbias)
+			}
+			Put(abuf)
 			if bbuf != nil {
 				Put(bbuf)
 			}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"ovs/internal/parallel"
 )
 
 // gemmShapes are the (m, n, k) triples the equivalence tests sweep: tiny and
@@ -88,11 +86,8 @@ func refProduct(dst, a, b *Tensor, m, n, k int, aT, bT, acc bool) {
 
 // TestGEMMBlockedMatchesReference checks all four entry points, on both the
 // blocked and naive paths, against the independent oracle — bitwise — for
-// every ragged shape, at Workers∈{1,2,GOMAXPROCS}, with the arena on and
-// off.
+// every ragged shape, with the arena on and off.
 func TestGEMMBlockedMatchesReference(t *testing.T) {
-	oldWorkers := parallel.Workers()
-	defer parallel.SetWorkers(oldWorkers)
 	defer SetPooling(true)
 
 	rng := rand.New(rand.NewSource(42))
@@ -126,27 +121,24 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 			check := func(label string, want, got *Tensor) {
 				t.Helper()
 				if !bitwiseEqual(got, want) {
-					t.Fatalf("pooling=%v shape=%dx%dx%d workers=%d: %s differs bitwise from reference",
-						pooling, m, n, k, parallel.Workers(), label)
+					t.Fatalf("pooling=%v shape=%dx%dx%d: %s differs bitwise from reference",
+						pooling, m, n, k, label)
 				}
 			}
-			for _, w := range workerCounts() {
-				parallel.SetWorkers(w)
-				// Default dispatch (small shapes take the naive path).
-				check("MatMul", wantTo, MatMul(a, b))
-				check("MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
-				check("AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
-				check("MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
-				check("MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
-				// Forced blocked path.
-				forceBlocked(t, func() {
-					check("blocked MatMul", wantTo, MatMul(a, b))
-					check("blocked MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
-					check("blocked AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
-					check("blocked MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
-					check("blocked MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
-				})
-			}
+			// Default dispatch (small shapes take the naive path).
+			check("MatMul", wantTo, MatMul(a, b))
+			check("MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
+			check("AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
+			check("MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
+			check("MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
+			// Forced blocked path.
+			forceBlocked(t, func() {
+				check("blocked MatMul", wantTo, MatMul(a, b))
+				check("blocked MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
+				check("blocked AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
+				check("blocked MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
+				check("blocked MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
+			})
 		}
 	}
 }

@@ -3,30 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ovs/internal/parallel"
 )
-
-// parMinWork is the minimum number of scalar operations a parallel chunk
-// should carry. Loops smaller than one chunk run serially inline (the
-// parallel.For chunk count is 1), so small tensors pay no goroutine
-// overhead. Partitioning is always over output indices/rows with the
-// per-index computation unchanged, which keeps every parallel kernel
-// bitwise-identical to its serial form at any worker count.
-const parMinWork = 1 << 16
-
-// elemGrain returns the chunk size for an elementwise loop of the given
-// per-index cost (in scalar ops).
-func elemGrain(perIndex int) int {
-	if perIndex < 1 {
-		perIndex = 1
-	}
-	g := parMinWork / perIndex
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
 
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
@@ -51,42 +28,24 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return ScaleTo(New(a.shape...), a, s)
 }
 
-// AddInPlace accumulates b into a (a += b) and returns a. Like the fused
-// kernels, it branches to a plain serial loop below the parallel grain so
-// small tensors never construct the parallel.For closure.
+// AddInPlace accumulates b into a (a += b) and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
 	assertSameShape("AddInPlace", a, b)
-	if n := len(a.Data); n <= parMinWork {
-		addInPlaceRange(a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addInPlaceRange(a, b, lo, hi) })
+	for i, x := range b.Data {
+		a.Data[i] += x
 	}
 	a.NoteMutation()
 	return a
-}
-
-func addInPlaceRange(a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a.Data[i] += b.Data[i]
-	}
 }
 
 // AxpyInPlace computes a += alpha*b and returns a.
 func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) *Tensor {
 	assertSameShape("AxpyInPlace", a, b)
-	if n := len(a.Data); n <= parMinWork {
-		axpyInPlaceRange(a, alpha, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { axpyInPlaceRange(a, alpha, b, lo, hi) })
+	for i, x := range b.Data {
+		a.Data[i] += alpha * x
 	}
 	a.NoteMutation()
 	return a
-}
-
-func axpyInPlaceRange(a *Tensor, alpha float64, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a.Data[i] += alpha * b.Data[i]
-	}
 }
 
 // MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n)→(m×n).
@@ -99,9 +58,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v x %v", a.shape, b.shape))
 	}
-	// MatMulTo runs the packed blocked GEMM core, which partitions disjoint
-	// output row blocks with a fixed per-element accumulation order, so the
-	// parallel product is bitwise-identical to serial (see gemm.go).
 	return MatMulTo(New(m, n), a, b)
 }
 
@@ -116,16 +72,7 @@ func MatVec(a, v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec dimensions differ: %v x %v", a.shape, v.shape))
 	}
 	out := New(m)
-	if grain := elemGrain(k); m <= grain {
-		matVecRange(out, a, v, k, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { matVecRange(out, a, v, k, lo, hi) })
-	}
-	return out
-}
-
-func matVecRange(out, a, v *Tensor, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range out.Data {
 		row := a.Data[i*k : (i+1)*k]
 		s := 0.0
 		for j, rv := range row {
@@ -133,6 +80,7 @@ func matVecRange(out, a, v *Tensor, k, lo, hi int) {
 		}
 		out.Data[i] = s
 	}
+	return out
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
@@ -141,8 +89,6 @@ func Transpose(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose requires rank-2, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	// TransposeTo partitions over input rows: row i fills column i of the
-	// output, so chunks write disjoint cells.
 	return TransposeTo(New(n, m), a)
 }
 

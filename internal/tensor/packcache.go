@@ -19,7 +19,7 @@ import (
 // Scope and invariants:
 //
 //   - Only B-side operands are cached. A-side packing is keyed by the output
-//     row block and interleaved with the parallel consumption loop; caching it
+//     row block and interleaved with the row-block consumption loop; caching it
 //     would buy little (the A operand of every hot product is an activation)
 //     and cost a second keying scheme.
 //   - The cached bytes are exactly the packB output for every (jc, pc) block

@@ -198,11 +198,12 @@ var (
 
 // ---- Parallel execution ----
 
-// SetWorkers sets the process-wide default worker-pool size used by tensor
-// kernels, module builders, the meso engine and the experiment harness
-// (n <= 0 restores the GOMAXPROCS default; 1 forces exact-serial execution).
-// Results are bitwise-identical at any setting. Workers reports the current
-// value.
+// SetWorkers sets the process-wide default worker-pool size: how many fit
+// restarts (of a model whose ModelConfig.Workers is 0) and experiment-harness
+// cells run at once (n <= 0 restores the GOMAXPROCS default; 1 forces
+// exact-serial execution). Everything inside a restart or a cell runs on one
+// goroutine. Results are bitwise-identical at any setting. Workers reports
+// the current value.
 var (
 	SetWorkers = parallel.SetWorkers
 	Workers    = parallel.Workers
