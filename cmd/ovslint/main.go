@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/ovslint ./...
 //	go run ./cmd/ovslint ./internal/tensor ./internal/sim
-//	go run ./cmd/ovslint -analyzers datamut,lockbalance ./...
+//	go run ./cmd/ovslint -analyzers arenaescape,lockbalance ./...
 //	go run ./cmd/ovslint -tests ./...
 //	go run ./cmd/ovslint -json ./... > lint.json
 //	go run ./cmd/ovslint -cache .ovslint-cache.json ./...

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -49,20 +50,37 @@ func main() {
 	ctx, cancel := cliutil.RootContext(*timeout)
 	if err := run(ctx, *cityName, *gridSpec, *netPath, *demandPath, *patternName,
 		*scale, *intervals, *intervalSec, *engine, *routing, *signals, *seed, *outPath); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		code := 1
+		switch {
+		case errors.Is(err, errUsage):
+			fmt.Fprintf(os.Stderr, "ovssim: %v\n", err)
+			code = 2
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			fmt.Fprintf(os.Stderr, "cancelled: %v\n", err)
-		} else {
+		default:
 			fmt.Fprintln(os.Stderr, err)
 		}
 		cancel()
-		os.Exit(1)
+		os.Exit(code)
 	}
 	cancel()
 }
 
+// errUsage marks a bad flag value; main exits 2 on it, before any work.
+var errUsage = errors.New("bad flag value")
+
 func run(ctx context.Context, cityName, gridSpec, netPath, demandPath, patternName string,
 	scale float64, intervals int, intervalSec float64,
 	engineName, routingName string, signals bool, seed int64, outPath string) error {
+	if intervals < 1 {
+		return fmt.Errorf("%w: -intervals %d: want at least 1", errUsage, intervals)
+	}
+	if !positiveFinite(intervalSec) {
+		return fmt.Errorf("%w: -intervalsec %v: want a finite number of seconds > 0", errUsage, intervalSec)
+	}
+	if !positiveFinite(scale) {
+		return fmt.Errorf("%w: -scale %v: want a finite value > 0", errUsage, scale)
+	}
 
 	var net *roadnet.Network
 	var city *dataset.City
@@ -172,3 +190,6 @@ func run(ctx context.Context, cityName, gridSpec, netPath, demandPath, patternNa
 	}
 	return trafficio.WriteResult(os.Stdout, res)
 }
+
+// positiveFinite reports whether v is a finite number greater than zero.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }

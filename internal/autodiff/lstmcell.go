@@ -194,8 +194,6 @@ func backLSTMCell(out *Node) {
 		cPrev = prev.ext.Data[0:bh]
 		if prev.requires {
 			prevDc = prev.ext.Data[6*bh : 7*bh]
-			// The dc(t+1) contribution below writes through this alias.
-			prev.ext.NoteMutation()
 		}
 	} else {
 		zero = tensor.Get(batch, hidden)

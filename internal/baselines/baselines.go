@@ -98,7 +98,6 @@ func sampleNorms(samples []core.Sample) (volNorm, speedNorm float64) {
 
 // clampInPlace bounds every element of x to [lo, hi].
 func clampInPlace(x *tensor.Tensor, lo, hi float64) {
-	x.NoteMutation()
 	for i, v := range x.Data {
 		if v < lo {
 			x.Data[i] = lo

@@ -38,7 +38,6 @@ func (f *FCTODGen) Params() []*autodiff.Parameter { return f.L.Params() }
 
 // Reseed redraws the Gaussian seeds.
 func (f *FCTODGen) Reseed(rng *rand.Rand) {
-	f.Z.NoteMutation()
 	for i := range f.Z.Data {
 		f.Z.Data[i] = rng.NormFloat64()
 	}

@@ -37,7 +37,6 @@ func NewTODGenerator(topo *Topology, cfg Config, rng *rand.Rand) *TODGenerator {
 			}
 			l2.B.Value.Data[j] = bias - 0.5*wsum
 		}
-		l2.B.Value.NoteMutation()
 	}
 	return &TODGenerator{
 		Z:        tensor.Randn(rng, 1, topo.N, topo.T),
@@ -62,7 +61,6 @@ func (tg *TODGenerator) Params() []*autodiff.Parameter {
 // Reseed replaces the Gaussian seeds, giving a fresh fitting start without
 // rebuilding the module (used when fitting multiple observations).
 func (tg *TODGenerator) Reseed(rng *rand.Rand) {
-	tg.Z.NoteMutation()
 	for i := range tg.Z.Data {
 		tg.Z.Data[i] = rng.NormFloat64()
 	}

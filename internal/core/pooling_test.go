@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ovs/internal/dataset"
 	"ovs/internal/tensor"
 )
 
@@ -103,53 +102,5 @@ func TestFitBestPoolingEquivalence(t *testing.T) {
 		if !tensor.AllClose(pooled, fresh, 0) {
 			t.Fatalf("workers=%d: FitBest recovery differs between pooled and fresh allocation", w)
 		}
-	}
-}
-
-// TestFitHitsPackCacheForFrozenV2S guards the pack-cache payoff of the
-// batched Volume-Speed LSTM. On the 360-link Manhattan preset its
-// recurrent and input products cross the blocked-GEMM threshold, so during
-// a test-time fit — V2S and T2V frozen, and the generator's products too
-// small to pack — the frozen weights' packed panels are served from the
-// cache (hits) and never invalidated, while V2S training, whose optimizer
-// steps mutate those weights, does invalidate them.
-func TestFitHitsPackCacheForFrozenV2S(t *testing.T) {
-	restore := tensor.PackCachingEnabled()
-	defer tensor.SetPackCaching(restore)
-	tensor.SetPackCaching(true)
-
-	topo := oracleTopo(t, dataset.Manhattan(dataset.CityOptions{ODPairs: 5, Seed: 1}), 6, 1)
-	cfg := DefaultConfig()
-	cfg.MaxTrips = 50
-	cfg.Seed = 37
-	m := NewModel(topo, cfg)
-	ctx := context.Background()
-
-	before := tensor.PackCacheStatsSnapshot()
-	if _, err := m.TrainV2SCtx(ctx, poolingSamples(topo, 1), 2); err != nil {
-		t.Fatal(err)
-	}
-	trained := tensor.PackCacheStatsSnapshot()
-	if trained.Invalidations == before.Invalidations {
-		t.Fatal("V2S training mutated its weights without invalidating a cached pack")
-	}
-
-	// The first fit finds the packs the last optimizer step left stale and
-	// drops them; from then on the frozen weights' packs stay valid, as in
-	// the refit loop of a trained model.
-	obs := fitObs(m, 12)
-	if _, _, err := m.FitBestCtx(ctx, obs, 1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	start := tensor.PackCacheStatsSnapshot()
-	if _, _, err := m.FitBestCtx(ctx, obs, 2, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	end := tensor.PackCacheStatsSnapshot()
-	if end.Hits == start.Hits {
-		t.Fatal("the fit's frozen V2S weights never hit the pack cache")
-	}
-	if end.Invalidations != start.Invalidations {
-		t.Fatalf("the fit invalidated %d packs of frozen weights", end.Invalidations-start.Invalidations)
 	}
 }

@@ -655,8 +655,6 @@ func copyStateTensors(dst, src []*tensor.Tensor) {
 		panic(fmt.Sprintf("core: state tensor count mismatch %d vs %d", len(dst), len(src)))
 	}
 	for i := range dst {
-		// CopyDataFrom, not a bare copy: dst may be a live weight whose
-		// packed panels are cached, and the overwrite must invalidate them.
 		dst[i].CopyDataFrom(src[i])
 	}
 }

@@ -166,7 +166,6 @@ func backgroundTOD(city *City, intervals int, scale float64, rng *rand.Rand) *te
 }
 
 func clampNonNegative(g *tensor.Tensor) {
-	g.NoteMutation()
 	for i, v := range g.Data {
 		if v < 0 {
 			g.Data[i] = 0

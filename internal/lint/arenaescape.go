@@ -379,11 +379,17 @@ func usedIdentObj(p *Pass, e ast.Expr) types.Object {
 	return p.Info.Uses[id]
 }
 
-// isNodeType reports whether t is (a pointer to) autodiff.Node.
-func isNodeType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
+// isNodeType, isTensorType, isArenaType and isGraphType report whether t
+// is (a pointer to) autodiff.Node, tensor.Tensor, tensor.Arena or
+// autodiff.Graph.
+func isNodeType(t types.Type) bool   { return isNamedIn(t, "Node", "internal/autodiff") }
+func isTensorType(t types.Type) bool { return isNamedIn(t, "Tensor", "internal/tensor") }
+func isArenaType(t types.Type) bool  { return isNamedIn(t, "Arena", "internal/tensor") }
+func isGraphType(t types.Type) bool  { return isNamedIn(t, "Graph", "internal/autodiff") }
+
+// isNamedIn reports whether t, or the type t points to, is the named type
+// name of a package whose import path ends in pkgSuffix.
+func isNamedIn(t types.Type, name, pkgSuffix string) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -392,5 +398,15 @@ func isNodeType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Node" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/autodiff")
+	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
+}
+
+// isTensorPkgIdent reports whether e names the tensor package itself.
+func isTensorPkgIdent(p *Pass, e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	if !ok || p.Info == nil {
+		return false
+	}
+	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	return ok && strings.HasSuffix(pn.Imported().Path(), "internal/tensor")
 }

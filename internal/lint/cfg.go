@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the intraprocedural control-flow graph the dataflow
-// analyzers (datamut, arenaescape, lockbalance, errflow) run over. It builds
+// analyzers (arenaescape, lockbalance, errflow) run over. It builds
 // basic blocks from one function body using only go/ast — no x/tools — and
 // covers the full statement grammar: if/else chains, all three for forms,
 // range, expression and type switches (including fallthrough), select,

@@ -50,11 +50,11 @@ type Analyzer struct {
 }
 
 // All returns the full ovslint suite in deterministic order: the five
-// syntactic analyzers first, then the four CFG/dataflow analyzers.
+// syntactic analyzers first, then the three CFG/dataflow analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter, GlobalRand, NakedGo, FloatEq, IgnoredErr,
-		DataMut, ArenaEscape, LockBalance, ErrFlow,
+		ArenaEscape, LockBalance, ErrFlow,
 	}
 }
 

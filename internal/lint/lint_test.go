@@ -16,7 +16,7 @@ import (
 )
 
 // fixtureImporter resolves a fixture's imports: module-internal paths go
-// through a real Loader (so datamut/arenaescape fixtures can import the
+// through a real Loader (so arenaescape fixtures can import the
 // actual tensor and autodiff packages), everything else through the
 // standard source importer. The module loader is built lazily — fixtures
 // without module imports never pay for it.
@@ -184,10 +184,6 @@ func TestIgnoredErrFixture(t *testing.T) {
 	checkFixture(t, []*Analyzer{IgnoredErr}, "ignorederr", "ovs/internal/roadnet")
 }
 
-func TestDataMutFixture(t *testing.T) {
-	checkFixture(t, []*Analyzer{DataMut}, "datamut", "ovs/internal/nn")
-}
-
 func TestArenaEscapeFixture(t *testing.T) {
 	checkFixture(t, []*Analyzer{ArenaEscape}, "arenaescape", "ovs/internal/nn")
 }
@@ -235,8 +231,8 @@ func TestEveryAnalyzerHasNameAndDoc(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 9 {
-		t.Errorf("suite has %d analyzers, want at least 9", len(seen))
+	if len(seen) < 8 {
+		t.Errorf("suite has %d analyzers, want at least 8", len(seen))
 	}
 }
 
@@ -355,7 +351,6 @@ func ExampleAll() {
 	// nakedgo
 	// floateq
 	// ignorederr
-	// datamut
 	// arenaescape
 	// lockbalance
 	// errflow

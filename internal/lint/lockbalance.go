@@ -10,11 +10,10 @@ import (
 // LockBalance checks that every sync.Mutex / sync.RWMutex Lock (and RLock)
 // acquired inside a function is released on every control-flow path that
 // reaches the function's exit: by a matching Unlock/RUnlock on the path, or
-// by a deferred unlock registered before the path ends. The pack cache and
-// the arena free lists are mutex-guarded with early-unlock-and-return shapes
-// (packcache.go acquirePack has three unlock sites for one lock), which is
-// exactly the shape a refactor silently breaks — a missed path deadlocks the
-// next GEMM call rather than failing loudly.
+// by a deferred unlock registered before the path ends. Mutex-guarded caches
+// with early-unlock-and-return shapes (several unlock sites for one lock)
+// are exactly the shape a refactor silently breaks — a missed path
+// deadlocks the next caller rather than failing loudly.
 //
 // The analysis is a forward dataflow over the function's CFG: the fact is
 // the set of mutexes acquired on some path and not yet covered by an unlock

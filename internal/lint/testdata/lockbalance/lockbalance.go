@@ -32,7 +32,7 @@ func (c *cache) deferredUnlock(key string) int {
 	return -1
 }
 
-// multiSiteUnlock is the acquirePack shape: one lock, several explicit
+// multiSiteUnlock is the cache-lookup shape: one lock, several explicit
 // unlock sites, each path covered.
 func (c *cache) multiSiteUnlock(key string, insert bool) int {
 	c.mu.Lock()

@@ -61,8 +61,8 @@ func sumSuppressed(w map[string]float64) float64 {
 	return total
 }
 
-// The shapes below mirror the pack-cache code (internal/tensor/packcache.go)
-// so the analyzer's verdict on each is pinned by a fixture: an LRU eviction
+// The shapes below mirror an LRU byte-capped cache so the analyzer's
+// verdict on each is pinned by a fixture: an LRU eviction
 // scan compares integer clocks and a byte-budget check sums integers — both
 // order-insensitive and legal — while averaging float hit rates across the
 // entry map is exactly the last-ulp lottery the analyzer exists to catch.

@@ -28,8 +28,8 @@ func spawnSuppressed(wg *sync.WaitGroup, work func()) {
 	go run(wg, work)
 }
 
-// Mirrors a tempting pack-cache "optimization": warming packed panels on a
-// raw goroutine. Any such fan-out must go through internal/parallel so
+// Mirrors a tempting "optimization": warming packed GEMM panels on a raw
+// goroutine. Any such fan-out must go through internal/parallel so
 // worker count and splice order stay deterministic.
 func warmPacks(wg *sync.WaitGroup, panels []func()) {
 	for _, pack := range panels {

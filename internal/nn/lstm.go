@@ -36,10 +36,6 @@ func NewLSTM(rng *rand.Rand, name string, in, hidden int) *LSTM {
 		B:      autodiff.NewParameter(name+".b", b),
 		hidden: hidden,
 	}
-	// Both weight matrices are B-side GEMM operands that change only at
-	// optimizer steps: prime candidates for the persistent pack cache.
-	l.Wx.Value.MarkPackable()
-	l.Wh.Value.MarkPackable()
 	return l
 }
 

@@ -78,9 +78,6 @@ func NewDense(rng *rand.Rand, name string, in, out int, act Activation) *Dense {
 		B:   autodiff.NewParameter(name+".b", tensor.New(out)),
 		Act: act,
 	}
-	// W is the B-side operand of the layer's GEMM and mutates only at
-	// optimizer steps, so its packed panels are worth caching.
-	d.W.Value.MarkPackable()
 	return d
 }
 
@@ -102,7 +99,6 @@ func (d *Dense) Clone() *Dense {
 		B:   autodiff.NewParameter(d.B.Name, d.B.Value.Clone()),
 		Act: d.Act,
 	}
-	c.W.Value.MarkPackable()
 	return c
 }
 

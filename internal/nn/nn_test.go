@@ -30,6 +30,33 @@ func TestDenseShapesAndForward(t *testing.T) {
 	}
 }
 
+// TestDenseSeesRawWeightWrite writes a Dense layer's weights in place,
+// bypassing every tensor method, between two forward passes on the blocked
+// GEMM path (32·64·64 scalar ops). The second pass must use the new weights
+// bit for bit: no product may serve operand data remembered from an
+// earlier call.
+func TestDenseSeesRawWeightWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := NewDense(rng, "d", 64, 64, ActNone)
+	for i := range d.B.Value.Data {
+		d.B.Value.Data[i] = rng.NormFloat64()
+	}
+	x := tensor.Randn(rng, 1, 32, 64)
+	d.Forward(autodiff.NewGraph().Const(x), false)
+
+	d.W.Value.Data[0] += 1
+	for i := range d.W.Value.Data {
+		d.W.Value.Data[i] *= -1.5
+	}
+	got := d.Forward(autodiff.NewGraph().Const(x), false).Value
+	want := tensor.AddRowVector(tensor.MatMul(x, d.W.Value.Clone()), d.B.Value)
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("element %d after a raw weight write: got %v, want %v", i, got.Data[i], w)
+		}
+	}
+}
+
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mlp := MLP(rng, "xor", []int{2, 8, 1}, ActTanh, ActSigmoid)

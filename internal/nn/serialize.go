@@ -67,9 +67,6 @@ func RestoreParams(params []*autodiff.Parameter, records []ParamState) error {
 	}
 	for _, p := range params {
 		copy(p.Value.Data, byName[p.Name].Data)
-		// Restoring overwrites the weight in place; the pack cache must see
-		// the version move.
-		p.Value.NoteMutation()
 	}
 	return nil
 }

@@ -132,13 +132,6 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 	// Accumulators for occupancy-weighted speed.
 	speedSum := tensor.New(m, cfg.Intervals)  // Σ speed·occupancy per step
 	weightSum := tensor.New(m, cfg.Intervals) // Σ occupancy per step
-	// The loops below write these tensors through raw Data offsets; one
-	// bump here covers every write of the run.
-	res.Volume.NoteMutation()
-	res.Entries.NoteMutation()
-	res.Speed.NoteMutation()
-	speedSum.NoteMutation()
-	weightSum.NoteMutation()
 	volume, entries := res.Volume.Data, res.Entries.Data
 
 	// enter places vehicle vi on the first link of its route.

@@ -66,12 +66,6 @@ func (s *Simulator) runMesoDense(ctx context.Context, d Demand) (*Result, error)
 	// Accumulators for occupancy-weighted speed.
 	speedSum := tensor.New(m, cfg.Intervals)  // Σ speed·occupancy per step
 	weightSum := tensor.New(m, cfg.Intervals) // Σ occupancy per step
-	// The loops below write these accumulators through raw Data offsets;
-	// one bump here covers them all.
-	res.Volume.NoteMutation()
-	res.Speed.NoteMutation()
-	speedSum.NoteMutation()
-	weightSum.NoteMutation()
 
 	// Entry queues: vehicles waiting at their origin for space on the first
 	// link, FIFO per origin link.
@@ -296,7 +290,6 @@ func TestMesoMatchesDenseOracle(t *testing.T) {
 						for i := range g.Data {
 							g.Data[i] = dc.base + dc.span*rng.Float64()
 						}
-						g.NoteMutation()
 						cfg := Config{Intervals: intervals, IntervalSec: 300, Seed: seed, Routing: rc.mode}
 						sc.set(&cfg)
 						s := New(net, cfg)

@@ -177,14 +177,6 @@ func (a *Arena) take(shape []int, zero bool) *Tensor {
 // their capacity allows (always, for tensors born in the pool — see
 // minRankCap), so a steady-state Get performs no allocation at all.
 func (t *Tensor) reinit(shape []int, n int, zero bool) {
-	// A recycled buffer must never serve stale packed panels: drop the
-	// packable mark (pool tensors are short-lived op outputs, never weights)
-	// and bump the version so any cache entry keyed to a previous life of
-	// this pointer can no longer match.
-	if t.packable {
-		t.packable = false
-		t.version++
-	}
 	t.Data = t.Data[:n]
 	if zero {
 		clear(t.Data)

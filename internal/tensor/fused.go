@@ -68,7 +68,6 @@ func AddScalarTo(dst, a *Tensor, s float64) *Tensor {
 // ScaleInPlace multiplies every element of t by s and returns t.
 func ScaleInPlace(t *Tensor, s float64) *Tensor {
 	ScaleTo(t, t, s)
-	t.NoteMutation()
 	return t
 }
 
@@ -88,7 +87,7 @@ func MatMulTo(dst, a, b *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, false, nil, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, false, nil)
 	return dst
 }
 
@@ -110,7 +109,7 @@ func AffineTo(dst, x, w, bias *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: AffineTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	gemm(dst.Data, n, gemmView{x.Data, k, 1}, gemmView{w.Data, n, 1}, m, n, k, false, bias.Data, packSource(w))
+	gemm(dst.Data, n, gemmView{x.Data, k, 1}, gemmView{w.Data, n, 1}, m, n, k, false, bias.Data)
 	return dst
 }
 
@@ -127,7 +126,7 @@ func MatMulNTAcc(dst, a, b *Tensor) *Tensor {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulNTAcc shape mismatch %v += %v x %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil)
 	return dst
 }
 
@@ -143,7 +142,7 @@ func MatMulTNAcc(dst, a, b *Tensor) *Tensor {
 	if m != m2 || dst.shape[0] != k || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTNAcc shape mismatch %v += %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, 1, k}, gemmView{b.Data, n, 1}, k, n, m, true, nil, packSource(b))
+	gemm(dst.Data, n, gemmView{a.Data, 1, k}, gemmView{b.Data, n, 1}, k, n, m, true, nil)
 	return dst
 }
 
@@ -304,7 +303,6 @@ func AdamStepInPlace(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 
 		vHat := v.Data[i] / bc2
 		value.Data[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
-	value.NoteMutation()
 }
 
 // SGDMomentumStepInPlace applies one fused momentum-SGD update to value from
@@ -317,5 +315,4 @@ func SGDMomentumStepInPlace(value, grad, vel *Tensor, lr, momentum float64) {
 		vel.Data[i] = momentum*vel.Data[i] - lr*grad.Data[i]
 		value.Data[i] += vel.Data[i]
 	}
-	value.NoteMutation()
 }

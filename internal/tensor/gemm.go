@@ -70,22 +70,10 @@ const (
 // below which gemm runs the naive kernels, because packing two operands
 // cannot pay for itself on tiny products and the training graph is
 // dominated by small matmuls. It is a variable (not a const) so the
-// equivalence tests can force every shape through the blocked path. Both
-// paths compute the identical per-element FMA sequence, so the dispatch
-// never affects results, only speed.
+// equivalence tests in this package can force every shape through the
+// blocked path. Both paths compute the identical per-element FMA sequence,
+// so the dispatch never affects results, only speed.
 var gemmBlockedMin = 1 << 16
-
-// SetGEMMBlockedThreshold sets the m·n·k scalar-op count at which products
-// switch from the naive kernels to the packed blocked core, returning the
-// previous value. Both paths are bitwise-identical, so this is purely a
-// tuning (and testing) knob — tests in other packages use a threshold of 1
-// to force every product, however small, through the blocked path and the
-// pack cache. Not safe to call concurrently with running products.
-func SetGEMMBlockedThreshold(v int) int {
-	old := gemmBlockedMin
-	gemmBlockedMin = v
-	return old
-}
 
 // gemmView addresses a logical matrix inside a flat slice: element (i, j)
 // lives at data[i*rs + j*cs]. A transposed operand is expressed by swapping
@@ -102,10 +90,8 @@ type gemmView struct {
 // the product into an arena scratch block — fully written by the overwrite
 // pass, so it needs no zero fill — and folds it into dst with a single add
 // per element, preserving the "sum-then-one-add" association the
-// determinism argument above requires. bsrc, when non-nil, is the packable
-// tensor backing the B view; the blocked path then serves B panels from the
-// persistent pack cache (see packcache.go) instead of repacking.
-func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64, bsrc *Tensor) {
+// determinism argument above requires.
+func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if acc && bias != nil {
 		panic("tensor: gemm bias epilogue with accumulate")
 	}
@@ -117,7 +103,7 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []f
 	}
 	if acc {
 		scratch := GetUninit(m * n)
-		gemmBlocked(scratch.Data, n, a, b, m, n, k, nil, bsrc)
+		gemmBlocked(scratch.Data, n, a, b, m, n, k, nil)
 		for i := 0; i < m; i++ {
 			crow := dst[i*ldc : i*ldc+n]
 			for j, s := range scratch.Data[i*n : (i+1)*n] {
@@ -127,31 +113,16 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []f
 		Put(scratch)
 		return
 	}
-	gemmBlocked(dst, ldc, a, b, m, n, k, bias, bsrc)
-}
-
-// packSource returns b when it is eligible for B-panel caching — marked
-// packable by its owner — and nil otherwise. Entry points call it to decide
-// whether to thread the tensor identity down to the blocked path.
-func packSource(b *Tensor) *Tensor {
-	if b != nil && b.packable {
-		return b
-	}
-	return nil
+	gemmBlocked(dst, ldc, a, b, m, n, k, bias)
 }
 
 // gemmBlocked overwrites dst = A·B (+ bias) via the packed cache-blocked
-// path. When bsrc is non-nil the B micro-panels come from the persistent pack
-// cache (a hit skips every packB call; a miss packs the whole matrix once);
-// the cached bytes are identical to a fresh pack, so the dispatch cannot
-// affect results. The packing buffers need no zero fill: packA/packB write
-// every entry the micro-kernels read. One A buffer serves every row block
-// of a K panel.
-func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []float64, bsrc *Tensor) {
-	var cached *packEntry
-	if bsrc != nil {
-		cached = acquirePack(bsrc, b, k, n)
-	}
+// path. B is packed from the operand on every call, one K panel at a time:
+// a panel's pack costs kc·nc moves against the m·kc·nc FMAs that use it, so
+// keeping packed panels across calls would save at most 1/m of the work. The
+// packing buffers need no zero fill: packA/packB write every entry the
+// micro-kernels read. One A buffer serves every row block of a K panel.
+func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []float64) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		ncPad := (nc + gemmNR - 1) / gemmNR * gemmNR
@@ -165,29 +136,17 @@ func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []floa
 			if bias != nil && pc+kc == k {
 				pbias = bias[jc : jc+nc]
 			}
-			var bbuf *Tensor
-			var bp []float64
-			if cached != nil {
-				bp = cached.buf.Data[jc*k+pc*ncPad:]
-			} else {
-				bbuf = GetUninit(kc * ncPad)
-				packB(bbuf.Data, b, pc, jc, kc, nc)
-				bp = bbuf.Data
-			}
+			bbuf := GetUninit(kc * ncPad)
+			packB(bbuf.Data, b, pc, jc, kc, nc)
 			abuf := GetUninit(gemmMC * kc)
 			for i0 := 0; i0 < m; i0 += gemmMC {
 				mc := min(gemmMC, m-i0)
 				packA(abuf.Data, a, i0, pc, mc, kc)
-				gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load, pbias)
+				gemmMacro(dst, ldc, abuf.Data, bbuf.Data, i0, jc, mc, nc, kc, load, pbias)
 			}
 			Put(abuf)
-			if bbuf != nil {
-				Put(bbuf)
-			}
+			Put(bbuf)
 		}
-	}
-	if cached != nil {
-		releasePack(cached)
 	}
 }
 
@@ -206,6 +165,17 @@ func packB(dst []float64, b gemmView, pc, jc, kc, nc int) {
 				src := b.data[(pc+p)*b.rs+jc+jj:]
 				o := out[p*gemmNR : p*gemmNR+4]
 				o[0], o[1], o[2], o[3] = src[0], src[1], src[2], src[3]
+			}
+		} else if nr == gemmNR && b.rs == 1 {
+			// Transposed B (MatMulNTAcc): each logical column is a
+			// contiguous stored row; walk four of them side by side.
+			c0 := b.data[(jc+jj)*b.cs+pc:][:kc]
+			c1 := b.data[(jc+jj+1)*b.cs+pc:][:kc]
+			c2 := b.data[(jc+jj+2)*b.cs+pc:][:kc]
+			c3 := b.data[(jc+jj+3)*b.cs+pc:][:kc]
+			for p := range c0 {
+				o := out[p*gemmNR : p*gemmNR+4]
+				o[0], o[1], o[2], o[3] = c0[p], c1[p], c2[p], c3[p]
 			}
 		} else {
 			for p := 0; p < kc; p++ {

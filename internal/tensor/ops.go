@@ -34,7 +34,6 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	for i, x := range b.Data {
 		a.Data[i] += x
 	}
-	a.NoteMutation()
 	return a
 }
 
@@ -44,7 +43,6 @@ func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) *Tensor {
 	for i, x := range b.Data {
 		a.Data[i] += alpha * x
 	}
-	a.NoteMutation()
 	return a
 }
 

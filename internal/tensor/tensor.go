@@ -17,55 +17,15 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	Data    []float64
-
-	// packable marks a long-lived weight matrix whose packed GEMM panels may
-	// be cached across calls (see packcache.go). It is opt-in via
-	// MarkPackable; op outputs, gradients, and pooled tensors are never
-	// packable.
-	packable bool
-	// version counts in-place mutations of a packable tensor. The pack cache
-	// keys entries by (tensor identity, version), so any bump invalidates every
-	// cached panel. Mutating kernels call NoteMutation; the counter follows
-	// the same synchronization rules as Data (external synchronization between
-	// writers and readers).
-	version uint64
-	// packID is t's pack-cache identity, 0 until its first cached pack;
-	// guarded by the pack cache's lock (see packcache.go).
-	packID uint64
 }
 
-// MarkPackable declares t a long-lived weight matrix eligible for packed-panel
-// caching in the GEMM core. The caller promises that every subsequent in-place
-// mutation of t goes through a tensor method or kernel that calls NoteMutation
-// (all kernels in this package do); raw writes to Data on a packable tensor
-// would leave stale panels in the cache.
-func (t *Tensor) MarkPackable() { t.packable = true }
-
-// Packable reports whether t was marked packable.
-func (t *Tensor) Packable() bool { return t.packable }
-
-// Version returns t's mutation counter (always 0 for non-packable tensors).
-func (t *Tensor) Version() uint64 { return t.version }
-
-// NoteMutation records an in-place mutation of t's data, invalidating any
-// cached packed panels. It is a no-op for non-packable tensors, so mutating
-// kernels call it unconditionally.
-func (t *Tensor) NoteMutation() {
-	if t.packable {
-		t.version++
-	}
-}
-
-// CopyDataFrom copies src's elements into t (shapes must match) and records
-// the mutation. It is the sanctioned way to overwrite a tensor wholesale —
-// parameter restores and state snapshots use it so packed-panel caches never
-// serve stale weights.
+// CopyDataFrom copies src's elements into t. The two must hold the same
+// number of elements; it panics otherwise.
 func (t *Tensor) CopyDataFrom(src *Tensor) {
 	if len(t.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: CopyDataFrom length %d vs %d", len(t.Data), len(src.Data)))
 	}
 	copy(t.Data, src.Data)
-	t.NoteMutation()
 }
 
 // New returns a zero-filled tensor with the given shape. It panics if any
@@ -214,13 +174,11 @@ func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 // Set assigns the element at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) {
 	t.Data[t.offset(idx)] = v
-	t.NoteMutation()
 }
 
 // Add2 adds v to the element at the given multi-index.
 func (t *Tensor) Add2(v float64, idx ...int) {
 	t.Data[t.offset(idx)] += v
-	t.NoteMutation()
 }
 
 // Clone returns a deep copy of t.
@@ -249,7 +207,6 @@ func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-	t.NoteMutation()
 }
 
 // Zero sets every element of t to 0.
@@ -260,7 +217,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	for i, v := range t.Data {
 		t.Data[i] = f(v)
 	}
-	t.NoteMutation()
 	return t
 }
 
