@@ -79,8 +79,8 @@ type Node struct {
 	a      *Node          // first operand
 	b      *Node          // second operand
 	c      *Node          // third operand (Conv1DSame bias)
-	srcs   []*Node        // variadic operands (StackRows, StackSteps, ConcatCols)
-	ext    *tensor.Tensor // auxiliary tensor (dropout mask)
+	srcs   []*Node        // variadic operands (StackRows, ConcatCols)
+	ext    *tensor.Tensor // auxiliary tensor (dropout mask, LSTM step states)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)
 	idx    []int          // row indices (GatherRows)

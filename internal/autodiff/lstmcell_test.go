@@ -11,7 +11,7 @@ import (
 
 // unfusedLSTMRef builds the reference graph-op LSTM over a (T × in) input
 // node: hoisted input projection, then the explicit per-step op chain the
-// fused cell replaces. It is the oracle every fused-path test compares
+// fused LSTM node replaces. It is the oracle every fused-path test compares
 // against.
 func unfusedLSTMRef(g *Graph, x, wx, wh, b *Node, hidden int) *Node {
 	steps := x.Value.Dim(0)
@@ -33,11 +33,20 @@ func unfusedLSTMRef(g *Graph, x, wx, wh, b *Node, hidden int) *Node {
 	return StackRows(outs)
 }
 
-// fusedLSTMRef builds the same recurrence from LSTMCell nodes over batch
+// fusedLSTMRef builds the same recurrence as one LSTM node over batch
 // sequence-major sequences of x (batch·T × in).
 func fusedLSTMRef(x, wx, wh, b *Node, batch, hidden int) *Node {
-	steps := x.Value.Dim(0) / batch
-	pre := AddRowVector(MatMul(x, wx), b)
+	return LSTM(AddRowVector(MatMul(x, wx), b), batch, wh, hidden)
+}
+
+// perStepLSTMRef builds the recurrence from the per-step oracle below: one
+// LSTMCell node per timestep, whose cell-state gradient crosses to the
+// previous step's node through a parked dcAcc slot, and a StackSteps node
+// that reassembles the per-step states sequence-major. It is the build LSTM
+// replaced; TestLSTMMatchesPerStepOracle holds the one node to it bit for
+// bit.
+func perStepLSTMRef(pre, wh *Node, batch, hidden int) *Node {
+	steps := pre.Value.Dim(0) / batch
 	outs := make([]*Node, steps)
 	var prev *Node
 	for t := 0; t < steps; t++ {
@@ -45,6 +54,252 @@ func fusedLSTMRef(x, wx, wh, b *Node, batch, hidden int) *Node {
 		outs[t] = prev
 	}
 	return StackSteps(outs)
+}
+
+// lstmCellExtSlots is the number of (batch × hidden) slots in a cell's
+// auxiliary buffer: the forward saves [c | i | f | o | g | tanh(c)] and the
+// backward parks the incoming cell-state gradient in the seventh slot
+// (dcAcc), written by step t+1's backward before step t's runs (reverse tape
+// order guarantees it).
+const lstmCellExtSlots = 7
+
+// LSTMCell records one fused LSTM timestep of batch independent sequences
+// and returns h(t) as a (batch × hidden) node, row b for sequence b. pre is
+// the hoisted input projection X·Wx+b of every sequence, shape
+// (batch·T × 4*hidden) with gate order [i|f|o|g], laid out sequence-major:
+// row b·T+t holds sequence b at step t. t is the timestep; prev is the
+// LSTMCell node of step t-1, or nil at t=0 (zero initial state); wh is the
+// (hidden × 4*hidden) recurrent weight node.
+func LSTMCell(pre *Node, batch, t int, prev *Node, wh *Node, hidden int) *Node {
+	h4 := 4 * hidden
+	if batch <= 0 || pre.Value.Rank() != 2 || pre.Value.Dim(1) != h4 || pre.Value.Dim(0)%batch != 0 {
+		panic(fmt.Sprintf("autodiff: LSTMCell pre shape %v, want (%d·T × %d)", pre.Value.Shape(), batch, h4))
+	}
+	steps := pre.Value.Dim(0) / batch
+	if t < 0 || t >= steps {
+		panic(fmt.Sprintf("autodiff: LSTMCell step %d out of range for %d-step pre", t, steps))
+	}
+	if wh.Value.Rank() != 2 || wh.Value.Dim(0) != hidden || wh.Value.Dim(1) != h4 {
+		panic(fmt.Sprintf("autodiff: LSTMCell wh shape %v, want [%d %d]", wh.Value.Shape(), hidden, h4))
+	}
+	bh := batch * hidden
+	var g *Graph
+	if prev != nil {
+		pv := prev.Value
+		if prev.ext == nil || len(prev.ext.Data) != lstmCellExtSlots*bh || pv.Rank() != 2 || pv.Dim(0) != batch || pv.Dim(1) != hidden {
+			panic("autodiff: LSTMCell prev is not an LSTMCell node of matching batch and hidden size")
+		}
+		g = sameGraph("LSTMCell", pre, wh, prev)
+	} else {
+		g = sameGraph("LSTMCell", pre, wh)
+	}
+
+	// Slots 0–5 are written in full below before anything reads them; the
+	// dcAcc slot is read by this cell's backward and written only if a step
+	// t+1 backward runs, so it alone starts from zero.
+	ext := g.AllocUninit(lstmCellExtSlots * bh)
+	clear(ext.Data[6*bh : 7*bh])
+	cv := ext.Data[0:bh]
+	iv := ext.Data[bh : 2*bh]
+	fv := ext.Data[2*bh : 3*bh]
+	ov := ext.Data[3*bh : 4*bh]
+	gv := ext.Data[4*bh : 5*bh]
+	th := ext.Data[5*bh : 6*bh]
+
+	var hPrev *tensor.Tensor
+	var cPrev []float64
+	var zero *tensor.Tensor
+	if prev != nil {
+		hPrev = prev.Value
+		cPrev = prev.ext.Data[0:bh]
+	} else {
+		// The initial state is a genuine zero matrix, and the projection and
+		// gate arithmetic run on it honestly: 0·Wh is only ±0 when Wh is
+		// finite, and the unfused path computes it, so the fused one must.
+		zero = tensor.Get(batch, hidden)
+		hPrev, cPrev = zero, zero.Data
+	}
+
+	// The gate pre-activations land in their own slots — the i, f, o, g
+	// slots are (batch × hidden) each, and i, f, o are adjacent — so the
+	// nonlinearities run in place as one kernel call per (batch × gate)
+	// slab: one sigmoid call covers i, f and o for the whole batch.
+	hw := tensor.MatMulTo(tensor.GetUninit(batch, h4), hPrev, wh.Value)
+	for b := 0; b < batch; b++ {
+		preRow := pre.Value.Data[(b*steps+t)*h4 : (b*steps+t+1)*h4]
+		hwd := hw.Data[b*h4 : (b+1)*h4]
+		for gate, slot := range [4][]float64{iv, fv, ov, gv} {
+			z := slot[b*hidden : (b+1)*hidden]
+			p := preRow[gate*hidden : (gate+1)*hidden]
+			q := hwd[gate*hidden : (gate+1)*hidden]
+			for j := range z {
+				z[j] = p[j] + q[j]
+			}
+		}
+	}
+	tensor.Put(hw)
+	tensor.SigmoidSlice(ext.Data[bh:4*bh], ext.Data[bh:4*bh])
+	tensor.TanhSlice(gv, gv)
+	for k := range cv {
+		// Two rounded products then one add: the exact association of the
+		// graph path's Mul/Mul/Add (the conversions forbid FMA contraction).
+		cv[k] = float64(fv[k]*cPrev[k]) + float64(iv[k]*gv[k])
+	}
+	tensor.TanhSlice(th, cv)
+	val := g.AllocUninit(batch, hidden)
+	for k, o := range ov {
+		val.Data[k] = o * th[k]
+	}
+	if zero != nil {
+		tensor.Put(zero)
+	}
+
+	req := pre.requires || wh.requires || (prev != nil && prev.requires)
+	out := g.newNode(val, req)
+	out.backFn, out.a, out.b, out.c = backLSTMCell, prev, pre, wh
+	out.ext, out.i0, out.i1 = ext, t, hidden
+	return out
+}
+
+// backLSTMCell is the fused backward rule of one batched LSTM step. out.Grad
+// holds the total dL/dH(t): the sequence-consumer contribution (StackSteps'
+// row gradients) plus DG(t+1)·Whᵀ, which step t+1's backward accumulated
+// into this node before the reverse sweep reached it — the same two adds, in
+// the same order, the unfused graph performs. The incoming cell-state
+// gradient dL/dC(t) waits in this cell's dcAcc slot, parked there by step
+// t+1.
+//
+// Every "0 +" below marks a point where the graph path materializes an
+// intermediate gradient by accumulating into a freshly zeroed buffer; the add
+// flushes a negative zero to +0 exactly as the unfused accumulation does.
+func backLSTMCell(out *Node) {
+	prev, pre, wh := out.a, out.b, out.c
+	hidden, t := out.i1, out.i0
+	batch := out.Value.Dim(0)
+	steps := pre.Value.Dim(0) / batch
+	h4 := 4 * hidden
+	bh := batch * hidden
+	ext := out.ext.Data
+	iv := ext[bh : 2*bh]
+	fv := ext[2*bh : 3*bh]
+	ov := ext[3*bh : 4*bh]
+	gv := ext[4*bh : 5*bh]
+	th := ext[5*bh : 6*bh]
+	dcAcc := ext[6*bh : 7*bh]
+	grad := out.Grad.Data
+
+	var hPrev *tensor.Tensor
+	var cPrev, prevDc []float64
+	var zero *tensor.Tensor
+	if prev != nil {
+		hPrev = prev.Value
+		cPrev = prev.ext.Data[0:bh]
+		if prev.requires {
+			prevDc = prev.ext.Data[6*bh : 7*bh]
+		}
+	} else {
+		zero = tensor.Get(batch, hidden)
+		hPrev, cPrev = zero, zero.Data
+	}
+
+	dg := tensor.GetUninit(batch, h4) // every gate column is written below
+	for b := 0; b < batch; b++ {
+		dgd := dg.Data[b*h4 : (b+1)*h4]
+		o := b * hidden
+		for j := 0; j < hidden; j++ {
+			k := o + j
+			gj := grad[k]
+			tj, oj := th[k], ov[k]
+			ij, fj, ggj := iv[k], fv[k], gv[k]
+			do := 0 + gj*tj  // o-gate output grad (fresh += G·tanh(c))
+			dth := 0 + gj*oj // tanh(c) grad (fresh += G·o)
+			// dc = parked dc(t+1) contribution, then the fused tanh-backward
+			// add.
+			dc := dcAcc[k] + dth*(1-tj*tj)
+			dcF := 0 + dc // the fresh Add-backward copies both Mul grads receive
+			dgd[j] = 0 + (0+dcF*ggj)*ij*(1-ij)
+			dgd[hidden+j] = 0 + (0+dcF*cPrev[k])*fj*(1-fj)
+			dgd[2*hidden+j] = 0 + do*oj*(1-oj)
+			dgd[3*hidden+j] = 0 + (0+dcF*ij)*(1-ggj*ggj)
+			if prevDc != nil {
+				prevDc[k] = 0 + dcF*fj // parked for step t-1's backward
+			}
+		}
+	}
+
+	// dH(t-1) += DG·Whᵀ — skipped at t=0, where the unfused path's h(0) is a
+	// gradient-free Const leaf.
+	if prev != nil && prev.requires {
+		tensor.MatMulNTAcc(prev.ensureGrad(), dg, wh.Value)
+	}
+	// dWh += H(t-1)ᵀ·DG — at t=0 H(t-1) is the zero matrix and the unfused
+	// path still accumulates the ±0 products; reproduce that rather than
+	// skip it.
+	if wh.requires {
+		tensor.MatMulTNAcc(wh.ensureGrad(), hPrev, dg)
+	}
+	if pre.requires {
+		pg := pre.ensureGrad().Data
+		for b := 0; b < batch; b++ {
+			prow := pg[(b*steps+t)*h4 : (b*steps+t+1)*h4]
+			for j, v := range dg.Data[b*h4 : (b+1)*h4] {
+				prow[j] += v
+			}
+		}
+	}
+	tensor.Put(dg)
+	if zero != nil {
+		tensor.Put(zero)
+	}
+}
+
+func backStackSteps(out *Node) {
+	n := out.Value.Dim(1)
+	steps := len(out.srcs)
+	for t, s := range out.srcs {
+		if !s.requires {
+			continue
+		}
+		gs := s.ensureGrad().Data
+		for b := 0; b < s.Value.Dim(0); b++ {
+			row := out.Grad.Data[(b*steps+t)*n : (b*steps+t+1)*n]
+			gr := gs[b*n : (b+1)*n]
+			for j, v := range row {
+				gr[j] += v
+			}
+		}
+	}
+}
+
+// StackSteps assembles the per-timestep outputs of a batched recurrence into
+// one sequence-major node: every steps[t] is (batch × n), and row b·T+t of
+// the (batch·T × n) result is row b of steps[t], so each sequence's T rows
+// are contiguous. With batch 1 it stacks the steps' single rows in order, as
+// StackRows does.
+func StackSteps(steps []*Node) *Node {
+	if len(steps) == 0 {
+		panic("autodiff: StackSteps requires at least one step")
+	}
+	g := sameGraph("StackSteps", steps...)
+	first := steps[0].Value
+	req := false
+	for t, s := range steps {
+		if first.Rank() != 2 || !s.Value.SameShape(first) {
+			panic(fmt.Sprintf("autodiff: StackSteps step %d shape %v, want a rank-2 %v", t, s.Value.Shape(), first.Shape()))
+		}
+		req = req || s.requires
+	}
+	batch, n := first.Dim(0), first.Dim(1)
+	// Every row b·T+t is copied from exactly one step below.
+	val := g.AllocUninit(batch*len(steps), n)
+	for t, s := range steps {
+		for b := 0; b < batch; b++ {
+			copy(val.Data[(b*len(steps)+t)*n:(b*len(steps)+t+1)*n], s.Value.Data[b*n:(b+1)*n])
+		}
+	}
+	out := g.newNode(val, req)
+	out.backFn, out.srcs = backStackSteps, steps
+	return out
 }
 
 // bitsEqual compares bit patterns, treating any NaN as equal to any NaN:
@@ -166,8 +421,8 @@ func TestLSTMCellGradcheck(t *testing.T) {
 	})
 }
 
-// TestLSTMCellChildTape records batch-1 cells for several sequences on one
-// tape — the build the per-link Volume-Speed oracle (core's
+// TestLSTMCellChildTape records batch-1 LSTM nodes for several sequences on
+// one tape — the build the per-link Volume-Speed oracle (core's
 // v2s_oracle_test.go) uses — and requires the shared weights' gradients to
 // equal, bit for bit, those of every sequence run on a tape of its own,
 // backward in reverse sequence order into the same parameters.
@@ -226,7 +481,7 @@ func requireClose(t *testing.T, what string, got, want []float64, tol float64) {
 	}
 }
 
-// TestLSTMCellBatchMatchesPerSequence holds the batched cell's contract: a
+// TestLSTMCellBatchMatchesPerSequence holds the batched node's contract: a
 // batch of B sequences in one recurrence gives, row for row, bitwise the
 // outputs and input gradients of B batch-1 recurrences, and the shared
 // weights' gradients — the sums the batch GEMMs reassociate — agree to
@@ -315,27 +570,79 @@ func TestLSTMCellBatchGradcheck(t *testing.T) {
 	})
 }
 
-// TestGradStackStepsConcatCols checks the two layout ops of the batched
-// recurrence: StackSteps' sequence-major row order, ConcatCols' side-by-side
-// columns, and both backward rules against finite differences.
-func TestGradStackStepsConcatCols(t *testing.T) {
+// TestLSTMMatchesPerStepOracle holds the one-node recurrence to the per-step
+// oracle it replaced: output, pre gradient and every parameter gradient —
+// dWh included — bitwise, NaN payloads excepted. The sweep covers batch
+// {1, 3, 8} × T {1, 2, 7} × hidden {5, 48}; at batch 8, hidden 48 the
+// (8×48)·(48×192) step products take the blocked GEMM path, below it the
+// naive one. Every shape also runs with signed zeros, infinities and a NaN
+// planted in the input and weights.
+func TestLSTMMatchesPerStepOracle(t *testing.T) {
+	const in = 3
+	for _, batch := range []int{1, 3, 8} {
+		for _, steps := range []int{1, 2, 7} {
+			for _, hidden := range []int{5, 48} {
+				for _, special := range []bool{false, true} {
+					rng := rand.New(rand.NewSource(int64(100*batch + 10*steps + hidden)))
+					xT := tensor.Randn(rng, 1, batch*steps, in)
+					wxT := tensor.Randn(rng, 0.4, in, 4*hidden)
+					whT := tensor.Randn(rng, 0.4, hidden, 4*hidden)
+					bT := tensor.Randn(rng, 0.2, 4*hidden)
+					if special {
+						// One NaN, in a middle row, so the other rows' values
+						// stay finite.
+						xT.Data[0] = math.Copysign(0, -1)
+						xT.Data[len(xT.Data)-1] = math.Inf(1)
+						xT.Data[len(xT.Data)/2] = math.NaN()
+						wxT.Data[1] = math.Inf(-1)
+						whT.Data[2] = math.Copysign(0, -1)
+						bT.Data[hidden] = math.Copysign(0, -1)
+					}
+					weights := tensor.New(batch*steps, hidden)
+					for i := range weights.Data {
+						weights.Data[i] = float64(i%7) - 3
+					}
+					build := func(oneNode bool) []*tensor.Tensor {
+						x := NewParameter("x", xT.Clone())
+						wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
+						g := NewGraph()
+						defer g.Release()
+						pre := Affine(g.Param(x), g.Param(wx), g.Param(b))
+						var out *Node
+						if oneNode {
+							out = LSTM(pre, batch, g.Param(wh), hidden)
+						} else {
+							out = perStepLSTMRef(pre, g.Param(wh), batch, hidden)
+						}
+						g.Backward(Sum(Mul(out, g.Const(weights))))
+						return []*tensor.Tensor{out.Value.Clone(), pre.Grad.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
+					}
+					got, want := build(true), build(false)
+					label := fmt.Sprintf("batch=%d T=%d hidden=%d special=%v", batch, steps, hidden, special)
+					for i, name := range []string{"output", "pre.Grad", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
+						requireBits(t, label+" "+name, got[i].Data, want[i].Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGradConcatCols checks ConcatCols' side-by-side columns and its backward
+// rule against finite differences.
+func TestGradConcatCols(t *testing.T) {
 	g := NewGraph()
-	s0 := g.Const(tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)) // step 0, batch 2
-	s1 := g.Const(tensor.FromSlice([]float64{5, 6, 7, 8}, 2, 2)) // step 1
-	got := StackSteps([]*Node{s0, s1}).Value.Data
-	want := []float64{1, 2, 5, 6, 3, 4, 7, 8} // rows b·T+t
-	requireBits(t, "StackSteps", got, want)
-	got = ConcatCols(s0, g.Const(tensor.FromSlice([]float64{9, 10}, 2, 1))).Value.Data
+	s0 := g.Const(tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2))
+	got := ConcatCols(s0, g.Const(tensor.FromSlice([]float64{9, 10}, 2, 1))).Value.Data
 	requireBits(t, "ConcatCols", got, []float64{1, 2, 9, 3, 4, 10})
 	g.Release()
 
 	rng := rand.New(rand.NewSource(47))
-	a := randParam(rng, "a", 3, 2)
-	b := randParam(rng, "b", 3, 2)
+	a := randParam(rng, "a", 6, 2)
 	c := randParam(rng, "c", 6, 1)
 	target := tensor.Randn(rng, 1, 6, 5)
-	gradCheck(t, []*Parameter{a, b, c}, func(g *Graph) *Node {
-		steps := StackSteps([]*Node{g.Param(a), Tanh(g.Param(b))}) // (6 × 2)
-		return MSE(ConcatCols(steps, g.Param(c), Sigmoid(steps)), target)
+	gradCheck(t, []*Parameter{a, c}, func(g *Graph) *Node {
+		x := Tanh(g.Param(a))
+		return MSE(ConcatCols(x, g.Param(c), Sigmoid(x)), target)
 	})
 }

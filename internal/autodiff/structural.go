@@ -104,55 +104,6 @@ func StackRows(rows []*Node) *Node {
 	return out
 }
 
-func backStackSteps(out *Node) {
-	n := out.Value.Dim(1)
-	steps := len(out.srcs)
-	for t, s := range out.srcs {
-		if !s.requires {
-			continue
-		}
-		gs := s.ensureGrad().Data
-		for b := 0; b < s.Value.Dim(0); b++ {
-			row := out.Grad.Data[(b*steps+t)*n : (b*steps+t+1)*n]
-			gr := gs[b*n : (b+1)*n]
-			for j, v := range row {
-				gr[j] += v
-			}
-		}
-	}
-}
-
-// StackSteps assembles the per-timestep outputs of a batched recurrence into
-// one sequence-major node: every steps[t] is (batch × n), and row b·T+t of
-// the (batch·T × n) result is row b of steps[t], so each sequence's T rows
-// are contiguous. With batch 1 it stacks the steps' single rows in order, as
-// StackRows does.
-func StackSteps(steps []*Node) *Node {
-	if len(steps) == 0 {
-		panic("autodiff: StackSteps requires at least one step")
-	}
-	g := sameGraph("StackSteps", steps...)
-	first := steps[0].Value
-	req := false
-	for t, s := range steps {
-		if first.Rank() != 2 || !s.Value.SameShape(first) {
-			panic(fmt.Sprintf("autodiff: StackSteps step %d shape %v, want a rank-2 %v", t, s.Value.Shape(), first.Shape()))
-		}
-		req = req || s.requires
-	}
-	batch, n := first.Dim(0), first.Dim(1)
-	// Every row b·T+t is copied from exactly one step below.
-	val := g.AllocUninit(batch*len(steps), n)
-	for t, s := range steps {
-		for b := 0; b < batch; b++ {
-			copy(val.Data[(b*len(steps)+t)*n:(b*len(steps)+t+1)*n], s.Value.Data[b*n:(b+1)*n])
-		}
-	}
-	out := g.newNode(val, req)
-	out.backFn, out.srcs = backStackSteps, steps
-	return out
-}
-
 func backConcatCols(out *Node) {
 	rows, cols := out.Value.Dim(0), out.Value.Dim(1)
 	off := 0

@@ -311,7 +311,7 @@ func NewLSTMV2S(topo *Topology, cfg Config, rng *rand.Rand) *LSTMV2S {
 // through the stack as one batch: the rows of the (M·T × 5) input are
 // link-major (row j·T+t is link j at step t), which makes the volume a plain
 // reshape and keeps the dropout draws and FC rows in link order. The tape it
-// records does not grow with M.
+// records grows with neither M nor T.
 func (v *LSTMV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node {
 	topo := v.topo
 	q := autodiff.Reshape(autodiff.Scale(vol, 1/v.cfg.VolumeNorm), topo.M*topo.T, 1)

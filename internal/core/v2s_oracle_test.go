@@ -71,7 +71,7 @@ func oracleTopo(t *testing.T, city *dataset.City, intervals, k int) *Topology {
 }
 
 // requireBitsEqual compares bit patterns, treating any NaN as equal to any
-// NaN (the payload carve-out of autodiff.LSTMCell).
+// NaN (the payload carve-out of autodiff.LSTM).
 func requireBitsEqual(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -356,26 +356,32 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, tag ast.Expr, label string)
 		}
 	}
 	blocks := make([]*Block, len(clauses))
-	hasDefault := false
-	for i, cc := range clauses {
+	for i := range clauses {
 		blocks[i] = b.newBlock()
-		addEdge(dispatch, blocks[i])
+	}
+	// The case expressions are tested one at a time in source order until
+	// one matches, so each gets a test block chained to the next; only a
+	// path on which every test failed reaches default (or after). A later
+	// clause's body thus sees every earlier case expression evaluated. A
+	// test block records only its expression, not the CaseClause: the body
+	// statements are lowered individually below, and recording the clause
+	// would replay the body's reads ahead of it, out of execution order.
+	miss, dflt := dispatch, after
+	for i, cc := range clauses {
 		if cc.List == nil {
-			hasDefault = true
+			dflt = blocks[i]
+		}
+		for _, e := range cc.List {
+			test := b.newBlock()
+			test.Nodes = append(test.Nodes, e)
+			addEdge(miss, test)
+			addEdge(test, blocks[i])
+			miss = test
 		}
 	}
-	if !hasDefault {
-		addEdge(dispatch, after)
-	}
+	addEdge(miss, dflt)
 	for i, cc := range clauses {
 		b.cur = blocks[i]
-		// Record only the case expressions — not the clause itself. The body
-		// statements are lowered individually below; recording the whole
-		// CaseClause would put the body's reads at the top of the block a
-		// second time, out of execution order, and mask flow bugs inside it.
-		for _, e := range cc.List {
-			b.cur.Nodes = append(b.cur.Nodes, e)
-		}
 		b.stmtListFallthrough(cc.Body, blocks, i)
 		if b.cur != nil {
 			addEdge(b.cur, after)

@@ -114,3 +114,38 @@ func ctxErrGate(ctx context.Context) error {
 	}
 	return nil
 }
+
+func decode(b []byte) (*int, error) {
+	if len(b) == 0 {
+		return nil, errors.New("empty")
+	}
+	n := len(b)
+	return &n, nil
+}
+
+// taglessSwitchReadsFirst tests err in the first case: the second case and
+// the path past the switch run only after that test failed, so every path
+// reads err.
+func taglessSwitchReadsFirst(b []byte) bool {
+	got, err := decode(b)
+	switch {
+	case err != nil:
+		return false
+	case got == nil:
+		return false
+	}
+	return true
+}
+
+// taglessSwitchReadsLate tests err only in a later case: when the first case
+// matches, err is never read.
+func taglessSwitchReadsLate(b []byte) bool {
+	got, err := decode(b) // want "error assigned here is never read on some path"
+	switch {
+	case got == nil:
+		return false
+	case err != nil:
+		return false
+	}
+	return true
+}

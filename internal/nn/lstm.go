@@ -47,26 +47,18 @@ func (l *LSTM) Hidden() int { return l.hidden }
 // same layout. batch 1 is a single (T × in) sequence.
 //
 // The input projection for every sequence and timestep is hoisted into one
-// GEMM with the bias in its epilogue, X·Wx + b, before the recurrence; the timestep loop then records one
-// fused autodiff.LSTMCell node per step for the whole batch, and StackSteps
-// reassembles the per-step (batch × hidden) states. The explicit graph-op
-// chain the cell replaces lives on as the test oracle in
-// lstm_oracle_test.go.
+// GEMM with the bias in its epilogue, X·Wx + b, before the recurrence; the
+// whole recurrence over every step of the batch is then one fused
+// autodiff.LSTM node. The explicit graph-op chain it replaces lives on as
+// the test oracle in lstm_oracle_test.go.
 func (l *LSTM) Forward(x *autodiff.Node, batch int) *autodiff.Node {
 	if batch <= 0 || x.Value.Rank() != 2 || x.Value.Dim(0)%batch != 0 {
 		panic(fmt.Sprintf("nn: LSTM input shape %v is not %d equal-length sequences", x.Value.Shape(), batch))
 	}
 	g := x.Graph()
-	steps := x.Value.Dim(0) / batch
 	wx, wh, b := g.Param(l.Wx), g.Param(l.Wh), g.Param(l.B)
 	pre := autodiff.Affine(x, wx, b) // (batch·T × 4*hidden)
-	outs := make([]*autodiff.Node, steps)
-	var prev *autodiff.Node
-	for step := 0; step < steps; step++ {
-		prev = autodiff.LSTMCell(pre, batch, step, prev, wh, l.hidden)
-		outs[step] = prev
-	}
-	return autodiff.StackSteps(outs)
+	return autodiff.LSTM(pre, batch, wh, l.hidden)
 }
 
 // Params returns the LSTM's trainable parameters.

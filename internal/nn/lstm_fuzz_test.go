@@ -10,12 +10,12 @@ import (
 	"ovs/internal/tensor"
 )
 
-// FuzzLSTMCell cross-checks the fused LSTM cell against the unfused graph-op
+// FuzzLSTMCell cross-checks the fused LSTM node against the unfused graph-op
 // oracle (forwardGraphOracle) over random sequence/input/hidden sizes with special values (signed
 // zeros, infinities, NaN, extreme magnitudes) planted at fuzzer-chosen
 // positions. Outputs and all three parameter gradients must agree bitwise —
 // NaN payload bits excepted, since x86 NaN propagation follows instruction
-// operand order, which the compiler owns (see autodiff.LSTMCell).
+// operand order, which the compiler owns (see autodiff.LSTM).
 func FuzzLSTMCell(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint8(4), int64(1), []byte{})
 	f.Add(uint8(1), uint8(1), uint8(1), int64(2), []byte{0xFF, 0x00, 0x02})

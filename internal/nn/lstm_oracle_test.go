@@ -10,11 +10,10 @@ import (
 )
 
 // forwardGraphOracle is the unfused reference for LSTM.Forward: the same
-// hoisted input projection, followed by the explicit graph-op chain that one
-// fused autodiff.LSTMCell node replaces per timestep. Values and gradients
-// of the two must agree bit for bit (NaN payloads excepted; see
-// autodiff.LSTMCell), which TestLSTMMatchesGraphOracle and FuzzLSTMCell
-// hold.
+// hoisted input projection, followed by the explicit per-timestep graph-op
+// chain that the one fused autodiff.LSTM node replaces. Values and
+// gradients of the two must agree bit for bit (NaN payloads excepted; see
+// autodiff.LSTM), which TestLSTMMatchesGraphOracle and FuzzLSTMCell hold.
 func (l *LSTM) forwardGraphOracle(x *autodiff.Node) *autodiff.Node {
 	g := x.Graph()
 	steps := x.Value.Dim(0)

@@ -135,6 +135,26 @@ func TestLSTMShapesAndStatefulness(t *testing.T) {
 	}
 }
 
+// TestLSTMForwardNodesIndependentOfSteps requires LSTM.Forward to record the
+// same tape for any sequence length: the three parameter leaves, the input
+// projection and one recurrence node, never a node per timestep.
+func TestLSTMForwardNodesIndependentOfSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := NewLSTM(rng, "l", 3, 4)
+	const batch = 2
+	for _, steps := range []int{1, 4, 12} {
+		g := autodiff.NewGraph()
+		x := g.Const(tensor.Randn(rng, 1, batch*steps, 3))
+		before := g.NumNodes()
+		l.Forward(x, batch)
+		got := g.NumNodes() - before
+		g.Release()
+		if got != 5 {
+			t.Fatalf("T=%d: LSTM.Forward recorded %d nodes, want 5 for every T", steps, got)
+		}
+	}
+}
+
 func TestLSTMLearnsRunningMean(t *testing.T) {
 	// Task: output at time t should approximate the mean of inputs up to t —
 	// requires integrating state, which a stateless map cannot do.

@@ -17,7 +17,7 @@ import (
 // handed out by GetUninit/GetLikeUninit is not: it holds whatever its last
 // life left behind. The un-zeroed gets serve only buffers that the caller
 // writes in full before it reads any element — GEMM overwrite outputs and
-// scratch, packing panels, elementwise *To outputs, the LSTM cell's gate
+// scratch, packing panels, elementwise *To outputs, the LSTM recurrence's gate
 // and state slots — so the stale contents are never observed and every
 // kernel still produces bitwise-identical results whether its operands came
 // from the pool or from the garbage collector. Building

@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the slice-level gate kernels behind SigmoidTo, TanhTo and
-// the fused LSTM cell. Where the four-lane kernels in gate_amd64.s may run
-// (gateHasAsm: AVX2 and FMA, and a math.Exp that takes its FMA path) they
+// the fused LSTM recurrence. Where the four-lane kernels in gate_amd64.s may
+// run (gateHasAsm: AVX2 and FMA, and a math.Exp that takes its FMA path) they
 // port that path of Go's math.Exp instruction for instruction; everywhere
 // else they run the scalar expressions. Either way each element is bitwise
 // equal to
