@@ -367,11 +367,11 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul measures the dense kernel at 256×256×256 through the
-// packed, cache-blocked GEMM core — the headline size the perf trajectory
-// tracks (BENCH_2's naive kernel vs BENCH_4's packed kernel), and the
-// benchmark CI gates on allocs/op (a regression means the arena-pooled pack
-// buffers stopped pooling).
+// BenchmarkMatMul measures the dense kernel at 256×256×256 — the headline
+// size the perf trajectory tracks (BENCH_2's naive kernel, BENCH_4's packed
+// kernel). Its B operand (64 Ki elements) stays cache-resident, so it runs
+// on the unpacked row kernels; CI gates its allocs/op, which hold the
+// output tensor alone.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 1, 256, 256)
@@ -383,15 +383,32 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulPacked measures MatMul at 512×512×512, whose B operand
+// (256 Ki elements) is past the row kernels' cache budget, so it runs
+// through the packed, cache-blocked GEMM core. CI gates its allocs/op: a
+// regression means the arena-pooled pack buffers stopped pooling.
+func BenchmarkMatMulPacked(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.Randn(rng, 1, 512, 512)
+	y := tensor.Randn(rng, 1, 512, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tensor.MatMul(x, y)
+	}
+}
+
 // BenchmarkGEMM sweeps the GEMM entry points across square and ragged
-// shapes (64..512, including non-tile-multiples, all four entry points) and
-// across the small products the LSTM training graph is made of, each with
-// the entry points that graph calls at that shape. Shapes read m×n×k. Each
-// subtest reports effective GFLOPS alongside the standard metrics.
+// shapes (64..512, including non-tile-multiples) and across the products
+// the LSTM training graph is made of, each with the entry points that graph
+// calls at that shape. Shapes read m×n×k. Each subtest reports effective
+// GFLOPS alongside the standard metrics.
 func BenchmarkGEMM(b *testing.B) {
 	const (
 		matMul = 1 << iota
 		matMulTo
+		affineTo
+		matMulAcc
 		ntAcc
 		tnAcc
 		all = matMul | matMulTo | ntAcc | tnAcc
@@ -399,13 +416,19 @@ func BenchmarkGEMM(b *testing.B) {
 	shapes := []struct{ m, n, k, ops int }{
 		{64, 64, 64, all}, {128, 128, 128, all}, {256, 256, 256, all}, {512, 512, 512, all},
 		{512, 64, 256, all}, {64, 512, 128, all}, {256, 256, 33, all}, {96, 200, 72, all},
-		// The batched LSTM at hidden 24 over 24 links: the cell forward's
-		// H(t-1)·Wh and the dWh accumulation (24×96×24), the backward's
-		// dH += DG·Whᵀ (24×24×96) and its one-sequence form (1×24×96), a
-		// dense layer's dX (144×24×16), and the first layer's dWx, a
-		// blocked product made of fringe tiles (5×96×144).
-		{24, 96, 24, matMulTo | tnAcc}, {24, 24, 96, ntAcc}, {1, 24, 96, ntAcc},
+		// The batched LSTM at hidden 24 over 24 links: the forward's
+		// z += H(t-1)·Wh and the dWh accumulation (24×96×24), the
+		// backward's dH += DG·Whᵀ (24×24×96) and its one-sequence form
+		// (1×24×96), a dense layer's dX (144×24×16), and the first layer's
+		// dWx (5×96×144).
+		{24, 96, 24, matMulTo | matMulAcc | tnAcc}, {24, 24, 96, ntAcc | matMulAcc}, {1, 24, 96, ntAcc | matMulAcc},
 		{144, 24, 16, ntAcc}, {5, 96, 144, tnAcc},
+		// The same over Manhattan's 360 links (batch 360, T 6): the
+		// recurrent product (360×96×24), dH (360×24×96), dWh (24×96×360),
+		// the first layer's input projection (2160×96×5) and its dWx
+		// (5×96×2160).
+		{360, 96, 24, matMulTo | matMulAcc}, {360, 24, 96, ntAcc | matMulAcc}, {24, 96, 360, tnAcc},
+		{2160, 96, 5, affineTo}, {5, 96, 2160, tnAcc},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range shapes {
@@ -414,6 +437,7 @@ func BenchmarkGEMM(b *testing.B) {
 		bb := tensor.Randn(rng, 1, s.k, s.n)
 		aT := tensor.Randn(rng, 1, s.k, s.m)
 		bT := tensor.Randn(rng, 1, s.n, s.k)
+		bias := tensor.Randn(rng, 1, s.n)
 		dst := tensor.New(s.m, s.n)
 		flops := 2 * float64(s.m) * float64(s.n) * float64(s.k)
 		run := func(op int, variant string, fn func()) {
@@ -431,6 +455,8 @@ func BenchmarkGEMM(b *testing.B) {
 		}
 		run(matMul, "MatMul", func() { _ = tensor.MatMul(a, bb) })
 		run(matMulTo, "MatMulTo", func() { tensor.MatMulTo(dst, a, bb) })
+		run(affineTo, "AffineTo", func() { tensor.AffineTo(dst, a, bb, bias) })
+		run(matMulAcc, "MatMulAcc", func() { tensor.MatMulAcc(dst, a, bb) })
 		run(ntAcc, "MatMulNTAcc", func() { tensor.MatMulNTAcc(dst, a, bT) })
 		run(tnAcc, "MatMulTNAcc", func() { tensor.MatMulTNAcc(dst, aT, bb) })
 	}
@@ -475,6 +501,32 @@ func BenchmarkLSTMCell(b *testing.B) {
 		out := autodiff.LSTM(g.Const(pre), 1, g.Param(wh), hidden)
 		loss := autodiff.MSE(out, target)
 		g.Backward(loss)
+	}
+}
+
+// BenchmarkLSTMBatch measures one training step of the batched
+// Volume-Speed recurrence at its production shape — hidden 24, T 6, 24
+// input features — over 24 sequences (the 3×3 grid's links) and 360
+// (Manhattan's): the input projection, the one-node recurrence and its
+// backward, pre's gradient and both weight gradients included.
+func BenchmarkLSTMBatch(b *testing.B) {
+	const steps, in, hidden = 6, 24, 24
+	for _, batch := range []int{24, 360} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			l := nn.NewLSTM(rng, "bench", in, hidden)
+			x := tensor.Randn(rng, 1, batch*steps, in)
+			target := tensor.Randn(rng, 1, batch*steps, hidden)
+			g := autodiff.NewGraph()
+			defer g.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Reset()
+				out := l.Forward(g.Const(x), batch)
+				g.Backward(autodiff.MSE(out, target))
+			}
+		})
 	}
 }
 

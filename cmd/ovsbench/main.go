@@ -55,7 +55,7 @@ type Report struct {
 // defaultBench is the default selection. "BenchmarkFitEpoch" selects both
 // the 3×3-grid fit epoch (arena on and off) and BenchmarkFitEpochManhattan,
 // the 360-link fit epoch of the manhattan-refit benchmark workload.
-const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkLintRepo"
+const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkLintRepo"
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark selection regex passed to go test -bench")

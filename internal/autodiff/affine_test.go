@@ -11,18 +11,21 @@ import (
 
 // TestAffineMatchesMatMulAddRowVector is Affine's oracle: its value and the
 // gradients of x, w and b must be bitwise equal to the unfused
-// AddRowVector(MatMul(x, w), b) pair. The shapes straddle gemmBlockedMin
-// (naive and packed paths), leave partial edge tiles on both axes, and one
-// has k > gemmKC so partial sums park in dst across K panels before the
-// bias epilogue. The inputs carry signed zeros — including an all-(-0) row
-// of x, whose empty-of-magnitude sum meets a -0 bias.
+// AddRowVector(MatMul(x, w), b) pair. The shapes run the forward product
+// on both GEMM paths: on the unpacked row kernels, with an odd last row and
+// column counts off the vector width, and on the packed path, whose B (w,
+// k·n elements) is past the row kernels' cache budget, with edge tiles on
+// both axes and k > gemmKC so partial sums park in dst across K panels
+// before the bias epilogue. The inputs carry signed zeros — including an
+// all-(-0) row of x, whose empty-of-magnitude sum meets a -0 bias.
 func TestAffineMatchesMatMulAddRowVector(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
-		{3, 5, 7},     // naive: m·n·k far below gemmBlockedMin
-		{1, 24, 96},   // a single row, the LSTM input-projection width
-		{37, 41, 50},  // blocked, edge tiles on both axes
-		{19, 300, 14}, // blocked, k > gemmKC: two K panels
-		{64, 1, 1100}, // blocked, k = 1
+		{3, 5, 7},      // rows: odd m, n below the vector width
+		{1, 24, 96},    // rows: a single row, the LSTM input-projection width
+		{37, 41, 50},   // rows: odd m, n not a multiple of 4
+		{19, 300, 14},  // rows: k longer than a packed K panel
+		{64, 1, 1100},  // rows: k = 1
+		{17, 390, 350}, // packed: k·n = 136,500, fringe rows and columns, two K panels
 	}
 	negZero := math.Copysign(0, -1)
 	for _, sh := range shapes {

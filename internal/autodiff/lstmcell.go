@@ -40,14 +40,15 @@ import (
 // agrees). Three mechanisms carry the guarantee:
 //
 //  1. Linear algebra runs through the tensor GEMM entry points, whose every
-//     path (naive, blocked) computes each output element as the same
+//     path (row, packed) computes each output element as the same
 //     ascending-k FMA chain with the same sum-then-one-add accumulate (see
 //     tensor/gemm.go). A row of H(t-1)·Wh therefore does not depend on the
 //     other rows, and at B=1 the products are exactly the (1×H)·(H×4H) ones
-//     the graph path records. dH(t) is (0 + the consumer's row) plus
-//     DG(t+1)·Whᵀ in one accumulate, and dWh takes one H(t-1)ᵀ·DG(t)
-//     accumulate per step from t = T−1 down to 0: the adds and their order
-//     are the graph path's.
+//     the graph path records; accumulating it into a copy of pre(t) is the
+//     graph path's Add. dH(t) is (0 + the consumer's row) plus DG(t+1)·Whᵀ
+//     in one accumulate, and dWh takes one H(t-1)ᵀ·DG(t) accumulate per
+//     step from t = T−1 down to 0: the adds and their order are the graph
+//     path's.
 //  2. Scalar expressions copy the graph kernels' association exactly — e.g.
 //     the cell state is float64(f·cPrev) + float64(i·g), two individually
 //     rounded products then one add, matching the two Mul stores and the Add.
@@ -95,30 +96,26 @@ func LSTM(pre *Node, batch int, wh *Node, hidden int) *Node {
 	// overwrites them.
 	h := tensor.Get(batch, hidden)
 	cPrev := h.Data
-	hw := tensor.GetUninit(batch, h4)
+	z := tensor.GetUninit(batch, h4)
 	for t := 0; t < steps; t++ {
 		s := ext.Data[t*lstmSlots*bh : (t+1)*lstmSlots*bh]
 		cv, iv, fv, ov, gv, th := s[0:bh], s[bh:2*bh], s[2*bh:3*bh], s[3*bh:4*bh], s[4*bh:5*bh], s[5*bh:6*bh]
 
-		// The gate pre-activations land in their own slots — i, f and o are
-		// adjacent — so the nonlinearities run in place as one kernel call
-		// per (batch × gate) slab: one sigmoid call covers i, f and o for
-		// the whole batch.
-		tensor.MatMulTo(hw, h, wh.Value)
+		// z = pre(t) + H(t-1)·Wh: the GEMM's accumulate epilogue adds each
+		// finished product once to the pre row copied in, the one add of
+		// the graph path's Add. The nonlinearities then read z and write
+		// each gate of each row into its slot.
 		for b := 0; b < batch; b++ {
-			preRow := pre.Value.Data[(b*steps+t)*h4 : (b*steps+t+1)*h4]
-			hwd := hw.Data[b*h4 : (b+1)*h4]
-			for gate, slot := range [4][]float64{iv, fv, ov, gv} {
-				z := slot[b*hidden : (b+1)*hidden]
-				p := preRow[gate*hidden : (gate+1)*hidden]
-				q := hwd[gate*hidden : (gate+1)*hidden]
-				for j := range z {
-					z[j] = p[j] + q[j]
-				}
-			}
+			copy(z.Data[b*h4:(b+1)*h4], pre.Value.Data[(b*steps+t)*h4:(b*steps+t+1)*h4])
 		}
-		tensor.SigmoidSlice(s[bh:4*bh], s[bh:4*bh])
-		tensor.TanhSlice(gv, gv)
+		tensor.MatMulAcc(z, h, wh.Value)
+		for b := 0; b < batch; b++ {
+			zb, r := z.Data[b*h4:(b+1)*h4], b*hidden
+			tensor.SigmoidSlice(iv[r:r+hidden], zb[:hidden])
+			tensor.SigmoidSlice(fv[r:r+hidden], zb[hidden:2*hidden])
+			tensor.SigmoidSlice(ov[r:r+hidden], zb[2*hidden:3*hidden])
+			tensor.TanhSlice(gv[r:r+hidden], zb[3*hidden:])
+		}
 		for k := range cv {
 			// Two rounded products then one add: the exact association of the
 			// graph path's Mul/Mul/Add (the conversions forbid FMA contraction).
@@ -133,7 +130,7 @@ func LSTM(pre *Node, batch int, wh *Node, hidden int) *Node {
 		}
 		cPrev = cv
 	}
-	tensor.Put(hw)
+	tensor.Put(z)
 	tensor.Put(h)
 
 	out := g.newNode(val, pre.requires || wh.requires)
@@ -159,11 +156,24 @@ func backLSTM(out *Node) {
 	bh := batch * hidden
 	ext := out.ext.Data
 	grad, hs := out.Grad.Data, out.Value.Data
+	// Every row of pre belongs to exactly one step of one sequence, so the
+	// gate gradients cover pre's gradient once. Nothing has written it yet
+	// when no other consumer's backward ran before this one: it is then
+	// drawn un-zeroed and the gate gradients are stored, which equals the
+	// add into zeros bit for bit because each is already a canonical 0 + x.
 	var pg []float64
+	store := false
 	if pre.requires {
-		pg = pre.ensureGrad().Data
+		if pre.Grad == nil {
+			pre.Grad = pre.graph.AllocLikeUninit(pre.Value)
+			store = true
+		}
+		pg = pre.Grad.Data
 	}
 
+	// whT is Whᵀ, taken once so that every step's dH += DG(t+1)·Whᵀ runs as
+	// an NN accumulate over the same per-element chains as the NT form.
+	whT := tensor.TransposeTo(tensor.GetUninit(h4, hidden), wh.Value)
 	dH := tensor.GetUninit(batch, hidden) // refilled from the consumer rows every step
 	dC := tensor.Get(batch, hidden)       // no cell-state gradient enters after the last step
 	h := tensor.GetUninit(batch, hidden)  // H(t-1), gathered from the output rows or zeroed
@@ -180,7 +190,7 @@ func backLSTM(out *Node) {
 			}
 		}
 		if t+1 < steps {
-			tensor.MatMulNTAcc(dH, dg, wh.Value) // dg still holds DG(t+1)
+			tensor.MatMulAcc(dH, dg, whT) // dg still holds DG(t+1)
 		}
 		var cPrev []float64
 		if t > 0 {
@@ -224,7 +234,12 @@ func backLSTM(out *Node) {
 		if pg != nil {
 			for b := 0; b < batch; b++ {
 				prow := pg[(b*steps+t)*h4 : (b*steps+t+1)*h4]
-				for j, v := range dg.Data[b*h4 : (b+1)*h4] {
+				dgd := dg.Data[b*h4 : (b+1)*h4]
+				if store {
+					copy(prow, dgd)
+					continue
+				}
+				for j, v := range dgd {
 					prow[j] += v
 				}
 			}
@@ -234,4 +249,5 @@ func backLSTM(out *Node) {
 	tensor.Put(h)
 	tensor.Put(dC)
 	tensor.Put(dH)
+	tensor.Put(whT)
 }

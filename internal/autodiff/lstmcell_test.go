@@ -485,8 +485,7 @@ func requireClose(t *testing.T, what string, got, want []float64, tol float64) {
 // batch of B sequences in one recurrence gives, row for row, bitwise the
 // outputs and input gradients of B batch-1 recurrences, and the shared
 // weights' gradients — the sums the batch GEMMs reassociate — agree to
-// 1e-12 relative. The shapes straddle the blocked-GEMM threshold, and one
-// case carries non-finite and signed-zero inputs.
+// 1e-12 relative. One case carries non-finite and signed-zero inputs.
 func TestLSTMCellBatchMatchesPerSequence(t *testing.T) {
 	for _, tc := range []struct {
 		batch, steps, in, hidden int
@@ -494,7 +493,7 @@ func TestLSTMCellBatchMatchesPerSequence(t *testing.T) {
 	}{
 		{1, 4, 3, 5, false},
 		{3, 5, 4, 8, false},
-		{40, 6, 5, 24, false}, // (40×24)·(24×96) takes the blocked path
+		{40, 6, 5, 24, false}, // the production hidden width, 40 links
 		{4, 6, 4, 8, true},
 	} {
 		rng := rand.New(rand.NewSource(int64(45 + tc.batch)))
@@ -573,10 +572,10 @@ func TestLSTMCellBatchGradcheck(t *testing.T) {
 // TestLSTMMatchesPerStepOracle holds the one-node recurrence to the per-step
 // oracle it replaced: output, pre gradient and every parameter gradient —
 // dWh included — bitwise, NaN payloads excepted. The sweep covers batch
-// {1, 3, 8} × T {1, 2, 7} × hidden {5, 48}; at batch 8, hidden 48 the
-// (8×48)·(48×192) step products take the blocked GEMM path, below it the
-// naive one. Every shape also runs with signed zeros, infinities and a NaN
-// planted in the input and weights.
+// {1, 3, 8} × T {1, 2, 7} × hidden {5, 48}; batch 1 and 2 would take the NT
+// dot kernels for the oracle's dH product, batch 3 and up its row kernels.
+// Every shape also runs with signed zeros, infinities and a NaN planted in
+// the input and weights.
 func TestLSTMMatchesPerStepOracle(t *testing.T) {
 	const in = 3
 	for _, batch := range []int{1, 3, 8} {
@@ -619,6 +618,72 @@ func TestLSTMMatchesPerStepOracle(t *testing.T) {
 					}
 					got, want := build(true), build(false)
 					label := fmt.Sprintf("batch=%d T=%d hidden=%d special=%v", batch, steps, hidden, special)
+					for i, name := range []string{"output", "pre.Grad", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
+						requireBits(t, label+" "+name, got[i].Data, want[i].Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLSTMPreGradBothBranches holds both ways the one-node backward writes
+// pre's gradient to the per-step oracle, bitwise with NaN payloads excepted:
+// a second consumer of pre (a weighted sum) is recorded once before the LSTM
+// node, so the LSTM backward runs first and stores into an un-zeroed
+// gradient, and once after it, so the consumer's gradient is already there
+// and the LSTM adds to it. Signed zeros, infinities and a NaN are planted in
+// the input, the weights and the consumer's weights.
+func TestLSTMPreGradBothBranches(t *testing.T) {
+	const in, hidden = 3, 5
+	for _, batch := range []int{1, 3} {
+		for _, steps := range []int{1, 4} {
+			for _, special := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(300 + 10*batch + steps)))
+				xT := tensor.Randn(rng, 1, batch*steps, in)
+				wxT := tensor.Randn(rng, 0.4, in, 4*hidden)
+				whT := tensor.Randn(rng, 0.4, hidden, 4*hidden)
+				bT := tensor.Randn(rng, 0.2, 4*hidden)
+				side := tensor.Randn(rng, 1, batch*steps, 4*hidden)
+				if special {
+					xT.Data[0] = math.Copysign(0, -1)
+					xT.Data[len(xT.Data)-1] = math.Inf(-1)
+					xT.Data[len(xT.Data)/2] = math.NaN()
+					wxT.Data[2] = math.Inf(1)
+					whT.Data[1] = math.Copysign(0, -1)
+					bT.Data[0] = math.Copysign(0, -1)
+					side.Data[0] = math.Copysign(0, -1)
+					side.Data[1] = math.Inf(1)
+				}
+				weights := tensor.New(batch*steps, hidden)
+				for i := range weights.Data {
+					weights.Data[i] = float64(i%5) - 2
+				}
+				for _, after := range []bool{false, true} {
+					build := func(oneNode bool) []*tensor.Tensor {
+						x := NewParameter("x", xT.Clone())
+						wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
+						g := NewGraph()
+						defer g.Release()
+						pre := Affine(g.Param(x), g.Param(wx), g.Param(b))
+						var other *Node
+						if !after {
+							other = Sum(Mul(pre, g.Const(side)))
+						}
+						var out *Node
+						if oneNode {
+							out = LSTM(pre, batch, g.Param(wh), hidden)
+						} else {
+							out = perStepLSTMRef(pre, g.Param(wh), batch, hidden)
+						}
+						if after {
+							other = Sum(Mul(pre, g.Const(side)))
+						}
+						g.Backward(Add(Sum(Mul(out, g.Const(weights))), other))
+						return []*tensor.Tensor{out.Value.Clone(), pre.Grad.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
+					}
+					got, want := build(true), build(false)
+					label := fmt.Sprintf("batch=%d T=%d special=%v consumer after=%v", batch, steps, special, after)
 					for i, name := range []string{"output", "pre.Grad", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
 						requireBits(t, label+" "+name, got[i].Data, want[i].Data)
 					}

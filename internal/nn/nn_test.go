@@ -31,10 +31,9 @@ func TestDenseShapesAndForward(t *testing.T) {
 }
 
 // TestDenseSeesRawWeightWrite writes a Dense layer's weights in place,
-// bypassing every tensor method, between two forward passes on the blocked
-// GEMM path (32·64·64 scalar ops). The second pass must use the new weights
-// bit for bit: no product may serve operand data remembered from an
-// earlier call.
+// bypassing every tensor method, between two forward passes (a 32×64×64
+// product). The second pass must use the new weights bit for bit: no
+// product may serve operand data remembered from an earlier call.
 func TestDenseSeesRawWeightWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDense(rng, "d", 64, 64, ActNone)

@@ -73,8 +73,7 @@ func ScaleInPlace(t *Tensor, s float64) *Tensor {
 
 // MatMulTo computes the matrix product dst = a · b for rank-2 operands
 // (m×k)·(k×n)→(m×n) and returns dst. dst must not alias a or b; its prior
-// contents are overwritten. It routes through the packed, cache-blocked GEMM
-// core (see gemm.go).
+// contents are overwritten. It routes through the GEMM core (see gemm.go).
 func MatMulTo(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTo requires rank-2 operands, got %v x %v", a.shape, b.shape))
@@ -110,6 +109,24 @@ func AffineTo(dst, x, w, bias *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AffineTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
 	gemm(dst.Data, n, gemmView{x.Data, k, 1}, gemmView{w.Data, n, 1}, m, n, k, false, bias.Data)
+	return dst
+}
+
+// MatMulAcc accumulates dst += a · b for rank-2 operands (m×k)·(k×n) into
+// dst (m×n) and returns dst. dst must not alias a or b. Each element's
+// product is summed from zero and then added to dst once, like the other
+// accumulate forms, so the result is bitwise equal to MatMul followed by an
+// add.
+func MatMulAcc(dst, a, b *Tensor) *Tensor {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulAcc requires rank-2 operands, got %v += %v x %v", dst.shape, a.shape, b.shape))
+	}
+	m, k := a.shape[0], a.shape[1]
+	k2, n := b.shape[0], b.shape[1]
+	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulAcc shape mismatch %v += %v x %v", dst.shape, a.shape, b.shape))
+	}
+	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, true, nil)
 	return dst
 }
 

@@ -2,10 +2,22 @@ package tensor
 
 import "math"
 
-// This file implements the packed, cache-blocked GEMM core behind every
-// matrix-product entry point (MatMul, MatMulTo, MatMulNTAcc, MatMulTNAcc).
-// The design is the classic BLIS/gemmlowp decomposition, restated for a pure
-// Go kernel:
+// This file implements the GEMM core behind every matrix-product entry point
+// (MatMul, MatMulTo, AffineTo, MatMulAcc, MatMulNTAcc, MatMulTNAcc). It has
+// two paths, and gemmOnRows picks one from the shape alone:
+//
+//   - The unpacked row path (gemmUnpacked). With the FMA assembly it runs
+//     the row kernels of gemm_amd64.s straight on the operands: vector lanes
+//     across output columns, two output rows per call, B streamed row by row
+//     from where it lies. It serves every product whose B operand stays
+//     cache-resident across the row pairs, and every product with too few
+//     rows for packing to pay. Without the assembly it is the plain triple
+//     loop on math.FMA, for the small products only.
+//   - The packed, cache-blocked path (gemmPacked), for products whose B
+//     would fall out of cache between row pairs. It is the classic
+//     BLIS/gemmlowp decomposition restated for Go.
+//
+// The packed path in detail:
 //
 //   - The operands are addressed through gemmView (a base slice plus logical
 //     row/column strides), so transposition is absorbed into packing index
@@ -35,16 +47,15 @@ import "math"
 // K-panel boundaries only decide when the running value parks between
 // register residencies — in dst for overwrite and bias, in a scratch
 // accumulator for accumulate — they never reorder or reassociate the adds.
-// The bias epilogue runs only when the last K panel stores: it is the one
-// IEEE add a separate AddRowVector pass would perform, so fusing it changes
-// no bit. The accumulate form must keep the k-sum separate from dst: a
-// batched op that accumulates a product into a gradient buffer already
-// holding other contributions is then bitwise equal to a build that
-// computes the bare product on a node of its own and adds it once — the
-// "sum-then-one-add" the per-route and per-link oracle tests of the batched
-// autodiff ops rely on. The naive reference kernels below perform the
-// identical per-element sequence, so the blocked path is bitwise-equal to
-// the reference.
+// The bias epilogue is the one IEEE add a separate AddRowVector pass would
+// perform, so fusing it changes no bit. The accumulate form must keep the
+// k-sum separate from dst: a batched op that accumulates a product into a
+// gradient buffer already holding other contributions is then bitwise equal
+// to a build that computes the bare product on a node of its own and adds it
+// once — the "sum-then-one-add" the per-route and per-link oracle tests of
+// the batched autodiff ops rely on. Both paths, and the portable twins of
+// the assembly, perform the identical per-element sequence, so the dispatch
+// decides speed only.
 
 const (
 	// gemmMR × gemmNR is the register tile: 32 independent FMA accumulator
@@ -66,14 +77,36 @@ const (
 	gemmMC = 32
 )
 
-// gemmBlockedMin is the naive/blocked crossover: the m·n·k scalar-op count
-// below which gemm runs the naive kernels, because packing two operands
-// cannot pay for itself on tiny products and the training graph is
-// dominated by small matmuls. It is a variable (not a const) so the
-// equivalence tests in this package can force every shape through the
-// blocked path. Both paths compute the identical per-element FMA sequence,
-// so the dispatch never affects results, only speed.
-var gemmBlockedMin = 1 << 16
+// gemmRowMaxB and gemmRowMaxM are the assembly dispatch's measured rule.
+// The row path streams B once per output row pair, so it wins while B (k·n
+// elements) stays cache-resident between pairs, and whatever B's size while
+// there are few pairs: below gemmMR rows every packed tile is a fringe tile,
+// and up to 16 rows packing still costs more than re-streaming B. Measured
+// with the two paths side by side on a 2-vCPU Intel Xeon VM (48 KiB L1d,
+// 2 MiB L2 per core), GFLOPS row vs packed, m×n×k: 320³ (B 100 Ki elements)
+// 23.8 vs 18.9, 128×1024×128 (128 Ki) 20.8 vs 15.9, 512³ (256 Ki) 11.5 vs
+// 20.7; with B at 256 Ki, 16×512×512 10.2 vs 8.0 and 32×512×512 10.4 vs
+// 12.6; 5×96×2160 TN (203 Ki) 10.9 vs 0.75. Between 128 Ki and 256 Ki the
+// runs disagree (384³: 16.4 vs 18.9, and 19.5 vs 16.5 on a repeat), so
+// gemmRowMaxB takes the low end.
+const (
+	gemmRowMaxB = 1 << 17
+	gemmRowMaxM = 16
+)
+
+// gemmNaiveMax is the portable path's crossover: without the assembly the
+// row path is the math.FMA triple loop, which only beats packing two
+// operands on products of fewer than gemmNaiveMax scalar FMAs.
+const gemmNaiveMax = 1 << 16
+
+// gemmOnRows reports whether an m×n×k product runs on the unpacked row path
+// rather than the packed one. It depends on the shape and the CPU only.
+func gemmOnRows(m, n, k int) bool {
+	if !gemmHasAsm {
+		return m*n*k < gemmNaiveMax
+	}
+	return k*n <= gemmRowMaxB || m <= gemmRowMaxM
+}
 
 // gemmView addresses a logical matrix inside a flat slice: element (i, j)
 // lives at data[i*rs + j*cs]. A transposed operand is expressed by swapping
@@ -86,34 +119,36 @@ type gemmView struct {
 // gemm computes dst (+)= A·B (+ bias) where A and B are logical m×k and k×n
 // views and dst is the row-major m×n output with leading dimension ldc. acc
 // selects accumulate (dst +=) over overwrite (dst =); a non-nil bias (length
-// n, overwrite only) selects the bias epilogue. The accumulate form computes
-// the product into an arena scratch block — fully written by the overwrite
-// pass, so it needs no zero fill — and folds it into dst with a single add
-// per element, preserving the "sum-then-one-add" association the
-// determinism argument above requires.
+// n, overwrite only) selects the bias epilogue.
 func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if acc && bias != nil {
 		panic("tensor: gemm bias epilogue with accumulate")
 	}
-	// k == 0 stays naive too: the blocked path runs no K panel, so it would
-	// never store the empty sum.
-	if m*n*k < gemmBlockedMin || k == 0 {
-		gemmNaive(dst, ldc, a, b, m, n, k, acc, bias)
+	if gemmOnRows(m, n, k) {
+		gemmUnpacked(dst, ldc, a, b, m, n, k, acc, bias)
 		return
 	}
-	if acc {
-		scratch := GetUninit(m * n)
-		gemmBlocked(scratch.Data, n, a, b, m, n, k, nil)
-		for i := 0; i < m; i++ {
-			crow := dst[i*ldc : i*ldc+n]
-			for j, s := range scratch.Data[i*n : (i+1)*n] {
-				crow[j] += s
-			}
+	gemmPacked(dst, ldc, a, b, m, n, k, acc, bias)
+}
+
+// gemmPacked is gemm on the packed blocked path, for k ≥ 1. The accumulate
+// form computes the product into an arena scratch block — fully written by
+// the overwrite pass, so it needs no zero fill — and folds it into dst with
+// a single add per element, preserving the sum-then-one-add association.
+func gemmPacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+	if !acc {
+		gemmBlocked(dst, ldc, a, b, m, n, k, bias)
+		return
+	}
+	scratch := GetUninit(m * n)
+	gemmBlocked(scratch.Data, n, a, b, m, n, k, nil)
+	for i := 0; i < m; i++ {
+		crow := dst[i*ldc : i*ldc+n]
+		for j, s := range scratch.Data[i*n : (i+1)*n] {
+			crow[j] += s
 		}
-		Put(scratch)
-		return
 	}
-	gemmBlocked(dst, ldc, a, b, m, n, k, bias)
+	Put(scratch)
 }
 
 // gemmBlocked overwrites dst = A·B (+ bias) via the packed cache-blocked
@@ -327,12 +362,7 @@ func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool, bia
 // valid columns are read. A later K panel resumes its chains from dst, which
 // the from-zero row kernels cannot do, so it stays on gemmMicroEdge.
 func gemmEdgeRowsAsm(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, bias []float64) {
-	gemmRowsFMA(c, ldc, ap, 1, gemmMR, bp, gemmNR, mr, nr, kc, false)
-	if bias != nil {
-		for r := 0; r < mr; r++ {
-			addBiasRow(c[r*ldc:r*ldc+nr], bias)
-		}
-	}
+	gemmRowsFMA(c, ldc, ap, 1, gemmMR, bp, gemmNR, mr, nr, kc, false, bias)
 }
 
 // gemmMicroEdge handles the partial tiles at the right/bottom fringe that
@@ -359,14 +389,12 @@ func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load 
 	}
 }
 
-// gemmNaive is the retained reference kernel: the plain triple loop with the
-// canonical per-element FMA sequence. It is both the small-size fast path
-// (packing cannot pay for itself under gemmBlockedMin) and the oracle the
-// equivalence tests compare the blocked path against. With the FMA
-// assembly available it runs gemmNaiveAsm; otherwise gemmNaiveGo.
-func gemmNaive(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+// gemmUnpacked is gemm on the unpacked row path: with the FMA assembly
+// gemmUnpackedAsm, otherwise the portable math.FMA loops of gemmNaiveGo,
+// which are also the oracle the assembly is checked against.
+func gemmUnpacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if gemmHasAsm && n > 0 && k > 0 {
-		gemmNaiveAsm(dst, ldc, a, b, m, n, k, acc, bias)
+		gemmUnpackedAsm(dst, ldc, a, b, m, n, k, acc, bias)
 		return
 	}
 	gemmNaiveGo(dst, ldc, a, b, m, n, k, acc, bias)
@@ -410,20 +438,20 @@ func addBiasRow(crow, bias []float64) {
 // 4×24×96 4.6 vs 2.7 µs, 24×24×96 28.3 vs 6.0 µs.
 const gemmNTRowMin = 3
 
-// gemmNaiveAsm runs the small-size path through the FMA assembly helpers.
+// gemmUnpackedAsm runs the row path through the FMA assembly helpers.
 // math.FMA compiled below GOAMD64=v3 pays a feature-dispatch branch on every
-// call, which dominates the tiny matmuls the training graph is made of; the
+// call, which dominates the small matmuls the training graph is made of; the
 // helpers issue the FMA instructions directly. The per-element chains are
 // identical to the portable kernels, so this is a speed-only dispatch.
 //
-// Unit-stride output columns (MatMulTo's NN and MatMulTNAcc's TN
-// orientations) run the row kernels: vector lanes across output columns,
-// streaming B rows contiguously, and in the accumulate form one add of each
-// finished sum into dst (the sum-then-one-add association, as everywhere).
-// Strided output columns (MatMulNTAcc's NT orientation) run them too once m
-// reaches gemmNTRowMin, against a row-major copy of B; below that they run
-// the dot kernels.
-func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+// Unit-stride output columns (the NN orientation of MatMulTo, AffineTo and
+// MatMulAcc, and MatMulTNAcc's TN) run the row kernels: vector lanes across
+// output columns, streaming B rows contiguously, and in the accumulate form
+// one add of each finished sum into dst (the sum-then-one-add association,
+// as everywhere). Strided output columns (MatMulNTAcc's NT orientation) run
+// them too once m reaches gemmNTRowMin, against a row-major copy of B; below
+// that they run the dot kernels.
+func gemmUnpackedAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if b.cs != 1 {
 		if m < gemmNTRowMin {
 			gemmNaiveDotAsm(dst, ldc, a, b, m, n, k, acc, bias)
@@ -431,30 +459,30 @@ func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, 
 		}
 		bt := GetUninit(k * n)
 		transposeView(bt.Data, b, k, n)
-		gemmNaiveAsm(dst, ldc, a, gemmView{bt.Data, n, 1}, m, n, k, acc, bias)
+		gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, bt.Data, n, m, n, k, acc, bias)
 		Put(bt)
 		return
 	}
-	gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, b.data, b.rs, m, n, k, acc)
-	if bias != nil {
-		for i := 0; i < m; i++ {
-			addBiasRow(dst[i*ldc:i*ldc+n], bias)
-		}
-	}
+	gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, b.data, b.rs, m, n, k, acc, bias)
 }
 
 // gemmRowsFMA runs m output rows through the assembly row kernels, two rows
 // per call and an odd last row alone: row i of dst (stride ldd) receives the
 // from-zero ascending-k FMA chain of A row i (at a[i*ars], step as) against
 // B (row stride bs, unit column stride), for n columns — stored, or with acc
-// added once.
-func gemmRowsFMA(dst []float64, ldd int, a []float64, ars, as int, b []float64, bs, m, n, k int, acc bool) {
+// added once. A non-nil bias (n values) is added to each finished sum in
+// registers before the store.
+func gemmRowsFMA(dst []float64, ldd int, a []float64, ars, as int, b []float64, bs, m, n, k int, acc bool, bias []float64) {
+	var bp *float64
+	if bias != nil {
+		bp = &bias[:n][0]
+	}
 	i := 0
 	for ; i+2 <= m; i += 2 {
-		gemmRow2FMAAsm(&dst[i*ldd], ldd, &a[i*ars], ars, as, &b[0], bs, k, n, acc)
+		gemmRow2FMAAsm(&dst[i*ldd], ldd, &a[i*ars], ars, as, &b[0], bs, k, n, acc, bp)
 	}
 	if i < m {
-		gemmRowFMAAsm(&dst[i*ldd], &a[i*ars], as, &b[0], bs, k, n, acc)
+		gemmRowFMAAsm(&dst[i*ldd], &a[i*ars], as, &b[0], bs, k, n, acc, bp)
 	}
 }
 
@@ -522,12 +550,13 @@ func gemmNaiveDotAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc boo
 	}
 }
 
-// gemmNaiveNN: both operands row-major, overwrite only (MatMulTo). The ikj
-// order streams contiguous B rows; per element the k-ascending FMA sequence
-// is preserved because each k step applies exactly one FMA to each output
-// cell, starting from the zeroed row. The accumulate form cannot use ikj
-// (folding k steps directly into dst would break the sum-then-one-add
-// association), so acc products route through the dot-product kernels.
+// gemmNaiveNN: both operands row-major, overwrite only (MatMulTo and
+// AffineTo). The ikj order streams contiguous B rows; per element the
+// k-ascending FMA sequence is preserved because each k step applies exactly
+// one FMA to each output cell, starting from the zeroed row. The accumulate
+// form cannot use ikj (folding k steps directly into dst would break the
+// sum-then-one-add association), so MatMulAcc's products route through
+// gemmNaiveGeneric's dot products.
 func gemmNaiveNN(dst []float64, ldc int, a, b gemmView, m, n, k int) {
 	for i := 0; i < m; i++ {
 		arow := a.data[i*a.rs : i*a.rs+k]
@@ -566,7 +595,7 @@ func gemmNaiveNT(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
 }
 
 // gemmNaiveGeneric covers arbitrary strides (MatMulTNAcc reaches here: A is
-// a transposed view, B row-major).
+// a transposed view, B row-major) and the NN accumulate of MatMulAcc.
 func gemmNaiveGeneric(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
 	for i := 0; i < m; i++ {
 		crow := dst[i*ldc : i*ldc+n]

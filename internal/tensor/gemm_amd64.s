@@ -126,15 +126,16 @@ TEXT ·gemmXGETBV(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool)
+// func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 //
 // s[j] = fma-chain over p ascending of a[p*as]*b[p*bs+j], from zero, for
 // j in [0, n); then dst[j] = s[j], or dst[j] += s[j] with acc set (one add
-// of the finished sum). Lanes run across output columns, so every element
-// keeps its own scalar ascending-k chain; VFMADD231PD/SD are the same
-// correctly-rounded operation as math.FMA. Strides arrive in elements and
-// are scaled to bytes.
-TEXT ·gemmRowFMAAsm(SB), NOSPLIT, $0-57
+// of the finished sum), or dst[j] = s[j] + bias[j] with a non-nil bias (acc
+// unset). Lanes run across output columns, so every element keeps its own
+// scalar ascending-k chain; VFMADD231PD/SD are the same correctly-rounded
+// operation as math.FMA. Strides arrive in elements and are scaled to
+// bytes. The bias of the chunk at DI is at bias + (DI - dst).
+TEXT ·gemmRowFMAAsm(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ as+16(FP), AX
@@ -171,7 +172,19 @@ loop16:
 
 store16:
 	CMPB    acc+56(FP), $0
-	JEQ     put16
+	JNE     acc16
+	MOVQ    bias+64(FP), R9
+	TESTQ   R9, R9
+	JZ      put16
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	VADDPD  (R9)(R10*1), Y0, Y0
+	VADDPD  32(R9)(R10*1), Y1, Y1
+	VADDPD  64(R9)(R10*1), Y2, Y2
+	VADDPD  96(R9)(R10*1), Y3, Y3
+	JMP     put16
+
+acc16:
 	VADDPD  (DI), Y0, Y0
 	VADDPD  32(DI), Y1, Y1
 	VADDPD  64(DI), Y2, Y2
@@ -207,7 +220,16 @@ loop4:
 
 store4:
 	CMPB    acc+56(FP), $0
-	JEQ     put4
+	JNE     acc4
+	MOVQ    bias+64(FP), R9
+	TESTQ   R9, R9
+	JZ      put4
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	VADDPD  (R9)(R10*1), Y0, Y0
+	JMP     put4
+
+acc4:
 	VADDPD  (DI), Y0, Y0
 
 put4:
@@ -238,7 +260,16 @@ loop1:
 
 store1:
 	CMPB   acc+56(FP), $0
-	JEQ    put1
+	JNE    acc1
+	MOVQ   bias+64(FP), R9
+	TESTQ  R9, R9
+	JZ     put1
+	MOVQ   DI, R10
+	SUBQ   dst+0(FP), R10
+	VADDSD (R9)(R10*1), X0, X0
+	JMP    put1
+
+acc1:
 	VADDSD (DI), X0, X0
 
 put1:
@@ -336,17 +367,18 @@ dot4done:
 	VMOVSD X3, 24(DI)
 	RET
 
-// func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool)
+// func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 //
 // Two output rows of gemmRowFMAAsm in one pass: for r in {0, 1}, the
 // from-zero fma-chain over p ascending of a[r*ars+p*as]*b[p*bs+j] is stored
-// to dst[r*ldd+j] (or, with acc set, added to it once), for j in [0, n).
+// to dst[r*ldd+j] (or, with acc set, added to it once, or with a non-nil
+// bias stored plus bias[j]), for j in [0, n).
 // Each B vector is loaded once and feeds both rows,
 // and a 16-column chunk carries 8 independent ymm chains (Y0-Y3 row 0, Y4-Y7
 // row 1) where the one-row kernel carries 4. Every element still runs its
 // own scalar ascending-k chain, so the result is exactly two gemmRowFMAAsm
 // calls. Strides arrive in elements and are scaled to bytes.
-TEXT ·gemmRow2FMAAsm(SB), NOSPLIT, $0-73
+TEXT ·gemmRow2FMAAsm(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R12
 	MOVQ a+16(FP), SI
@@ -400,7 +432,24 @@ r2loop16:
 
 r2store16:
 	CMPB    acc+72(FP), $0
-	JEQ     r2put16
+	JNE     r2acc16
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      r2put16
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Y0, Y0
+	VADDPD  32(R9), Y1, Y1
+	VADDPD  64(R9), Y2, Y2
+	VADDPD  96(R9), Y3, Y3
+	VADDPD  (R9), Y4, Y4
+	VADDPD  32(R9), Y5, Y5
+	VADDPD  64(R9), Y6, Y6
+	VADDPD  96(R9), Y7, Y7
+	JMP     r2put16
+
+r2acc16:
 	VADDPD  (DI), Y0, Y0
 	VADDPD  32(DI), Y1, Y1
 	VADDPD  64(DI), Y2, Y2
@@ -453,7 +502,20 @@ r2loop8:
 
 r2store8:
 	CMPB    acc+72(FP), $0
-	JEQ     r2put8
+	JNE     r2acc8
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      r2put8
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Y0, Y0
+	VADDPD  32(R9), Y1, Y1
+	VADDPD  (R9), Y4, Y4
+	VADDPD  32(R9), Y5, Y5
+	JMP     r2put8
+
+r2acc8:
 	VADDPD  (DI), Y0, Y0
 	VADDPD  32(DI), Y1, Y1
 	VADDPD  (DI)(R12*1), Y4, Y4
@@ -492,7 +554,18 @@ r2loop4:
 
 r2store4:
 	CMPB    acc+72(FP), $0
-	JEQ     r2put4
+	JNE     r2acc4
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      r2put4
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Y0, Y0
+	VADDPD  (R9), Y4, Y4
+	JMP     r2put4
+
+r2acc4:
 	VADDPD  (DI), Y0, Y0
 	VADDPD  (DI)(R12*1), Y4, Y4
 
@@ -527,7 +600,18 @@ r2loop1:
 
 r2store1:
 	CMPB   acc+72(FP), $0
-	JEQ    r2put1
+	JNE    r2acc1
+	MOVQ   bias+80(FP), R9
+	TESTQ  R9, R9
+	JZ     r2put1
+	MOVQ   DI, R10
+	SUBQ   dst+0(FP), R10
+	ADDQ   R10, R9
+	VADDSD (R9), X0, X0
+	VADDSD (R9), X4, X4
+	JMP    r2put1
+
+r2acc1:
 	VADDSD (DI), X0, X0
 	VADDSD (DI)(R12*1), X4, X4
 

@@ -14,13 +14,13 @@ func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias 
 }
 
 // gemmRowFMAAsm, gemmRow2FMAAsm and the dot kernels are likewise unreachable
-// without assembly support; the naive dispatch takes the portable math.FMA
+// without assembly support; the row path takes the portable math.FMA
 // kernels instead, and gemmMacro the portable edge kernel.
-func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool) {
+func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
 	panic("tensor: gemmRowFMAAsm called without assembly support")
 }
 
-func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool) {
+func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
 	panic("tensor: gemmRow2FMAAsm called without assembly support")
 }
 

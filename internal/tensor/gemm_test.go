@@ -28,14 +28,77 @@ func gemmShapes() [][3]int {
 	}
 }
 
-// forceBlocked routes every product through the packed blocked path for the
-// duration of fn, regardless of size.
-func forceBlocked(t *testing.T, fn func()) {
-	t.Helper()
-	old := gemmBlockedMin
-	gemmBlockedMin = 1
-	defer func() { gemmBlockedMin = old }()
-	fn()
+// gemmPath is one of the two paths gemm dispatches between.
+type gemmPath func(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64)
+
+// onPath runs the product of entry point op on path: the operands are viewed
+// exactly as the entry point views them, and path takes the place of gemm's
+// dispatch, so a test covers both paths at every shape, whichever one
+// gemmOnRows picks for it. a, b, dst and bias follow op's own signature.
+func onPath(path gemmPath, op string, dst, a, b, bias *Tensor) *Tensor {
+	switch op {
+	case "MatMulTo", "AffineTo", "MatMulAcc":
+		m, k, n := a.shape[0], a.shape[1], b.shape[1]
+		var bd []float64
+		if op == "AffineTo" {
+			bd = bias.Data
+		}
+		path(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, op == "MatMulAcc", bd)
+	case "MatMulNTAcc":
+		m, k, n := a.shape[0], a.shape[1], b.shape[0]
+		path(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil)
+	case "MatMulTNAcc":
+		k, m, n := a.shape[0], a.shape[1], b.shape[1]
+		path(dst.Data, n, gemmView{a.Data, 1, m}, gemmView{b.Data, n, 1}, m, n, k, true, nil)
+	default:
+		panic("onPath: unknown entry point " + op)
+	}
+	return dst
+}
+
+// gemmRunners run an entry point by name: through its public function, and
+// on each of the two paths directly.
+var gemmRunners = []struct {
+	name string
+	run  func(op string, dst, a, b, bias *Tensor) *Tensor
+}{
+	{"default", func(op string, dst, a, b, bias *Tensor) *Tensor {
+		switch op {
+		case "MatMulTo":
+			return MatMulTo(dst, a, b)
+		case "AffineTo":
+			return AffineTo(dst, a, b, bias)
+		case "MatMulAcc":
+			return MatMulAcc(dst, a, b)
+		case "MatMulNTAcc":
+			return MatMulNTAcc(dst, a, b)
+		default:
+			return MatMulTNAcc(dst, a, b)
+		}
+	}},
+	{"rows", func(op string, dst, a, b, bias *Tensor) *Tensor { return onPath(gemmUnpacked, op, dst, a, b, bias) }},
+	{"packed", func(op string, dst, a, b, bias *Tensor) *Tensor { return onPath(gemmPacked, op, dst, a, b, bias) }},
+}
+
+// TestGEMMDispatch pins the path the benchmarked shapes take with the FMA
+// assembly: the Volume-Speed LSTM's products run on the row kernels, and
+// 512³ still packs, so BenchmarkMatMulPacked measures the packed path.
+func TestGEMMDispatch(t *testing.T) {
+	if !gemmHasAsm {
+		t.Skip("no assembly kernels on this CPU: the dispatch is the m·n·k crossover")
+	}
+	for _, c := range []struct {
+		m, n, k int
+		rows    bool
+	}{
+		{360, 96, 24, true}, {360, 24, 96, true}, {24, 96, 360, true}, {2160, 96, 5, true},
+		{5, 96, 2160, true}, {256, 256, 256, true}, {16, 512, 512, true},
+		{512, 512, 512, false}, {32, 512, 512, false}, {384, 384, 384, false},
+	} {
+		if got := gemmOnRows(c.m, c.n, c.k); got != c.rows {
+			t.Errorf("gemmOnRows(%d, %d, %d) = %v, want %v", c.m, c.n, c.k, got, c.rows)
+		}
+	}
 }
 
 // bitwiseEqual distinguishes -0.0 from +0.0 and compares NaN payloads, which
@@ -84,9 +147,11 @@ func refProduct(dst, a, b *Tensor, m, n, k int, aT, bT, acc bool) {
 	}
 }
 
-// TestGEMMBlockedMatchesReference checks all four entry points, on both the
-// blocked and naive paths, against the independent oracle — bitwise — for
-// every ragged shape, with the arena on and off.
+// TestGEMMBlockedMatchesReference checks every entry point — MatMul,
+// MatMulTo, AffineTo, MatMulAcc, MatMulNTAcc and MatMulTNAcc — on the default
+// dispatch and on the row and the packed path directly against the
+// independent oracle, bitwise, for every ragged shape, with the arena on and
+// off.
 func TestGEMMBlockedMatchesReference(t *testing.T) {
 	defer SetPooling(true)
 
@@ -113,6 +178,8 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 			// NaN-filled outputs prove the overwrite forms write every
 			// element: their destinations come from un-zeroed arena gets.
 			nanOut := func() *Tensor { return Full(math.NaN(), m, n) }
+			wantAcc := seed.Clone()
+			refProduct(wantAcc, a, b, m, n, k, false, false, true)
 			wantNT := seed.Clone()
 			refProduct(wantNT, a, bT, m, n, k, false, true, true)
 			wantTN := seed.Clone()
@@ -125,20 +192,14 @@ func TestGEMMBlockedMatchesReference(t *testing.T) {
 						pooling, m, n, k, label)
 				}
 			}
-			// Default dispatch (small shapes take the naive path).
 			check("MatMul", wantTo, MatMul(a, b))
-			check("MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
-			check("AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
-			check("MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
-			check("MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
-			// Forced blocked path.
-			forceBlocked(t, func() {
-				check("blocked MatMul", wantTo, MatMul(a, b))
-				check("blocked MatMulTo", wantTo, MatMulTo(nanOut(), a, b))
-				check("blocked AffineTo", wantAff, AffineTo(nanOut(), a, b, bias))
-				check("blocked MatMulNTAcc", wantNT, MatMulNTAcc(seed.Clone(), a, bT))
-				check("blocked MatMulTNAcc", wantTN, MatMulTNAcc(seed.Clone(), aT, b))
-			})
+			for _, r := range gemmRunners {
+				check(r.name+" MatMulTo", wantTo, r.run("MatMulTo", nanOut(), a, b, nil))
+				check(r.name+" AffineTo", wantAff, r.run("AffineTo", nanOut(), a, b, bias))
+				check(r.name+" MatMulAcc", wantAcc, r.run("MatMulAcc", seed.Clone(), a, b, nil))
+				check(r.name+" MatMulNTAcc", wantNT, r.run("MatMulNTAcc", seed.Clone(), a, bT, nil))
+				check(r.name+" MatMulTNAcc", wantTN, r.run("MatMulTNAcc", seed.Clone(), aT, b, nil))
+			}
 		}
 	}
 }
@@ -182,16 +243,16 @@ func randSpecial(rng *rand.Rand, shape ...int) *Tensor {
 }
 
 // TestGEMMBlockedMatchesNaiveSpecialValues pushes signed zeros, infinities
-// and NaNs through every entry point on the default and the forced blocked
-// path and requires the independent oracle's bits, even where zero-skip
-// style shortcuts would diverge. Forms that end in a plain add pin NaN-ness
-// but not the NaN payload (see sameBits). The shapes reach each small-product
-// branch: NT below the row-kernel crossover (m 1 and 2, dot kernels) and
-// above it (m 3, 4 and 9, transposed B); odd m for the two-row kernel's single
-// last row; column counts whose 16-wide remainder is 4, 7 or 11 and that are
-// not multiples of 4; blocked fringe tiles with fewer than gemmMR rows or
-// gemmNR columns; and k > gemmKC, whose later K panels resume fringe tiles
-// in Go.
+// and NaNs through every entry point on the default dispatch and on the row
+// and the packed path directly, and requires the independent oracle's bits,
+// even where zero-skip style shortcuts would diverge. Forms that end in a
+// plain add pin NaN-ness but not the NaN payload (see sameBits). The shapes
+// reach each row-path branch: NT below the row-kernel crossover (m 1 and 2,
+// dot kernels) and above it (m 3, 4 and 9, transposed B); odd m for the
+// two-row kernel's single last row; column counts whose 16-wide remainder is
+// 4, 7 or 11 and that are not multiples of 4. On the packed path they reach
+// fringe tiles with fewer than gemmMR rows or gemmNR columns, and k > gemmKC,
+// whose later K panels resume fringe tiles in Go.
 func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -215,36 +276,37 @@ func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
 				wantAff.Data[i*n+j] += bias.Data[j]
 			}
 		}
+		wantAcc := seed.Clone()
+		refProduct(wantAcc, a, b, m, n, k, false, false, true)
 		wantNT := seed.Clone()
 		refProduct(wantNT, a, bT, m, n, k, false, true, true)
 		wantTN := seed.Clone()
 		refProduct(wantTN, aT, b, m, n, k, true, false, true)
 
-		run := func(path string) {
-			// endsInAdd marks the forms whose last operation is a plain add,
-			// where only NaN-ness, not the payload, is pinned (see sameBits).
-			check := func(label string, endsInAdd bool, want, got *Tensor) {
-				t.Helper()
-				if i := firstDiff(got.Data, want.Data, endsInAdd); i >= 0 {
-					t.Fatalf("%s path, shape %dx%dx%d: %s element %d is %v, reference %v", path, m, n, k, label, i, got.Data[i], want.Data[i])
-				}
+		// endsInAdd marks the forms whose last operation is a plain add,
+		// where only NaN-ness, not the payload, is pinned (see sameBits).
+		check := func(path, label string, endsInAdd bool, want, got *Tensor) {
+			t.Helper()
+			if i := firstDiff(got.Data, want.Data, endsInAdd); i >= 0 {
+				t.Fatalf("%s path, shape %dx%dx%d: %s element %d is %v, reference %v", path, m, n, k, label, i, got.Data[i], want.Data[i])
 			}
-			check("MatMul", false, wantTo, MatMul(a, b))
-			check("MatMulTo", false, wantTo, MatMulTo(Full(1, m, n), a, b))
-			check("AffineTo", true, wantAff, AffineTo(Full(1, m, n), a, b, bias))
-			check("MatMulNTAcc", true, wantNT, MatMulNTAcc(seed.Clone(), a, bT))
-			check("MatMulTNAcc", true, wantTN, MatMulTNAcc(seed.Clone(), aT, b))
 		}
-		run("default")
-		forceBlocked(t, func() { run("blocked") })
+		check("default", "MatMul", false, wantTo, MatMul(a, b))
+		for _, r := range gemmRunners {
+			check(r.name, "MatMulTo", false, wantTo, r.run("MatMulTo", Full(1, m, n), a, b, nil))
+			check(r.name, "AffineTo", true, wantAff, r.run("AffineTo", Full(1, m, n), a, b, bias))
+			check(r.name, "MatMulAcc", true, wantAcc, r.run("MatMulAcc", seed.Clone(), a, b, nil))
+			check(r.name, "MatMulNTAcc", true, wantNT, r.run("MatMulNTAcc", seed.Clone(), a, bT, nil))
+			check(r.name, "MatMulTNAcc", true, wantTN, r.run("MatMulTNAcc", seed.Clone(), aT, b, nil))
+		}
 	}
 }
 
 // TestGEMMNaiveKernelsAgree runs the portable naive kernels and the
-// assembly naive path side by side, for every orientation the entry points
-// produce (NN overwrite with and without bias, NT overwrite and accumulate
-// on both sides of the row-kernel crossover, TN accumulate), and requires
-// equal bits, up to the NaN payload of a final add (see sameBits). It also
+// assembly row path side by side, for every orientation the entry points
+// produce (NN overwrite with and without bias, NN accumulate, NT overwrite
+// and accumulate on both sides of the row-kernel crossover, TN accumulate),
+// and requires equal bits, up to the NaN payload of a final add (see sameBits). It also
 // checks the two-row kernel against two one-row calls. The dispatch picks
 // one path per CPU, so without this test the portable kernels would go
 // unchecked on machines that have the assembly.
@@ -279,6 +341,7 @@ func TestGEMMNaiveKernelsAgree(t *testing.T) {
 		}{
 			{"NN", gemmView{a, k, 1}, gemmView{b, n, 1}, false, nil},
 			{"NN+bias", gemmView{a, k, 1}, gemmView{b, n, 1}, false, bias},
+			{"NN acc", gemmView{a, k, 1}, gemmView{b, n, 1}, true, nil},
 			{"NT", gemmView{a, k, 1}, gemmView{bT, 1, k}, false, nil},
 			{"NT acc", gemmView{a, k, 1}, gemmView{bT, 1, k}, true, nil},
 			{"TN acc", gemmView{aT, 1, m}, gemmView{b, n, 1}, true, nil},
@@ -287,30 +350,35 @@ func TestGEMMNaiveKernelsAgree(t *testing.T) {
 			goC := append([]float64(nil), start...)
 			asmC := append([]float64(nil), start...)
 			gemmNaiveGo(goC, n, c.a, c.b, m, n, k, c.acc, c.bias)
-			gemmNaiveAsm(asmC, n, c.a, c.b, m, n, k, c.acc, c.bias)
+			gemmUnpackedAsm(asmC, n, c.a, c.b, m, n, k, c.acc, c.bias)
 			if i := firstDiff(asmC, goC, c.acc || c.bias != nil); i >= 0 {
 				t.Fatalf("%s %dx%dx%d: element %d: Go %v, asm %v", c.name, m, n, k, i, goC[i], asmC[i])
 			}
 		}
 	}
-	// The two-row kernel against two one-row calls, storing and adding,
-	// bit for bit (both end in the same vector add), for column counts that
-	// exercise its 16-, 8- and 4-wide chunks and its scalar tail, with a
-	// strided A (the TN view) and output rows spaced wider than n.
+	// The two-row kernel against two one-row calls, storing, adding and
+	// adding a bias, bit for bit (both end in the same vector add), for
+	// column counts that exercise its 16-, 8- and 4-wide chunks and its
+	// scalar tail, with a strided A (the TN view) and output rows spaced
+	// wider than n.
 	const k, as, ars, bs = 19, 3, 1, 41
 	a := fill(ars + (k-1)*as + 1)
 	b := fill(k * bs)
+	bias := fill(41)
 	for _, n := range []int{1, 3, 4, 7, 8, 15, 16, 27, 40, 41} {
 		ldd := n + 5
 		start := fill(2 * ldd)
-		for _, acc := range []bool{false, true} {
+		for _, c := range []struct {
+			acc  bool
+			bias *float64
+		}{{false, nil}, {true, nil}, {false, &bias[0]}} {
 			want := append([]float64(nil), start...)
 			got := append([]float64(nil), start...)
-			gemmRowFMAAsm(&want[0], &a[0], as, &b[0], bs, k, n, acc)
-			gemmRowFMAAsm(&want[ldd], &a[ars], as, &b[0], bs, k, n, acc)
-			gemmRow2FMAAsm(&got[0], ldd, &a[0], ars, as, &b[0], bs, k, n, acc)
+			gemmRowFMAAsm(&want[0], &a[0], as, &b[0], bs, k, n, c.acc, c.bias)
+			gemmRowFMAAsm(&want[ldd], &a[ars], as, &b[0], bs, k, n, c.acc, c.bias)
+			gemmRow2FMAAsm(&got[0], ldd, &a[0], ars, as, &b[0], bs, k, n, c.acc, c.bias)
 			if i := firstDiff(got, want, false); i >= 0 {
-				t.Fatalf("gemmRow2FMAAsm n=%d acc=%v: element %d: %v, two gemmRowFMAAsm calls %v", n, acc, i, got[i], want[i])
+				t.Fatalf("gemmRow2FMAAsm n=%d acc=%v bias=%v: element %d: %v, two gemmRowFMAAsm calls %v", n, c.acc, c.bias != nil, i, got[i], want[i])
 			}
 		}
 	}
@@ -354,24 +422,30 @@ func TestGEMMMicroKernelsAgree(t *testing.T) {
 // computed from zero and folded into dst with exactly one add, so that
 // accumulating into an existing buffer equals computing the bare product and
 // adding it — the invariant that lets a batched autodiff op match, bit for
-// bit, a build that sums each product on a node of its own.
+// bit, a build that sums each product on a node of its own. It holds for the
+// NN, NT and TN accumulates on the default dispatch and on both paths.
 func TestGEMMAccSumThenAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][3]int{{5, 7, 3}, {33, 29, gemmKC + 5}} {
 		m, n, k := shape[0], shape[1], shape[2]
-		a := RandUniform(rng, -1, 1, m, k)
-		bT := RandUniform(rng, -1, 1, n, k)
 		seed := RandUniform(rng, -1, 1, m, n)
-		run := func() {
-			direct := MatMulNTAcc(seed.Clone(), a, bT)
-			bare := MatMulNTAcc(New(m, n), a, bT)
-			indirect := AddInPlace(seed.Clone(), bare)
-			if !bitwiseEqual(direct, indirect) {
-				t.Fatalf("shape=%dx%dx%d: acc into seed differs from bare product + add", m, n, k)
+		for _, c := range []struct {
+			op   string
+			a, b *Tensor
+		}{
+			{"MatMulAcc", RandUniform(rng, -1, 1, m, k), RandUniform(rng, -1, 1, k, n)},
+			{"MatMulNTAcc", RandUniform(rng, -1, 1, m, k), RandUniform(rng, -1, 1, n, k)},
+			{"MatMulTNAcc", RandUniform(rng, -1, 1, k, m), RandUniform(rng, -1, 1, k, n)},
+		} {
+			for _, r := range gemmRunners {
+				direct := r.run(c.op, seed.Clone(), c.a, c.b, nil)
+				bare := r.run(c.op, New(m, n), c.a, c.b, nil)
+				indirect := AddInPlace(seed.Clone(), bare)
+				if !bitwiseEqual(direct, indirect) {
+					t.Fatalf("%s path, %s shape=%dx%dx%d: acc into seed differs from bare product + add", r.name, c.op, m, n, k)
+				}
 			}
 		}
-		run()
-		forceBlocked(t, run)
 	}
 }
 
