@@ -419,10 +419,15 @@ func BenchmarkGEMM(b *testing.B) {
 		// The batched LSTM at hidden 24 over 24 links: the forward's
 		// z += H(t-1)·Wh and the dWh accumulation (24×96×24), the
 		// backward's dH += DG·Whᵀ (24×24×96) and its one-sequence form
-		// (1×24×96), a dense layer's dX (144×24×16), and the first layer's
+		// (1×24×96), both MatMulAcc against Whᵀ transposed once per node
+		// (the MatMulNTAcc variants run the same products on the NT path's
+		// B copy), a dense layer's dX (144×24×16), and the first layer's
 		// dWx (5×96×144).
 		{24, 96, 24, matMulTo | matMulAcc | tnAcc}, {24, 24, 96, ntAcc | matMulAcc}, {1, 24, 96, ntAcc | matMulAcc},
 		{144, 24, 16, ntAcc}, {5, 96, 144, tnAcc},
+		// The NN baseline's output-layer dX (1×64×432): the one-row NT
+		// product the program runs, which copies B on every call.
+		{1, 64, 432, ntAcc},
 		// The same over Manhattan's 360 links (batch 360, T 6): the
 		// recurrent product (360×96×24), dH (360×24×96), dWh (24×96×360),
 		// the first layer's input projection (2160×96×5) and its dWx

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -99,5 +100,44 @@ func TestTrainCtxReturnsCancelCause(t *testing.T) {
 	obs := fitObs(m, 12)
 	if _, _, err := m.FitBestCtx(ctx, obs, 3, 1, nil); !errors.Is(err, sentinel) {
 		t.Fatalf("FitBestCtx err = %v, want the cancel cause", err)
+	}
+}
+
+// TestFitBestCancelKeepsEntryState cancels FitBestCtx at every context poll
+// an uncancelled fit makes, single-start and with three restarts, and
+// requires the cancellation cause back and the generator untouched: a
+// cancelled fit must not leave a partly fitted TOD behind.
+func TestFitBestCancelKeepsEntryState(t *testing.T) {
+	const epochs = 5
+	topo := testTopo(t, 4, 1)
+	for _, restarts := range []int{1, 3} {
+		cfg := DefaultConfig()
+		cfg.MaxTrips = 50
+		cfg.Seed = 31
+		cfg.Workers = restarts
+
+		counter := cancelOnPollCause(math.MaxInt, nil).(*pollCancelCtx)
+		ref := NewModel(topo, cfg)
+		if _, _, err := ref.FitBestCtx(counter, fitObs(ref, 12), epochs, restarts, nil); err != nil {
+			t.Fatal(err)
+		}
+		if counter.polls < epochs {
+			t.Fatalf("restarts=%d: an uncancelled fit polled ctx %d times, want at least one per epoch", restarts, counter.polls)
+		}
+
+		m := NewModel(topo, cfg)
+		obs := fitObs(m, 12)
+		entry := m.GenerateTOD()
+		for n := 0; n < counter.polls; n++ {
+			_, _, err := m.FitBestCtx(cancelOnPollCause(n, errCancelCause), obs, epochs, restarts, nil)
+			if !errors.Is(err, errCancelCause) {
+				t.Fatalf("restarts=%d, cancelled after %d polls: err = %v, want the cancel cause", restarts, n, err)
+			}
+			for i, v := range m.GenerateTOD().Data {
+				if math.Float64bits(v) != math.Float64bits(entry.Data[i]) {
+					t.Fatalf("restarts=%d, cancelled after %d polls: TOD element %d is %v, entry state %v", restarts, n, i, v, entry.Data[i])
+				}
+			}
+		}
 	}
 }

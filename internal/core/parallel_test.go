@@ -43,8 +43,7 @@ func TestFitBestRestoresWinner(t *testing.T) {
 }
 
 // cannedGen is a TODGenModule whose output is a canned tensor; Reseed
-// switches to the next canned state. It does not implement CloneableTODGen,
-// so it exercises FitBest's serial snapshot/restore fallback.
+// switches to the next canned state.
 type cannedGen struct {
 	cur    *tensor.Tensor
 	states []*tensor.Tensor
@@ -60,10 +59,28 @@ func (c *cannedGen) Reseed(*rand.Rand) {
 	c.next++
 }
 
+// CloneTODGen copies the current state and the position in the canned
+// sequence; the canned states are shared, as they are only read.
+func (c *cannedGen) CloneTODGen() TODGenModule {
+	return &cannedGen{
+		cur:    c.cur.Clone(),
+		states: c.states,
+		next:   c.next,
+		dummy:  autodiff.NewParameter(c.dummy.Name, c.dummy.Value.Clone()),
+	}
+}
+
 // TestFitBestSelectsPureSpeedLoss pins the winner criterion: the restart
 // with the lower re-evaluated speed loss must win even when the smoothness
-// regularizer makes its *total* training loss far higher.
+// regularizer makes its *total* training loss far higher. It runs with the
+// restarts one after another and concurrently.
 func TestFitBestSelectsPureSpeedLoss(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		testFitBestSelectsPureSpeedLoss(t, workers)
+	}
+}
+
+func testFitBestSelectsPureSpeedLoss(t *testing.T, workers int) {
 	topo := testTopo(t, 4, 1)
 	cfg := DefaultConfig()
 	cfg.MaxTrips = 50
@@ -71,6 +88,7 @@ func TestFitBestSelectsPureSpeedLoss(t *testing.T) {
 	// larger total loss than the flat (but speed-wrong) one.
 	cfg.SmoothWeight = 1000
 	cfg.Seed = 13
+	cfg.Workers = workers
 	m := NewModel(topo, cfg)
 
 	// State A oscillates between 0 and 40 trips; it defines the observation,
@@ -95,10 +113,10 @@ func TestFitBestSelectsPureSpeedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tensor.AllClose(rec, a, 0) {
-		t.Fatal("FitBest did not select the restart with the lowest pure speed loss")
+		t.Fatalf("workers=%d: FitBest did not select the restart with the lowest pure speed loss", workers)
 	}
 	if !tensor.AllClose(m.GenerateTOD(), a, 0) {
-		t.Fatal("winning state was not restored into the generator")
+		t.Fatalf("workers=%d: winning state was not restored into the generator", workers)
 	}
 }
 

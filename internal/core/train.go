@@ -452,21 +452,21 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 // returns the recovered TOD and the winning loss history; restarts <= 1 is
 // the single-start fit.
 //
-// With restarts > 1 every restart begins from the generator's entry state
-// with freshly drawn Gaussian seeds — the seeds for all restarts are drawn
-// serially from a single root-derived rng, so the start set is identical at
-// any worker count — and the restarts run concurrently (bounded by
-// Cfg.Workers) when the generator supports cloning. The winner is the
-// restart with the lowest re-evaluated pure speed loss (see speedScore),
-// ties broken by the lowest restart index. Its generator state is installed
-// into m.TODGen before returning, so m.GenerateTOD() and Model.Save
-// afterwards agree exactly with the returned tensor.
+// Every restart fits its own clone of the generator's entry state. Restart 0
+// keeps the entry seeds; the others redraw their Gaussian seeds serially
+// from a single root-derived rng, so the start set is identical at any
+// worker count. The restarts run concurrently, bounded by Cfg.Workers. With
+// more than one restart the winner is the one with the lowest re-evaluated
+// pure speed loss (see speedScore), ties broken by the lowest restart index.
+// Its generator state is installed into m.TODGen before returning, so
+// m.GenerateTOD() and Model.Save afterwards agree exactly with the returned
+// tensor.
 //
 // Cancellation is cooperative at restart and epoch boundaries: once ctx is
 // cancelled no new restart starts, in-flight restarts abort at their next
-// epoch boundary, and the call returns the context's cancellation cause.
-// Malformed observations or auxiliary data are rejected with an error before
-// any fitting starts.
+// epoch boundary, and the call returns the context's cancellation cause
+// with m.TODGen still at its entry state. Malformed observations or
+// auxiliary data are rejected with an error before any fitting starts.
 func (m *Model) FitBestCtx(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	if err := m.checkFitInputs(speedObs, aux); err != nil {
 		return nil, nil, err
@@ -493,7 +493,9 @@ type restartCtl struct {
 
 // fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
 // exactly like the public method; a checkpointing caller passes a ctl to
-// restore completed restarts and record new ones. Cancellation is
+// restore completed restarts and record new ones. Every fit, single-start
+// or not, runs on clones of the generator and copies the winner into
+// m.TODGen only once every restart has finished. Cancellation is
 // restart-granular: a restart interrupted mid-fit is discarded and the
 // model keeps its entry state. With a ctl the interrupt surfaces as
 // ErrInterrupted (the checkpointed, resumable form), without one as the
@@ -501,133 +503,77 @@ type restartCtl struct {
 func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
 	defer restore()
-	if restarts <= 1 {
-		history, err := m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
+	restarts = max(restarts, 1)
+	// Every restart fits its own deep copy; the shared T2V/V2S modules are
+	// frozen, hence read-only and race-free. Restart 0 keeps the entry seeds;
+	// the reseeds for the others are drawn serially here, so the start set —
+	// and any checkpointed subset of it — is identical at any worker count.
+	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
+	gens := make([]TODGenModule, restarts)
+	for r := range gens {
+		gens[r] = m.TODGen.CloneTODGen()
+		if r > 0 {
+			gens[r].Reseed(rng)
+		}
+	}
+	hists := make([][]float64, restarts)
+	errs := make([]error, restarts)
+	skipped := make([]bool, restarts)
+	fns := make([]func(), restarts)
+	for r := range fns {
+		fns[r] = func() {
+			if rec, ok := restoredOf(ctl, r); ok {
+				copyStateTensors(gens[r].StateTensors(), rec.state)
+				hists[r] = rec.hist
+				return
+			}
+			if ctx.Err() != nil {
+				skipped[r] = true
+				return
+			}
+			hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
+			if errs[r] != nil {
+				if ctx.Err() != nil {
+					skipped[r], errs[r] = true, nil
+				}
+				return
+			}
+			if ctl != nil && ctl.onDone != nil {
+				errs[r] = ctl.onDone(r, gens[r].StateTensors(), hists[r])
+			}
+		}
+	}
+	// RunCtx stops launching restarts once ctx is cancelled; restarts the
+	// pool never started are equivalent to skipped ones below.
+	cancelled := parallel.RunCtx(ctx, m.Cfg.Workers, fns...) != nil
+	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
 		}
-		return m.GenerateTOD(), history, nil
 	}
-	interrupted := func() error {
+	for _, s := range skipped {
+		cancelled = cancelled || s
+	}
+	if cancelled {
 		if ctl != nil {
 			// Checkpointed caller: surface the resumable sentinel — the
 			// completed restarts are already on disk via ctl.onDone.
-			return ErrInterrupted
+			return nil, nil, ErrInterrupted
 		}
-		return context.Cause(ctx)
+		return nil, nil, context.Cause(ctx)
 	}
-	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
-
-	if cl, ok := m.TODGen.(CloneableTODGen); ok {
-		// Concurrent path: every restart fits its own deep copy; the shared
-		// T2V/V2S modules are frozen, hence read-only and race-free. The
-		// reseeds for all restarts are drawn serially here, so the start set —
-		// and any checkpointed subset of it — is identical at any worker
-		// count.
-		gens := make([]TODGenModule, restarts)
-		for r := range gens {
-			gens[r] = cl.CloneTODGen()
-			if r > 0 {
-				gens[r].Reseed(rng)
-			}
-		}
-		hists := make([][]float64, restarts)
-		errs := make([]error, restarts)
-		skipped := make([]bool, restarts)
-		fns := make([]func(), restarts)
-		for r := range fns {
-			r := r
-			fns[r] = func() {
-				if rec, ok := restoredOf(ctl, r); ok {
-					copyStateTensors(gens[r].StateTensors(), rec.state)
-					hists[r] = rec.hist
-					return
-				}
-				if ctx.Err() != nil {
-					skipped[r] = true
-					return
-				}
-				hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
-				if errs[r] != nil {
-					if ctx.Err() != nil {
-						skipped[r], errs[r] = true, nil
-					}
-					return
-				}
-				if ctl != nil && ctl.onDone != nil {
-					errs[r] = ctl.onDone(r, gens[r].StateTensors(), hists[r])
-				}
-			}
-		}
-		// RunCtx stops launching restarts once ctx is cancelled; restarts the
-		// pool never started are equivalent to skipped ones below.
-		cancelled := parallel.RunCtx(ctx, m.Cfg.Workers, fns...) != nil
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, s := range skipped {
-			cancelled = cancelled || s
-		}
-		if cancelled {
-			return nil, nil, interrupted()
-		}
-		best, bestScore := -1, math.Inf(1)
+	best := 0
+	if restarts > 1 {
+		best = -1
+		bestScore := math.Inf(1)
 		for r := range gens {
 			if score := m.speedScore(gens[r], speedObs, aux); best < 0 || score < bestScore {
 				best, bestScore = r, score
 			}
 		}
-		copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())
-		return m.GenerateTOD(), hists[best], nil
 	}
-
-	// Serial fallback for generators without cloning: snapshot the entry
-	// state, fit in place per restart, and restore the winner at the end.
-	// Reseed always runs — also for restored or interrupted restarts — so the
-	// reseed stream stays aligned with an uninterrupted run.
-	entry := cloneTensors(m.TODGen.StateTensors())
-	var bestState []*tensor.Tensor
-	var bestHist []float64
-	best, bestScore := -1, math.Inf(1)
-	for r := 0; r < restarts; r++ {
-		copyStateTensors(m.TODGen.StateTensors(), entry)
-		if r > 0 {
-			m.TODGen.Reseed(rng)
-		}
-		var hist []float64
-		if rec, ok := restoredOf(ctl, r); ok {
-			copyStateTensors(m.TODGen.StateTensors(), rec.state)
-			hist = rec.hist
-		} else {
-			if ctx.Err() != nil {
-				copyStateTensors(m.TODGen.StateTensors(), entry)
-				return nil, nil, interrupted()
-			}
-			var err error
-			hist, err = m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
-			if err != nil {
-				if ctx.Err() != nil {
-					copyStateTensors(m.TODGen.StateTensors(), entry)
-					return nil, nil, interrupted()
-				}
-				return nil, nil, err
-			}
-			if ctl != nil && ctl.onDone != nil {
-				if derr := ctl.onDone(r, m.TODGen.StateTensors(), hist); derr != nil {
-					return nil, nil, derr
-				}
-			}
-		}
-		if score := m.speedScore(m.TODGen, speedObs, aux); best < 0 || score < bestScore {
-			best, bestScore = r, score
-			bestState = cloneTensors(m.TODGen.StateTensors())
-			bestHist = hist
-		}
-	}
-	copyStateTensors(m.TODGen.StateTensors(), bestState)
-	return m.GenerateTOD(), bestHist, nil
+	copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())
+	return m.GenerateTOD(), hists[best], nil
 }
 
 // restoredOf looks up a restored restart record on an optional ctl.

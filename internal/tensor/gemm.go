@@ -9,9 +9,9 @@ import "math"
 //   - The unpacked row path (gemmUnpacked). With the FMA assembly it runs
 //     the row kernels of gemm_amd64.s straight on the operands: vector lanes
 //     across output columns, two output rows per call, B streamed row by row
-//     from where it lies. It serves every product whose B operand stays
-//     cache-resident across the row pairs, and every product with too few
-//     rows for packing to pay. Without the assembly it is the plain triple
+//     from where it lies (an NT product's B from one row-major copy). It
+//     serves every product whose B operand stays cache-resident across the
+//     row pairs, and every product with too few rows for packing to pay. Without the assembly it is the plain triple
 //     loop on math.FMA, for the small products only.
 //   - The packed, cache-blocked path (gemmPacked), for products whose B
 //     would fall out of cache between row pairs. It is the classic
@@ -277,8 +277,6 @@ func gemmMacro(dst []float64, ldc int, ap, bp []float64, i0, jc, mc, nc, kc int,
 				gemmMicroAsm(&ctile[0], ldc, &apanel[0], &bpanel[0], kc, load, tbiasp)
 			case mr == gemmMR && nr == gemmNR:
 				gemmMicroGo(ctile, ldc, apanel, bpanel, kc, load, tbias)
-			case gemmHasAsm && !load:
-				gemmEdgeRowsAsm(ctile, ldc, apanel, bpanel, kc, mr, nr, tbias)
 			default:
 				gemmMicroEdge(ctile, ldc, apanel, bpanel, kc, mr, nr, load, tbias)
 			}
@@ -355,20 +353,9 @@ func gemmMicroGo4(c []float64, ldc int, ap, bp []float64, kc int, load bool, bia
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// gemmEdgeRowsAsm computes a partial fringe tile from zero (the first K
-// panel) through the assembly row kernels, reading the packed panels in
-// place: tile row r is the packed A column at ap[r] with step gemmMR, and B
-// is the packed panel with row stride gemmNR. Only the mr valid rows and nr
-// valid columns are read. A later K panel resumes its chains from dst, which
-// the from-zero row kernels cannot do, so it stays on gemmMicroEdge.
-func gemmEdgeRowsAsm(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, bias []float64) {
-	gemmRowsFMA(c, ldc, ap, 1, gemmMR, bp, gemmNR, mr, nr, kc, false, bias)
-}
-
-// gemmMicroEdge handles the partial tiles at the right/bottom fringe that
-// gemmEdgeRowsAsm cannot: all of them without the assembly, and with it
-// those of a later K panel, whose chains resume from dst. It reads only the
-// mr valid rows and nr valid columns of the packed panels, so the unwritten
+// gemmMicroEdge handles the partial tiles at the right/bottom fringe, on
+// every K panel and with or without the assembly. It reads only the mr
+// valid rows and nr valid columns of the packed panels, so the unwritten
 // padding lanes of the packing layout are never consumed.
 func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load bool, bias []float64) {
 	for r := 0; r < mr; r++ {
@@ -428,35 +415,22 @@ func addBiasRow(crow, bias []float64) {
 	}
 }
 
-// gemmNTRowMin is the output row count from which an NT product (strided
-// B columns, MatMulNTAcc) copies B once into a row-major scratch and runs
-// the row kernels instead of one strided dot chain per element. The copy
-// costs k·n moves per call, which only amortises over enough output rows.
-// Measured per MatMulNTAcc call on a 2-vCPU Intel Xeon VM, median of 6 runs
-// (dot kernels vs copy + row kernels, m×n×k): 1×24×96 1.2 vs 1.9 µs,
-// 2×24×96 2.3 vs 2.2 µs (a tie within noise), 3×24×96 3.6 vs 2.4 µs,
-// 4×24×96 4.6 vs 2.7 µs, 24×24×96 28.3 vs 6.0 µs.
-const gemmNTRowMin = 3
-
 // gemmUnpackedAsm runs the row path through the FMA assembly helpers.
 // math.FMA compiled below GOAMD64=v3 pays a feature-dispatch branch on every
 // call, which dominates the small matmuls the training graph is made of; the
 // helpers issue the FMA instructions directly. The per-element chains are
 // identical to the portable kernels, so this is a speed-only dispatch.
 //
-// Unit-stride output columns (the NN orientation of MatMulTo, AffineTo and
-// MatMulAcc, and MatMulTNAcc's TN) run the row kernels: vector lanes across
-// output columns, streaming B rows contiguously, and in the accumulate form
-// one add of each finished sum into dst (the sum-then-one-add association,
-// as everywhere). Strided output columns (MatMulNTAcc's NT orientation) run
-// them too once m reaches gemmNTRowMin, against a row-major copy of B; below
-// that they run the dot kernels.
+// Every orientation runs the row kernels: vector lanes across output
+// columns, streaming B rows contiguously, and in the accumulate form one
+// add of each finished sum into dst (the sum-then-one-add association, as
+// everywhere). B with unit-stride columns (the NN orientation of MatMulTo,
+// AffineTo and MatMulAcc, and MatMulTNAcc's TN) is read where it lies; B
+// with strided columns (MatMulNTAcc's NT) is first copied once into a
+// row-major scratch. The copy moves k·n elements, which one or two output
+// rows do not amortise, but no hot product has that shape.
 func gemmUnpackedAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
 	if b.cs != 1 {
-		if m < gemmNTRowMin {
-			gemmNaiveDotAsm(dst, ldc, a, b, m, n, k, acc, bias)
-			return
-		}
 		bt := GetUninit(k * n)
 		transposeView(bt.Data, b, k, n)
 		gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, bt.Data, n, m, n, k, acc, bias)
@@ -508,44 +482,6 @@ func transposeView(dst []float64, b gemmView, k, n int) {
 	for ; j < n; j++ {
 		for p := 0; p < k; p++ {
 			dst[p*n+j] = b.data[p*b.rs+j*b.cs]
-		}
-	}
-}
-
-// gemmNaiveDotAsm is the NT path for fewer than gemmNTRowMin output rows:
-// one strided FMA-chain dot per element, both runs unit-stride in the NT
-// case. Four adjacent output columns run interleaved — independent chains,
-// each with the exact per-element sequence of the single-dot kernel — to
-// keep the FMA pipeline full.
-func gemmNaiveDotAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
-	var s4 [4]float64
-	for i := 0; i < m; i++ {
-		crow := dst[i*ldc : i*ldc+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			gemmDot4FMAAsm(&s4[0], &a.data[i*a.rs], a.cs, &b.data[j*b.cs], b.rs, b.cs, k)
-			if acc {
-				crow[j] += s4[0]
-				crow[j+1] += s4[1]
-				crow[j+2] += s4[2]
-				crow[j+3] += s4[3]
-			} else {
-				crow[j] = s4[0]
-				crow[j+1] = s4[1]
-				crow[j+2] = s4[2]
-				crow[j+3] = s4[3]
-			}
-		}
-		for ; j < n; j++ {
-			s := gemmDotFMAAsm(&a.data[i*a.rs], a.cs, &b.data[j*b.cs], b.rs, k)
-			if acc {
-				crow[j] += s
-			} else {
-				crow[j] = s
-			}
-		}
-		if bias != nil {
-			addBiasRow(crow, bias)
 		}
 	}
 }

@@ -30,19 +30,6 @@ func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bo
 //go:noescape
 func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 
-// gemmDotFMAAsm is the strided scalar FMA-chain dot product.
-//
-//go:noescape
-func gemmDotFMAAsm(a *float64, as int, b *float64, bs int, k int) float64
-
-// gemmDot4FMAAsm runs four gemmDotFMAAsm chains at once against b vectors
-// spaced brs apart, writing the four sums to dst[0:4]. Each chain's FMA
-// sequence is identical to the one-at-a-time kernel; the interleave only
-// hides FMA latency across independent output elements.
-//
-//go:noescape
-func gemmDot4FMAAsm(dst, a *float64, as int, b *float64, bs, brs int, k int)
-
 // gateExpAsm, gateSigmoidAsm and gateTanhAsm are the AVX2 gate kernels in
 // gate_amd64.s. Each processes n elements (n a positive multiple of 4, at
 // most 64) of src into dst four lanes at a time and returns a bitmask of

@@ -283,90 +283,6 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// func gemmDotFMAAsm(a *float64, as int, b *float64, bs int, k int) float64
-//
-// The strided scalar FMA chain: s = 0; s = fma(a[p*as], b[p*bs], s) for p
-// ascending. Used per output element when B's columns are not unit-stride.
-TEXT ·gemmDotFMAAsm(SB), NOSPLIT, $0-48
-	MOVQ   a+0(FP), SI
-	MOVQ   as+8(FP), AX
-	MOVQ   b+16(FP), BX
-	MOVQ   bs+24(FP), DX
-	MOVQ   k+32(FP), CX
-	SHLQ   $3, AX
-	SHLQ   $3, DX
-	VXORPD X0, X0, X0
-	TESTQ  CX, CX
-	JZ     dotdone
-
-dotloop:
-	VMOVSD      (SI), X1
-	VMOVSD      (BX), X2
-	VFMADD231SD X2, X1, X0
-	ADDQ        AX, SI
-	ADDQ        DX, BX
-	DECQ        CX
-	JNZ         dotloop
-
-dotdone:
-	VMOVSD X0, ret+40(FP)
-	RET
-
-// func gemmDot4FMAAsm(dst, a *float64, as int, b *float64, bs, brs int, k int)
-//
-// Four strided scalar FMA-chain dot products at once: for i in [0, 4),
-// dst[i] = fma-chain over p ascending of a[p*as]*b[i*brs+p*bs], from zero.
-// Each chain runs in its own xmm accumulator — the per-chain instruction
-// sequence (and so the result) is exactly gemmDotFMAAsm's; interleaving four
-// independent chains merely fills the FMA pipeline, which a lone
-// serially-dependent chain leaves three-quarters idle.
-TEXT ·gemmDot4FMAAsm(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ as+16(FP), AX
-	MOVQ b+24(FP), BX
-	MOVQ bs+32(FP), DX
-	MOVQ brs+40(FP), R8
-	MOVQ k+48(FP), CX
-	SHLQ $3, AX               // a stride in bytes
-	SHLQ $3, DX               // b within-chain stride in bytes
-	SHLQ $3, R8               // b chain-to-chain stride in bytes
-	MOVQ BX, R9               // chain 0 cursor
-	LEAQ (BX)(R8*1), R10      // chain 1 cursor
-	LEAQ (R10)(R8*1), R11     // chain 2 cursor
-	LEAQ (R11)(R8*1), R12     // chain 3 cursor
-	VXORPD X0, X0, X0
-	VXORPD X1, X1, X1
-	VXORPD X2, X2, X2
-	VXORPD X3, X3, X3
-	TESTQ  CX, CX
-	JZ     dot4done
-
-dot4loop:
-	VMOVSD      (SI), X4
-	VMOVSD      (R9), X5
-	VFMADD231SD X5, X4, X0
-	VMOVSD      (R10), X6
-	VFMADD231SD X6, X4, X1
-	VMOVSD      (R11), X7
-	VFMADD231SD X7, X4, X2
-	VMOVSD      (R12), X8
-	VFMADD231SD X8, X4, X3
-	ADDQ        AX, SI
-	ADDQ        DX, R9
-	ADDQ        DX, R10
-	ADDQ        DX, R11
-	ADDQ        DX, R12
-	DECQ        CX
-	JNZ         dot4loop
-
-dot4done:
-	VMOVSD X0, (DI)
-	VMOVSD X1, 8(DI)
-	VMOVSD X2, 16(DI)
-	VMOVSD X3, 24(DI)
-	RET
-
 // func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 //
 // Two output rows of gemmRowFMAAsm in one pass: for r in {0, 1}, the

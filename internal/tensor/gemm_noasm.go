@@ -13,23 +13,15 @@ func gemmMicroAsm(c *float64, ldc int, ap, bp *float64, kc int, load bool, bias 
 	panic("tensor: gemmMicroAsm called without assembly support")
 }
 
-// gemmRowFMAAsm, gemmRow2FMAAsm and the dot kernels are likewise unreachable
-// without assembly support; the row path takes the portable math.FMA
-// kernels instead, and gemmMacro the portable edge kernel.
+// gemmRowFMAAsm and gemmRow2FMAAsm are likewise unreachable without
+// assembly support; the row path takes the portable math.FMA kernels
+// instead.
 func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
 	panic("tensor: gemmRowFMAAsm called without assembly support")
 }
 
 func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
 	panic("tensor: gemmRow2FMAAsm called without assembly support")
-}
-
-func gemmDotFMAAsm(a *float64, as int, b *float64, bs int, k int) float64 {
-	panic("tensor: gemmDotFMAAsm called without assembly support")
-}
-
-func gemmDot4FMAAsm(dst, a *float64, as int, b *float64, bs, brs int, k int) {
-	panic("tensor: gemmDot4FMAAsm called without assembly support")
 }
 
 // gateHasAsm is false without the vector gate kernels; gate.go then runs

@@ -247,12 +247,11 @@ func randSpecial(rng *rand.Rand, shape ...int) *Tensor {
 // and the packed path directly, and requires the independent oracle's bits,
 // even where zero-skip style shortcuts would diverge. Forms that end in a
 // plain add pin NaN-ness but not the NaN payload (see sameBits). The shapes
-// reach each row-path branch: NT below the row-kernel crossover (m 1 and 2,
-// dot kernels) and above it (m 3, 4 and 9, transposed B); odd m for the
-// two-row kernel's single last row; column counts whose 16-wide remainder is
-// 4, 7 or 11 and that are not multiples of 4. On the packed path they reach
-// fringe tiles with fewer than gemmMR rows or gemmNR columns, and k > gemmKC,
-// whose later K panels resume fringe tiles in Go.
+// reach each row-path branch: NT at m 1, 2, 3, 4 and 9 (transposed B); odd m
+// for the two-row kernel's single last row; column counts whose 16-wide
+// remainder is 4, 7 or 11 and that are not multiples of 4. On the packed
+// path they reach fringe tiles with fewer than gemmMR rows or gemmNR
+// columns, and k > gemmKC, whose later K panels resume fringe tiles.
 func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -305,11 +304,12 @@ func TestGEMMBlockedMatchesNaiveSpecialValues(t *testing.T) {
 // TestGEMMNaiveKernelsAgree runs the portable naive kernels and the
 // assembly row path side by side, for every orientation the entry points
 // produce (NN overwrite with and without bias, NN accumulate, NT overwrite
-// and accumulate on both sides of the row-kernel crossover, TN accumulate),
-// and requires equal bits, up to the NaN payload of a final add (see sameBits). It also
-// checks the two-row kernel against two one-row calls. The dispatch picks
-// one path per CPU, so without this test the portable kernels would go
-// unchecked on machines that have the assembly.
+// and accumulate, TN accumulate), and requires equal bits, up to the NaN
+// payload of a final add (see sameBits). 1×64×432 is the NN baseline's
+// output-layer dX, the one-row NT product the program runs, and 2×64×432
+// its two-row twin. It also checks the two-row kernel against two one-row
+// calls. The dispatch picks one path per CPU, so without this test the
+// portable kernels would go unchecked on machines that have the assembly.
 func TestGEMMNaiveKernelsAgree(t *testing.T) {
 	if !gemmHasAsm {
 		t.Skip("no assembly kernels on this CPU")
@@ -325,7 +325,7 @@ func TestGEMMNaiveKernelsAgree(t *testing.T) {
 		}
 		return out
 	}
-	for _, shape := range [][3]int{{1, 1, 1}, {1, 24, 96}, {2, 23, 5}, {3, 23, 5}, {4, 20, 9}, {9, 27, 6}, {24, 96, 24}, {24, 24, 96}, {7, 37, 13}} {
+	for _, shape := range [][3]int{{1, 1, 1}, {1, 24, 96}, {2, 23, 5}, {3, 23, 5}, {4, 20, 9}, {9, 27, 6}, {24, 96, 24}, {24, 24, 96}, {7, 37, 13}, {1, 64, 432}, {2, 64, 432}} {
 		m, n, k := shape[0], shape[1], shape[2]
 		a := fill(m * k)
 		b := fill(k * n)
