@@ -58,7 +58,7 @@ func main() {
 	scaleName := flag.String("scale", "test", "effort: test|quick|full")
 	seed := flag.Int64("seed", 1, "seed")
 	ckptDir := flag.String("checkpoint-dir", "", "write crash-safe training checkpoints into this directory")
-	ckptEvery := flag.Int("ckpt-every", 5, "checkpoint every N epochs (with -checkpoint-dir)")
+	ckptEvery := flag.Int("ckpt-every", 5, "checkpoint the V2S/T2V training stages every N epochs (with -checkpoint-dir); an interrupted fit is refitted from its entry state")
 	resume := flag.Bool("resume", false, "continue from the newest valid checkpoint in -checkpoint-dir")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -270,8 +270,9 @@ func run(ctx context.Context, cityName string, train bool, modelPath, fitPath, o
 
 // checkpointer builds the configured Checkpointer and resumes from the
 // newest valid checkpoint when asked. Graceful stop comes from the run
-// context: SIGINT and -timeout both cancel it, and the training loops
-// checkpoint and exit at the next epoch boundary.
+// context: SIGINT and -timeout both cancel it; the training loops
+// checkpoint and exit at the next epoch boundary, and a fit checkpoints its
+// entry state.
 func checkpointer(model *core.Model, dir string, every int, resume bool) (*core.Checkpointer, error) {
 	ck, err := core.NewCheckpointer(model, core.CkptOptions{
 		Dir:   dir,

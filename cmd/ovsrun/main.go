@@ -32,7 +32,7 @@ func main() {
 	scaleName := flag.String("scale", "test", "effort: test|quick|full")
 	seed := flag.Int64("seed", 1, "seed")
 	ckptDir := flag.String("checkpoint-dir", "", "write crash-safe training checkpoints into this directory (OVS only)")
-	ckptEvery := flag.Int("ckpt-every", 5, "checkpoint every N epochs (with -checkpoint-dir)")
+	ckptEvery := flag.Int("ckpt-every", 5, "checkpoint the V2S/T2V training stages every N epochs (with -checkpoint-dir); an interrupted fit is refitted from its entry state")
 	resume := flag.Bool("resume", false, "continue from the newest valid checkpoint in -checkpoint-dir")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	flag.Parse()

@@ -1,9 +1,8 @@
 // Package ckpt is the fault-tolerant checkpoint subsystem for long training
 // and fitting runs. A checkpoint is a single file holding everything needed
 // to continue a run bitwise-identically after a crash or preemption: model
-// parameters, optimizer slot state, the training RNG position, epoch
-// counters, loss history, and — for multi-restart fitting — the completed
-// restarts' generator states.
+// parameters, optimizer slot state, the TOD generator's state, the training
+// RNG position, epoch counters and loss history.
 //
 // Crash safety rests on three mechanisms:
 //
@@ -67,20 +66,10 @@ type TensorState struct {
 	Data  []float64 `json:"data"`
 }
 
-// Restart records one completed restart of a multi-restart fit: the
-// generator's final state tensors and the restart's loss history. The fit's
-// winner selection is a pure function of these, so restoring them lets a
-// resumed FitBest skip straight to the unfinished restarts.
-type Restart struct {
-	Index int           `json:"index"`
-	State []TensorState `json:"state"`
-	Hist  []float64     `json:"hist"`
-}
-
 // Snapshot is the complete serialized training state at one point in a run.
 // The invariant a snapshot encodes: all stages before Stage are complete
 // (their loss curves live in PrevLoss), and Stage itself has completed Epoch
-// epochs (restart-granular stages use Restarts instead of Epoch).
+// epochs.
 type Snapshot struct {
 	Version int    `json:"version"`
 	Stage   string `json:"stage"`
@@ -93,16 +82,12 @@ type Snapshot struct {
 
 	// Params snapshots every model parameter (all modules).
 	Params []nn.ParamState `json:"params"`
-	// Opt is the current stage's optimizer slot state, when the stage is
-	// epoch-granular.
+	// Opt is the current training stage's optimizer slot state; terminal
+	// snapshots have none.
 	Opt *nn.OptimizerState `json:"opt,omitempty"`
 	// GenState snapshots the TOD generator's StateTensors — parameters plus
-	// the Gaussian seeds, which are not part of Params. For restart-granular
-	// fit stages this is the generator's entry state; for epoch-granular
-	// stages, its current state.
+	// the Gaussian seeds, which are not part of Params.
 	GenState []TensorState `json:"gen_state,omitempty"`
-	// Restarts lists the completed restarts of a restart-granular fit stage.
-	Restarts []Restart `json:"restarts,omitempty"`
 
 	// RNGSeed and RNGDraws pin the training RNG stream's position (see
 	// autodiff.CountingSource).
@@ -244,8 +229,8 @@ func Latest(dir string) (*Snapshot, string, error) {
 }
 
 // Writer writes numbered checkpoints into a directory with keep-last-K
-// retention. It is not safe for concurrent use; callers serialize writes
-// (training loops checkpoint from one goroutine, or under a mutex).
+// retention. It is not safe for concurrent use; training loops checkpoint
+// from one goroutine.
 type Writer struct {
 	dir  string
 	keep int

@@ -57,10 +57,9 @@ func TestCtxCancelEquivalence(t *testing.T) {
 }
 
 // TestCtxCancelEquivalenceRestarts repeats the ctx-cancel equivalence check
-// with a multi-restart fit, exercising cancellation of the restart-granular
-// checkpoint path on both the bounded and concurrent schedules (where
-// restarts unstarted at cancellation are recorded as skipped and re-run on
-// resume).
+// with a multi-restart fit on both the bounded and concurrent schedules: a
+// fit cancelled at any restart or epoch is refitted whole from its
+// checkpointed entry state on resume.
 func TestCtxCancelEquivalenceRestarts(t *testing.T) {
 	requireResumeEquivalence(t, 3, errCancelCause)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"ovs/internal/autodiff"
 	"ovs/internal/ckpt"
@@ -20,34 +19,31 @@ var ErrInterrupted = errors.New("core: run interrupted; checkpoint written")
 // Pipeline stage names recorded in checkpoints. A snapshot in stage S with
 // epoch k means: every earlier stage is complete (its loss curve lives in
 // PrevLoss) and S itself has completed k epochs. The two terminal stages mark
-// a finished pipeline: "trained" after the mapping stages (ovsfit -train),
-// "done" after the full train-and-fit pipeline.
+// a finished pipeline: "trained" after the mapping stages (ovsfit -train, or a
+// fit interrupted before it finished), "done" after the full train-and-fit
+// pipeline.
 const (
-	StageV2S         = "v2s"
-	StageT2V         = "t2v"
-	StageTrained     = "trained"
-	StageFit         = "fit"          // single-start fit, epoch-granular
-	StageFitRestarts = "fit-restarts" // multi-restart fit, restart-granular
-	StageDone        = "done"
+	StageV2S     = "v2s"
+	StageT2V     = "t2v"
+	StageTrained = "trained"
+	StageDone    = "done"
 )
 
-// stageRank orders the stages for resume-skip decisions. StageFit and
-// StageFitRestarts share a rank: they are the same pipeline position under
-// different configurations, and a checkpoint from one cannot resume the
-// other.
-var stageRank = map[string]int{
-	StageV2S: 0, StageT2V: 1, StageTrained: 2,
-	StageFit: 3, StageFitRestarts: 3, StageDone: 4,
-}
+// stageRank orders the stages for resume-skip decisions.
+var stageRank = map[string]int{StageV2S: 0, StageT2V: 1, StageTrained: 2, StageDone: 3}
+
+// fitLossKey is the PrevLoss key of the fit's loss curve. The fit is not a
+// checkpointed stage: it runs whole between StageTrained and StageDone.
+const fitLossKey = "fit"
 
 // CkptOptions configures fault-tolerant checkpointing for the training
 // pipeline.
 type CkptOptions struct {
 	// Dir is the checkpoint directory. Required.
 	Dir string
-	// Every checkpoints each stage after every N completed epochs. <= 0
-	// checkpoints only at stage boundaries and on interrupt. Multi-restart
-	// fitting checkpoints per completed restart regardless.
+	// Every checkpoints the V2S and T2V stages after every N completed
+	// epochs. <= 0 checkpoints only at stage boundaries and on interrupt. The
+	// fit is never checkpointed mid-way: an interrupted fit is refitted.
 	Every int
 	// Keep is the retention depth; <= 0 selects the package default.
 	Keep int
@@ -55,17 +51,13 @@ type CkptOptions struct {
 
 // Checkpointer wraps a Model with checkpointed, resumable variants of the
 // training pipeline. The headline guarantee: a run interrupted at any epoch
-// (or restart) and resumed from its checkpoint produces bitwise-identical
+// and resumed from its checkpoint produces bitwise-identical
 // parameters, optimizer state, and loss history to a run that never stopped,
 // at any worker count and with arena pooling on or off.
 type Checkpointer struct {
 	m    *Model
 	opts CkptOptions
 	w    *ckpt.Writer
-
-	// mu guards w and prev: multi-restart fitting reports completions from
-	// worker goroutines.
-	mu   sync.Mutex
 	prev map[string][]float64
 
 	// resume is the snapshot being resumed from; stages consume or skip it
@@ -150,72 +142,32 @@ func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sE
 	return v2s, t2v, err
 }
 
-// FitBest is the checkpointed Model.FitBestCtx: single-start fits checkpoint
-// per epoch, multi-restart fits per completed restart (a restart interrupted
-// mid-fit is discarded and refitted on resume from its recorded entry
-// state, so the outcome is unchanged).
+// FitBest is the checkpointed Model.FitBestCtx. The fit is one step that
+// resumes from its entry state: if the pending resume snapshot is "done" the
+// fit is skipped and its recorded curve returned; otherwise the whole fit
+// runs. A cancelled fit leaves the generator at its entry state, which is
+// checkpointed as StageTrained before ErrInterrupted surfaces, so the resumed
+// run refits from the same start. The fit draws nothing from the model's RNG
+// stream, so the refit lands on the same winner.
 func (c *Checkpointer) FitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	if err := c.m.checkFitInputs(speedObs, aux); err != nil {
 		return nil, nil, err
 	}
-	if restarts <= 1 {
-		restore := freezeParams(append(c.m.T2V.Params(), c.m.V2S.Params()...))
-		defer restore()
-		hist, err := c.runEpochStage(StageFit, epochs, func(start int, h []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
-			return c.m.fitGenFrom(ctx, c.m.TODGen, speedObs, epochs, start, h, opt, aux, hook)
-		}, c.m.TODGen.Params())
-		if err != nil {
-			return nil, hist, err
-		}
-		return c.m.GenerateTOD(), hist, nil
+	if c.resume != nil && c.resume.Stage == StageDone {
+		// The restored parameters and generator state already hold the
+		// winning fit.
+		return c.m.GenerateTOD(), c.prev[fitLossKey], nil
 	}
-
-	snap, skipHist, skip, err := c.stageEntry(StageFitRestarts)
+	c.resume = nil
+	tod, hist, err := c.m.fitBest(ctx, speedObs, epochs, restarts, aux)
 	if err != nil {
-		return nil, nil, err
-	}
-	if skip {
-		// The fit completed in a previous run; the restored parameters and
-		// generator state already hold the winning restart.
-		return c.m.GenerateTOD(), skipHist, nil
-	}
-	// The live generator holds the fit's entry state (on resume it was
-	// restored from the snapshot's recorded entry state, so restarts redrawn
-	// from the deterministic reseed stream start identically).
-	entry := cloneTensors(c.m.TODGen.StateTensors())
-	restored := make(map[int]restartRecord)
-	var recs []ckpt.Restart
-	if snap != nil {
-		for _, rr := range snap.Restarts {
-			state, rerr := restoreTensorStates(rr.State, c.m.TODGen.StateTensors())
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("core: checkpoint restart %d: %w", rr.Index, rerr)
-			}
-			restored[rr.Index] = restartRecord{state: state, hist: append([]float64(nil), rr.Hist...)}
+		// fitBest fails only on cancellation.
+		if werr := c.write(StageTrained, 0, nil, nil); werr != nil {
+			return nil, nil, werr
 		}
-		recs = append(recs, snap.Restarts...)
+		return nil, nil, ErrInterrupted
 	}
-	var recMu sync.Mutex
-	ctl := &restartCtl{
-		restored: restored,
-		onDone: func(r int, state []*tensor.Tensor, hist []float64) error {
-			recMu.Lock()
-			defer recMu.Unlock()
-			recs = append(recs, ckpt.Restart{
-				Index: r,
-				State: tensorStates(state),
-				Hist:  append([]float64(nil), hist...),
-			})
-			return c.write(StageFitRestarts, 0, nil, nil, recs, entry)
-		},
-	}
-	tod, hist, err := c.m.fitBest(ctx, speedObs, epochs, restarts, aux, ctl)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.mu.Lock()
-	c.prev[StageFitRestarts] = hist
-	c.mu.Unlock()
+	c.prev[fitLossKey] = hist
 	return tod, hist, nil
 }
 
@@ -228,7 +180,7 @@ type TrainResult struct {
 }
 
 // TrainFull is the checkpointed Model.TrainFullCtx: both mapping stages, the
-// (multi-restart) fit, and a terminal "done" checkpoint capturing the final
+// fit, and a terminal "done" checkpoint capturing the final
 // state. Resuming a completed run reproduces the same result without
 // retraining.
 func (c *Checkpointer) TrainFull(ctx context.Context, samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*TrainResult, error) {
@@ -258,37 +210,34 @@ func (c *Checkpointer) Finish(stage string) error {
 		return fmt.Errorf("core: %q is not a terminal stage", stage)
 	}
 	c.resume = nil
-	return c.write(stage, 0, nil, nil, nil, nil)
+	return c.write(stage, 0, nil, nil)
 }
 
 // stageEntry resolves how a stage starts against the pending resume
 // snapshot: skip it entirely (a later stage's snapshot proves it completed;
 // its loss curve is returned), continue it mid-flight (the snapshot is
 // consumed and returned), or start fresh.
-func (c *Checkpointer) stageEntry(stage string) (snap *ckpt.Snapshot, skipHist []float64, skip bool, err error) {
+func (c *Checkpointer) stageEntry(stage string) (snap *ckpt.Snapshot, skipHist []float64, skip bool) {
 	r := c.resume
 	if r == nil {
-		return nil, nil, false, nil
+		return nil, nil, false
 	}
 	sr := stageRank[stage]
 	rr := stageRank[r.Stage]
 	if rr > sr {
 		// A later stage checkpointed, so this one completed; its state is
 		// already restored and its curve recorded.
-		return nil, c.prev[stage], true, nil
+		return nil, c.prev[stage], true
 	}
 	if rr < sr {
 		// The snapshot is from an earlier terminal stage (e.g. "trained"
 		// feeding a fit-only run): its state carries over, the stage itself
 		// starts fresh.
 		c.resume = nil
-		return nil, nil, false, nil
-	}
-	if r.Stage != stage {
-		return nil, nil, false, fmt.Errorf("core: checkpoint is mid %q, cannot resume a %q stage (configuration changed between runs?)", r.Stage, stage)
+		return nil, nil, false
 	}
 	c.resume = nil
-	return r, nil, false, nil
+	return r, nil, false
 }
 
 // runEpochStage runs one epoch-granular stage through the resume/checkpoint
@@ -296,10 +245,7 @@ func (c *Checkpointer) stageEntry(stage string) (snap *ckpt.Snapshot, skipHist [
 // checkpointed slot state bound to the stage's parameters), run with the
 // periodic hook, and record the completed curve.
 func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error), params []*autodiff.Parameter) ([]float64, error) {
-	snap, skipHist, skip, err := c.stageEntry(stage)
-	if err != nil {
-		return nil, err
-	}
+	snap, skipHist, skip := c.stageEntry(stage)
 	if skip {
 		return skipHist, nil
 	}
@@ -319,9 +265,7 @@ func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start in
 	if err != nil {
 		return h, err
 	}
-	c.mu.Lock()
 	c.prev[stage] = h
-	c.mu.Unlock()
 	return h, nil
 }
 
@@ -332,13 +276,13 @@ func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start in
 // verdict in, so a cancelled checkpointed run always exits through this
 // path with its final checkpoint written.
 func (c *Checkpointer) epochHook(stage string, epochs int) stageHook {
-	return func(done int, hist []float64, opt nn.StatefulOptimizer, cancelled bool) error {
+	return func(done int, hist []float64, opt *nn.Adam, cancelled bool) error {
 		boundary := done == epochs
 		periodic := c.opts.Every > 0 && done%c.opts.Every == 0
 		if !cancelled && !boundary && !periodic {
 			return nil
 		}
-		if err := c.write(stage, done, hist, opt, nil, nil); err != nil {
+		if err := c.write(stage, done, hist, opt); err != nil {
 			return err
 		}
 		if cancelled {
@@ -349,12 +293,7 @@ func (c *Checkpointer) epochHook(stage string, epochs int) stageHook {
 }
 
 // write captures the model's current state into a snapshot and persists it.
-// genState overrides the recorded generator state (restart-granular fits
-// record the fit's entry state, not the live mid-restart state); nil records
-// the live state.
-func (c *Checkpointer) write(stage string, epoch int, loss []float64, opt nn.StatefulOptimizer, restarts []ckpt.Restart, genState []*tensor.Tensor) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Checkpointer) write(stage string, epoch int, loss []float64, opt *nn.Adam) error {
 	params, err := nn.CaptureParams(c.m.Params())
 	if err != nil {
 		return err
@@ -375,11 +314,7 @@ func (c *Checkpointer) write(stage string, epoch int, loss []float64, opt nn.Sta
 		st := opt.ExportState()
 		snap.Opt = &st
 	}
-	if genState == nil {
-		genState = c.m.TODGen.StateTensors()
-	}
-	snap.GenState = tensorStates(genState)
-	snap.Restarts = restarts
+	snap.GenState = tensorStates(c.m.TODGen.StateTensors())
 	snap.RNGSeed, snap.RNGDraws = c.m.rngSrc.State()
 	_, err = c.w.Write(snap)
 	return err

@@ -6,6 +6,8 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ovs/internal/ckpt"
@@ -123,16 +125,15 @@ func requireSameFinalSnapshot(t *testing.T, label, refDir, gotDir string) {
 // subsystem: a run cancelled through its context at any epoch and resumed
 // produces bitwise-identical parameters, optimizer state, RNG position, and
 // loss history to a run that never stopped — at several worker counts and
-// with arena pooling on and off. FitRestarts=1 exercises the epoch-granular
-// fit stage.
+// with arena pooling on and off. FitRestarts=1 is the single-start fit.
 func TestResumeEquivalence(t *testing.T) {
 	requireResumeEquivalence(t, 1, nil)
 }
 
 // TestResumeEquivalenceRestarts repeats the headline check with a
-// multi-restart fit, exercising the restart-granular checkpoint path on both
-// the bounded (Workers=1, cloning still active) and concurrent schedules,
-// where restarts unstarted at cancellation are skipped and re-run on resume.
+// multi-restart fit on both the bounded (Workers=1) and concurrent
+// schedules: a fit interrupted at any restart or epoch is refitted whole
+// from its checkpointed entry state on resume.
 func TestResumeEquivalenceRestarts(t *testing.T) {
 	requireResumeEquivalence(t, 3, nil)
 }
@@ -290,9 +291,11 @@ func TestResumeEmptyDirStartsFresh(t *testing.T) {
 	}
 }
 
-// TestStageMismatchRejected: a checkpoint taken mid single-start fit cannot
-// resume a multi-restart fit (the configuration changed between runs).
-func TestStageMismatchRejected(t *testing.T) {
+// TestFitInterruptResumesFromEntry cancels TrainFull inside its fit. The
+// fit is one resumable step: the newest checkpoint must hold the fit's entry
+// state as StageTrained, and a multi-restart fit resumed from it must equal
+// FitBestCtx on an uninterrupted chain, bitwise in both TOD and curve.
+func TestFitInterruptResumesFromEntry(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	samples := poolingSamples(topo, 2)
 	cfg := ckptTestConfig(1, 1)
@@ -304,20 +307,34 @@ func TestStageMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One poll per epoch: polls 1-6 end the V2S and T2V epochs, poll 7
-	// cancels at the end of fit epoch 1.
-	if _, err := c.TrainFull(cancelOnPoll(6), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("expected interrupt in the fit stage, got %v", err)
+	// Polls 1-6 end the V2S and T2V epochs, poll 7 starts the fit's restart
+	// fan-out, poll 8 cancels at the end of fit epoch 1.
+	if _, err := c.TrainFull(cancelOnPoll(7), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("expected interrupt in the fit, got %v", err)
 	}
 	snap, _, err := ckpt.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Stage != StageFit || snap.Epoch != 1 {
-		t.Fatalf("interrupt landed at %s epoch %d, want %s epoch 1", snap.Stage, snap.Epoch, StageFit)
+	if snap.Stage != StageTrained {
+		t.Fatalf("interrupted fit checkpointed stage %q, want %q", snap.Stage, StageTrained)
+	}
+
+	ref := NewModel(topo, cfg)
+	refObs := fitObs(ref, 12)
+	if _, err := ref.TrainV2SCtx(context.Background(), samples, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.TrainT2VCtx(context.Background(), samples, 3); err != nil {
+		t.Fatal(err)
+	}
+	wantTOD, wantHist, err := ref.FitBestCtx(context.Background(), refObs, 2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	m2 := NewModel(topo, cfg)
+	obs2 := fitObs(m2, 12)
 	c2, err := NewCheckpointer(m2, CkptOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +342,69 @@ func TestStageMismatchRejected(t *testing.T) {
 	if _, err := c2.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c2.FitBest(context.Background(), fitObs(m2, 12), 2, 3, nil); err == nil {
-		t.Fatal("resuming a fit checkpoint into a multi-restart fit did not error")
+	gotTOD, gotHist, err := c2.FitBest(context.Background(), obs2, 2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.AllClose(wantTOD, gotTOD, 0) {
+		t.Fatal("resumed fit recovered a different TOD than the uninterrupted chain")
+	}
+	if !reflect.DeepEqual(wantHist, gotHist) {
+		t.Fatalf("resumed fit curve differs:\n%v\n%v", wantHist, gotHist)
+	}
+}
+
+// TestResumeRejectsMidFitStages: older builds checkpointed the fit mid-way in
+// stages "fit" and "fit-restarts". Those snapshots hold a partly fitted
+// generator that no stage of this build resumes, so Resume must reject them
+// with an error naming the stage and leave the model's parameters untouched.
+func TestResumeRejectsMidFitStages(t *testing.T) {
+	topo := testTopo(t, 4, 1)
+	cfg := ckptTestConfig(1, 1)
+	other := cfg
+	other.Seed++
+	src := NewModel(topo, other)
+	params, err := nn.CaptureParams(src.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"fit", "fit-restarts"} {
+		dir := t.TempDir()
+		w, err := ckpt.NewWriter(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := &ckpt.Snapshot{
+			Stage:    stage,
+			Params:   params,
+			GenState: tensorStates(src.TODGen.StateTensors()),
+		}
+		if _, err := w.Write(snap); err != nil {
+			t.Fatal(err)
+		}
+
+		m := NewModel(topo, cfg)
+		want, err := nn.CaptureParams(m.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(want, params) {
+			t.Fatal("snapshot parameters equal the live model's; the test checks nothing")
+		}
+		c, err := NewCheckpointer(m, CkptOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Resume()
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(stage)) {
+			t.Fatalf("stage %q: Resume err = %v, want an error naming the stage", stage, err)
+		}
+		got, err := nn.CaptureParams(m.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("stage %q: rejected checkpoint modified the model's parameters", stage)
+		}
 	}
 }

@@ -516,6 +516,15 @@ func paramValues(m *Model) []*tensor.Tensor {
 	return vs
 }
 
+// cloneTensors deep-copies a tensor list.
+func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
+	}
+	return out
+}
+
 func TestAblationVariants(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	cfg := DefaultConfig()

@@ -17,13 +17,13 @@ import (
 // optimizer, and whether the run's context was cancelled at this boundary.
 // Returning an error aborts the stage; the error (typically ErrInterrupted)
 // propagates to the caller with the partial history.
-type stageHook func(done int, hist []float64, opt nn.StatefulOptimizer, cancelled bool) error
+type stageHook func(done int, hist []float64, opt *nn.Adam, cancelled bool) error
 
 // endEpoch is the single cancellation point of every training loop: it polls
 // ctx once per completed epoch, hands the verdict to the optional hook (a
 // checkpointing hook writes its final checkpoint and returns ErrInterrupted),
 // and otherwise turns a cancellation into the context's cause.
-func endEpoch(ctx context.Context, hook stageHook, done int, hist []float64, opt nn.StatefulOptimizer) error {
+func endEpoch(ctx context.Context, hook stageHook, done int, hist []float64, opt *nn.Adam) error {
 	cancelled := ctx.Err() != nil
 	if hook != nil {
 		if err := hook(done, hist, opt, cancelled); err != nil {
@@ -278,16 +278,12 @@ func checkIndices(what string, idx []int, n int) error {
 // callers must freeze those modules' parameters and validate the inputs
 // (checkFitInputs) first.
 func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
-	return m.fitGenFrom(ctx, gen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
-}
-
-// fitGenFrom is the resumable core of fitGen (see trainV2S).
-func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs, start int, hist []float64, opt *nn.Adam, aux *AuxData, hook stageHook) ([]float64, error) {
 	params := gen.Params()
-	history := hist
+	opt := nn.NewAdam(m.Cfg.LR)
+	var history []float64
 	g := autodiff.NewGraph()
 	defer g.Release()
-	for e := start; e < epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		g.Reset()
 		tod := gen.Generate(g)
 		vol := m.T2V.MapVolume(g, tod, false)
@@ -310,7 +306,7 @@ func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tens
 		}
 		opt.Step(params)
 		nn.ZeroGrads(params)
-		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
+		if err := endEpoch(ctx, nil, e+1, history, opt); err != nil {
 			return history, err
 		}
 	}
@@ -471,43 +467,21 @@ func (m *Model) FitBestCtx(ctx context.Context, speedObs *tensor.Tensor, epochs,
 	if err := m.checkFitInputs(speedObs, aux); err != nil {
 		return nil, nil, err
 	}
-	return m.fitBest(ctx, speedObs, epochs, restarts, aux, nil)
+	return m.fitBest(ctx, speedObs, epochs, restarts, aux)
 }
 
-// restartRecord is one completed restart's outcome: the generator's final
-// state tensors and the restart's loss history.
-type restartRecord struct {
-	state []*tensor.Tensor
-	hist  []float64
-}
-
-// restartCtl lets a checkpointing caller steer a multi-restart fit.
-// Restarts listed in restored skip fitting and reuse the recorded outcome;
-// onDone reports each freshly completed restart (called from worker
-// goroutines — implementations synchronize internally). Both fields are
-// optional.
-type restartCtl struct {
-	restored map[int]restartRecord
-	onDone   func(r int, state []*tensor.Tensor, hist []float64) error
-}
-
-// fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
-// exactly like the public method; a checkpointing caller passes a ctl to
-// restore completed restarts and record new ones. Every fit, single-start
-// or not, runs on clones of the generator and copies the winner into
-// m.TODGen only once every restart has finished. Cancellation is
-// restart-granular: a restart interrupted mid-fit is discarded and the
-// model keeps its entry state. With a ctl the interrupt surfaces as
-// ErrInterrupted (the checkpointed, resumable form), without one as the
-// context's cancellation cause. Callers validate the inputs first.
-func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
+// fitBest is FitBestCtx after input validation. Every fit, single-start or
+// not, runs on clones of the generator and copies the winner into m.TODGen
+// only once every restart has finished, so a cancelled fit leaves the model
+// at its entry state. Its only error is the context's cancellation cause.
+func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
 	defer restore()
 	restarts = max(restarts, 1)
 	// Every restart fits its own deep copy; the shared T2V/V2S modules are
 	// frozen, hence read-only and race-free. Restart 0 keeps the entry seeds;
-	// the reseeds for the others are drawn serially here, so the start set —
-	// and any checkpointed subset of it — is identical at any worker count.
+	// the reseeds for the others are drawn serially here, so the start set is
+	// identical at any worker count.
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
 	gens := make([]TODGenModule, restarts)
 	for r := range gens {
@@ -518,49 +492,21 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 	}
 	hists := make([][]float64, restarts)
 	errs := make([]error, restarts)
-	skipped := make([]bool, restarts)
 	fns := make([]func(), restarts)
 	for r := range fns {
 		fns[r] = func() {
-			if rec, ok := restoredOf(ctl, r); ok {
-				copyStateTensors(gens[r].StateTensors(), rec.state)
-				hists[r] = rec.hist
-				return
-			}
-			if ctx.Err() != nil {
-				skipped[r] = true
-				return
-			}
 			hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
-			if errs[r] != nil {
-				if ctx.Err() != nil {
-					skipped[r], errs[r] = true, nil
-				}
-				return
-			}
-			if ctl != nil && ctl.onDone != nil {
-				errs[r] = ctl.onDone(r, gens[r].StateTensors(), hists[r])
-			}
 		}
 	}
-	// RunCtx stops launching restarts once ctx is cancelled; restarts the
-	// pool never started are equivalent to skipped ones below.
-	cancelled := parallel.RunCtx(ctx, m.Cfg.Workers, fns...) != nil
+	// RunCtx stops launching restarts once ctx is cancelled; a restart
+	// cancelled mid-fit reports the cause through errs.
+	if err := parallel.RunCtx(ctx, m.Cfg.Workers, fns...); err != nil {
+		return nil, nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	for _, s := range skipped {
-		cancelled = cancelled || s
-	}
-	if cancelled {
-		if ctl != nil {
-			// Checkpointed caller: surface the resumable sentinel — the
-			// completed restarts are already on disk via ctl.onDone.
-			return nil, nil, ErrInterrupted
-		}
-		return nil, nil, context.Cause(ctx)
 	}
 	best := 0
 	if restarts > 1 {
@@ -574,24 +520,6 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 	}
 	copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())
 	return m.GenerateTOD(), hists[best], nil
-}
-
-// restoredOf looks up a restored restart record on an optional ctl.
-func restoredOf(ctl *restartCtl, r int) (restartRecord, bool) {
-	if ctl == nil {
-		return restartRecord{}, false
-	}
-	rec, ok := ctl.restored[r]
-	return rec, ok
-}
-
-// cloneTensors deep-copies a state-tensor list.
-func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	return out
 }
 
 // copyStateTensors copies src's contents into dst element-wise. The lists

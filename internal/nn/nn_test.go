@@ -192,22 +192,6 @@ func TestLSTMLearnsRunningMean(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumDiffersFromPlain(t *testing.T) {
-	p1 := autodiff.NewParameter("p1", tensor.FromSlice([]float64{1}, 1))
-	p2 := autodiff.NewParameter("p2", tensor.FromSlice([]float64{1}, 1))
-	plain := NewSGD(0.1, 0)
-	mom := NewSGD(0.1, 0.9)
-	for i := 0; i < 3; i++ {
-		p1.Grad.Data[0] = 1
-		p2.Grad.Data[0] = 1
-		plain.Step([]*autodiff.Parameter{p1})
-		mom.Step([]*autodiff.Parameter{p2})
-	}
-	if p1.Value.Data[0] <= p2.Value.Data[0] {
-		t.Fatalf("momentum should have moved farther: plain=%v momentum=%v", p1.Value.Data[0], p2.Value.Data[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := autodiff.NewParameter("p", tensor.FromSlice([]float64{5, -3}, 2))
 	opt := NewAdam(0.1)

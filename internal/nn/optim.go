@@ -8,47 +8,26 @@ import (
 	"ovs/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients intact; callers typically
-	// follow it with ZeroGrads.
-	Step(params []*autodiff.Parameter)
-}
-
 // OptimizerState is the serializable snapshot of an optimizer's slot-slice
 // state: the step counter, the hyperparameters, and the per-parameter moment
 // tensors keyed by parameter name. A checkpointed training run restored with
 // ImportState continues bitwise-identically to one that never stopped.
 type OptimizerState struct {
-	Kind     string      `json:"kind"` // "adam" | "sgd"
-	Step     int         `json:"step,omitempty"`
-	LR       float64     `json:"lr"`
-	Beta1    float64     `json:"beta1,omitempty"`
-	Beta2    float64     `json:"beta2,omitempty"`
-	Eps      float64     `json:"eps,omitempty"`
-	Momentum float64     `json:"momentum,omitempty"`
-	Slots    []SlotState `json:"slots,omitempty"`
+	Kind  string      `json:"kind"` // "adam"
+	Step  int         `json:"step,omitempty"`
+	LR    float64     `json:"lr"`
+	Beta1 float64     `json:"beta1,omitempty"`
+	Beta2 float64     `json:"beta2,omitempty"`
+	Eps   float64     `json:"eps,omitempty"`
+	Slots []SlotState `json:"slots,omitempty"`
 }
 
-// SlotState is one parameter's optimizer slot: M is Adam's first moment (or
-// SGD's velocity), V is Adam's second moment.
+// SlotState is one parameter's optimizer slot: M is Adam's first moment, V
+// its second moment.
 type SlotState struct {
 	Name string    `json:"name"`
 	M    []float64 `json:"m,omitempty"`
 	V    []float64 `json:"v,omitempty"`
-}
-
-// StatefulOptimizer is an optimizer whose full state can be exported into a
-// checkpoint and restored later.
-type StatefulOptimizer interface {
-	Optimizer
-	// ExportState snapshots the optimizer against its current slot binding.
-	// Slot data is copied, so the snapshot is stable while training continues.
-	ExportState() OptimizerState
-	// ImportState replaces the optimizer's state with st, rebinding the slots
-	// to params. Every stored slot must name a parameter in params with a
-	// matching element count; validation happens before any state is applied.
-	ImportState(st OptimizerState, params []*autodiff.Parameter) error
 }
 
 // slotIndex maps parameter names to positions, erroring on duplicates so a
@@ -64,28 +43,25 @@ func slotIndex(params []*autodiff.Parameter) (map[string]int, error) {
 	return idx, nil
 }
 
-// validateSlots checks every slot against the parameter index before any
-// import mutates optimizer state.
-func validateSlots(kind string, slots []SlotState, params []*autodiff.Parameter, idx map[string]int, wantV bool) error {
+// validateSlots checks every Adam slot against the parameter index before
+// any import mutates optimizer state.
+func validateSlots(slots []SlotState, params []*autodiff.Parameter, idx map[string]int) error {
 	seen := make(map[string]bool, len(slots))
 	for _, s := range slots {
 		if seen[s.Name] {
-			return fmt.Errorf("nn: %s state holds duplicate slot %q", kind, s.Name)
+			return fmt.Errorf("nn: adam state holds duplicate slot %q", s.Name)
 		}
 		seen[s.Name] = true
 		i, ok := idx[s.Name]
 		if !ok {
-			return fmt.Errorf("nn: %s state holds slot for unknown parameter %q", kind, s.Name)
+			return fmt.Errorf("nn: adam state holds slot for unknown parameter %q", s.Name)
 		}
 		n := len(params[i].Value.Data)
 		if len(s.M) != n {
-			return fmt.Errorf("nn: %s slot %q has %d values, parameter has %d", kind, s.Name, len(s.M), n)
+			return fmt.Errorf("nn: adam slot %q has %d values, parameter has %d", s.Name, len(s.M), n)
 		}
-		if wantV && len(s.V) != n {
-			return fmt.Errorf("nn: %s slot %q second moment has %d values, parameter has %d", kind, s.Name, len(s.V), n)
-		}
-		if !wantV && len(s.V) != 0 {
-			return fmt.Errorf("nn: %s slot %q carries a second moment", kind, s.Name)
+		if len(s.V) != n {
+			return fmt.Errorf("nn: adam slot %q second moment has %d values, parameter has %d", s.Name, len(s.V), n)
 		}
 	}
 	return nil
@@ -142,108 +118,12 @@ func sameParams(cached, params []*autodiff.Parameter) bool {
 	return true
 }
 
-// SGD is plain stochastic gradient descent with optional momentum. Optimizer
-// state lives in slices parallel to the parameter list (slot indexing,
-// resolved once on the first Step), not in per-parameter maps, so the
-// per-step cost is a plain slice walk. Frozen parameters are skipped.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	params   []*autodiff.Parameter
-	velocity []*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// rebind aligns the velocity slots with a new parameter list, carrying over
-// the state of parameters present in the old list.
-func (s *SGD) rebind(params []*autodiff.Parameter) {
-	old := make(map[*autodiff.Parameter]*tensor.Tensor, len(s.params))
-	for i, p := range s.params {
-		old[p] = s.velocity[i]
-	}
-	s.params = append([]*autodiff.Parameter(nil), params...)
-	s.velocity = make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		if v, ok := old[p]; ok {
-			s.velocity[i] = v
-		}
-	}
-}
-
-// Step applies one SGD update. Frozen parameters are left untouched (their
-// velocity, if any, is preserved but not applied or decayed).
-func (s *SGD) Step(params []*autodiff.Parameter) {
-	if !sameParams(s.params, params) {
-		s.rebind(params)
-	}
-	for i, p := range params {
-		if p.Frozen() {
-			continue
-		}
-		//ovslint:ignore floateq Momentum==0 is a configuration sentinel meaning plain SGD, not a computed value
-		if s.Momentum == 0 {
-			tensor.AxpyInPlace(p.Value, -s.LR, p.Grad)
-			continue
-		}
-		v := s.velocity[i]
-		if v == nil {
-			v = tensor.New(p.Value.Shape()...)
-			s.velocity[i] = v
-		}
-		tensor.SGDMomentumStepInPlace(p.Value, p.Grad, v, s.LR, s.Momentum)
-	}
-}
-
-// ExportState snapshots the velocity slots keyed by parameter name.
-func (s *SGD) ExportState() OptimizerState {
-	st := OptimizerState{Kind: "sgd", LR: s.LR, Momentum: s.Momentum}
-	for i, p := range s.params {
-		if s.velocity[i] == nil {
-			continue
-		}
-		st.Slots = append(st.Slots, SlotState{
-			Name: p.Name,
-			M:    append([]float64(nil), s.velocity[i].Data...),
-		})
-	}
-	return st
-}
-
-// ImportState restores a snapshot produced by ExportState, rebinding the
-// velocity slots to params.
-func (s *SGD) ImportState(st OptimizerState, params []*autodiff.Parameter) error {
-	if st.Kind != "sgd" {
-		return fmt.Errorf("nn: SGD cannot import %q state", st.Kind)
-	}
-	idx, err := slotIndex(params)
-	if err != nil {
-		return err
-	}
-	if err := validateSlots("sgd", st.Slots, params, idx, false); err != nil {
-		return err
-	}
-	s.LR = st.LR
-	s.Momentum = st.Momentum
-	s.params = append([]*autodiff.Parameter(nil), params...)
-	s.velocity = make([]*tensor.Tensor, len(params))
-	for _, slot := range st.Slots {
-		i := idx[slot.Name]
-		v := tensor.New(params[i].Value.Shape()...)
-		copy(v.Data, slot.M)
-		s.velocity[i] = v
-	}
-	return nil
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). The paper trains with
 // learning rate 0.001 (Table V), Adam's default. Moment state lives in slot
-// slices parallel to the parameter list (see SGD); the per-element update is
-// the fused tensor.AdamStepInPlace kernel. Frozen parameters are skipped
+// slices parallel to the parameter list (slot indexing, resolved once on the
+// first Step), not in per-parameter maps, so the per-step cost is a plain
+// slice walk; the per-element update is the fused tensor.AdamStepInPlace
+// kernel. Frozen parameters are skipped
 // entirely: no update, no moment decay.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -300,7 +180,8 @@ func (a *Adam) Step(params []*autodiff.Parameter) {
 }
 
 // ExportState snapshots the step counter and moment slots keyed by parameter
-// name.
+// name. Slot data is copied, so the snapshot is stable while training
+// continues.
 func (a *Adam) ExportState() OptimizerState {
 	st := OptimizerState{Kind: "adam", Step: a.step, LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps}
 	for i, p := range a.params {
@@ -318,7 +199,9 @@ func (a *Adam) ExportState() OptimizerState {
 
 // ImportState restores a snapshot produced by ExportState, rebinding the
 // moment slots to params. The step counter is restored too, so bias
-// correction continues exactly where the exported run left off.
+// correction continues exactly where the exported run left off. Every stored
+// slot must name a parameter in params with matching element counts; all of
+// them are validated before any state is applied.
 func (a *Adam) ImportState(st OptimizerState, params []*autodiff.Parameter) error {
 	if st.Kind != "adam" {
 		return fmt.Errorf("nn: Adam cannot import %q state", st.Kind)
@@ -327,7 +210,7 @@ func (a *Adam) ImportState(st OptimizerState, params []*autodiff.Parameter) erro
 	if err != nil {
 		return err
 	}
-	if err := validateSlots("adam", st.Slots, params, idx, true); err != nil {
+	if err := validateSlots(st.Slots, params, idx); err != nil {
 		return err
 	}
 	a.LR, a.Beta1, a.Beta2, a.Eps = st.LR, st.Beta1, st.Beta2, st.Eps

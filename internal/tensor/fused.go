@@ -321,15 +321,3 @@ func AdamStepInPlace(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 
 		value.Data[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
-
-// SGDMomentumStepInPlace applies one fused momentum-SGD update to value from
-// grad, using vel as the persistent velocity buffer:
-// vel = momentum*vel - lr*grad; value += vel.
-func SGDMomentumStepInPlace(value, grad, vel *Tensor, lr, momentum float64) {
-	assertSameShape("SGDMomentumStepInPlace", value, grad)
-	assertSameShape("SGDMomentumStepInPlace", value, vel)
-	for i := range value.Data {
-		vel.Data[i] = momentum*vel.Data[i] - lr*grad.Data[i]
-		value.Data[i] += vel.Data[i]
-	}
-}
