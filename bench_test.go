@@ -486,15 +486,18 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkLSTMCell measures the fused recurrence kernel in isolation: the
-// input projection is precomputed (as LSTM.Forward hoists it), so the whole
-// T-step sequence is exactly one autodiff.LSTM node — forward and
-// hand-written fused backward — on a recycled graph. The name predates the
-// one-node recurrence and is kept so BENCH_*.json history stays comparable.
+// BenchmarkLSTMCell measures the fused recurrence kernel nearly in
+// isolation: the whole T-step sequence is one autodiff.LSTM node — forward
+// and hand-written fused backward — on a recycled graph, fed one input
+// feature through constant Wx and b, so the input projection is a 12×128×1
+// product and only Wh takes a gradient. The name predates the one-node
+// recurrence and is kept so BENCH_*.json history stays comparable.
 func BenchmarkLSTMCell(b *testing.B) {
 	const steps, hidden = 12, 32
 	rng := rand.New(rand.NewSource(1))
-	pre := tensor.Randn(rng, 1, steps, 4*hidden)
+	x := tensor.Randn(rng, 1, steps, 1)
+	wx := tensor.Randn(rng, 1, 1, 4*hidden)
+	bias := tensor.Randn(rng, 1, 4*hidden)
 	wh := autodiff.NewParameter("bench.Wh", tensor.Randn(rng, 1, hidden, 4*hidden))
 	target := tensor.Randn(rng, 1, steps, hidden)
 	g := autodiff.NewGraph()
@@ -503,7 +506,7 @@ func BenchmarkLSTMCell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Reset()
-		out := autodiff.LSTM(g.Const(pre), 1, g.Param(wh), hidden)
+		out := autodiff.LSTM(g.Const(x), g.Const(wx), g.Const(bias), g.Param(wh), 1, hidden)
 		loss := autodiff.MSE(out, target)
 		g.Backward(loss)
 	}
@@ -512,8 +515,8 @@ func BenchmarkLSTMCell(b *testing.B) {
 // BenchmarkLSTMBatch measures one training step of the batched
 // Volume-Speed recurrence at its production shape — hidden 24, T 6, 24
 // input features — over 24 sequences (the 3×3 grid's links) and 360
-// (Manhattan's): the input projection, the one-node recurrence and its
-// backward, pre's gradient and both weight gradients included.
+// (Manhattan's): the one-node layer — input projection and recurrence — and
+// its backward, all three weight gradients included.
 func BenchmarkLSTMBatch(b *testing.B) {
 	const steps, in, hidden = 6, 24, 24
 	for _, batch := range []int{24, 360} {

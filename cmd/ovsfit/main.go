@@ -58,7 +58,7 @@ func main() {
 	scaleName := flag.String("scale", "test", "effort: test|quick|full")
 	seed := flag.Int64("seed", 1, "seed")
 	ckptDir := flag.String("checkpoint-dir", "", "write crash-safe training checkpoints into this directory")
-	ckptEvery := flag.Int("ckpt-every", 5, "checkpoint the V2S/T2V training stages every N epochs (with -checkpoint-dir); an interrupted fit is refitted from its entry state")
+	ckptEvery := flag.Int("ckpt-every", 5, "with -train and -checkpoint-dir: checkpoint the V2S/T2V training stages every N epochs (a fit is checkpointed at its entry and its end only, and an interrupted fit is refitted from its entry state)")
 	resume := flag.Bool("resume", false, "continue from the newest valid checkpoint in -checkpoint-dir")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -71,9 +71,16 @@ func main() {
 		os.Exit(1)
 	}
 
+	everySet := false
+	flag.Visit(func(f *flag.Flag) { everySet = everySet || f.Name == "ckpt-every" })
+
 	ctx, cancel := cliutil.RootContext(*timeout)
-	if err := run(ctx, *cityName, *train, *modelPath, *fitPath, *outPath, *scaleName, *seed, *ckptDir, *ckptEvery, *resume); err != nil {
+	if err := run(ctx, *cityName, *train, *modelPath, *fitPath, *outPath, *scaleName, *seed, *ckptDir, *ckptEvery, everySet, *resume); err != nil {
+		code := 1
 		switch {
+		case errors.Is(err, errUsage):
+			fmt.Fprintf(os.Stderr, "ovsfit: %v\n", err)
+			code = 2
 		case errors.Is(err, core.ErrInterrupted):
 			fmt.Fprintf(os.Stderr, "interrupted: progress checkpointed in %s; rerun with -resume to continue\n", *ckptDir)
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -83,11 +90,14 @@ func main() {
 		}
 		cancel()
 		stopProfiles()
-		os.Exit(1)
+		os.Exit(code)
 	}
 	cancel()
 	stopProfiles()
 }
+
+// errUsage marks a bad flag combination; main exits 2 on it, before any work.
+var errUsage = errors.New("bad flag")
 
 // readObservation loads a (links × intervals) speed matrix from path: CSV
 // (trafficio.ReadSpeedCSV) when the name ends in .csv, the {"speed": [[...]]}
@@ -129,7 +139,13 @@ func readObservation(path string) (*tensor.Tensor, error) {
 	return obs, nil
 }
 
-func run(ctx context.Context, cityName string, train bool, modelPath, fitPath, outPath, scaleName string, seed int64, ckptDir string, ckptEvery int, resume bool) error {
+// run trains or fits as the flags say. everySet reports whether -ckpt-every
+// was given explicitly: it applies to training only, since a fit is
+// checkpointed at its entry and its end and never mid-way.
+func run(ctx context.Context, cityName string, train bool, modelPath, fitPath, outPath, scaleName string, seed int64, ckptDir string, ckptEvery int, everySet, resume bool) error {
+	if everySet && !train {
+		return fmt.Errorf("%w: -ckpt-every applies to -train only; a fit is checkpointed at its entry and its end", errUsage)
+	}
 	var sc experiment.Scale
 	switch scaleName {
 	case "test":

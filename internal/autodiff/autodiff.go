@@ -11,7 +11,7 @@
 // everything on Graph.Reset — see recycle.go.
 //
 // Backward rules are static functions dispatched through Node.backFn, with
-// operands stored in the node itself (a, b, c, srcs, ext, x0, i0, i1, idx,
+// operands stored in the node itself (a, b, c, d, srcs, ext, x0, i0, i1, idx,
 // segs) rather than captured in closures. A closure per op would be one heap
 // allocation per tape node; the static form keeps the steady-state hot loop
 // free of per-node allocations because the Node structs live in pooled
@@ -78,7 +78,8 @@ type Node struct {
 	backFn func(out *Node)
 	a      *Node          // first operand
 	b      *Node          // second operand
-	c      *Node          // third operand (Conv1DSame bias)
+	c      *Node          // third operand (Conv1DSame and LSTM bias)
+	d      *Node          // fourth operand (LSTM recurrent weight)
 	srcs   []*Node        // variadic operands (StackRows, ConcatCols)
 	ext    *tensor.Tensor // auxiliary tensor (dropout mask, LSTM step states)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)

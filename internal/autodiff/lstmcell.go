@@ -6,49 +6,68 @@ import (
 	"ovs/internal/tensor"
 )
 
-// This file implements the fused, batched LSTM recurrence: one tape node for
-// all T steps of a whole batch of independent sequences, in place of the
-// ~16-node chain per step (Row/MatMul/Reshape/Add/SliceVec×4/Sigmoid×3/
-// Tanh×2/Mul×3/Add) the graph-built recurrence records per sequence. The
-// input projection X·Wx+b is hoisted out of the timestep loop by the caller
-// into a single GEMM over every sequence and step (the pre operand); the node
-// fuses, per step, the hidden-state projection — one (B×H)·(H×4H) GEMM for
-// the batch — the gate nonlinearities and the state update into its forward
-// loop, and runs the whole reverse-time backward in one hand-written rule
-// whose linear algebra is two more GEMMs per step: dH(t-1) += DG(t)·Whᵀ and
-// dWh += H(t-1)ᵀ·DG(t). The running dH and dC live in local scratch, so no
-// state crosses from one tape node to another.
+// This file implements the fused, batched LSTM layer: one tape node for the
+// input projection and all T steps of a whole batch of independent
+// sequences, in place of the Affine node plus the ~16-node chain per step
+// (Row/MatMul/Reshape/Add/SliceVec×4/Sigmoid×3/Tanh×2/Mul×3/Add) the
+// graph-built recurrence records per sequence.
+//
+// The node owns one (batch·T × 4H) sequence-major buffer, row b·T+t for
+// sequence b at step t, and everything the recurrence does to a gate row
+// happens in place in it:
+//
+//   - The input projection X·Wx+b of every sequence and step is one GEMM
+//     with the bias in its epilogue, written into the buffer: pre.
+//   - Step t accumulates H(t-1)·Wh into its rows, one (B×H)·(H×4H) GEMM for
+//     the batch, whose A operand is read straight from the output rows
+//     b·T+t-1 (row stride T·H) and whose output rows lie T·4H apart: z.
+//   - The gate nonlinearities overwrite z with the gates [i|f|o|g], and h(t)
+//     is written directly into output row b·T+t.
+//   - The backward overwrites step t's gates with the gate gradients DG(t)
+//     once it has read them. The next step's dH(t-1) += DG(t)·Whᵀ reads
+//     them at row stride T·4H, and dWh += H(t-1)ᵀ·DG(t) reads both operands
+//     where they lie; it is skipped when Wh is frozen.
+//   - Once the recurrence is done, the buffer holds the whole gate gradient,
+//     and the node runs the Affine backward's three products on it.
+//
+// The only other per-step state is the cell state c(t) and tanh(c(t)), two
+// (batch × hidden) slots per step kept after the buffer. The running dH and
+// dC live in local scratch, so no state crosses from one tape node to
+// another. The strided products go through tensor.GEMMStrided, the GEMM core
+// behind every matrix-product entry point, so no row is copied in or out.
 //
 // Bitwise contract. Row b of a batched recurrence is bitwise-identical —
-// value, dH, dC and the pre gradient — to a batch-1 recurrence run on
+// value, dH, dC and the gate gradient — to a batch-1 recurrence run on
 // sequence b alone, and a batch-1 recurrence is bitwise-identical, values and
-// every gradient, to the unfused graph path, per step
+// every gradient, to the unfused graph path,
 //
-//	flat = Add(Row(pre, t), Reshape(MatMul(h, wh), 4H))
+//	pre   = Affine(x, wx, b)
+//	flat  = Add(Row(pre, t), Reshape(MatMul(h, wh), 4H))      per step
 //	i,f,o = Sigmoid(SliceVec(flat, ...)); g = Tanh(SliceVec(flat, ...))
 //	cNew  = Add(Mul(f, cPrev), Mul(i, g))
 //	hNew  = Mul(o, Tanh(cNew))
 //
 // in any arena mode and for any input — including signed zeros and
-// infinities. The only quantity batching reassociates is dWh: its sum over
-// the batch rows runs inside one GEMM instead of as B separate rank-1
-// accumulations, so it agrees with the per-sequence sum to rounding, not
-// bitwise. The other carve-out is NaN payload bits: x86 NaN propagation
-// returns the first NaN source operand, and operand order of commutative
-// float ops is a compiler choice, so a NaN combined from two distinct NaNs
-// may carry a different sign/payload per path (NaN-ness itself always
-// agrees). Three mechanisms carry the guarantee:
+// infinities. The only quantity batching reassociates is the weight
+// gradients: their sum over the batch rows runs inside one GEMM instead of
+// as B separate accumulations, so they agree with the per-sequence sum to
+// rounding, not bitwise. The other carve-out is NaN payload bits: x86 NaN
+// propagation returns the first NaN source operand, and operand order of
+// commutative float ops is a compiler choice, so a NaN combined from two
+// distinct NaNs may carry a different sign/payload per path (NaN-ness itself
+// always agrees). Three mechanisms carry the guarantee:
 //
-//  1. Linear algebra runs through the tensor GEMM entry points, whose every
-//     path (row, packed) computes each output element as the same
-//     ascending-k FMA chain with the same sum-then-one-add accumulate (see
-//     tensor/gemm.go). A row of H(t-1)·Wh therefore does not depend on the
-//     other rows, and at B=1 the products are exactly the (1×H)·(H×4H) ones
-//     the graph path records; accumulating it into a copy of pre(t) is the
+//  1. Linear algebra runs through the tensor GEMM core, whose every path
+//     (row, packed) computes each output element as the same ascending-k FMA
+//     chain with the same sum-then-one-add accumulate, whatever the strides
+//     (see tensor/gemm.go). A row of H(t-1)·Wh therefore does not depend on
+//     the other rows, and at B=1 the products are exactly the (1×H)·(H×4H)
+//     ones the graph path records; accumulating it into the pre row is the
 //     graph path's Add. dH(t) is (0 + the consumer's row) plus DG(t+1)·Whᵀ
 //     in one accumulate, and dWh takes one H(t-1)ᵀ·DG(t) accumulate per
 //     step from t = T−1 down to 0: the adds and their order are the graph
-//     path's.
+//     path's. The closing products are Affine's backward calls, on the same
+//     operands, in the same order.
 //  2. Scalar expressions copy the graph kernels' association exactly — e.g.
 //     the cell state is float64(f·cPrev) + float64(i·g), two individually
 //     rounded products then one add, matching the two Mul stores and the Add.
@@ -58,169 +77,164 @@ import (
 //  3. The graph path materializes each backward intermediate by accumulating
 //     into a freshly zeroed gradient, and 0+x flushes a negative zero to +0.
 //     The fused backward inserts the same "0 +" at each point where the graph
-//     allocates a fresh gradient, so even signed zeros agree.
+//     allocates a fresh gradient, so even signed zeros agree. The gate
+//     gradients are such sums, so the buffer never holds −0 when Affine's
+//     products read it, exactly like the gradient Affine's backward reads.
 
-// lstmSlots is the number of (batch × hidden) slots the forward saves per
-// step for the backward: [c | i | f | o | g | tanh(c)].
-const lstmSlots = 6
+// lstmStates is the number of (batch × hidden) slots the forward saves per
+// step for the backward, after the gate buffer: [c | tanh(c)].
+const lstmStates = 2
 
-// LSTM records the recurrence of batch independent LSTM sequences over all
-// their timesteps as one node and returns the hidden states, (batch·T ×
-// hidden) and sequence-major: row b·T+t is h(t) of sequence b. pre is the
-// hoisted input projection X·Wx+b of every sequence, shape
-// (batch·T × 4*hidden) with gate order [i|f|o|g], in the same layout; wh is
-// the (hidden × 4*hidden) recurrent weight node. The initial hidden and cell
-// states are zero.
-func LSTM(pre *Node, batch int, wh *Node, hidden int) *Node {
+// LSTM records one LSTM layer over batch independent sequences and all their
+// timesteps as one node and returns the hidden states, (batch·T × hidden)
+// and sequence-major: row b·T+t is h(t) of sequence b. x is the input of
+// every sequence, (batch·T × in) in the same layout; wx (in × 4*hidden), b
+// (4*hidden) and wh (hidden × 4*hidden) are the input weight, bias and
+// recurrent weight nodes, with gate order [i|f|o|g]. The initial hidden and
+// cell states are zero.
+func LSTM(x, wx, b, wh *Node, batch, hidden int) *Node {
 	h4 := 4 * hidden
-	if batch <= 0 || pre.Value.Rank() != 2 || pre.Value.Dim(1) != h4 || pre.Value.Dim(0)%batch != 0 {
-		panic(fmt.Sprintf("autodiff: LSTM pre shape %v, want (%d·T × %d)", pre.Value.Shape(), batch, h4))
+	if batch <= 0 || x.Value.Rank() != 2 || x.Value.Dim(0)%batch != 0 {
+		panic(fmt.Sprintf("autodiff: LSTM input shape %v is not %d equal-length sequences", x.Value.Shape(), batch))
+	}
+	in := x.Value.Dim(1)
+	if wx.Value.Rank() != 2 || wx.Value.Dim(0) != in || wx.Value.Dim(1) != h4 {
+		panic(fmt.Sprintf("autodiff: LSTM wx shape %v, want [%d %d]", wx.Value.Shape(), in, h4))
+	}
+	if b.Value.Rank() != 1 || b.Value.Dim(0) != h4 {
+		panic(fmt.Sprintf("autodiff: LSTM bias shape %v, want [%d]", b.Value.Shape(), h4))
 	}
 	if wh.Value.Rank() != 2 || wh.Value.Dim(0) != hidden || wh.Value.Dim(1) != h4 {
 		panic(fmt.Sprintf("autodiff: LSTM wh shape %v, want [%d %d]", wh.Value.Shape(), hidden, h4))
 	}
-	g := sameGraph("LSTM", pre, wh)
-	steps := pre.Value.Dim(0) / batch
+	g := sameGraph("LSTM", x, wx, b, wh)
+	rows := x.Value.Dim(0)
+	steps := rows / batch
 	bh := batch * hidden
 
-	// Every slot of every step, and every output row, is written below
+	// Every gate row, every state slot and every output row is written below
 	// before anything reads it.
-	ext := g.AllocUninit(steps * lstmSlots * bh)
-	val := g.AllocUninit(batch*steps, hidden)
-	// h is H(t-1), the GEMM operand of step t: one contiguous (batch ×
-	// hidden) matrix, overwritten with h(t) once step t's product is taken,
-	// so no per-step tensor header is needed. The initial state is a genuine
-	// zero matrix, and the projection and gate arithmetic run on it honestly:
-	// 0·Wh is only ±0 when Wh is finite, and the unfused path computes it, so
-	// the fused one must. Step 0's cPrev is the same zeros, read before h(0)
-	// overwrites them.
-	h := tensor.Get(batch, hidden)
-	cPrev := h.Data
-	z := tensor.GetUninit(batch, h4)
+	ext := g.AllocUninit(rows*h4 + steps*lstmStates*bh)
+	buf, states := ext.Data[:rows*h4], ext.Data[rows*h4:]
+	val := g.AllocUninit(rows, hidden)
+	hs := val.Data
+	tensor.GEMMStrided(buf, h4, tensor.View{Data: x.Value.Data, RS: in, CS: 1},
+		tensor.View{Data: wx.Value.Data, RS: h4, CS: 1}, rows, h4, in, false, b.Value.Data)
+
+	// The initial state is a genuine zero matrix, and the projection and
+	// gate arithmetic run on it honestly: 0·Wh is only ±0 when Wh is finite,
+	// and the unfused path computes it, so the fused one must.
+	zero := tensor.Get(batch, hidden)
+	whv := tensor.View{Data: wh.Value.Data, RS: h4, CS: 1}
 	for t := 0; t < steps; t++ {
-		s := ext.Data[t*lstmSlots*bh : (t+1)*lstmSlots*bh]
-		cv, iv, fv, ov, gv, th := s[0:bh], s[bh:2*bh], s[2*bh:3*bh], s[3*bh:4*bh], s[4*bh:5*bh], s[5*bh:6*bh]
+		s := states[t*lstmStates*bh : (t+1)*lstmStates*bh]
+		cv, th := s[:bh], s[bh:]
+		hPrev, cPrev := tensor.View{Data: zero.Data, RS: hidden, CS: 1}, zero.Data
+		if t > 0 {
+			hPrev = tensor.View{Data: hs[(t-1)*hidden:], RS: steps * hidden, CS: 1}
+			cPrev = states[(t-1)*lstmStates*bh:][:bh]
+		}
 
 		// z = pre(t) + H(t-1)·Wh: the GEMM's accumulate epilogue adds each
-		// finished product once to the pre row copied in, the one add of
-		// the graph path's Add. The nonlinearities then read z and write
-		// each gate of each row into its slot.
-		for b := 0; b < batch; b++ {
-			copy(z.Data[b*h4:(b+1)*h4], pre.Value.Data[(b*steps+t)*h4:(b*steps+t+1)*h4])
-		}
-		tensor.MatMulAcc(z, h, wh.Value)
-		for b := 0; b < batch; b++ {
-			zb, r := z.Data[b*h4:(b+1)*h4], b*hidden
-			tensor.SigmoidSlice(iv[r:r+hidden], zb[:hidden])
-			tensor.SigmoidSlice(fv[r:r+hidden], zb[hidden:2*hidden])
-			tensor.SigmoidSlice(ov[r:r+hidden], zb[2*hidden:3*hidden])
-			tensor.TanhSlice(gv[r:r+hidden], zb[3*hidden:])
-		}
-		for k := range cv {
-			// Two rounded products then one add: the exact association of the
-			// graph path's Mul/Mul/Add (the conversions forbid FMA contraction).
-			cv[k] = float64(fv[k]*cPrev[k]) + float64(iv[k]*gv[k])
+		// finished product once to the pre row, the one add of the graph
+		// path's Add. The nonlinearities then turn z into the gates in place.
+		tensor.GEMMStrided(buf[t*h4:], steps*h4, hPrev, whv, batch, h4, hidden, true, nil)
+		for r := 0; r < batch; r++ {
+			z := buf[(r*steps+t)*h4 : (r*steps+t+1)*h4]
+			tensor.SigmoidSlice(z[:3*hidden], z[:3*hidden])
+			tensor.TanhSlice(z[3*hidden:], z[3*hidden:])
+			iv, fv, gv := z[:hidden], z[hidden:2*hidden], z[3*hidden:]
+			c, cp := cv[r*hidden:(r+1)*hidden], cPrev[r*hidden:(r+1)*hidden]
+			for j := range c {
+				// Two rounded products then one add: the exact association of
+				// the graph path's Mul/Mul/Add (the conversions forbid FMA
+				// contraction).
+				c[j] = float64(fv[j]*cp[j]) + float64(iv[j]*gv[j])
+			}
 		}
 		tensor.TanhSlice(th, cv)
-		for k, o := range ov {
-			h.Data[k] = o * th[k]
+		for r := 0; r < batch; r++ {
+			ov := buf[(r*steps+t)*h4+2*hidden:][:hidden]
+			h := hs[(r*steps+t)*hidden:][:hidden]
+			tc := th[r*hidden:][:hidden]
+			for j, o := range ov {
+				h[j] = o * tc[j]
+			}
 		}
-		for b := 0; b < batch; b++ {
-			copy(val.Data[(b*steps+t)*hidden:(b*steps+t+1)*hidden], h.Data[b*hidden:(b+1)*hidden])
-		}
-		cPrev = cv
 	}
-	tensor.Put(z)
-	tensor.Put(h)
+	tensor.Put(zero)
 
-	out := g.newNode(val, pre.requires || wh.requires)
-	out.backFn, out.a, out.b = backLSTM, pre, wh
+	out := g.newNode(val, x.requires || wx.requires || b.requires || wh.requires)
+	out.backFn, out.a, out.b, out.c, out.d = backLSTM, x, wx, b, wh
 	out.ext, out.i0, out.i1 = ext, hidden, batch
 	return out
 }
 
-// backLSTM is the fused backward rule of the batched recurrence: one
-// reverse-time loop from t = T−1 down to 0. At step t, dH holds the total
-// dL/dH(t) — the consumer's row gradient plus DG(t+1)·Whᵀ, the same two adds
-// in the same order the unfused graph performs — and dC holds dL/dC(t)
-// flowing back from step t+1 (zero at the last step).
+// backLSTM is the fused backward rule of the layer: one reverse-time loop
+// from t = T−1 down to 0, then the input projection's products. At step t,
+// dH holds the total dL/dH(t) — the consumer's row gradient plus
+// DG(t+1)·Whᵀ, the same two adds in the same order the unfused graph
+// performs — and dC holds dL/dC(t) flowing back from step t+1 (zero at the
+// last step).
 //
 // Every "0 +" below marks a point where the graph path materializes an
 // intermediate gradient by accumulating into a freshly zeroed buffer; the add
 // flushes a negative zero to +0 exactly as the unfused accumulation does.
 func backLSTM(out *Node) {
-	pre, wh := out.a, out.b
+	x, wx, b, wh := out.a, out.b, out.c, out.d
 	hidden, batch := out.i0, out.i1
-	steps := out.Value.Dim(0) / batch
+	rows, in := x.Value.Dim(0), x.Value.Dim(1)
+	steps := rows / batch
 	h4 := 4 * hidden
 	bh := batch * hidden
-	ext := out.ext.Data
+	buf, states := out.ext.Data[:rows*h4], out.ext.Data[rows*h4:]
 	grad, hs := out.Grad.Data, out.Value.Data
-	// Every row of pre belongs to exactly one step of one sequence, so the
-	// gate gradients cover pre's gradient once. Nothing has written it yet
-	// when no other consumer's backward ran before this one: it is then
-	// drawn un-zeroed and the gate gradients are stored, which equals the
-	// add into zeros bit for bit because each is already a canonical 0 + x.
-	var pg []float64
-	store := false
-	if pre.requires {
-		if pre.Grad == nil {
-			pre.Grad = pre.graph.AllocLikeUninit(pre.Value)
-			store = true
-		}
-		pg = pre.Grad.Data
-	}
 
 	// whT is Whᵀ, taken once so that every step's dH += DG(t+1)·Whᵀ runs as
 	// an NN accumulate over the same per-element chains as the NT form.
 	whT := tensor.TransposeTo(tensor.GetUninit(h4, hidden), wh.Value)
 	dH := tensor.GetUninit(batch, hidden) // refilled from the consumer rows every step
 	dC := tensor.Get(batch, hidden)       // no cell-state gradient enters after the last step
-	h := tensor.GetUninit(batch, hidden)  // H(t-1), gathered from the output rows or zeroed
-	dg := tensor.GetUninit(batch, h4)     // every gate column is written every step
+	zero := tensor.Get(batch, hidden)     // H(-1) and C(-1)
 	for t := steps - 1; t >= 0; t-- {
-		s := ext[t*lstmSlots*bh : (t+1)*lstmSlots*bh]
-		iv, fv, ov, gv, th := s[bh:2*bh], s[2*bh:3*bh], s[3*bh:4*bh], s[4*bh:5*bh], s[5*bh:6*bh]
-
-		for b := 0; b < batch; b++ {
-			row := grad[(b*steps+t)*hidden : (b*steps+t+1)*hidden]
-			d := dH.Data[b*hidden : (b+1)*hidden]
+		th := states[t*lstmStates*bh+bh:][:bh]
+		for r := 0; r < batch; r++ {
+			row := grad[(r*steps+t)*hidden : (r*steps+t+1)*hidden]
+			d := dH.Data[r*hidden : (r+1)*hidden]
 			for j, v := range row {
 				d[j] = 0 + v
 			}
 		}
 		if t+1 < steps {
-			tensor.MatMulAcc(dH, dg, whT) // dg still holds DG(t+1)
+			// The buffer rows of step t+1 already hold DG(t+1).
+			tensor.GEMMStrided(dH.Data, hidden, tensor.View{Data: buf[(t+1)*h4:], RS: steps * h4, CS: 1},
+				tensor.View{Data: whT.Data, RS: hidden, CS: 1}, batch, hidden, h4, true, nil)
 		}
-		var cPrev []float64
+		cPrev := zero.Data
 		if t > 0 {
-			cPrev = ext[(t-1)*lstmSlots*bh : (t-1)*lstmSlots*bh+bh]
-			for b := 0; b < batch; b++ {
-				copy(h.Data[b*hidden:(b+1)*hidden], hs[(b*steps+t-1)*hidden:(b*steps+t)*hidden])
-			}
-		} else {
-			clear(h.Data)
-			cPrev = h.Data
+			cPrev = states[(t-1)*lstmStates*bh:][:bh]
 		}
 
 		dcv := dC.Data
-		for b := 0; b < batch; b++ {
-			dgd := dg.Data[b*h4 : (b+1)*h4]
-			o := b * hidden
+		for r := 0; r < batch; r++ {
+			// z holds step t's gates [i|f|o|g] of sequence r, and DG(t) once
+			// each column has been read.
+			z := buf[(r*steps+t)*h4 : (r*steps+t+1)*h4]
+			o := r * hidden
 			for j := 0; j < hidden; j++ {
 				k := o + j
 				gj := dH.Data[k]
-				tj, oj := th[k], ov[k]
-				ij, fj, ggj := iv[k], fv[k], gv[k]
+				tj, oj := th[k], z[2*hidden+j]
+				ij, fj, ggj := z[j], z[hidden+j], z[3*hidden+j]
 				do := 0 + gj*tj  // o-gate output grad (fresh += G·tanh(c))
 				dth := 0 + gj*oj // tanh(c) grad (fresh += G·o)
 				// dc = dc(t+1) contribution, then the fused tanh-backward add.
 				dc := dcv[k] + dth*(1-tj*tj)
 				dcF := 0 + dc // the fresh Add-backward copies both Mul grads receive
-				dgd[j] = 0 + (0+dcF*ggj)*ij*(1-ij)
-				dgd[hidden+j] = 0 + (0+dcF*cPrev[k])*fj*(1-fj)
-				dgd[2*hidden+j] = 0 + do*oj*(1-oj)
-				dgd[3*hidden+j] = 0 + (0+dcF*ij)*(1-ggj*ggj)
+				z[j] = 0 + (0+dcF*ggj)*ij*(1-ij)
+				z[hidden+j] = 0 + (0+dcF*cPrev[k])*fj*(1-fj)
+				z[2*hidden+j] = 0 + do*oj*(1-oj)
+				z[3*hidden+j] = 0 + (0+dcF*ij)*(1-ggj*ggj)
 				dcv[k] = 0 + dcF*fj // dC(t-1) for the next iteration
 			}
 		}
@@ -229,25 +243,35 @@ func backLSTM(out *Node) {
 		// unfused path still accumulates the ±0 products; reproduce that
 		// rather than skip it.
 		if wh.requires {
-			tensor.MatMulTNAcc(wh.ensureGrad(), h, dg)
-		}
-		if pg != nil {
-			for b := 0; b < batch; b++ {
-				prow := pg[(b*steps+t)*h4 : (b*steps+t+1)*h4]
-				dgd := dg.Data[b*h4 : (b+1)*h4]
-				if store {
-					copy(prow, dgd)
-					continue
-				}
-				for j, v := range dgd {
-					prow[j] += v
-				}
+			hPrev := tensor.View{Data: zero.Data, RS: 1, CS: hidden}
+			if t > 0 {
+				hPrev = tensor.View{Data: hs[(t-1)*hidden:], RS: 1, CS: steps * hidden}
 			}
+			tensor.GEMMStrided(wh.ensureGrad().Data, h4, hPrev, tensor.View{Data: buf[t*h4:], RS: steps * h4, CS: 1},
+				hidden, h4, batch, true, nil)
 		}
 	}
-	tensor.Put(dg)
-	tensor.Put(h)
+	tensor.Put(zero)
 	tensor.Put(dC)
 	tensor.Put(dH)
 	tensor.Put(whT)
+
+	// The input projection's backward on the whole gate gradient: Affine's
+	// products (dX += DG·Wxᵀ, dWx += Xᵀ·DG, then the bias rows summed in
+	// ascending order), on the same operands and in the same order.
+	dg := tensor.View{Data: buf, RS: h4, CS: 1}
+	if x.requires {
+		tensor.GEMMStrided(x.ensureGrad().Data, in, dg, tensor.View{Data: wx.Value.Data, RS: 1, CS: h4}, rows, in, h4, true, nil)
+	}
+	if wx.requires {
+		tensor.GEMMStrided(wx.ensureGrad().Data, h4, tensor.View{Data: x.Value.Data, RS: 1, CS: in}, dg, in, h4, rows, true, nil)
+	}
+	if b.requires {
+		gb := b.ensureGrad().Data
+		for i := 0; i < rows; i++ {
+			for j, v := range buf[i*h4 : (i+1)*h4] {
+				gb[j] += v
+			}
+		}
+	}
 }

@@ -36,7 +36,7 @@ func unfusedLSTMRef(g *Graph, x, wx, wh, b *Node, hidden int) *Node {
 // fusedLSTMRef builds the same recurrence as one LSTM node over batch
 // sequence-major sequences of x (batch·T × in).
 func fusedLSTMRef(x, wx, wh, b *Node, batch, hidden int) *Node {
-	return LSTM(AddRowVector(MatMul(x, wx), b), batch, wh, hidden)
+	return LSTM(x, wx, b, wh, batch, hidden)
 }
 
 // perStepLSTMRef builds the recurrence from the per-step oracle below: one
@@ -569,72 +569,81 @@ func TestLSTMCellBatchGradcheck(t *testing.T) {
 	})
 }
 
-// TestLSTMMatchesPerStepOracle holds the one-node recurrence to the per-step
-// oracle it replaced: output, pre gradient and every parameter gradient —
-// dWh included — bitwise, NaN payloads excepted. The sweep covers batch
-// {1, 3, 8} × T {1, 2, 7} × hidden {5, 48}; batch 1 and 2 would take the NT
-// dot kernels for the oracle's dH product, batch 3 and up its row kernels.
-// Every shape also runs with signed zeros, infinities and a NaN planted in
-// the input and weights.
+// TestLSTMMatchesPerStepOracle holds the one-node layer to the per-step
+// oracle it replaced — an Affine node, one LSTMCell node per step and a
+// StackSteps node: output, input gradient and every parameter gradient — dWh
+// included — bitwise, NaN payloads excepted. The sweep covers batch
+// {1, 3, 8} × T {1, 2, 7} × hidden {5, 48}, and the production widths:
+// hidden 24 over T 6 at batch 24 and 40, where the gate rows (96 columns)
+// and the dH product (24 columns) fill whole vector chunks. Every shape
+// also runs with signed zeros, infinities and a NaN planted in the input
+// and weights.
 func TestLSTMMatchesPerStepOracle(t *testing.T) {
 	const in = 3
+	type shape struct{ batch, steps, hidden int }
+	var shapes []shape
 	for _, batch := range []int{1, 3, 8} {
 		for _, steps := range []int{1, 2, 7} {
 			for _, hidden := range []int{5, 48} {
-				for _, special := range []bool{false, true} {
-					rng := rand.New(rand.NewSource(int64(100*batch + 10*steps + hidden)))
-					xT := tensor.Randn(rng, 1, batch*steps, in)
-					wxT := tensor.Randn(rng, 0.4, in, 4*hidden)
-					whT := tensor.Randn(rng, 0.4, hidden, 4*hidden)
-					bT := tensor.Randn(rng, 0.2, 4*hidden)
-					if special {
-						// One NaN, in a middle row, so the other rows' values
-						// stay finite.
-						xT.Data[0] = math.Copysign(0, -1)
-						xT.Data[len(xT.Data)-1] = math.Inf(1)
-						xT.Data[len(xT.Data)/2] = math.NaN()
-						wxT.Data[1] = math.Inf(-1)
-						whT.Data[2] = math.Copysign(0, -1)
-						bT.Data[hidden] = math.Copysign(0, -1)
-					}
-					weights := tensor.New(batch*steps, hidden)
-					for i := range weights.Data {
-						weights.Data[i] = float64(i%7) - 3
-					}
-					build := func(oneNode bool) []*tensor.Tensor {
-						x := NewParameter("x", xT.Clone())
-						wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
-						g := NewGraph()
-						defer g.Release()
-						pre := Affine(g.Param(x), g.Param(wx), g.Param(b))
-						var out *Node
-						if oneNode {
-							out = LSTM(pre, batch, g.Param(wh), hidden)
-						} else {
-							out = perStepLSTMRef(pre, g.Param(wh), batch, hidden)
-						}
-						g.Backward(Sum(Mul(out, g.Const(weights))))
-						return []*tensor.Tensor{out.Value.Clone(), pre.Grad.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
-					}
-					got, want := build(true), build(false)
-					label := fmt.Sprintf("batch=%d T=%d hidden=%d special=%v", batch, steps, hidden, special)
-					for i, name := range []string{"output", "pre.Grad", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
-						requireBits(t, label+" "+name, got[i].Data, want[i].Data)
-					}
+				shapes = append(shapes, shape{batch, steps, hidden})
+			}
+		}
+	}
+	shapes = append(shapes, shape{24, 6, 24}, shape{40, 6, 24})
+	for _, sh := range shapes {
+		batch, steps, hidden := sh.batch, sh.steps, sh.hidden
+		for _, special := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(100*batch + 10*steps + hidden)))
+			xT := tensor.Randn(rng, 1, batch*steps, in)
+			wxT := tensor.Randn(rng, 0.4, in, 4*hidden)
+			whT := tensor.Randn(rng, 0.4, hidden, 4*hidden)
+			bT := tensor.Randn(rng, 0.2, 4*hidden)
+			if special {
+				// One NaN, in a middle row, so the other rows' values stay
+				// finite.
+				xT.Data[0] = math.Copysign(0, -1)
+				xT.Data[len(xT.Data)-1] = math.Inf(1)
+				xT.Data[len(xT.Data)/2] = math.NaN()
+				wxT.Data[1] = math.Inf(-1)
+				whT.Data[2] = math.Copysign(0, -1)
+				bT.Data[hidden] = math.Copysign(0, -1)
+			}
+			weights := tensor.New(batch*steps, hidden)
+			for i := range weights.Data {
+				weights.Data[i] = float64(i%7) - 3
+			}
+			build := func(oneNode bool) []*tensor.Tensor {
+				x := NewParameter("x", xT.Clone())
+				wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
+				g := NewGraph()
+				defer g.Release()
+				var out *Node
+				if oneNode {
+					out = LSTM(g.Param(x), g.Param(wx), g.Param(b), g.Param(wh), batch, hidden)
+				} else {
+					out = perStepLSTMRef(Affine(g.Param(x), g.Param(wx), g.Param(b)), g.Param(wh), batch, hidden)
 				}
+				g.Backward(Sum(Mul(out, g.Const(weights))))
+				return []*tensor.Tensor{out.Value.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
+			}
+			got, want := build(true), build(false)
+			label := fmt.Sprintf("batch=%d T=%d hidden=%d special=%v", batch, steps, hidden, special)
+			for i, name := range []string{"output", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
+				requireBits(t, label+" "+name, got[i].Data, want[i].Data)
 			}
 		}
 	}
 }
 
-// TestLSTMPreGradBothBranches holds both ways the one-node backward writes
-// pre's gradient to the per-step oracle, bitwise with NaN payloads excepted:
-// a second consumer of pre (a weighted sum) is recorded once before the LSTM
-// node, so the LSTM backward runs first and stores into an un-zeroed
-// gradient, and once after it, so the consumer's gradient is already there
-// and the LSTM adds to it. Signed zeros, infinities and a NaN are planted in
-// the input, the weights and the consumer's weights.
-func TestLSTMPreGradBothBranches(t *testing.T) {
+// TestLSTMInputGradBothOrders holds the input gradient of a layer whose
+// input has a second consumer (a weighted sum) to the per-step oracle,
+// bitwise with NaN payloads excepted. The consumer is recorded once before
+// the LSTM node, so the node's backward adds its dX product to a fresh
+// gradient and the consumer adds after it, and once after the node, so the
+// consumer's gradient is already there when the node adds to it. Signed
+// zeros, infinities and a NaN are planted in the input, the weights and the
+// consumer's weights.
+func TestLSTMInputGradBothOrders(t *testing.T) {
 	const in, hidden = 3, 5
 	for _, batch := range []int{1, 3} {
 		for _, steps := range []int{1, 4} {
@@ -644,7 +653,7 @@ func TestLSTMPreGradBothBranches(t *testing.T) {
 				wxT := tensor.Randn(rng, 0.4, in, 4*hidden)
 				whT := tensor.Randn(rng, 0.4, hidden, 4*hidden)
 				bT := tensor.Randn(rng, 0.2, 4*hidden)
-				side := tensor.Randn(rng, 1, batch*steps, 4*hidden)
+				side := tensor.Randn(rng, 1, batch*steps, in)
 				if special {
 					xT.Data[0] = math.Copysign(0, -1)
 					xT.Data[len(xT.Data)-1] = math.Inf(-1)
@@ -665,26 +674,26 @@ func TestLSTMPreGradBothBranches(t *testing.T) {
 						wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
 						g := NewGraph()
 						defer g.Release()
-						pre := Affine(g.Param(x), g.Param(wx), g.Param(b))
+						xn := g.Param(x)
 						var other *Node
 						if !after {
-							other = Sum(Mul(pre, g.Const(side)))
+							other = Sum(Mul(xn, g.Const(side)))
 						}
 						var out *Node
 						if oneNode {
-							out = LSTM(pre, batch, g.Param(wh), hidden)
+							out = LSTM(xn, g.Param(wx), g.Param(b), g.Param(wh), batch, hidden)
 						} else {
-							out = perStepLSTMRef(pre, g.Param(wh), batch, hidden)
+							out = perStepLSTMRef(Affine(xn, g.Param(wx), g.Param(b)), g.Param(wh), batch, hidden)
 						}
 						if after {
-							other = Sum(Mul(pre, g.Const(side)))
+							other = Sum(Mul(xn, g.Const(side)))
 						}
 						g.Backward(Add(Sum(Mul(out, g.Const(weights))), other))
-						return []*tensor.Tensor{out.Value.Clone(), pre.Grad.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
+						return []*tensor.Tensor{out.Value.Clone(), x.Grad, wx.Grad, wh.Grad, b.Grad}
 					}
 					got, want := build(true), build(false)
 					label := fmt.Sprintf("batch=%d T=%d special=%v consumer after=%v", batch, steps, special, after)
-					for i, name := range []string{"output", "pre.Grad", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
+					for i, name := range []string{"output", "x.Grad", "wx.Grad", "wh.Grad", "b.Grad"} {
 						requireBits(t, label+" "+name, got[i].Data, want[i].Data)
 					}
 				}

@@ -46,19 +46,17 @@ func (l *LSTM) Hidden() int { return l.hidden }
 // (batch·T × in), sequence-major; the result is (batch·T × hidden) in the
 // same layout. batch 1 is a single (T × in) sequence.
 //
-// The input projection for every sequence and timestep is hoisted into one
-// GEMM with the bias in its epilogue, X·Wx + b, before the recurrence; the
-// whole recurrence over every step of the batch is then one fused
-// autodiff.LSTM node. The explicit graph-op chain it replaces lives on as
-// the test oracle in lstm_oracle_test.go.
+// The whole layer is one fused autodiff.LSTM node: the input projection
+// for every sequence and timestep, X·Wx + b, hoisted into one GEMM with the
+// bias in its epilogue, then the recurrence over every step of the batch,
+// in place in the node's gate buffer. The explicit graph-op chain it
+// replaces lives on as the test oracle in lstm_oracle_test.go.
 func (l *LSTM) Forward(x *autodiff.Node, batch int) *autodiff.Node {
 	if batch <= 0 || x.Value.Rank() != 2 || x.Value.Dim(0)%batch != 0 {
 		panic(fmt.Sprintf("nn: LSTM input shape %v is not %d equal-length sequences", x.Value.Shape(), batch))
 	}
 	g := x.Graph()
-	wx, wh, b := g.Param(l.Wx), g.Param(l.Wh), g.Param(l.B)
-	pre := autodiff.Affine(x, wx, b) // (batch·T × 4*hidden)
-	return autodiff.LSTM(pre, batch, wh, l.hidden)
+	return autodiff.LSTM(x, g.Param(l.Wx), g.Param(l.B), g.Param(l.Wh), batch, l.hidden)
 }
 
 // Params returns the LSTM's trainable parameters.

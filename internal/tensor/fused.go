@@ -86,7 +86,7 @@ func MatMulTo(dst, a, b *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, false, nil)
+	gemm(dst.Data, n, View{a.Data, k, 1}, View{b.Data, n, 1}, m, n, k, false, nil)
 	return dst
 }
 
@@ -108,7 +108,7 @@ func AffineTo(dst, x, w, bias *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: AffineTo output shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	gemm(dst.Data, n, gemmView{x.Data, k, 1}, gemmView{w.Data, n, 1}, m, n, k, false, bias.Data)
+	gemm(dst.Data, n, View{x.Data, k, 1}, View{w.Data, n, 1}, m, n, k, false, bias.Data)
 	return dst
 }
 
@@ -126,7 +126,7 @@ func MatMulAcc(dst, a, b *Tensor) *Tensor {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAcc shape mismatch %v += %v x %v", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, true, nil)
+	gemm(dst.Data, n, View{a.Data, k, 1}, View{b.Data, n, 1}, m, n, k, true, nil)
 	return dst
 }
 
@@ -143,7 +143,7 @@ func MatMulNTAcc(dst, a, b *Tensor) *Tensor {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulNTAcc shape mismatch %v += %v x %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil)
+	gemm(dst.Data, n, View{a.Data, k, 1}, View{b.Data, 1, k}, m, n, k, true, nil)
 	return dst
 }
 
@@ -159,7 +159,7 @@ func MatMulTNAcc(dst, a, b *Tensor) *Tensor {
 	if m != m2 || dst.shape[0] != k || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTNAcc shape mismatch %v += %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.Data, n, gemmView{a.Data, 1, k}, gemmView{b.Data, n, 1}, k, n, m, true, nil)
+	gemm(dst.Data, n, View{a.Data, 1, k}, View{b.Data, n, 1}, k, n, m, true, nil)
 	return dst
 }
 

@@ -9,9 +9,11 @@ import (
 // This file holds the slice-level gate kernels behind SigmoidTo, TanhTo and
 // the fused LSTM recurrence. Where the four-lane kernels in gate_amd64.s may
 // run (gateHasAsm: AVX2 and FMA, and a math.Exp that takes its FMA path) they
-// port that path of Go's math.Exp instruction for instruction; everywhere
-// else they run the scalar expressions. Either way each element is bitwise
-// equal to
+// port that path of Go's math.Exp instruction for instruction; with
+// AVX-512F (gateHas512) sigmoid and tanh run on 8-lane zmm twins of the same
+// instruction sequence, and exp, which only the tests call, stays on four
+// lanes. Everywhere else they run the scalar expressions. Either way each
+// element is bitwise equal to
 //
 //	exp:     math.Exp(x)
 //	sigmoid: 1 / (1 + math.Exp(-x))
@@ -56,8 +58,14 @@ func (f gateFunc) kernel(dst, src *float64, n int) uint64 {
 	case gateExp:
 		return gateExpAsm(dst, src, n)
 	case gateSigmoid:
+		if gateHas512 {
+			return gateSigmoid512Asm(dst, src, n)
+		}
 		return gateSigmoidAsm(dst, src, n)
 	default:
+		if gateHas512 {
+			return gateTanh512Asm(dst, src, n)
+		}
 		return gateTanhAsm(dst, src, n)
 	}
 }

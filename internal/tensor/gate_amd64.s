@@ -276,3 +276,134 @@ tanhflag:
 	VZEROUPPER
 	MOVQ R8, ret+24(FP)
 	RET
+
+// The 8-lane AVX-512 twins of the sigmoid and tanh kernels. GATEEXP512 is
+// GATEEXP on zmm: the same instructions in the same order, with each
+// constant broadcast from the first lane of its gateconst row and the
+// out-of-range lanes collected in a mask register. Only AVX-512F
+// instructions appear (the integer forms VPANDQ/VPXORQ stand in for the
+// DQ-only VANDPD/VXORPD on zmm, and the mask ops are the W forms). A call
+// covers n elements, a positive multiple of 4, eight at a time; a last
+// chunk of 4 runs under the lane mask 0x0f, so its loads read zeros in the
+// upper lanes, its store leaves them alone, and its flags ignore them.
+
+// GATEEXP512: in Z0 = x. Out Z0 = exp(x) on lanes with k in [-1022, 1023]
+// and K1 set on the other lanes. Clobbers Z1, Z2, Y3 and K2.
+#define GATEEXP512 \
+	VMULPD.BCST       gateconst<>+0(SB), Z0, Z1 \
+	VCVTPD2DQ         Z1, Y3 \
+	VCVTDQ2PD         Y3, Z1 \
+	VCMPPD.BCST       $0x11, gateconst<>+416(SB), Z1, K1 \
+	VCMPPD.BCST       $0x1e, gateconst<>+448(SB), Z1, K2 \
+	KORW              K2, K1, K1 \
+	VFNMADD231PD.BCST gateconst<>+32(SB), Z1, Z0 \
+	VFNMADD231PD.BCST gateconst<>+64(SB), Z1, Z0 \
+	VMULPD.BCST       gateconst<>+96(SB), Z0, Z0 \
+	VBROADCASTSD      gateconst<>+128(SB), Z1 \
+	VFMADD213PD.BCST  gateconst<>+160(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+192(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+224(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+256(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+288(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+320(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+352(SB), Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       gateconst<>+384(SB), Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       gateconst<>+384(SB), Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       gateconst<>+384(SB), Z0, Z1 \
+	VMULPD            Z1, Z0, Z0 \
+	VADDPD.BCST       gateconst<>+384(SB), Z0, Z1 \
+	VFMADD213PD.BCST  gateconst<>+352(SB), Z1, Z0 \
+	VPMOVSXDQ         Y3, Z2 \
+	VPADDQ.BCST       gateconst<>+480(SB), Z2, Z2 \
+	VPSLLQ            $52, Z2, Z2 \
+	VMULPD            Z2, Z0, Z0
+
+// GATELANES512 sets K3 to the lanes of the chunk at DX elements left: all
+// eight, or the low four for a last chunk of 4. Clobbers AX.
+#define GATELANES512 \
+	MOVL  $0xff, AX \
+	CMPQ  DX, $8 \
+	JGE   2(PC) \
+	MOVL  $0x0f, AX \
+	KMOVW AX, K3
+
+// func gateSigmoid512Asm(dst, src *float64, n int) uint64
+TEXT ·gateSigmoid512Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), DX
+	XORQ R8, R8               // flagged-lane bitmask
+	XORQ CX, CX               // bit position of the current chunk
+
+zsigloop:
+	GATELANES512
+	VMOVUPD.Z    (SI), K3, Z7                    // x
+	VPXORQ.BCST  gateconst<>+512(SB), Z7, Z0     // -x
+	GATEEXP512
+	VADDPD.BCST  gateconst<>+352(SB), Z0, Z0     // 1 + e
+	VBROADCASTSD gateconst<>+352(SB), Z1
+	VDIVPD       Z0, Z1, Z0                      // 1 / (1 + e)
+	KANDW        K3, K1, K1
+	VMOVAPD      Z7, K1, Z0                      // flagged lanes keep x
+	VMOVUPD      Z0, K3, (DI)
+	KMOVW        K1, AX
+	SHLQ         CX, AX
+	ORQ          AX, R8
+	ADDQ         $8, CX
+	ADDQ         $64, SI
+	ADDQ         $64, DI
+	SUBQ         $8, DX
+	JGT          zsigloop
+
+	VZEROUPPER
+	MOVQ R8, ret+24(FP)
+	RET
+
+// func gateTanh512Asm(dst, src *float64, n int) uint64
+TEXT ·gateTanh512Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), DX
+	XORQ R8, R8
+	XORQ CX, CX
+
+ztanhloop:
+	GATELANES512
+	VMOVUPD.Z   (SI), K3, Z7                        // x
+	VPANDQ.BCST gateconst<>+544(SB), Z7, Z8         // z = |x|
+	VPANDQ.BCST gateconst<>+512(SB), Z7, Z10        // sign of x
+	VCMPPD.BCST $0x1d, gateconst<>+576(SB), Z8, K4  // z >= 0.625
+	VCMPPD.BCST $0x12, gateconst<>+608(SB), Z8, K5  // z <= 0.5·MAXLOG
+	KANDW       K5, K4, K4                          // lanes in the exp branch
+	KANDW       K3, K4, K4
+	KMOVW       K4, AX
+	TESTQ       AX, AX
+	JZ          ztanhstore                          // no lane needs exp
+	VADDPD      Z8, Z8, Z0                          // 2z, exact
+	GATEEXP512
+	VADDPD.BCST  gateconst<>+352(SB), Z0, Z0        // s + 1
+	VBROADCASTSD gateconst<>+384(SB), Z1
+	VDIVPD       Z0, Z1, Z0                         // 2 / (s + 1)
+	VBROADCASTSD gateconst<>+352(SB), Z1
+	VSUBPD       Z0, Z1, Z0                         // 1 − 2/(s + 1)
+	VPXORQ       Z10, Z0, Z0
+	VMOVAPD      Z0, K4, Z7                         // other lanes keep x
+
+ztanhstore:
+	VMOVUPD Z7, K3, (DI)
+	KANDNW  K3, K4, K1                              // flag the lanes outside
+	KMOVW   K1, AX
+	SHLQ    CX, AX
+	ORQ     AX, R8
+	ADDQ    $8, CX
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, DX
+	JGT     ztanhloop
+
+	VZEROUPPER
+	MOVQ R8, ret+24(FP)
+	RET

@@ -57,6 +57,9 @@ func TestGateKernelsWithoutMathExpFMA(t *testing.T) {
 		if hostFeatures().gate() && gateExpMatchesMath() {
 			t.Fatal("probe found no difference between the FMA kernel and non-FMA math.Exp")
 		}
+		if hostFeatures().avx512() && gate512MatchesMath() {
+			t.Fatal("probe found no difference between the 8-lane kernel and non-FMA math.Exp")
+		}
 		return
 	}
 	godebug := "cpu.fma=off"

@@ -1,25 +1,32 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements the GEMM core behind every matrix-product entry point
-// (MatMul, MatMulTo, AffineTo, MatMulAcc, MatMulNTAcc, MatMulTNAcc). It has
-// two paths, and gemmOnRows picks one from the shape alone:
+// (MatMul, MatMulTo, AffineTo, MatMulAcc, MatMulNTAcc, MatMulTNAcc, and
+// GEMMStrided, which takes the operand views themselves). It has two paths,
+// and gemmOnRows picks one from the shape alone:
 //
 //   - The unpacked row path (gemmUnpacked). With the FMA assembly it runs
 //     the row kernels of gemm_amd64.s straight on the operands: vector lanes
 //     across output columns, two output rows per call, B streamed row by row
-//     from where it lies (an NT product's B from one row-major copy). It
-//     serves every product whose B operand stays cache-resident across the
-//     row pairs, and every product with too few rows for packing to pay. Without the assembly it is the plain triple
-//     loop on math.FMA, for the small products only.
+//     from where it lies (an NT product's B from one row-major copy). The
+//     kernels come in two tiers with identical results: 4-lane AVX2 ymm
+//     kernels, and on a CPU with AVX-512F their 8-lane zmm twins, which cover
+//     the last n mod 8 columns under a lane mask. It serves every product
+//     whose B operand stays cache-resident across the row pairs, and every
+//     product with too few rows for packing to pay. Without the assembly it
+//     is the plain triple loop on math.FMA, for the small products only.
 //   - The packed, cache-blocked path (gemmPacked), for products whose B
 //     would fall out of cache between row pairs. It is the classic
 //     BLIS/gemmlowp decomposition restated for Go.
 //
 // The packed path in detail:
 //
-//   - The operands are addressed through gemmView (a base slice plus logical
+//   - The operands are addressed through View (a base slice plus logical
 //     row/column strides), so transposition is absorbed into packing index
 //     arithmetic — the inner loops never branch on a transpose flag.
 //   - B is packed into column micro-panels of width gemmNR and A into row
@@ -77,21 +84,31 @@ const (
 	gemmMC = 32
 )
 
-// gemmRowMaxB and gemmRowMaxM are the assembly dispatch's measured rule.
-// The row path streams B once per output row pair, so it wins while B (k·n
-// elements) stays cache-resident between pairs, and whatever B's size while
-// there are few pairs: below gemmMR rows every packed tile is a fringe tile,
-// and up to 16 rows packing still costs more than re-streaming B. Measured
-// with the two paths side by side on a 2-vCPU Intel Xeon VM (48 KiB L1d,
-// 2 MiB L2 per core), GFLOPS row vs packed, m×n×k: 320³ (B 100 Ki elements)
-// 23.8 vs 18.9, 128×1024×128 (128 Ki) 20.8 vs 15.9, 512³ (256 Ki) 11.5 vs
-// 20.7; with B at 256 Ki, 16×512×512 10.2 vs 8.0 and 32×512×512 10.4 vs
-// 12.6; 5×96×2160 TN (203 Ki) 10.9 vs 0.75. Between 128 Ki and 256 Ki the
-// runs disagree (384³: 16.4 vs 18.9, and 19.5 vs 16.5 on a repeat), so
-// gemmRowMaxB takes the low end.
+// gemmRowMaxB, gemmRowMaxM and gemmRowFewB are the assembly dispatch's
+// measured rule. The row path streams B once per output row pair, so it
+// wins while B (k·n elements) stays cache-resident between pairs, and
+// whatever B's size while there are few pairs: below gemmMR rows every
+// packed tile is a fringe tile, and up to 16 rows packing still costs more
+// than re-streaming B. Measured with the two paths side by side on a 2-vCPU
+// Intel Xeon VM (48 KiB L1d, 2 MiB L2 per core), GFLOPS row vs packed,
+// m×n×k: 320³ (B 100 Ki elements) 23.8 vs 18.9, 128×1024×128 (128 Ki) 20.8
+// vs 15.9, 512³ (256 Ki) 11.5 vs 20.7; with B at 256 Ki, 16×512×512 10.2 vs
+// 8.0 and 32×512×512 10.4 vs 12.6; 5×96×2160 TN (203 Ki) 10.9 vs 0.75.
+// Between 128 Ki and 256 Ki the runs disagree (384³: 16.4 vs 18.9, and 19.5
+// vs 16.5 on a repeat), so gemmRowMaxB takes the low end.
+//
+// Up to 32 rows the row path also keeps a B of up to gemmRowFewB (7/8 of
+// L2) resident across its few pairs. With the 8-lane kernels, five runs
+// each, row vs packed: 24×96×2160 TN (203 Ki, the V2S lstm2 dWx at
+// Manhattan scale) 14.0–17.8 vs 11.5–13.7, 32×96×2160 TN 13.4–17.3 vs
+// 10.8–15.0, 32×384×512 (192 Ki) 16.8–19.0 vs 12.2–13.4, 32×192×1024 TN
+// 15.8–20.3 vs 11.7–13.7, 24×448×448 (196 Ki) 17.9–22.8 vs 7.9–11.5; past
+// it, 32×128×2160 TN (270 Ki) 6.0–8.4 vs 10.3–11.3 and 32×96×4096 TN
+// (384 Ki) 4.3–6.3 vs 8.6–9.2.
 const (
 	gemmRowMaxB = 1 << 17
 	gemmRowMaxM = 16
+	gemmRowFewB = 7 << 15
 )
 
 // gemmNaiveMax is the portable path's crossover: without the assembly the
@@ -105,22 +122,58 @@ func gemmOnRows(m, n, k int) bool {
 	if !gemmHasAsm {
 		return m*n*k < gemmNaiveMax
 	}
-	return k*n <= gemmRowMaxB || m <= gemmRowMaxM
+	return k*n <= gemmRowMaxB || m <= gemmRowMaxM || m <= 2*gemmRowMaxM && k*n <= gemmRowFewB
 }
 
-// gemmView addresses a logical matrix inside a flat slice: element (i, j)
-// lives at data[i*rs + j*cs]. A transposed operand is expressed by swapping
-// the strides, which confines transposition to packing arithmetic.
-type gemmView struct {
-	data   []float64
-	rs, cs int
+// View addresses a logical matrix inside a flat slice: element (i, j)
+// lives at Data[i*RS + j*CS]. A transposed operand is expressed by swapping
+// the strides, which confines transposition to packing arithmetic, and a
+// matrix whose rows lie apart in a larger buffer (every T-th row of a
+// sequence-major batch) by a row stride wider than its row.
+type View struct {
+	Data   []float64
+	RS, CS int
+}
+
+// GEMMStrided computes dst (+)= A·B (+ bias) on views: A is the m×k matrix
+// a, B the k×n matrix b, and dst the m×n matrix whose row i starts at
+// dst[i*ldd] with unit column stride. acc selects accumulate (one add of
+// each finished product into dst) over overwrite; a non-nil bias (n values,
+// overwrite only) is added to each finished product. It is the GEMM core
+// behind MatMulTo, AffineTo, MatMulAcc, MatMulNTAcc and MatMulTNAcc, which
+// are this call with their operands' views, so a product taken here is
+// bitwise equal to the same product taken through them, whatever the
+// strides. dst must not overlap a or b. It panics if a view reaches past its
+// slice or a stride is negative.
+func GEMMStrided(dst []float64, ldd int, a, b View, m, n, k int, acc bool, bias []float64) {
+	if m < 0 || n < 0 || k < 0 || ldd < n {
+		panic(fmt.Sprintf("tensor: GEMMStrided %d×%d×%d with output row stride %d", m, n, k, ldd))
+	}
+	a.check("A", m, k)
+	b.check("B", k, n)
+	View{dst, ldd, 1}.check("dst", m, n)
+	if bias != nil && len(bias) < n {
+		panic(fmt.Sprintf("tensor: GEMMStrided bias has %d values, want %d", len(bias), n))
+	}
+	gemm(dst, ldd, a, b, m, n, k, acc, bias)
+}
+
+// check panics unless v can address an r×c matrix: non-negative strides and
+// its last element inside Data.
+func (v View) check(name string, r, c int) {
+	if v.RS < 0 || v.CS < 0 {
+		panic(fmt.Sprintf("tensor: GEMMStrided %s has negative strides (%d, %d)", name, v.RS, v.CS))
+	}
+	if r > 0 && c > 0 && (r-1)*v.RS+(c-1)*v.CS >= len(v.Data) {
+		panic(fmt.Sprintf("tensor: GEMMStrided %s (%d×%d, strides %d, %d) reaches past its %d elements", name, r, c, v.RS, v.CS, len(v.Data)))
+	}
 }
 
 // gemm computes dst (+)= A·B (+ bias) where A and B are logical m×k and k×n
 // views and dst is the row-major m×n output with leading dimension ldc. acc
 // selects accumulate (dst +=) over overwrite (dst =); a non-nil bias (length
 // n, overwrite only) selects the bias epilogue.
-func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+func gemm(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64) {
 	if acc && bias != nil {
 		panic("tensor: gemm bias epilogue with accumulate")
 	}
@@ -135,7 +188,7 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []f
 // form computes the product into an arena scratch block — fully written by
 // the overwrite pass, so it needs no zero fill — and folds it into dst with
 // a single add per element, preserving the sum-then-one-add association.
-func gemmPacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+func gemmPacked(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64) {
 	if !acc {
 		gemmBlocked(dst, ldc, a, b, m, n, k, bias)
 		return
@@ -157,7 +210,7 @@ func gemmPacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bi
 // keeping packed panels across calls would save at most 1/m of the work. The
 // packing buffers need no zero fill: packA/packB write every entry the
 // micro-kernels read. One A buffer serves every row block of a K panel.
-func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []float64) {
+func gemmBlocked(dst []float64, ldc int, a, b View, m, n, k int, bias []float64) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		ncPad := (nc + gemmNR - 1) / gemmNR * gemmNR
@@ -190,33 +243,33 @@ func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bias []floa
 // consecutive column values. Entries beyond nc exist in the layout but are
 // never read (the edge micro-kernel bounds its column loop), so they are not
 // cleared.
-func packB(dst []float64, b gemmView, pc, jc, kc, nc int) {
+func packB(dst []float64, b View, pc, jc, kc, nc int) {
 	for jj := 0; jj < nc; jj += gemmNR {
 		nr := min(gemmNR, nc-jj)
 		out := dst[(jj/gemmNR)*kc*gemmNR:]
-		if nr == gemmNR && b.cs == 1 {
+		if nr == gemmNR && b.CS == 1 {
 			// Contiguous rows: copy four columns per K step directly.
 			for p := 0; p < kc; p++ {
-				src := b.data[(pc+p)*b.rs+jc+jj:]
+				src := b.Data[(pc+p)*b.RS+jc+jj:]
 				o := out[p*gemmNR : p*gemmNR+4]
 				o[0], o[1], o[2], o[3] = src[0], src[1], src[2], src[3]
 			}
-		} else if nr == gemmNR && b.rs == 1 {
+		} else if nr == gemmNR && b.RS == 1 {
 			// Transposed B (MatMulNTAcc): each logical column is a
 			// contiguous stored row; walk four of them side by side.
-			c0 := b.data[(jc+jj)*b.cs+pc:][:kc]
-			c1 := b.data[(jc+jj+1)*b.cs+pc:][:kc]
-			c2 := b.data[(jc+jj+2)*b.cs+pc:][:kc]
-			c3 := b.data[(jc+jj+3)*b.cs+pc:][:kc]
+			c0 := b.Data[(jc+jj)*b.CS+pc:][:kc]
+			c1 := b.Data[(jc+jj+1)*b.CS+pc:][:kc]
+			c2 := b.Data[(jc+jj+2)*b.CS+pc:][:kc]
+			c3 := b.Data[(jc+jj+3)*b.CS+pc:][:kc]
 			for p := range c0 {
 				o := out[p*gemmNR : p*gemmNR+4]
 				o[0], o[1], o[2], o[3] = c0[p], c1[p], c2[p], c3[p]
 			}
 		} else {
 			for p := 0; p < kc; p++ {
-				base := (pc+p)*b.rs + (jc+jj)*b.cs
+				base := (pc+p)*b.RS + (jc+jj)*b.CS
 				for c := 0; c < nr; c++ {
-					out[p*gemmNR+c] = b.data[base+c*b.cs]
+					out[p*gemmNR+c] = b.Data[base+c*b.CS]
 				}
 			}
 		}
@@ -226,19 +279,19 @@ func packB(dst []float64, b gemmView, pc, jc, kc, nc int) {
 // packA lays the A block (rows [i0, i0+mc), columns [pc, pc+kc)) into
 // micro-panels of gemmMR rows: panel ii/gemmMR holds, for each of kc K
 // steps, gemmMR consecutive row values. Entries beyond mc are never read.
-func packA(dst []float64, a gemmView, i0, pc, mc, kc int) {
+func packA(dst []float64, a View, i0, pc, mc, kc int) {
 	for ii := 0; ii < mc; ii += gemmMR {
 		mr := min(gemmMR, mc-ii)
 		out := dst[(ii/gemmMR)*kc*gemmMR:]
-		if mr == gemmMR && a.cs == 1 {
-			r0 := a.data[(i0+ii)*a.rs+pc:]
-			r1 := a.data[(i0+ii+1)*a.rs+pc:]
-			r2 := a.data[(i0+ii+2)*a.rs+pc:]
-			r3 := a.data[(i0+ii+3)*a.rs+pc:]
-			r4 := a.data[(i0+ii+4)*a.rs+pc:]
-			r5 := a.data[(i0+ii+5)*a.rs+pc:]
-			r6 := a.data[(i0+ii+6)*a.rs+pc:]
-			r7 := a.data[(i0+ii+7)*a.rs+pc:]
+		if mr == gemmMR && a.CS == 1 {
+			r0 := a.Data[(i0+ii)*a.RS+pc:]
+			r1 := a.Data[(i0+ii+1)*a.RS+pc:]
+			r2 := a.Data[(i0+ii+2)*a.RS+pc:]
+			r3 := a.Data[(i0+ii+3)*a.RS+pc:]
+			r4 := a.Data[(i0+ii+4)*a.RS+pc:]
+			r5 := a.Data[(i0+ii+5)*a.RS+pc:]
+			r6 := a.Data[(i0+ii+6)*a.RS+pc:]
+			r7 := a.Data[(i0+ii+7)*a.RS+pc:]
 			for p := 0; p < kc; p++ {
 				o := out[p*gemmMR : p*gemmMR+8]
 				o[0], o[1], o[2], o[3] = r0[p], r1[p], r2[p], r3[p]
@@ -246,9 +299,9 @@ func packA(dst []float64, a gemmView, i0, pc, mc, kc int) {
 			}
 		} else {
 			for r := 0; r < mr; r++ {
-				base := (i0+ii+r)*a.rs + pc*a.cs
+				base := (i0+ii+r)*a.RS + pc*a.CS
 				for p := 0; p < kc; p++ {
-					out[p*gemmMR+r] = a.data[base+p*a.cs]
+					out[p*gemmMR+r] = a.Data[base+p*a.CS]
 				}
 			}
 		}
@@ -379,7 +432,7 @@ func gemmMicroEdge(c []float64, ldc int, ap, bp []float64, kc, mr, nr int, load 
 // gemmUnpacked is gemm on the unpacked row path: with the FMA assembly
 // gemmUnpackedAsm, otherwise the portable math.FMA loops of gemmNaiveGo,
 // which are also the oracle the assembly is checked against.
-func gemmUnpacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+func gemmUnpacked(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64) {
 	if gemmHasAsm && n > 0 && k > 0 {
 		gemmUnpackedAsm(dst, ldc, a, b, m, n, k, acc, bias)
 		return
@@ -391,11 +444,11 @@ func gemmUnpacked(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, 
 // entry points produce get cache-aware loop orders; the generic fallback
 // covers any other view. The bias epilogue is a trailing pass over the
 // stored rows.
-func gemmNaiveGo(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
+func gemmNaiveGo(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64) {
 	switch {
-	case !acc && a.cs == 1 && b.cs == 1:
+	case !acc && a.CS == 1 && b.CS == 1:
 		gemmNaiveNN(dst, ldc, a, b, m, n, k)
-	case a.cs == 1 && b.rs == 1:
+	case a.CS == 1 && b.RS == 1:
 		gemmNaiveNT(dst, ldc, a, b, m, n, k, acc)
 	default:
 		gemmNaiveGeneric(dst, ldc, a, b, m, n, k, acc)
@@ -429,15 +482,15 @@ func addBiasRow(crow, bias []float64) {
 // with strided columns (MatMulNTAcc's NT) is first copied once into a
 // row-major scratch. The copy moves k·n elements, which one or two output
 // rows do not amortise, but no hot product has that shape.
-func gemmUnpackedAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64) {
-	if b.cs != 1 {
+func gemmUnpackedAsm(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64) {
+	if b.CS != 1 {
 		bt := GetUninit(k * n)
 		transposeView(bt.Data, b, k, n)
-		gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, bt.Data, n, m, n, k, acc, bias)
+		gemmRowsFMA(dst, ldc, a.Data, a.RS, a.CS, bt.Data, n, m, n, k, acc, bias)
 		Put(bt)
 		return
 	}
-	gemmRowsFMA(dst, ldc, a.data, a.rs, a.cs, b.data, b.rs, m, n, k, acc, bias)
+	gemmRowsFMA(dst, ldc, a.Data, a.RS, a.CS, b.Data, b.RS, m, n, k, acc, bias)
 }
 
 // gemmRowsFMA runs m output rows through the assembly row kernels, two rows
@@ -452,6 +505,15 @@ func gemmRowsFMA(dst []float64, ldd int, a []float64, ars, as int, b []float64, 
 		bp = &bias[:n][0]
 	}
 	i := 0
+	if gemmHas512 {
+		for ; i+2 <= m; i += 2 {
+			gemmRow2FMA512Asm(&dst[i*ldd], ldd, &a[i*ars], ars, as, &b[0], bs, k, n, acc, bp)
+		}
+		if i < m {
+			gemmRowFMA512Asm(&dst[i*ldd], &a[i*ars], as, &b[0], bs, k, n, acc, bp)
+		}
+		return
+	}
 	for ; i+2 <= m; i += 2 {
 		gemmRow2FMAAsm(&dst[i*ldd], ldd, &a[i*ars], ars, as, &b[0], bs, k, n, acc, bp)
 	}
@@ -464,15 +526,15 @@ func gemmRowsFMA(dst []float64, ldd int, a []float64, ars, as int, b []float64, 
 // matrix. The NT view of an n×k tensor (unit row stride) is copied four
 // logical columns — four contiguous storage rows — at a time, so every K
 // step writes four adjacent outputs.
-func transposeView(dst []float64, b gemmView, k, n int) {
+func transposeView(dst []float64, b View, k, n int) {
 	dst = dst[:k*n]
 	j := 0
-	if b.rs == 1 {
+	if b.RS == 1 {
 		for ; j+4 <= n; j += 4 {
-			c0 := b.data[j*b.cs : j*b.cs+k]
-			c1 := b.data[(j+1)*b.cs:][:len(c0)]
-			c2 := b.data[(j+2)*b.cs:][:len(c0)]
-			c3 := b.data[(j+3)*b.cs:][:len(c0)]
+			c0 := b.Data[j*b.CS : j*b.CS+k]
+			c1 := b.Data[(j+1)*b.CS:][:len(c0)]
+			c2 := b.Data[(j+2)*b.CS:][:len(c0)]
+			c3 := b.Data[(j+3)*b.CS:][:len(c0)]
 			for p, v := range c0 {
 				o := dst[p*n+j : p*n+j+4]
 				o[0], o[1], o[2], o[3] = v, c1[p], c2[p], c3[p]
@@ -481,7 +543,7 @@ func transposeView(dst []float64, b gemmView, k, n int) {
 	}
 	for ; j < n; j++ {
 		for p := 0; p < k; p++ {
-			dst[p*n+j] = b.data[p*b.rs+j*b.cs]
+			dst[p*n+j] = b.Data[p*b.RS+j*b.CS]
 		}
 	}
 }
@@ -493,15 +555,15 @@ func transposeView(dst []float64, b gemmView, k, n int) {
 // form cannot use ikj (folding k steps directly into dst would break the
 // sum-then-one-add association), so MatMulAcc's products route through
 // gemmNaiveGeneric's dot products.
-func gemmNaiveNN(dst []float64, ldc int, a, b gemmView, m, n, k int) {
+func gemmNaiveNN(dst []float64, ldc int, a, b View, m, n, k int) {
 	for i := 0; i < m; i++ {
-		arow := a.data[i*a.rs : i*a.rs+k]
+		arow := a.Data[i*a.RS : i*a.RS+k]
 		crow := dst[i*ldc : i*ldc+n]
 		for j := range crow {
 			crow[j] = 0
 		}
 		for p, av := range arow {
-			brow := b.data[p*b.rs : p*b.rs+n]
+			brow := b.Data[p*b.RS : p*b.RS+n]
 			for j, bv := range brow {
 				crow[j] = math.FMA(av, bv, crow[j])
 			}
@@ -511,12 +573,12 @@ func gemmNaiveNN(dst []float64, ldc int, a, b gemmView, m, n, k int) {
 
 // gemmNaiveNT: B is a transposed view with contiguous logical columns
 // (MatMulNTAcc). Each output cell is a dot product of two contiguous runs.
-func gemmNaiveNT(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
+func gemmNaiveNT(dst []float64, ldc int, a, b View, m, n, k int, acc bool) {
 	for i := 0; i < m; i++ {
-		arow := a.data[i*a.rs : i*a.rs+k]
+		arow := a.Data[i*a.RS : i*a.RS+k]
 		crow := dst[i*ldc : i*ldc+n]
 		for j := 0; j < n; j++ {
-			bcol := b.data[j*b.cs : j*b.cs+k]
+			bcol := b.Data[j*b.CS : j*b.CS+k]
 			var s float64
 			for p, av := range arow {
 				s = math.FMA(av, bcol[p], s)
@@ -532,13 +594,13 @@ func gemmNaiveNT(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
 
 // gemmNaiveGeneric covers arbitrary strides (MatMulTNAcc reaches here: A is
 // a transposed view, B row-major) and the NN accumulate of MatMulAcc.
-func gemmNaiveGeneric(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) {
+func gemmNaiveGeneric(dst []float64, ldc int, a, b View, m, n, k int, acc bool) {
 	for i := 0; i < m; i++ {
 		crow := dst[i*ldc : i*ldc+n]
 		for j := 0; j < n; j++ {
 			var s float64
 			for p := 0; p < k; p++ {
-				s = math.FMA(a.data[i*a.rs+p*a.cs], b.data[p*b.rs+j*b.cs], s)
+				s = math.FMA(a.Data[i*a.RS+p*a.CS], b.Data[p*b.RS+j*b.CS], s)
 			}
 			if acc {
 				crow[j] += s

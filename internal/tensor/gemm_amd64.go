@@ -63,7 +63,9 @@ const (
 	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX
 	cpuidAVX     = 1 << 28 // leaf 1 ECX
 	cpuidAVX2    = 1 << 5  // leaf 7 EBX
+	cpuidAVX512F = 1 << 16 // leaf 7 EBX
 	xcr0SSEAVX   = 0x6     // xmm and ymm state enabled
+	xcr0ZMM      = 0xe0    // opmask, upper halves of zmm0-15, and zmm16-31 state enabled
 )
 
 // gemm reports whether the GEMM micro-kernels may run: the CPU must
@@ -86,6 +88,14 @@ func (f cpuFeatures) gate() bool {
 	return f.gemm() && f.maxID >= 7 && f.ebx7&cpuidAVX2 != 0
 }
 
+// avx512 reports whether the CPU can run the 8-lane kernels: everything
+// the AVX2 gate kernels need, AVX-512F, and the OS saving the opmask and zmm
+// register state (XCR0 bits 5-7). The kernels use AVX-512F instructions
+// only (the W forms of the mask ops, the integer forms of the bitwise ops).
+func (f cpuFeatures) avx512() bool {
+	return f.gate() && f.ebx7&cpuidAVX512F != 0 && f.xcr0&xcr0ZMM == xcr0ZMM
+}
+
 // hostFeatures reads the running CPU's feature words.
 func hostFeatures() cpuFeatures {
 	var f cpuFeatures
@@ -102,13 +112,18 @@ func hostFeatures() cpuFeatures {
 	return f
 }
 
-// gemmHasAsm and gateHasAsm gate the assembly kernels. Both are determined
-// once at init; the dispatch never changes mid-run, and every assembly
-// kernel is bitwise-identical to its portable counterpart, so the choice
+// gemmHasAsm and gateHasAsm gate the assembly kernels, and gemmHas512 and
+// gateHas512 their 8-lane AVX-512 tier: with it, the row kernels and the
+// sigmoid and tanh kernels run on zmm registers, everything else stays on
+// AVX2. All four are determined once at init; the dispatch never changes
+// mid-run, and every assembly kernel is bitwise-identical to its portable
+// counterpart and the 8-lane kernels to their AVX2 twins, so the choice
 // affects speed only.
 var (
 	gemmHasAsm = hostFeatures().gemm()
+	gemmHas512 = gemmHasAsm && hostFeatures().avx512()
 	gateHasAsm = hostFeatures().gate() && gateExpMatchesMath()
+	gateHas512 = gateHasAsm && hostFeatures().avx512() && gate512MatchesMath()
 )
 
 // gateExpMatchesMath reports whether gateExpAsm agrees bit for bit with
@@ -135,3 +150,37 @@ func gateExpMatchesMath() bool {
 	}
 	return true
 }
+
+// gate512MatchesMath is gateExpMatchesMath for the 8-lane tier: it runs the
+// same spread of inputs through gateSigmoid512Asm, whose exp lanes are the
+// 8-lane port, and requires every lane bitwise equal to the scalar
+// 1/(1+math.Exp(-x)). Only call it when the CPU passes avx512().
+func gate512MatchesMath() bool {
+	var src, dst [gateBlock]float64
+	for blk := 0; blk < 4; blk++ {
+		for i := range src {
+			src[i] = -700 + 1400*float64(blk*gateBlock+i)/255 + 0.1234567
+		}
+		if gateSigmoid512Asm(&dst[0], &src[0], gateBlock) != 0 {
+			return false
+		}
+		for i, x := range src {
+			if math.Float64bits(dst[i]) != math.Float64bits(1/(1+math.Exp(-x))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+//go:noescape
+func gemmRowFMA512Asm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
+
+//go:noescape
+func gemmRow2FMA512Asm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
+
+//go:noescape
+func gateSigmoid512Asm(dst, src *float64, n int) uint64
+
+//go:noescape
+func gateTanh512Asm(dst, src *float64, n int) uint64

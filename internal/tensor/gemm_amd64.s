@@ -1,8 +1,10 @@
-// AVX2+FMA3 micro-kernel for the packed GEMM core (see gemm.go). The 8×4
-// accumulator tile lives in Y0-Y7 (one ymm of 4 column lanes per row); each
-// K step loads one packed B vector and issues 8 broadcast+FMA pairs.
-// VFMADD231PD lanes compute the same correctly-rounded IEEE fused
-// multiply-add as math.FMA, so this kernel is bitwise-identical to the
+// AVX2+FMA3 micro-kernel for the packed GEMM core (see gemm.go), and the
+// row kernels of the unpacked path in two tiers: AVX2 ymm and, further
+// down, their 8-lane AVX-512F zmm twins. The micro-kernel's 8×4 accumulator
+// tile lives in Y0-Y7 (one ymm of 4 column lanes per row); each K step loads
+// one packed B vector and issues 8 broadcast+FMA pairs. VFMADD231PD lanes
+// compute the same correctly-rounded IEEE fused multiply-add as math.FMA,
+// on ymm and zmm alike, so every kernel here is bitwise-identical to the
 // portable Go kernels.
 
 //go:build amd64
@@ -540,5 +542,425 @@ r2put1:
 	JMP    r2scalar
 
 r2done:
+	VZEROUPPER
+	RET
+
+// func gemmRowFMA512Asm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
+//
+// The 8-lane twin of gemmRowFMAAsm: the same row, the same per-element
+// ascending-k chain and the same epilogues, with zmm accumulators. Column
+// chunks of 32 and 8 run unmasked; the last n mod 8 columns run as one
+// chunk under the K1 lane mask, whose loads read zeros in the masked-off
+// lanes and whose store leaves them untouched.
+TEXT ·gemmRowFMA512Asm(SB), NOSPLIT, $0-72
+	MOVQ  n+48(FP), CX
+	ANDQ  $7, CX
+	MOVL  $1, R11
+	SHLL  CX, R11
+	DECL  R11
+	KMOVW R11, K1             // tail mask: the last n mod 8 columns
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  as+16(FP), AX
+	MOVQ  b+24(FP), BX
+	MOVQ  bs+32(FP), DX
+	MOVQ  k+40(FP), CX
+	MOVQ  n+48(FP), R8
+	SHLQ  $3, AX              // a stride in bytes
+	SHLQ  $3, DX              // b row stride in bytes
+
+
+z1chunk32:
+	CMPQ   R8, $32
+	JLT    z1chunk8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ   SI, R9             // a cursor
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z1store32
+
+z1loop32:
+	VBROADCASTSD (R9), Z4
+	VFMADD231PD  (R10), Z4, Z0
+	VFMADD231PD  64(R10), Z4, Z1
+	VFMADD231PD  128(R10), Z4, Z2
+	VFMADD231PD  192(R10), Z4, Z3
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z1loop32
+
+z1store32:
+	CMPB    acc+56(FP), $0
+	JNE     z1acc32
+	MOVQ    bias+64(FP), R9
+	TESTQ   R9, R9
+	JZ      z1put32
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	VADDPD  (R9)(R10*1), Z0, Z0
+	VADDPD  64(R9)(R10*1), Z1, Z1
+	VADDPD  128(R9)(R10*1), Z2, Z2
+	VADDPD  192(R9)(R10*1), Z3, Z3
+	JMP     z1put32
+
+z1acc32:
+	VADDPD  (DI), Z0, Z0
+	VADDPD  64(DI), Z1, Z1
+	VADDPD  128(DI), Z2, Z2
+	VADDPD  192(DI), Z3, Z3
+
+z1put32:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $32, R8
+	JMP     z1chunk32
+
+z1chunk8:
+	CMPQ   R8, $8
+	JLT    z1tail
+	VPXORQ Z0, Z0, Z0
+	MOVQ   SI, R9             // a cursor
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z1store8
+
+z1loop8:
+	VBROADCASTSD (R9), Z4
+	VFMADD231PD  (R10), Z4, Z0
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z1loop8
+
+z1store8:
+	CMPB    acc+56(FP), $0
+	JNE     z1acc8
+	MOVQ    bias+64(FP), R9
+	TESTQ   R9, R9
+	JZ      z1put8
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	VADDPD  (R9)(R10*1), Z0, Z0
+	JMP     z1put8
+
+z1acc8:
+	VADDPD  (DI), Z0, Z0
+
+z1put8:
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $8, R8
+	JMP     z1chunk8
+
+z1tail:
+	TESTQ  R8, R8
+	JZ     z1done
+	VPXORQ Z0, Z0, Z0
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z1storet
+
+z1loopt:
+	VBROADCASTSD (R9), Z4
+	VMOVUPD.Z    (R10), K1, Z5
+	VFMADD231PD  Z5, Z4, Z0
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z1loopt
+
+z1storet:
+	CMPB      acc+56(FP), $0
+	JNE       z1acct
+	MOVQ      bias+64(FP), R9
+	TESTQ     R9, R9
+	JZ        z1putt
+	MOVQ      DI, R10
+	SUBQ      dst+0(FP), R10
+	VMOVUPD.Z (R9)(R10*1), K1, Z5
+	VADDPD    Z5, Z0, Z0
+	JMP       z1putt
+
+z1acct:
+	VMOVUPD.Z (DI), K1, Z5
+	VADDPD    Z5, Z0, Z0
+
+z1putt:
+	VMOVUPD Z0, K1, (DI)
+
+z1done:
+	VZEROUPPER
+	RET
+
+// func gemmRow2FMA512Asm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
+//
+// The 8-lane twin of gemmRow2FMAAsm. A 32-column chunk carries 8
+// independent zmm chains (Z0-Z3 row 0, Z4-Z7 row 1), each B vector feeding
+// both rows; chunks of 16 and 8 follow, and the last n mod 8 columns run
+// under the K1 lane mask as in gemmRowFMA512Asm.
+TEXT ·gemmRow2FMA512Asm(SB), NOSPLIT, $0-88
+	MOVQ  n+64(FP), CX
+	ANDQ  $7, CX
+	MOVL  $1, R11
+	SHLL  CX, R11
+	DECL  R11
+	KMOVW R11, K1             // tail mask: the last n mod 8 columns
+	MOVQ  dst+0(FP), DI
+	MOVQ  ldd+8(FP), R12
+	MOVQ  a+16(FP), SI
+	MOVQ  ars+24(FP), R13
+	MOVQ  as+32(FP), AX
+	MOVQ  b+40(FP), BX
+	MOVQ  bs+48(FP), DX
+	MOVQ  k+56(FP), CX
+	MOVQ  n+64(FP), R8
+	SHLQ  $3, R12             // dst row-to-row stride in bytes
+	SHLQ  $3, R13             // a row-to-row stride in bytes
+	SHLQ  $3, AX              // a step stride in bytes
+	SHLQ  $3, DX              // b row stride in bytes
+
+
+z2chunk32:
+	CMPQ   R8, $32
+	JLT    z2chunk16
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ   SI, R9             // a cursor (row 0; row 1 at +R13)
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z2store32
+
+z2loop32:
+	VMOVUPD      (R10), Z8
+	VMOVUPD      64(R10), Z9
+	VMOVUPD      128(R10), Z10
+	VMOVUPD      192(R10), Z11
+	VBROADCASTSD (R9), Z12
+	VBROADCASTSD (R9)(R13*1), Z13
+	VFMADD231PD  Z8, Z12, Z0
+	VFMADD231PD  Z9, Z12, Z1
+	VFMADD231PD  Z10, Z12, Z2
+	VFMADD231PD  Z11, Z12, Z3
+	VFMADD231PD  Z8, Z13, Z4
+	VFMADD231PD  Z9, Z13, Z5
+	VFMADD231PD  Z10, Z13, Z6
+	VFMADD231PD  Z11, Z13, Z7
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z2loop32
+
+z2store32:
+	CMPB    acc+72(FP), $0
+	JNE     z2acc32
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      z2put32
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Z0, Z0
+	VADDPD  64(R9), Z1, Z1
+	VADDPD  128(R9), Z2, Z2
+	VADDPD  192(R9), Z3, Z3
+	VADDPD  (R9), Z4, Z4
+	VADDPD  64(R9), Z5, Z5
+	VADDPD  128(R9), Z6, Z6
+	VADDPD  192(R9), Z7, Z7
+	JMP     z2put32
+
+z2acc32:
+	VADDPD  (DI), Z0, Z0
+	VADDPD  64(DI), Z1, Z1
+	VADDPD  128(DI), Z2, Z2
+	VADDPD  192(DI), Z3, Z3
+	VADDPD  (DI)(R12*1), Z4, Z4
+	VADDPD  64(DI)(R12*1), Z5, Z5
+	VADDPD  128(DI)(R12*1), Z6, Z6
+	VADDPD  192(DI)(R12*1), Z7, Z7
+
+z2put32:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, (DI)(R12*1)
+	VMOVUPD Z5, 64(DI)(R12*1)
+	VMOVUPD Z6, 128(DI)(R12*1)
+	VMOVUPD Z7, 192(DI)(R12*1)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $32, R8
+	JMP     z2chunk32
+
+z2chunk16:
+	CMPQ   R8, $16
+	JLT    z2chunk8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	MOVQ   SI, R9             // a cursor (row 0; row 1 at +R13)
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z2store16
+
+z2loop16:
+	VMOVUPD      (R10), Z8
+	VMOVUPD      64(R10), Z9
+	VBROADCASTSD (R9), Z12
+	VBROADCASTSD (R9)(R13*1), Z13
+	VFMADD231PD  Z8, Z12, Z0
+	VFMADD231PD  Z9, Z12, Z1
+	VFMADD231PD  Z8, Z13, Z4
+	VFMADD231PD  Z9, Z13, Z5
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z2loop16
+
+z2store16:
+	CMPB    acc+72(FP), $0
+	JNE     z2acc16
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      z2put16
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Z0, Z0
+	VADDPD  64(R9), Z1, Z1
+	VADDPD  (R9), Z4, Z4
+	VADDPD  64(R9), Z5, Z5
+	JMP     z2put16
+
+z2acc16:
+	VADDPD  (DI), Z0, Z0
+	VADDPD  64(DI), Z1, Z1
+	VADDPD  (DI)(R12*1), Z4, Z4
+	VADDPD  64(DI)(R12*1), Z5, Z5
+
+z2put16:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z4, (DI)(R12*1)
+	VMOVUPD Z5, 64(DI)(R12*1)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	SUBQ    $16, R8
+
+z2chunk8:
+	CMPQ   R8, $8
+	JLT    z2tail
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z4, Z4, Z4
+	MOVQ   SI, R9             // a cursor (row 0; row 1 at +R13)
+	MOVQ   BX, R10            // b cursor at this column offset
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z2store8
+
+z2loop8:
+	VMOVUPD      (R10), Z8
+	VBROADCASTSD (R9), Z12
+	VBROADCASTSD (R9)(R13*1), Z13
+	VFMADD231PD  Z8, Z12, Z0
+	VFMADD231PD  Z8, Z13, Z4
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z2loop8
+
+z2store8:
+	CMPB    acc+72(FP), $0
+	JNE     z2acc8
+	MOVQ    bias+80(FP), R9
+	TESTQ   R9, R9
+	JZ      z2put8
+	MOVQ    DI, R10
+	SUBQ    dst+0(FP), R10
+	ADDQ    R10, R9
+	VADDPD  (R9), Z0, Z0
+	VADDPD  (R9), Z4, Z4
+	JMP     z2put8
+
+z2acc8:
+	VADDPD  (DI), Z0, Z0
+	VADDPD  (DI)(R12*1), Z4, Z4
+
+z2put8:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z4, (DI)(R12*1)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $8, R8
+
+z2tail:
+	TESTQ  R8, R8
+	JZ     z2done
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z4, Z4, Z4
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     z2storet
+
+z2loopt:
+	VMOVUPD.Z    (R10), K1, Z8
+	VBROADCASTSD (R9), Z12
+	VBROADCASTSD (R9)(R13*1), Z13
+	VFMADD231PD  Z8, Z12, Z0
+	VFMADD231PD  Z8, Z13, Z4
+	ADDQ         AX, R9
+	ADDQ         DX, R10
+	DECQ         R11
+	JNZ          z2loopt
+
+z2storet:
+	CMPB      acc+72(FP), $0
+	JNE       z2acct
+	MOVQ      bias+80(FP), R9
+	TESTQ     R9, R9
+	JZ        z2putt
+	MOVQ      DI, R10
+	SUBQ      dst+0(FP), R10
+	VMOVUPD.Z (R9)(R10*1), K1, Z9
+	VADDPD    Z9, Z0, Z0
+	VADDPD    Z9, Z4, Z4
+	JMP       z2putt
+
+z2acct:
+	VMOVUPD.Z (DI), K1, Z9
+	VADDPD    Z9, Z0, Z0
+	VMOVUPD.Z (DI)(R12*1), K1, Z9
+	VADDPD    Z9, Z4, Z4
+
+z2putt:
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z4, K1, (DI)(R12*1)
+
+z2done:
 	VZEROUPPER
 	RET

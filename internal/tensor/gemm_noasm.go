@@ -24,6 +24,21 @@ func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, 
 	panic("tensor: gemmRow2FMAAsm called without assembly support")
 }
 
+func gemmRowFMA512Asm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
+	panic("tensor: gemmRowFMA512Asm called without assembly support")
+}
+
+func gemmRow2FMA512Asm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64) {
+	panic("tensor: gemmRow2FMA512Asm called without assembly support")
+}
+
+// gemmHas512 and gateHas512 are false likewise: the 8-lane tier is amd64
+// assembly.
+const (
+	gemmHas512 = false
+	gateHas512 = false
+)
+
 // gateHasAsm is false without the vector gate kernels; gate.go then runs
 // math.Exp and math.Tanh element by element.
 const gateHasAsm = false
@@ -38,4 +53,12 @@ func gateSigmoidAsm(dst, src *float64, n int) uint64 {
 
 func gateTanhAsm(dst, src *float64, n int) uint64 {
 	panic("tensor: gateTanhAsm called without assembly support")
+}
+
+func gateSigmoid512Asm(dst, src *float64, n int) uint64 {
+	panic("tensor: gateSigmoid512Asm called without assembly support")
+}
+
+func gateTanh512Asm(dst, src *float64, n int) uint64 {
+	panic("tensor: gateTanh512Asm called without assembly support")
 }

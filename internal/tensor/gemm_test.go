@@ -29,7 +29,7 @@ func gemmShapes() [][3]int {
 }
 
 // gemmPath is one of the two paths gemm dispatches between.
-type gemmPath func(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bias []float64)
+type gemmPath func(dst []float64, ldc int, a, b View, m, n, k int, acc bool, bias []float64)
 
 // onPath runs the product of entry point op on path: the operands are viewed
 // exactly as the entry point views them, and path takes the place of gemm's
@@ -43,13 +43,13 @@ func onPath(path gemmPath, op string, dst, a, b, bias *Tensor) *Tensor {
 		if op == "AffineTo" {
 			bd = bias.Data
 		}
-		path(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, n, 1}, m, n, k, op == "MatMulAcc", bd)
+		path(dst.Data, n, View{a.Data, k, 1}, View{b.Data, n, 1}, m, n, k, op == "MatMulAcc", bd)
 	case "MatMulNTAcc":
 		m, k, n := a.shape[0], a.shape[1], b.shape[0]
-		path(dst.Data, n, gemmView{a.Data, k, 1}, gemmView{b.Data, 1, k}, m, n, k, true, nil)
+		path(dst.Data, n, View{a.Data, k, 1}, View{b.Data, 1, k}, m, n, k, true, nil)
 	case "MatMulTNAcc":
 		k, m, n := a.shape[0], a.shape[1], b.shape[1]
-		path(dst.Data, n, gemmView{a.Data, 1, m}, gemmView{b.Data, n, 1}, m, n, k, true, nil)
+		path(dst.Data, n, View{a.Data, 1, m}, View{b.Data, n, 1}, m, n, k, true, nil)
 	default:
 		panic("onPath: unknown entry point " + op)
 	}
@@ -81,8 +81,10 @@ var gemmRunners = []struct {
 }
 
 // TestGEMMDispatch pins the path the benchmarked shapes take with the FMA
-// assembly: the Volume-Speed LSTM's products run on the row kernels, and
-// 512³ still packs, so BenchmarkMatMulPacked measures the packed path.
+// assembly: the Volume-Speed LSTM's products run on the row kernels — the
+// 24×96×2160 TN lstm2 dWx of Manhattan training included — and 512³ still
+// packs, so BenchmarkMatMulPacked measures the packed path. The few-rows
+// rule's edges are pinned on either side.
 func TestGEMMDispatch(t *testing.T) {
 	if !gemmHasAsm {
 		t.Skip("no assembly kernels on this CPU: the dispatch is the m·n·k crossover")
@@ -93,6 +95,7 @@ func TestGEMMDispatch(t *testing.T) {
 	}{
 		{360, 96, 24, true}, {360, 24, 96, true}, {24, 96, 360, true}, {2160, 96, 5, true},
 		{5, 96, 2160, true}, {256, 256, 256, true}, {16, 512, 512, true},
+		{24, 96, 2160, true}, {32, 384, 512, true}, {33, 96, 2160, false}, {32, 128, 2160, false},
 		{512, 512, 512, false}, {32, 512, 512, false}, {384, 384, 384, false},
 	} {
 		if got := gemmOnRows(c.m, c.n, c.k); got != c.rows {
@@ -335,16 +338,16 @@ func TestGEMMNaiveKernelsAgree(t *testing.T) {
 		bias := fill(n)
 		cases := []struct {
 			name string
-			a, b gemmView
+			a, b View
 			acc  bool
 			bias []float64
 		}{
-			{"NN", gemmView{a, k, 1}, gemmView{b, n, 1}, false, nil},
-			{"NN+bias", gemmView{a, k, 1}, gemmView{b, n, 1}, false, bias},
-			{"NN acc", gemmView{a, k, 1}, gemmView{b, n, 1}, true, nil},
-			{"NT", gemmView{a, k, 1}, gemmView{bT, 1, k}, false, nil},
-			{"NT acc", gemmView{a, k, 1}, gemmView{bT, 1, k}, true, nil},
-			{"TN acc", gemmView{aT, 1, m}, gemmView{b, n, 1}, true, nil},
+			{"NN", View{a, k, 1}, View{b, n, 1}, false, nil},
+			{"NN+bias", View{a, k, 1}, View{b, n, 1}, false, bias},
+			{"NN acc", View{a, k, 1}, View{b, n, 1}, true, nil},
+			{"NT", View{a, k, 1}, View{bT, 1, k}, false, nil},
+			{"NT acc", View{a, k, 1}, View{bT, 1, k}, true, nil},
+			{"TN acc", View{aT, 1, m}, View{b, n, 1}, true, nil},
 		}
 		for _, c := range cases {
 			goC := append([]float64(nil), start...)
