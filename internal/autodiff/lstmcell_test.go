@@ -33,12 +33,6 @@ func unfusedLSTMRef(g *Graph, x, wx, wh, b *Node, hidden int) *Node {
 	return StackRows(outs)
 }
 
-// fusedLSTMRef builds the same recurrence as one LSTM node over batch
-// sequence-major sequences of x (batch·T × in).
-func fusedLSTMRef(x, wx, wh, b *Node, batch, hidden int) *Node {
-	return LSTM(x, wx, b, wh, batch, hidden)
-}
-
 // perStepLSTMRef builds the recurrence from the per-step oracle below: one
 // LSTMCell node per timestep, whose cell-state gradient crosses to the
 // previous step's node through a parked dcAcc slot, and a StackSteps node
@@ -343,7 +337,7 @@ func runLSTMBitwiseCase(t *testing.T, x *tensor.Tensor, wxT, whT, bT *tensor.Ten
 		defer g.Release()
 		var out *Node
 		if fused {
-			out = fusedLSTMRef(g.Const(x), g.Param(wx), g.Param(wh), g.Param(bias), 1, hidden)
+			out = LSTM(g.Const(x), g.Param(wx), g.Param(bias), g.Param(wh), 1, hidden)
 		} else {
 			out = unfusedLSTMRef(g, g.Const(x), g.Param(wx), g.Param(wh), g.Param(bias), hidden)
 		}
@@ -416,7 +410,7 @@ func TestLSTMCellGradcheck(t *testing.T) {
 	wh := randParam(rng, "wh", hidden, 4*hidden)
 	b := randParam(rng, "b", 4*hidden)
 	gradCheck(t, []*Parameter{wx, wh, b}, func(g *Graph) *Node {
-		out := fusedLSTMRef(g.Const(x), g.Param(wx), g.Param(wh), g.Param(b), 1, hidden)
+		out := LSTM(g.Const(x), g.Param(wx), g.Param(b), g.Param(wh), 1, hidden)
 		return MSE(out, target)
 	})
 }
@@ -442,7 +436,7 @@ func TestLSTMCellChildTape(t *testing.T) {
 		b.ZeroGrad()
 	}
 	sequence := func(g *Graph, i int) *Node {
-		return Sum(fusedLSTMRef(g.Const(xs[i]), g.Param(wx), g.Param(wh), g.Param(b), 1, hidden))
+		return Sum(LSTM(g.Const(xs[i]), g.Param(wx), g.Param(b), g.Param(wh), 1, hidden))
 	}
 
 	zeroGrads()
@@ -516,7 +510,7 @@ func TestLSTMCellBatchMatchesPerSequence(t *testing.T) {
 		xb := NewParameter("x", x.Clone())
 		wx, wh, b := NewParameter("wx", wxT.Clone()), NewParameter("wh", whT.Clone()), NewParameter("b", bT.Clone())
 		g := NewGraph()
-		out := fusedLSTMRef(g.Param(xb), g.Param(wx), g.Param(wh), g.Param(b), tc.batch, tc.hidden)
+		out := LSTM(g.Param(xb), g.Param(wx), g.Param(b), g.Param(wh), tc.batch, tc.hidden)
 		g.Backward(Sum(Mul(out, g.Const(weights))))
 
 		// Per sequence: B batch-1 recurrences on one tape, sharing weights.
@@ -528,7 +522,7 @@ func TestLSTMCellBatchMatchesPerSequence(t *testing.T) {
 		var loss *Node
 		for s := range xs {
 			xs[s] = NewParameter("x", tensor.FromSlice(append([]float64(nil), x.Data[s*rows:(s+1)*rows]...), tc.steps, tc.in))
-			outs[s] = fusedLSTMRef(g1.Param(xs[s]), g1.Param(wx1), g1.Param(wh1), g1.Param(b1), 1, tc.hidden)
+			outs[s] = LSTM(g1.Param(xs[s]), g1.Param(wx1), g1.Param(b1), g1.Param(wh1), 1, tc.hidden)
 			w := tensor.FromSlice(weights.Data[s*tc.steps*tc.hidden:(s+1)*tc.steps*tc.hidden], tc.steps, tc.hidden)
 			l := Sum(Mul(outs[s], g1.Const(w)))
 			if loss == nil {
@@ -564,7 +558,7 @@ func TestLSTMCellBatchGradcheck(t *testing.T) {
 	wh := randParam(rng, "wh", hidden, 4*hidden)
 	b := randParam(rng, "b", 4*hidden)
 	gradCheck(t, []*Parameter{x, wx, wh, b}, func(g *Graph) *Node {
-		out := fusedLSTMRef(g.Param(x), g.Param(wx), g.Param(wh), g.Param(b), batch, hidden)
+		out := LSTM(g.Param(x), g.Param(wx), g.Param(b), g.Param(wh), batch, hidden)
 		return MSE(out, target)
 	})
 }

@@ -98,13 +98,13 @@ const (
 // vs 16.5 on a repeat), so gemmRowMaxB takes the low end.
 //
 // Up to 32 rows the row path also keeps a B of up to gemmRowFewB (7/8 of
-// L2) resident across its few pairs. With the 8-lane kernels, five runs
-// each, row vs packed: 24×96×2160 TN (203 Ki, the V2S lstm2 dWx at
+// L2) resident across its few pairs. With the 8-lane kernels, ranges of
+// five runs, row vs packed: 24×96×2160 TN (203 Ki, the V2S lstm2 dWx at
 // Manhattan scale) 14.0–17.8 vs 11.5–13.7, 32×96×2160 TN 13.4–17.3 vs
 // 10.8–15.0, 32×384×512 (192 Ki) 16.8–19.0 vs 12.2–13.4, 32×192×1024 TN
 // 15.8–20.3 vs 11.7–13.7, 24×448×448 (196 Ki) 17.9–22.8 vs 7.9–11.5; past
-// it, 32×128×2160 TN (270 Ki) 6.0–8.4 vs 10.3–11.3 and 32×96×4096 TN
-// (384 Ki) 4.3–6.3 vs 8.6–9.2.
+// it, in three runs, 32×128×2160 TN (270 Ki) 6.0–8.4 vs 10.3–11.3 and
+// 32×96×4096 TN (384 Ki) 4.3–6.3 vs 8.6–9.2.
 const (
 	gemmRowMaxB = 1 << 17
 	gemmRowMaxM = 16
