@@ -81,7 +81,7 @@ type Node struct {
 	c      *Node          // third operand (Conv1DSame and LSTM bias)
 	d      *Node          // fourth operand (LSTM recurrent weight)
 	srcs   []*Node        // variadic operands (StackRows, ConcatCols)
-	ext    *tensor.Tensor // auxiliary tensor (dropout mask, LSTM step states)
+	ext    *tensor.Tensor // auxiliary tensor (dropout mask, LSTM gate buffer and step states)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)
 	idx    []int          // row indices (GatherRows)

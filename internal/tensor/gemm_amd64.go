@@ -173,6 +173,11 @@ func gate512MatchesMath() bool {
 	return true
 }
 
+// gemmRowFMA512Asm, gemmRow2FMA512Asm, gateSigmoid512Asm and gateTanh512Asm
+// are the 8-lane AVX-512F twins of gemmRowFMAAsm, gemmRow2FMAAsm,
+// gateSigmoidAsm and gateTanhAsm: the same arguments, contracts and
+// results, bit for bit, with the lanes in zmm registers.
+//
 //go:noescape
 func gemmRowFMA512Asm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 

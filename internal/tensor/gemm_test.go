@@ -452,6 +452,83 @@ func TestGEMMAccSumThenAdd(t *testing.T) {
 	}
 }
 
+// TestGEMMStrided takes products on every T-th row of sequence-major
+// buffers — the fused LSTM's per-step operands — through GEMMStrided, and
+// requires bitwise the result of the named entry point on gathered
+// contiguous copies: NN accumulate with strided A and dst, TN accumulate
+// with strided A and B, and the bias form, at an odd and an even batch. It
+// also requires a panic for views that reach past their slice or have a
+// negative stride, and for a bias shorter than a row.
+func TestGEMMStrided(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const steps, step = 5, 3
+	for _, batch := range []int{7, 40} {
+		const h, h4 = 6, 24
+		hs := RandUniform(rng, -1, 1, batch*steps, h)   // rows b·T+t
+		buf := RandUniform(rng, -1, 1, batch*steps, h4) // rows b·T+t
+		w := RandUniform(rng, -1, 1, h, h4)
+		bias := RandUniform(rng, -1, 1, h4)
+		rowsOf := func(x *Tensor, n int) *Tensor {
+			out := New(batch, n)
+			for b := 0; b < batch; b++ {
+				copy(out.Data[b*n:(b+1)*n], x.Data[(b*steps+step)*n:(b*steps+step+1)*n])
+			}
+			return out
+		}
+		hRows, gRows := rowsOf(hs, h), rowsOf(buf, h4)
+		aView := View{hs.Data[step*h:], steps * h, 1}
+		gView := View{buf.Data[step*h4:], steps * h4, 1}
+
+		// NN accumulate into strided dst rows.
+		got := buf.Clone()
+		GEMMStrided(got.Data[step*h4:], steps*h4, aView, View{w.Data, h4, 1}, batch, h4, h, true, nil)
+		want := MatMulAcc(gRows.Clone(), hRows, w)
+		if !bitwiseEqual(rowsOf(got, h4), want) {
+			t.Fatalf("batch %d: strided NN accumulate differs from MatMulAcc", batch)
+		}
+		// TN accumulate: Hᵀ·G with both operands strided.
+		seed := RandUniform(rng, -1, 1, h, h4)
+		gotTN := seed.Clone()
+		GEMMStrided(gotTN.Data, h4, View{hs.Data[step*h:], 1, steps * h}, gView, h, h4, batch, true, nil)
+		if !bitwiseEqual(gotTN, MatMulTNAcc(seed.Clone(), hRows, gRows)) {
+			t.Fatalf("batch %d: strided TN accumulate differs from MatMulTNAcc", batch)
+		}
+		// Bias form into a contiguous dst.
+		gotB := New(batch, h4)
+		GEMMStrided(gotB.Data, h4, aView, View{w.Data, h4, 1}, batch, h4, h, false, bias.Data)
+		if !bitwiseEqual(gotB, AffineTo(New(batch, h4), hRows, w, bias)) {
+			t.Fatalf("batch %d: strided bias form differs from AffineTo", batch)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"A past its slice", func() {
+			GEMMStrided(make([]float64, 4), 2, View{make([]float64, 3), 2, 1}, View{make([]float64, 4), 2, 1}, 2, 2, 2, false, nil)
+		}},
+		{"B negative stride", func() {
+			GEMMStrided(make([]float64, 4), 2, View{make([]float64, 4), 2, 1}, View{make([]float64, 4), -2, 1}, 2, 2, 2, false, nil)
+		}},
+		{"dst past its slice", func() {
+			GEMMStrided(make([]float64, 4), 3, View{make([]float64, 4), 2, 1}, View{make([]float64, 4), 2, 1}, 2, 2, 2, false, nil)
+		}},
+		{"short bias", func() {
+			GEMMStrided(make([]float64, 4), 2, View{make([]float64, 4), 2, 1}, View{make([]float64, 4), 2, 1}, 2, 2, 2, false, []float64{1})
+		}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: GEMMStrided did not panic", c.name)
+				}
+			}()
+			c.run()
+		}()
+	}
+}
+
 // The GEMM shape-sweep benchmark lives in the repository root bench file
 // (BenchmarkGEMM in bench_test.go), where cmd/ovsbench picks it up for
 // BENCH_4.json.
