@@ -7,11 +7,11 @@
 //
 //	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward' -o BENCH_7.json
 //	ovsbench -benchtime 5x -o BENCH_7.json
-//	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=16,BenchmarkModelForward=540'
+//	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=6,BenchmarkModelForward=84'
 //
 // The default selection covers the allocation-sensitive hot-loop benchmarks
-// plus the GEMM shape sweep, routing benchmarks, and the cold lint pass
-// (BenchmarkLintRepo, the CI lint job's wall-clock); pass -bench '.' for
+// plus the GEMM shape sweep, routing benchmarks, and the cold serial lint
+// pass (BenchmarkLintRepo, the CI lint job's wall-clock); pass -bench '.' for
 // everything. -maxallocs turns the run into a regression gate: it fails (and
 // exits non-zero) when a named benchmark's allocs/op exceeds its limit,
 // which CI uses to catch the pooled pack buffers quietly reverting to
@@ -53,8 +53,9 @@ type Report struct {
 }
 
 // defaultBench is the default selection. "BenchmarkFitEpoch" selects both
-// the 3×3-grid fit epoch (arena on and off) and BenchmarkFitEpochManhattan,
-// the 360-link fit epoch of the manhattan-refit benchmark workload.
+// the 3×3-grid 1-epoch fit (arena on and off) and BenchmarkFitEpochManhattan,
+// the 360-link 1-epoch fit of the manhattan-refit benchmark workload; each op
+// is a whole FitBestCtx call, per-fit set-up included.
 const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkLintRepo"
 
 func main() {

@@ -9,7 +9,7 @@
 //	go run ./cmd/ovslint -analyzers arenaescape,lockbalance ./...
 //	go run ./cmd/ovslint -tests ./...
 //	go run ./cmd/ovslint -json ./... > lint.json
-//	go run ./cmd/ovslint -cache .ovslint-cache.json ./...
+//	go run ./cmd/ovslint -timeout 30s ./...
 //	go run ./cmd/ovslint -list
 //
 // Package arguments restrict which packages are *reported*; the whole module
@@ -18,12 +18,13 @@
 // or the line immediately above it.
 //
 // -tests additionally loads in-package _test.go files and restricts the run
-// to the analyzers whose invariants hold in test code too. -cache enables
-// the content-hash incremental cache: packages whose transitive sources are
-// unchanged since the recorded run are neither type-checked nor re-analyzed.
+// to the analyzers whose invariants hold in test code too. The module is
+// loaded and analyzed serially, one package at a time; -timeout cancels the
+// run between packages.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -41,14 +42,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	tests := flag.Bool("tests", false, "also lint in-package _test.go files (test-safe analyzers only)")
-	cacheFile := flag.String("cache", "", "path of the incremental cache file (empty disables caching)")
-	workers := flag.Int("workers", 0, "analysis worker count (0 = all cores)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "ovslint: -workers %d: want 0 (all cores) or a positive count\n", *workers)
-		os.Exit(2)
-	}
 
 	ctx, cancel := cliutil.RootContext(*timeout)
 	defer cancel()
@@ -83,8 +78,7 @@ func main() {
 	}
 	loader.Tests = *tests
 
-	driver := &lint.Driver{Loader: loader, Analyzers: selected, Workers: *workers, CacheFile: *cacheFile}
-	results, err := driver.RunCtx(ctx)
+	pkgs, err := loader.LoadAll(ctx)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ovslint: type error (best-effort linting continues): %v\n", terr)
 	}
 
-	keep := packageFilter(root, cwd, flag.Args())
+	keep := packageFilter(cwd, flag.Args())
 	type jsonDiag struct {
 		File     string `json:"file"`
 		Line     int    `json:"line"`
@@ -102,18 +96,18 @@ func main() {
 	}
 	jsonDiags := []jsonDiag{}
 	total := 0
-	for _, res := range results {
-		if !keep(root, res.Path) {
+	for _, pkg := range pkgs {
+		if !keep(pkg.Dir) {
 			continue
 		}
-		if *verbose {
-			from := "analyzed"
-			if res.Cached {
-				from = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "ovslint: %s: %d diagnostic(s) (%s)\n", res.Path, len(res.Diags), from)
+		if ctx.Err() != nil {
+			fatal(context.Cause(ctx))
 		}
-		for _, d := range res.Diags {
+		diags := lint.RunPackage(pkg, selected)
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "ovslint: %s: %d diagnostic(s)\n", pkg.Path, len(diags))
+		}
+		for _, d := range diags {
 			rel := d
 			if r, err := filepath.Rel(root, d.Pos.Filename); err == nil {
 				rel.Pos.Filename = r
@@ -182,12 +176,12 @@ func selectAnalyzers(spec string, tests bool) ([]*lint.Analyzer, error) {
 	return picked, nil
 }
 
-// packageFilter turns CLI patterns ("./...", "./internal/tensor", an import
-// path) into a predicate over package import paths. No patterns means
-// everything.
-func packageFilter(root, cwd string, patterns []string) func(root, pkgPath string) bool {
+// packageFilter turns CLI patterns ("./...", "./internal/tensor", ".") into
+// a predicate over absolute package directories. Relative patterns resolve
+// against cwd; no patterns means everything.
+func packageFilter(cwd string, patterns []string) func(dir string) bool {
 	if len(patterns) == 0 {
-		return func(string, string) bool { return true }
+		return func(string) bool { return true }
 	}
 	type rule struct {
 		dir       string
@@ -200,23 +194,13 @@ func packageFilter(root, cwd string, patterns []string) func(root, pkgPath strin
 			recursive = true
 			pat = strings.TrimSuffix(pat, "/...")
 		}
-		if pat == "." || pat == "" {
-			rules = append(rules, rule{dir: cwd, recursive: recursive})
-			continue
-		}
 		dir := pat
 		if !filepath.IsAbs(dir) {
 			dir = filepath.Join(cwd, dir)
 		}
 		rules = append(rules, rule{dir: filepath.Clean(dir), recursive: recursive})
 	}
-	return func(root, pkgPath string) bool {
-		// Reconstruct the package directory from its import path: the
-		// module path maps to the root, subpackages to subdirectories.
-		dir := root
-		if i := strings.Index(pkgPath, "/"); i >= 0 {
-			dir = filepath.Join(root, filepath.FromSlash(pkgPath[i+1:]))
-		}
+	return func(dir string) bool {
 		for _, r := range rules {
 			if dir == r.dir {
 				return true

@@ -206,38 +206,23 @@ func (s *suppressionIndex) suppressed(analyzer, file string, line int) bool {
 	return s.covered[analyzer][fmt.Sprintf("%s:%d", file, line)]
 }
 
-// RunPackage runs the analyzers over one loaded package and returns the
-// unsuppressed diagnostics sorted by position.
+// RunPackage runs the analyzers over one loaded package, applies the
+// package's suppression directives, and returns the surviving diagnostics
+// sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []rawDiag
 	for _, a := range analyzers {
-		raw = append(raw, runAnalyzer(pkg, a)...)
+		a.Run(&Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			PkgPath:  pkg.Path,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			diags:    &raw,
+		})
 	}
-	return finishPackage(pkg, raw)
-}
 
-// runAnalyzer runs one analyzer over one package and returns its raw
-// diagnostics. It touches only the analyzer's own output slice, so distinct
-// (package, analyzer) units may run concurrently: analyzers read the shared
-// AST and type info but never write them.
-func runAnalyzer(pkg *Package, a *Analyzer) []rawDiag {
-	var raw []rawDiag
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		PkgPath:  pkg.Path,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-		diags:    &raw,
-	}
-	a.Run(pass)
-	return raw
-}
-
-// finishPackage applies the package's suppression directives to the raw
-// diagnostics and returns the survivors sorted by position.
-func finishPackage(pkg *Package, raw []rawDiag) []Diagnostic {
 	dirs, malformed := collectIgnores(pkg.Fset, pkg.Files)
 	idx := buildSuppressionIndex(dirs)
 

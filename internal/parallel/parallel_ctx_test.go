@@ -9,36 +9,26 @@ import (
 	"time"
 )
 
-func TestForCtxUncancelledMatchesFor(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		for _, n := range []int{0, 1, 97} {
-			hits := make([]int32, n)
-			if err := ForWorkersCtx(context.Background(), workers, n, 7, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			}); err != nil {
-				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
+// Tests named For… were written for the chunked loop that RunCtx absorbed;
+// they keep their names so test histories stay comparable, and now check
+// the same contract on RunCtx's tasks.
 
 func TestForCtxAlreadyCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ran := false
-	err := ForWorkersCtx(ctx, 0, 100, 1, func(lo, hi int) { ran = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatal("body ran under an already-cancelled context")
+	for _, n := range []int{0, 100} {
+		var ran atomic.Bool
+		fns := make([]func(), n)
+		for i := range fns {
+			fns[i] = func() { ran.Store(true) }
+		}
+		err := RunCtx(ctx, 0, fns...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
+		}
+		if ran.Load() {
+			t.Fatalf("n=%d: a task ran under an already-cancelled context", n)
+		}
 	}
 }
 
@@ -46,55 +36,66 @@ func TestForCtxReturnsCause(t *testing.T) {
 	sentinel := errors.New("stop: budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(sentinel)
-	if err := ForWorkersCtx(ctx, 0, 10, 1, func(lo, hi int) {}); !errors.Is(err, sentinel) {
+	if err := RunCtx(ctx, 0, func() {}); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the cancel cause", err)
 	}
 }
 
 func TestForCtxCancelStopsAtChunkBoundary(t *testing.T) {
-	// Cancel from inside chunk k: the in-flight chunk always completes (the
-	// body is never torn mid-chunk) and no chunk starts after every worker
-	// has observed the cancellation. With workers=1 the very next chunk
-	// claim sees the cancelled context, so exactly k+1 chunks run.
+	// Cancel from inside task k: the in-flight task always completes and no
+	// task starts after every worker has observed the cancellation. With
+	// workers=1 the very next claim sees the cancelled context, so exactly
+	// k+1 tasks run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var chunks atomic.Int64
-	err := ForWorkersCtx(ctx, 1, 100, 10, func(lo, hi int) {
-		if chunks.Add(1) == 3 {
-			cancel()
+	var ran atomic.Int64
+	fns := make([]func(), 10)
+	for i := range fns {
+		fns[i] = func() {
+			if ran.Add(1) == 3 {
+				cancel()
+			}
 		}
-	})
+	}
+	err := RunCtx(ctx, 1, fns...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := chunks.Load(); got != 3 {
-		t.Fatalf("ran %d chunks after cancel at chunk 3, want exactly 3", got)
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("ran %d tasks after cancel in task 3, want exactly 3", got)
 	}
 }
 
 func TestForCtxCancelledCompletesInFlightChunks(t *testing.T) {
-	// Parallel workers: after cancellation every chunk that started still
-	// runs to completion, and the visited set stays exactly-once — a
-	// cancelled loop never double-runs or tears a chunk.
-	n := 1000
-	hits := make([]int32, n)
+	// Parallel workers: after cancellation every task that started still
+	// runs to completion, and no task runs twice.
+	n := 100
+	started := make([]int32, n)
+	finished := make([]int32, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var started atomic.Int64
-	err := ForWorkersCtx(ctx, 4, n, 10, func(lo, hi int) {
-		if started.Add(1) == 5 {
-			cancel()
+	var claims atomic.Int64
+	fns := make([]func(), n)
+	for i := range fns {
+		fns[i] = func() {
+			atomic.AddInt32(&started[i], 1)
+			if claims.Add(1) == 5 {
+				cancel()
+			}
+			runtime.Gosched()
+			atomic.AddInt32(&finished[i], 1)
 		}
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
+	}
+	err := RunCtx(ctx, 4, fns...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	for i, h := range hits {
-		if h > 1 {
-			t.Fatalf("index %d visited %d times after cancellation", i, h)
+	for i := range fns {
+		if started[i] > 1 {
+			t.Fatalf("task %d ran %d times after cancellation", i, started[i])
+		}
+		if started[i] != finished[i] {
+			t.Fatalf("task %d started but was not finished when RunCtx returned", i)
 		}
 	}
 }
@@ -103,14 +104,17 @@ func TestForCtxNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForWorkersCtx(ctx, 8, 1000, 1, func(lo, hi int) {
-			if lo == 0 {
-				cancel()
+		fns := make([]func(), 1000)
+		for j := range fns {
+			fns[j] = func() {
+				if j == 0 {
+					cancel()
+				}
 			}
-		})
-		// nil is possible if every chunk was claimed before any worker saw
+		}
+		// nil is possible if every task was claimed before any worker saw
 		// the cancellation; anything else must be the cancellation itself.
-		if err != nil && !errors.Is(err, context.Canceled) {
+		if err := RunCtx(ctx, 8, fns...); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatal(err)
 		}
 		cancel()
@@ -125,7 +129,7 @@ func TestForCtxNoGoroutineLeak(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after cancelled ForWorkersCtx runs", before, after)
+			t.Fatalf("goroutines: %d before, %d after cancelled RunCtx calls", before, after)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -137,7 +141,6 @@ func TestRunCtxSkipsUnstartedAfterCancel(t *testing.T) {
 	var ran atomic.Int64
 	fns := make([]func(), 50)
 	for i := range fns {
-		i := i
 		fns[i] = func() {
 			if i == 0 {
 				cancel()

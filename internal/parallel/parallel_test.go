@@ -7,74 +7,47 @@ import (
 	"testing"
 )
 
+// Tests named For… were written for the chunked loop that RunCtx absorbed;
+// they keep their names so test histories stay comparable, and now check
+// the same contract on RunCtx's tasks.
+
 func TestForCoversRangeExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 5, 97, 1024} {
-			for _, grain := range []int{0, 1, 7, 64, 5000} {
-				hits := make([]int32, n)
-				err := ForWorkersCtx(context.Background(), workers, n, grain, func(lo, hi int) {
-					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, h)
-					}
+			hits := make([]int32, n)
+			fns := make([]func(), n)
+			for i := range fns {
+				fns[i] = func() { atomic.AddInt32(&hits[i], 1) }
+			}
+			if err := RunCtx(context.Background(), workers, fns...); err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: task %d ran %d times", workers, n, i, h)
 				}
 			}
 		}
 	}
 }
 
-func TestForChunkBoundariesIndependentOfWorkers(t *testing.T) {
-	// The chunk set must depend only on (n, grain): record the chunks seen
-	// at several worker counts, serial included, and compare.
-	n, grain := 103, 10
-	collect := func(workers int) map[[2]int]bool {
-		set := make(map[[2]int]bool)
-		ch := make(chan [2]int, 64)
-		done := make(chan struct{})
-		go func() {
-			for c := range ch {
-				set[c] = true
-			}
-			close(done)
-		}()
-		err := ForWorkersCtx(context.Background(), workers, n, grain, func(lo, hi int) { ch <- [2]int{lo, hi} })
-		close(ch)
-		<-done
-		if err != nil {
-			t.Fatal(err)
-		}
-		return set
+func TestRunCtxSerialRunsInIndexOrder(t *testing.T) {
+	// workers = 1 runs every task on the calling goroutine in slice order.
+	var order []int
+	fns := make([]func(), 20)
+	for i := range fns {
+		fns[i] = func() { order = append(order, i) }
 	}
-	serial := collect(1)
-	want := (n + grain - 1) / grain
-	if len(serial) != want {
-		t.Fatalf("serial chunks = %d, want %d", len(serial), want)
+	if err := RunCtx(context.Background(), 1, fns...); err != nil {
+		t.Fatal(err)
 	}
-	for c := range serial {
-		if c[0]%grain != 0 || (c[1] != c[0]+grain && c[1] != n) {
-			t.Fatalf("chunk %v not on grain boundary", c)
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order = %v, want 0..19", order)
 		}
 	}
-	for _, workers := range []int{2, 4} {
-		par := collect(workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(par), len(serial))
-		}
-		for c := range par {
-			if !serial[c] {
-				t.Fatalf("workers=%d: chunk %v not in the serial chunking", workers, c)
-			}
-		}
+	if len(order) != len(fns) {
+		t.Fatalf("ran %d of %d tasks", len(order), len(fns))
 	}
 }
 
@@ -98,7 +71,6 @@ func TestRunPreservesIndexedResults(t *testing.T) {
 	out := make([]int, 50)
 	fns := make([]func(), len(out))
 	for i := range fns {
-		i := i
 		fns[i] = func() { out[i] = i * i }
 	}
 	if err := RunCtx(context.Background(), 4, fns...); err != nil {
@@ -111,18 +83,32 @@ func TestRunPreservesIndexedResults(t *testing.T) {
 	}
 }
 
-func TestSetWorkersAndResolve(t *testing.T) {
+func TestSetWorkers(t *testing.T) {
 	old := Workers()
 	defer SetWorkers(old)
 	SetWorkers(3)
 	if Workers() != 3 {
 		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
 	}
-	if Resolve(0) != 3 {
-		t.Fatalf("Resolve(0) = %d, want 3", Resolve(0))
+	// workers = 0 resolves to the process default: with SetWorkers(1) every
+	// task runs on the calling goroutine, one after the other.
+	SetWorkers(1)
+	var running, peak atomic.Int64
+	fns := make([]func(), 8)
+	for i := range fns {
+		fns[i] = func() {
+			if n := running.Add(1); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+			running.Add(-1)
+		}
 	}
-	if Resolve(7) != 7 {
-		t.Fatalf("Resolve(7) = %d, want 7", Resolve(7))
+	if err := RunCtx(context.Background(), 0, fns...); err != nil {
+		t.Fatal(err)
+	}
+	if peak.Load() != 1 {
+		t.Fatalf("RunCtx(workers=0) under SetWorkers(1) ran %d tasks at once", peak.Load())
 	}
 	SetWorkers(0)
 	if Workers() != runtime.GOMAXPROCS(0) {
@@ -130,22 +116,50 @@ func TestSetWorkersAndResolve(t *testing.T) {
 	}
 }
 
+func TestRunCtxBoundsConcurrency(t *testing.T) {
+	// At most `workers` tasks run at once, the caller included.
+	const workers = 3
+	var running, peak atomic.Int64
+	fns := make([]func(), 64)
+	for i := range fns {
+		fns[i] = func() {
+			n := running.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			runtime.Gosched()
+			running.Add(-1)
+		}
+	}
+	if err := RunCtx(context.Background(), workers, fns...); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d tasks ran at once, want at most %d", p, workers)
+	}
+}
+
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	// An outer fan-out whose tasks themselves run parallel loops must
-	// complete: the pool spawns helpers instead of waiting on fixed
-	// capacity.
+	// An outer fan-out whose tasks themselves fan out must complete: the
+	// pool spawns helpers instead of waiting on fixed capacity.
 	ctx := context.Background()
 	var total atomic.Int64
-	err := ForWorkersCtx(ctx, 4, 8, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := ForWorkersCtx(ctx, 4, 1000, 10, func(l, h int) {
-				total.Add(int64(h - l))
-			}); err != nil {
+	inner := make([]func(), 1000)
+	for i := range inner {
+		inner[i] = func() { total.Add(1) }
+	}
+	outer := make([]func(), 8)
+	for i := range outer {
+		outer[i] = func() {
+			if err := RunCtx(ctx, 4, inner...); err != nil {
 				t.Error(err)
 			}
 		}
-	})
-	if err != nil {
+	}
+	if err := RunCtx(ctx, 4, outer...); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != 8000 {

@@ -1,0 +1,7 @@
+//go:build amd64 && !amd64.v3
+
+package tensor
+
+// fmaInBaseline reports whether the build's GOAMD64 level assumes FMA, in
+// which case GODEBUG=cpu.fma=off cannot switch it off.
+const fmaInBaseline = false

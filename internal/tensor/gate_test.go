@@ -172,11 +172,13 @@ func TestGateKernelsRandom(t *testing.T) {
 	const slab = 4099
 	var mu sync.Mutex
 	failed := 0
-	err := parallel.ForWorkersCtx(context.Background(), 0, (total+slab-1)/slab, 1, func(lo, hi int) {
-		src := make([]float64, slab)
-		dst := make([]float64, slab)
-		rng := rand.New(rand.NewSource(int64(lo)))
-		for s := lo; s < hi; s++ {
+	// One task per slab, seeded by the slab's index.
+	slabs := make([]func(), (total+slab-1)/slab)
+	for s := range slabs {
+		slabs[s] = func() {
+			src := make([]float64, slab)
+			dst := make([]float64, slab)
+			rng := rand.New(rand.NewSource(int64(s)))
 			for i := range src {
 				switch i % 3 {
 				case 0:
@@ -201,8 +203,8 @@ func TestGateKernelsRandom(t *testing.T) {
 				}
 			}
 		}
-	})
-	if err != nil {
+	}
+	if err := parallel.RunCtx(context.Background(), 0, slabs...); err != nil {
 		t.Fatal(err)
 	}
 	if failed > 0 {

@@ -24,7 +24,6 @@ import (
 	"ovs/internal/dataset"
 	"ovs/internal/fd"
 	"ovs/internal/metrics"
-	"ovs/internal/parallel"
 	"ovs/internal/roadnet"
 	"ovs/internal/sim"
 	"ovs/internal/tensor"
@@ -194,19 +193,6 @@ var (
 	NewAblatedModel    = core.NewAblatedModel
 	DefaultModelConfig = core.DefaultConfig
 	PaperModelConfig   = core.PaperConfig
-)
-
-// ---- Parallel execution ----
-
-// SetWorkers sets the process-wide default worker-pool size: how many fit
-// restarts (of a model whose ModelConfig.Workers is 0) and experiment-harness
-// cells run at once (n <= 0 restores the GOMAXPROCS default; 1 forces
-// exact-serial execution). Everything inside a restart or a cell runs on one
-// goroutine. Results are bitwise-identical at any setting. Workers reports
-// the current value.
-var (
-	SetWorkers = parallel.SetWorkers
-	Workers    = parallel.Workers
 )
 
 // ---- Serialization ----
