@@ -13,6 +13,40 @@ import (
 // they keep their names so test histories stay comparable, and now check
 // the same contract on RunCtx's tasks.
 
+func TestForCtxUncancelledMatchesFor(t *testing.T) {
+	// An uncancelled RunCtx at any worker count writes the same slots as the
+	// serial run, each task exactly once.
+	run := func(workers, n int) ([]int, []int32) {
+		out := make([]int, n)
+		hits := make([]int32, n)
+		fns := make([]func(), n)
+		for i := range fns {
+			fns[i] = func() {
+				atomic.AddInt32(&hits[i], 1)
+				out[i] = i*i + 7
+			}
+		}
+		if err := RunCtx(context.Background(), workers, fns...); err != nil {
+			t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+		}
+		return out, hits
+	}
+	for _, n := range []int{0, 1, 97} {
+		want, _ := run(1, n)
+		for _, workers := range []int{2, 8} {
+			got, hits := run(workers, n)
+			for i := range got {
+				if hits[i] != 1 {
+					t.Fatalf("workers=%d n=%d: task %d ran %d times", workers, n, i, hits[i])
+				}
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d n=%d: slot %d = %d, serial run wrote %d", workers, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestForCtxAlreadyCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
