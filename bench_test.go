@@ -18,6 +18,8 @@ import (
 
 	"ovs"
 	"ovs/internal/autodiff"
+	"ovs/internal/baselines"
+	"ovs/internal/core"
 	"ovs/internal/dataset"
 	"ovs/internal/experiment"
 	"ovs/internal/lint"
@@ -356,6 +358,36 @@ func BenchmarkBackward(b *testing.B) {
 		loss := autodiff.MSE(pred, speed)
 		g.Backward(loss)
 		nn.ZeroGrads(params)
+	}
+}
+
+// BenchmarkBaselineLSTM measures one LSTM-baseline Recover on the 3×3 grid:
+// 10 epochs over 4 simulated samples, then the observation's forward pass.
+// Every training step runs on nn.Train's recycled graph, so allocations per
+// op stay flat in the step count; a graph per step costs thousands more.
+func BenchmarkBaselineLSTM(b *testing.B) {
+	city := dataset.SyntheticGrid(6, 21)
+	simulator := sim.New(city.Net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: 3})
+	raw, err := dataset.Generate(simulator, city, dataset.GenerateOptions{
+		Count: 4,
+		TOD:   dataset.TODConfig{Intervals: 6, IntervalMinutes: 5, Scale: 0.6},
+		Seed:  4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &baselines.Context{Net: city.Net, Regions: city.Regions, Pairs: city.Pairs, T: 6, SpeedObs: raw[0].Speed, Seed: 6}
+	for _, s := range raw {
+		c.Samples = append(c.Samples, core.Sample{G: s.G, Volume: s.Volume, Speed: s.Speed})
+		c.MaxTrips = math.Max(c.MaxTrips, 1.2*s.G.Max())
+	}
+	method := &baselines.LSTM{Epochs: 10}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := method.Recover(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

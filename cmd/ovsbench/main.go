@@ -5,17 +5,23 @@
 //
 // Usage:
 //
-//	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward' -o BENCH_7.json
-//	ovsbench -benchtime 5x -o BENCH_7.json
+//	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward'
+//	ovsbench -benchtime 5x -o fit.json
 //	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=6,BenchmarkModelForward=84'
 //
+// The report goes to bench-report.json unless -o names another file. A
+// committed BENCH_<PR>.json is named after the PR that measured it, so
+// pass -o when recording one.
+//
 // The default selection covers the allocation-sensitive hot-loop benchmarks
-// plus the GEMM shape sweep, routing benchmarks, and the cold serial lint
-// pass (BenchmarkLintRepo, the CI lint job's wall-clock); pass -bench '.' for
-// everything. -maxallocs turns the run into a regression gate: it fails (and
-// exits non-zero) when a named benchmark's allocs/op exceeds its limit,
-// which CI uses to catch the pooled pack buffers quietly reverting to
-// per-call allocation.
+// plus the GEMM shape sweep, routing benchmarks, the LSTM baseline's Recover
+// (BenchmarkBaselineLSTM, the learned baselines' training loop), and the
+// cold serial lint pass (BenchmarkLintRepo, the CI lint job's wall-clock);
+// pass -bench '.' for everything. -maxallocs turns the run into a
+// regression gate: it fails (and exits non-zero) when a named benchmark's
+// allocs/op exceeds its limit, which CI uses to catch the pooled pack
+// buffers or the recycled training graph quietly reverting to per-call
+// allocation.
 package main
 
 import (
@@ -56,13 +62,13 @@ type Report struct {
 // the 3×3-grid 1-epoch fit (arena on and off) and BenchmarkFitEpochManhattan,
 // the 360-link 1-epoch fit of the manhattan-refit benchmark workload; each op
 // is a whole FitBestCtx call, per-fit set-up included.
-const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkLintRepo"
+const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkBaselineLSTM|BenchmarkLintRepo"
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark selection regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	pkg := flag.String("pkg", ".", "package pattern holding the benchmarks")
-	outPath := flag.String("o", "BENCH_7.json", "output JSON path")
+	outPath := flag.String("o", "bench-report.json", "output JSON path")
 	maxAllocs := flag.String("maxallocs", "",
 		"comma-separated name=limit pairs, e.g. 'BenchmarkMatMul=16'; fail when a benchmark's allocs/op exceeds its limit (names matched exactly after stripping the -GOMAXPROCS suffix)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")

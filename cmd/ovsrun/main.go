@@ -138,7 +138,7 @@ func run(ctx context.Context, cityName, patternName, method, scaleName string, s
 	if m == nil {
 		return fmt.Errorf("unknown method %q", method)
 	}
-	tod, rerr := m.Recover(env.Context(ctx))
+	tod, rerr := m.Recover(ctx, env.Context())
 	if rerr != nil {
 		return rerr
 	}

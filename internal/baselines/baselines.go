@@ -6,10 +6,13 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"ovs/internal/autodiff"
 	"ovs/internal/core"
+	"ovs/internal/nn"
 	"ovs/internal/roadnet"
 	"ovs/internal/tensor"
 )
@@ -30,8 +33,10 @@ type Context struct {
 	// SpeedObs is the observed (M × T) speed tensor to invert.
 	SpeedObs *tensor.Tensor
 	// Simulate runs a TOD tensor through the traffic simulator, for the
-	// search-based methods (Gravity's grid search, Genetic's fitness).
-	Simulate func(g *tensor.Tensor) (speed *tensor.Tensor, err error)
+	// search-based methods (Gravity's grid search, Genetic's fitness). It
+	// observes ctx the way the simulator does, and a cancelled run's error
+	// wraps the context's cause.
+	Simulate func(ctx context.Context, g *tensor.Tensor) (speed *tensor.Tensor, err error)
 	// MaxTrips bounds per-cell trip counts for search initialization.
 	MaxTrips float64
 	// Seed fixes stochastic behavior.
@@ -58,10 +63,38 @@ func (c *Context) Validate() error {
 	return nil
 }
 
-// Method recovers a TOD tensor (N × T) from the context.
+// Method recovers a TOD tensor (N × T) from the context. Recover observes
+// ctx at its safe points — epoch boundaries of the learned methods, EM
+// iterations, and the simulator's interval boundaries for the search
+// methods — and a cancelled call returns an error wrapping the context's
+// cause.
 type Method interface {
 	Name() string
-	Recover(ctx *Context) (*tensor.Tensor, error)
+	Recover(ctx context.Context, c *Context) (*tensor.Tensor, error)
+}
+
+// intervalDesign stacks the samples' per-interval TOD columns into the rows
+// of x (samples·T × N) and the matching columns of target(sample) into the
+// rows of y (samples·T × M): the design both linear baselines regress on,
+// GLS's assignment matrix on volume and EM's B on speed.
+func (c *Context) intervalDesign(target func(core.Sample) *tensor.Tensor) (x, y *tensor.Tensor) {
+	n, m, t := c.N(), c.M(), c.T
+	x = tensor.New(len(c.Samples)*t, n)
+	y = tensor.New(len(c.Samples)*t, m)
+	r := 0
+	for _, s := range c.Samples {
+		obs := target(s)
+		for tt := 0; tt < t; tt++ {
+			for i := 0; i < n; i++ {
+				x.Set(s.G.At(i, tt), r, i)
+			}
+			for j := 0; j < m; j++ {
+				y.Set(obs.At(j, tt), r, j)
+			}
+			r++
+		}
+	}
+	return x, y
 }
 
 // speedRMSE is the fitness used by search methods: the paper's per-interval
@@ -94,6 +127,30 @@ func sampleNorms(samples []core.Sample) (volNorm, speedNorm float64) {
 		speedNorm = 1
 	}
 	return volNorm, speedNorm
+}
+
+// fitPairs trains forward under an MSE loss on one (input, target) pair per
+// sample, one optimizer step per sample per epoch. pair runs once per
+// sample, before the first epoch.
+func (c *Context) fitPairs(ctx context.Context, l nn.Loop, forward func(x *autodiff.Node, train bool) *autodiff.Node, pair func(core.Sample) (in, target *tensor.Tensor)) error {
+	inputs := make([]*tensor.Tensor, len(c.Samples))
+	targets := make([]*tensor.Tensor, len(c.Samples))
+	for i, s := range c.Samples {
+		inputs[i], targets[i] = pair(s)
+	}
+	l.Steps = len(c.Samples)
+	_, err := nn.Train(ctx, l, func(g *autodiff.Graph, i int) *autodiff.Node {
+		return autodiff.MSE(forward(g.Const(inputs[i]), true), targets[i])
+	})
+	return err
+}
+
+// orDefault returns v, or def when v is not positive (an unset field).
+func orDefault[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // clampInPlace bounds every element of x to [lo, hi].

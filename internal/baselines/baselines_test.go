@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -45,8 +47,8 @@ func buildContext(t *testing.T) (*Context, *tensor.Tensor) {
 		T:        6,
 		Samples:  samples,
 		SpeedObs: gt.Speed,
-		Simulate: func(g *tensor.Tensor) (*tensor.Tensor, error) {
-			res, err := sim.New(city.Net, simulator.Cfg).Run(sim.Demand{ODs: city.ODs, G: g})
+		Simulate: func(ctx context.Context, g *tensor.Tensor) (*tensor.Tensor, error) {
+			res, err := sim.New(city.Net, simulator.Cfg).RunCtx(ctx, sim.Demand{ODs: city.ODs, G: g})
 			if err != nil {
 				return nil, err
 			}
@@ -60,7 +62,7 @@ func buildContext(t *testing.T) (*Context, *tensor.Tensor) {
 
 func checkRecovery(t *testing.T, method Method, ctx *Context, gtG *tensor.Tensor, maxRMSEFactor float64) *tensor.Tensor {
 	t.Helper()
-	rec, err := method.Recover(ctx)
+	rec, err := method.Recover(context.Background(), ctx)
 	if err != nil {
 		t.Fatalf("%s: %v", method.Name(), err)
 	}
@@ -97,7 +99,7 @@ func TestGravityRecover(t *testing.T) {
 func TestGravityRequiresSimulator(t *testing.T) {
 	ctx, _ := buildContext(t)
 	ctx.Simulate = nil
-	if _, err := (&Gravity{}).Recover(ctx); err == nil {
+	if _, err := (&Gravity{}).Recover(context.Background(), ctx); err == nil {
 		t.Fatal("gravity without simulator did not error")
 	}
 }
@@ -106,12 +108,12 @@ func TestGeneticRecoverImproves(t *testing.T) {
 	ctx, gtG := buildContext(t)
 	rec := checkRecovery(t, &Genetic{Population: 8, Generations: 4}, ctx, gtG, 0.9)
 	// The evolved candidate must beat a random tensor on speed fitness.
-	recSpeed, err := ctx.Simulate(rec)
+	recSpeed, err := ctx.Simulate(context.Background(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	randG := tensor.RandUniform(randSource(1), 0, ctx.MaxTrips, ctx.N(), ctx.T)
-	randSpeed, err := ctx.Simulate(randG)
+	randSpeed, err := ctx.Simulate(context.Background(), randG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +146,22 @@ func TestLearnedMethodsNeedSamples(t *testing.T) {
 	ctx, _ := buildContext(t)
 	ctx.Samples = nil
 	for _, m := range []Method{&GLS{}, &EM{}, &NN{}, &LSTM{}} {
-		if _, err := m.Recover(ctx); err == nil {
+		if _, err := m.Recover(context.Background(), ctx); err == nil {
 			t.Fatalf("%s without samples did not error", m.Name())
+		}
+	}
+}
+
+// TestRecoverCancelled runs every method under an already-cancelled
+// context: each must stop at its first safe point with an error wrapping
+// context.Canceled.
+func TestRecoverCancelled(t *testing.T) {
+	c, _ := buildContext(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range pinnedMethods {
+		if _, err := p.method.Recover(ctx, c); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", p.method.Name(), err)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
+	"ovs/internal/core"
 	"ovs/internal/tensor"
 )
 
@@ -27,39 +29,18 @@ type EM struct {
 func (m *EM) Name() string { return "EM" }
 
 // Recover runs the EM loop.
-func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (m *EM) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Samples) == 0 {
+	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("baselines: EM requires training samples")
 	}
-	iters := m.Iterations
-	if iters <= 0 {
-		iters = 15
-	}
-	lambda := m.Lambda
-	if lambda <= 0 {
-		lambda = 1e-2
-	}
-	n, mm, t := ctx.N(), ctx.M(), ctx.T
+	iters, lambda := orDefault(m.Iterations, 15), orDefault(m.Lambda, 1e-2)
+	n, mm, t := c.N(), c.M(), c.T
 
 	// Estimate B: speed columns regressed on TOD columns.
-	rows := len(ctx.Samples) * t
-	x := tensor.New(rows, n)
-	y := tensor.New(rows, mm)
-	r := 0
-	for _, s := range ctx.Samples {
-		for tt := 0; tt < t; tt++ {
-			for i := 0; i < n; i++ {
-				x.Set(s.G.At(i, tt), r, i)
-			}
-			for j := 0; j < mm; j++ {
-				y.Set(s.Speed.At(j, tt), r, j)
-			}
-			r++
-		}
-	}
+	x, y := c.intervalDesign(func(s core.Sample) *tensor.Tensor { return s.Speed })
 	w, err := tensor.Ridge(x, y, lambda) // (N × M)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: EM regression: %w", err)
@@ -74,15 +55,15 @@ func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
 	}
 	mu := tensor.New(n)
 	tau2 := 0.0
-	for _, s := range ctx.Samples {
+	for _, s := range c.Samples {
 		for i := 0; i < n; i++ {
 			mu.Data[i] += s.G.Row(i).Mean()
 		}
 	}
 	for i := range mu.Data {
-		mu.Data[i] /= float64(len(ctx.Samples))
+		mu.Data[i] /= float64(len(c.Samples))
 	}
-	for _, s := range ctx.Samples {
+	for _, s := range c.Samples {
 		for i := 0; i < n; i++ {
 			for tt := 0; tt < t; tt++ {
 				d := s.G.At(i, tt) - mu.Data[i]
@@ -90,7 +71,7 @@ func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	tau2 /= float64(len(ctx.Samples) * n * t)
+	tau2 /= float64(len(c.Samples) * n * t)
 	if tau2 < 1e-6 {
 		tau2 = 1e-6
 	}
@@ -109,7 +90,7 @@ func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
 		for tt := 0; tt < t; tt++ {
 			resid := tensor.New(mm)
 			for j := 0; j < mm; j++ {
-				resid.Data[j] = ctx.SpeedObs.At(j, tt) - bmu.Data[j]
+				resid.Data[j] = c.SpeedObs.At(j, tt) - bmu.Data[j]
 			}
 			z, err := tensor.Solve(s, resid)
 			if err != nil {
@@ -122,8 +103,8 @@ func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
 				if v < 0 {
 					v = 0
 				}
-				if v > ctx.MaxTrips {
-					v = ctx.MaxTrips
+				if v > c.MaxTrips {
+					v = c.MaxTrips
 				}
 				g.Set(v, i, tt)
 			}
@@ -131,6 +112,9 @@ func (m *EM) Recover(ctx *Context) (*tensor.Tensor, error) {
 		// M-step: update the prior mean from the posterior means.
 		for i := 0; i < n; i++ {
 			mu.Data[i] = g.Row(i).Mean()
+		}
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("baselines: EM iteration %d: %w", iter, context.Cause(ctx))
 		}
 	}
 	return g, nil

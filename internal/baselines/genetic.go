@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -33,43 +34,32 @@ type scored struct {
 }
 
 // Recover evolves TOD candidates against the observation.
-func (ga *Genetic) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (ga *Genetic) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx.Simulate == nil {
+	if c.Simulate == nil {
 		return nil, fmt.Errorf("baselines: Genetic requires a Simulate closure")
 	}
-	pop := ga.Population
-	if pop <= 0 {
-		pop = 12
-	}
-	gens := ga.Generations
-	if gens <= 0 {
-		gens = 10
-	}
+	pop, gens, mut := orDefault(ga.Population, 12), orDefault(ga.Generations, 10), orDefault(ga.MutationStd, 0.1)
 	elite := ga.Elite
 	if elite <= 0 || elite >= 1 {
 		elite = 0.25
 	}
-	mut := ga.MutationStd
-	if mut <= 0 {
-		mut = 0.1
-	}
-	rng := rand.New(rand.NewSource(ctx.Seed + 77))
+	rng := rand.New(rand.NewSource(c.Seed + 77))
 
 	evaluate := func(g *tensor.Tensor) (float64, error) {
-		speed, err := ctx.Simulate(g)
+		speed, err := c.Simulate(ctx, g)
 		if err != nil {
 			return 0, err
 		}
-		return speedRMSE(speed, ctx.SpeedObs), nil
+		return speedRMSE(speed, c.SpeedObs), nil
 	}
 
 	// Initialize uniformly in [0, MaxTrips/2]: random mid-scale demand.
 	population := make([]scored, pop)
 	for p := range population {
-		g := tensor.RandUniform(rng, 0, ctx.MaxTrips/2, ctx.N(), ctx.T)
+		g := tensor.RandUniform(rng, 0, c.MaxTrips/2, c.N(), c.T)
 		score, err := evaluate(g)
 		if err != nil {
 			return nil, fmt.Errorf("baselines: Genetic init: %w", err)
@@ -88,7 +78,7 @@ func (ga *Genetic) Recover(ctx *Context) (*tensor.Tensor, error) {
 		for len(next) < pop {
 			a := population[rng.Intn(nElite)]
 			b := population[rng.Intn(pop/2+1)]
-			child := crossoverMutate(a.g, b.g, mut*ctx.MaxTrips, ctx.MaxTrips, rng)
+			child := crossoverMutate(a.g, b.g, mut*c.MaxTrips, c.MaxTrips, rng)
 			score, err := evaluate(child)
 			if err != nil {
 				return nil, fmt.Errorf("baselines: Genetic generation %d: %w", gen, err)

@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"ovs/internal/autodiff"
+	"ovs/internal/core"
 	"ovs/internal/nn"
 	"ovs/internal/tensor"
 )
@@ -30,91 +32,64 @@ type GLS struct {
 func (m *GLS) Name() string { return "GLS" }
 
 func (m *GLS) defaults() GLS {
-	d := *m
-	if d.Lambda <= 0 {
-		d.Lambda = 1e-2
+	return GLS{
+		Lambda:      orDefault(m.Lambda, 1e-2),
+		Hidden:      orDefault(m.Hidden, 32),
+		TrainEpochs: orDefault(m.TrainEpochs, 60),
+		FitEpochs:   orDefault(m.FitEpochs, 120),
+		LR:          orDefault(m.LR, 0.02),
 	}
-	if d.Hidden <= 0 {
-		d.Hidden = 32
-	}
-	if d.TrainEpochs <= 0 {
-		d.TrainEpochs = 60
-	}
-	if d.FitEpochs <= 0 {
-		d.FitEpochs = 120
-	}
-	if d.LR <= 0 {
-		d.LR = 0.02
-	}
-	return d
 }
 
 // Recover estimates A, trains the speed net, and inverts the chain.
-func (m *GLS) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (m *GLS) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Samples) == 0 {
+	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("baselines: GLS requires training samples")
 	}
 	cfg := m.defaults()
-	n, mm, t := ctx.N(), ctx.M(), ctx.T
+	n, mm, t := c.N(), c.M(), c.T
 
 	// 1. Assignment matrix by ridge least squares on per-interval columns.
-	rows := len(ctx.Samples) * t
-	x := tensor.New(rows, n)
-	y := tensor.New(rows, mm)
-	r := 0
-	for _, s := range ctx.Samples {
-		for tt := 0; tt < t; tt++ {
-			for i := 0; i < n; i++ {
-				x.Set(s.G.At(i, tt), r, i)
-			}
-			for j := 0; j < mm; j++ {
-				y.Set(s.Volume.At(j, tt), r, j)
-			}
-			r++
-		}
-	}
+	x, y := c.intervalDesign(func(s core.Sample) *tensor.Tensor { return s.Volume })
 	assign, err := tensor.Ridge(x, y, cfg.Lambda) // (N × M)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: GLS assignment: %w", err)
 	}
 
 	// 2. Volume→speed network on per-interval columns.
-	rng := rand.New(rand.NewSource(ctx.Seed + 11))
-	volNorm, speedNorm := sampleNorms(ctx.Samples)
+	rng := rand.New(rand.NewSource(c.Seed + 11))
+	volNorm, speedNorm := sampleNorms(c.Samples)
 	net := nn.MLP(rng, "gls.v2s", []int{mm, cfg.Hidden, mm}, nn.ActReLU, nn.ActSigmoid)
-	opt := nn.NewAdam(cfg.LR)
-	for e := 0; e < cfg.TrainEpochs; e++ {
-		for _, s := range ctx.Samples {
-			g := autodiff.NewGraph()
-			in := tensor.Scale(tensor.Transpose(s.Volume), 1/volNorm) // (T × M)
-			target := tensor.Scale(tensor.Transpose(s.Speed), 1/speedNorm)
-			out := net.Forward(g.Const(in), true)
-			loss := autodiff.MSE(out, target)
-			g.Backward(loss)
-			opt.Step(net.Params())
-			nn.ZeroGrads(net.Params())
-		}
+	train := nn.Loop{Params: net.Params(), Opt: nn.NewAdam(cfg.LR), Epochs: cfg.TrainEpochs}
+	if err := c.fitPairs(ctx, train, net.Forward, func(s core.Sample) (*tensor.Tensor, *tensor.Tensor) {
+		// (T × M) volume in, (T × M) speed out.
+		return tensor.Scale(tensor.Transpose(s.Volume), 1/volNorm), tensor.Scale(tensor.Transpose(s.Speed), 1/speedNorm)
+	}); err != nil {
+		return nil, fmt.Errorf("baselines: GLS training: %w", err)
 	}
 
-	// 3. Recover TOD by gradient descent through the frozen chain.
-	gParam := autodiff.NewParameter("gls.G", tensor.RandUniform(rng, 0, ctx.MaxTrips/4, n, t))
-	fitOpt := nn.NewAdam(cfg.LR * 2)
-	obs := tensor.Scale(ctx.SpeedObs, 1/speedNorm)
+	// 3. Recover TOD by gradient descent through the frozen chain. Each step
+	// clamps the previous step's update into [0, MaxTrips] before the
+	// forward pass, and the last update is clamped after the loop.
+	for _, p := range net.Params() {
+		p.SetFrozen(true)
+	}
+	gParam := autodiff.NewParameter("gls.G", tensor.RandUniform(rng, 0, c.MaxTrips/4, n, t))
+	obs := tensor.Scale(c.SpeedObs, 1/speedNorm)
 	assignT := tensor.Transpose(assign) // (M × N)
-	for e := 0; e < cfg.FitEpochs; e++ {
-		g := autodiff.NewGraph()
-		gn := g.Param(gParam)
-		vol := autodiff.MatMul(g.Const(assignT), gn) // (M × T)
+	fit := nn.Loop{Params: []*autodiff.Parameter{gParam}, Opt: nn.NewAdam(cfg.LR * 2), Steps: 1, Epochs: cfg.FitEpochs}
+	if _, err := nn.Train(ctx, fit, func(g *autodiff.Graph, _ int) *autodiff.Node {
+		clampInPlace(gParam.Value, 0, c.MaxTrips)
+		vol := autodiff.MatMul(g.Const(assignT), g.Param(gParam)) // (M × T)
 		volIn := autodiff.Transpose(autodiff.Scale(vol, 1/volNorm))
 		speed := net.Forward(volIn, false) // (T × M)
-		loss := autodiff.MSE(autodiff.Transpose(speed), obs)
-		g.Backward(loss)
-		fitOpt.Step([]*autodiff.Parameter{gParam})
-		gParam.ZeroGrad()
-		clampInPlace(gParam.Value, 0, ctx.MaxTrips)
+		return autodiff.MSE(autodiff.Transpose(speed), obs)
+	}); err != nil {
+		return nil, fmt.Errorf("baselines: GLS fit: %w", err)
 	}
+	clampInPlace(gParam.Value, 0, c.MaxTrips)
 	return gParam.Value.Clone(), nil
 }

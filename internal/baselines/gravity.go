@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
 	"ovs/internal/roadnet"
@@ -20,22 +21,19 @@ type Gravity struct {
 func (gr *Gravity) Name() string { return "Gravity" }
 
 // Recover builds the gravity TOD and grid-searches k.
-func (gr *Gravity) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (gr *Gravity) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx.Simulate == nil {
+	if c.Simulate == nil {
 		return nil, fmt.Errorf("baselines: Gravity requires a Simulate closure")
 	}
-	candidates := gr.Candidates
-	if candidates <= 0 {
-		candidates = 8
-	}
+	candidates := orDefault(gr.Candidates, 8)
 	// Unit-k shape: s_i = p_o·p_d/d², normalized so its max cell is 1.
-	shape := make([]float64, ctx.N())
+	shape := make([]float64, c.N())
 	maxShape := 0.0
-	for i, p := range ctx.Pairs {
-		o, d := ctx.Regions[p.Origin], ctx.Regions[p.Dest]
+	for i, p := range c.Pairs {
+		o, d := c.Regions[p.Origin], c.Regions[p.Dest]
 		dist := roadnet.RegionDistance(o, d)
 		if dist < 1 {
 			dist = 1
@@ -54,10 +52,10 @@ func (gr *Gravity) Recover(ctx *Context) (*tensor.Tensor, error) {
 	}
 
 	build := func(k float64) *tensor.Tensor {
-		g := tensor.New(ctx.N(), ctx.T)
+		g := tensor.New(c.N(), c.T)
 		for i := range shape {
 			v := k * shape[i]
-			for t := 0; t < ctx.T; t++ {
+			for t := 0; t < c.T; t++ {
 				g.Set(v, i, t)
 			}
 		}
@@ -67,14 +65,14 @@ func (gr *Gravity) Recover(ctx *Context) (*tensor.Tensor, error) {
 	// Log-spaced k from MaxTrips/64 up to MaxTrips (per-cell peak counts).
 	bestK, bestScore := 0.0, 0.0
 	first := true
-	k := ctx.MaxTrips / 64
-	for c := 0; c < candidates; c++ {
+	k := c.MaxTrips / 64
+	for cand := 0; cand < candidates; cand++ {
 		g := build(k)
-		speed, err := ctx.Simulate(g)
+		speed, err := c.Simulate(ctx, g)
 		if err != nil {
-			return nil, fmt.Errorf("baselines: Gravity candidate %d: %w", c, err)
+			return nil, fmt.Errorf("baselines: Gravity candidate %d: %w", cand, err)
 		}
-		score := speedRMSE(speed, ctx.SpeedObs)
+		score := speedRMSE(speed, c.SpeedObs)
 		if first || score < bestScore {
 			bestK, bestScore, first = k, score, false
 		}

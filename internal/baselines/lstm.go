@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"ovs/internal/autodiff"
+	"ovs/internal/core"
 	"ovs/internal/nn"
 	"ovs/internal/tensor"
 )
@@ -26,55 +28,39 @@ type LSTM struct {
 func (m *LSTM) Name() string { return "LSTM" }
 
 // Recover trains the sequence model and applies it to the observation.
-func (m *LSTM) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (m *LSTM) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Samples) == 0 {
+	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("baselines: LSTM requires training samples")
 	}
-	hidden := m.Hidden
-	if hidden <= 0 {
-		hidden = 32
-	}
-	epochs := m.Epochs
-	if epochs <= 0 {
-		epochs = 60
-	}
-	lr := m.LR
-	if lr <= 0 {
-		lr = 0.01
-	}
-	n, mm := ctx.N(), ctx.M()
-	_, speedNorm := sampleNorms(ctx.Samples)
+	hidden, epochs, lr := orDefault(m.Hidden, 32), orDefault(m.Epochs, 60), orDefault(m.LR, 0.01)
+	n, mm := c.N(), c.M()
+	_, speedNorm := sampleNorms(c.Samples)
 
-	rng := rand.New(rand.NewSource(ctx.Seed + 17))
+	rng := rand.New(rand.NewSource(c.Seed + 17))
 	l1 := nn.NewLSTM(rng, "lstmbase.l1", mm, hidden)
 	l2 := nn.NewLSTM(rng, "lstmbase.l2", hidden, hidden)
 	head := nn.NewDense(rng, "lstmbase.head", hidden, n, nn.ActSigmoid)
 	params := append(append(l1.Params(), l2.Params()...), head.Params()...)
 
-	forward := func(g *autodiff.Graph, speed *tensor.Tensor, train bool) *autodiff.Node {
-		in := tensor.Scale(tensor.Transpose(speed), 1/speedNorm) // (T × M)
-		h := l1.Forward(g.Const(in), 1)
-		h = l2.Forward(h, 1)
+	// seq turns an (M × T) speed tensor into the (T × M) normalized input.
+	seq := func(speed *tensor.Tensor) *tensor.Tensor {
+		return tensor.Scale(tensor.Transpose(speed), 1/speedNorm)
+	}
+	forward := func(x *autodiff.Node, train bool) *autodiff.Node {
+		h := l2.Forward(l1.Forward(x, 1), 1)
 		return head.Forward(h, train) // (T × N) in (0,1)
 	}
-
-	opt := nn.NewAdam(lr)
-	for e := 0; e < epochs; e++ {
-		for _, s := range ctx.Samples {
-			g := autodiff.NewGraph()
-			out := forward(g, s.Speed, true)
-			target := tensor.Scale(tensor.Transpose(s.G), 1/ctx.MaxTrips)
-			loss := autodiff.MSE(out, target)
-			g.Backward(loss)
-			nn.ClipGrads(params, 5)
-			opt.Step(params)
-			nn.ZeroGrads(params)
-		}
+	loop := nn.Loop{Params: params, Opt: nn.NewAdam(lr), Clip: 5, Epochs: epochs}
+	if err := c.fitPairs(ctx, loop, forward, func(s core.Sample) (*tensor.Tensor, *tensor.Tensor) {
+		return seq(s.Speed), tensor.Scale(tensor.Transpose(s.G), 1/c.MaxTrips)
+	}); err != nil {
+		return nil, fmt.Errorf("baselines: LSTM training: %w", err)
 	}
 	g := autodiff.NewGraph()
-	out := forward(g, ctx.SpeedObs, false)
-	return tensor.Scale(tensor.Transpose(out.Value), ctx.MaxTrips), nil
+	defer g.Release()
+	out := forward(g.Const(seq(c.SpeedObs)), false)
+	return tensor.Scale(tensor.Transpose(out.Value), c.MaxTrips), nil
 }

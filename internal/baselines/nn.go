@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"ovs/internal/autodiff"
+	"ovs/internal/core"
 	"ovs/internal/nn"
 	"ovs/internal/tensor"
 )
@@ -27,46 +29,30 @@ type NN struct {
 func (m *NN) Name() string { return "NN" }
 
 // Recover trains speed→TOD regression and applies it to the observation.
-func (m *NN) Recover(ctx *Context) (*tensor.Tensor, error) {
-	if err := ctx.Validate(); err != nil {
+func (m *NN) Recover(ctx context.Context, c *Context) (*tensor.Tensor, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Samples) == 0 {
+	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("baselines: NN requires training samples")
 	}
-	hidden := m.Hidden
-	if hidden <= 0 {
-		hidden = 64
-	}
-	epochs := m.Epochs
-	if epochs <= 0 {
-		epochs = 80
-	}
-	lr := m.LR
-	if lr <= 0 {
-		lr = 0.01
-	}
-	n, mm, t := ctx.N(), ctx.M(), ctx.T
-	_, speedNorm := sampleNorms(ctx.Samples)
+	hidden, epochs, lr := orDefault(m.Hidden, 64), orDefault(m.Epochs, 80), orDefault(m.LR, 0.01)
+	n, mm, t := c.N(), c.M(), c.T
+	_, speedNorm := sampleNorms(c.Samples)
 
-	rng := rand.New(rand.NewSource(ctx.Seed + 13))
+	rng := rand.New(rand.NewSource(c.Seed + 13))
 	net := nn.MLP(rng, "nnbase", []int{mm * t, hidden, n * t}, nn.ActSigmoid, nn.ActSigmoid)
-	opt := nn.NewAdam(lr)
 	flatten := func(speed *tensor.Tensor) *tensor.Tensor {
 		return tensor.Scale(speed, 1/speedNorm).Reshape(1, mm*t)
 	}
-	for e := 0; e < epochs; e++ {
-		for _, s := range ctx.Samples {
-			g := autodiff.NewGraph()
-			out := net.Forward(g.Const(flatten(s.Speed)), true)
-			target := tensor.Scale(s.G, 1/ctx.MaxTrips).Reshape(1, n*t)
-			loss := autodiff.MSE(out, target)
-			g.Backward(loss)
-			opt.Step(net.Params())
-			nn.ZeroGrads(net.Params())
-		}
+	loop := nn.Loop{Params: net.Params(), Opt: nn.NewAdam(lr), Epochs: epochs}
+	if err := c.fitPairs(ctx, loop, net.Forward, func(s core.Sample) (*tensor.Tensor, *tensor.Tensor) {
+		return flatten(s.Speed), tensor.Scale(s.G, 1/c.MaxTrips).Reshape(1, n*t)
+	}); err != nil {
+		return nil, fmt.Errorf("baselines: NN training: %w", err)
 	}
 	g := autodiff.NewGraph()
-	out := net.Forward(g.Const(flatten(ctx.SpeedObs)), false)
-	return tensor.Scale(out.Value.Clone().Reshape(n, t), ctx.MaxTrips), nil
+	defer g.Release()
+	out := net.Forward(g.Const(flatten(c.SpeedObs)), false)
+	return tensor.Scale(out.Value, c.MaxTrips).Reshape(n, t), nil
 }

@@ -130,14 +130,14 @@ func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sE
 	if err := c.m.checkSamples("TrainMappings", samples, true); err != nil {
 		return nil, nil, err
 	}
-	v2s, err := c.runEpochStage(StageV2S, v2sEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
-		return c.m.trainV2S(ctx, samples, v2sEpochs, start, hist, opt, hook)
+	v2s, err := c.runEpochStage(StageV2S, v2sEpochs, func(l nn.Loop) ([]float64, error) {
+		return c.m.trainV2S(ctx, samples, l)
 	}, c.m.V2S.Params())
 	if err != nil {
 		return v2s, nil, err
 	}
-	t2v, err := c.runEpochStage(StageT2V, t2vEpochs, func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
-		return c.m.trainT2V(ctx, samples, t2vEpochs, start, hist, opt, hook)
+	t2v, err := c.runEpochStage(StageT2V, t2vEpochs, func(l nn.Loop) ([]float64, error) {
+		return c.m.trainT2V(ctx, samples, l)
 	}, c.m.T2V.Params())
 	return v2s, t2v, err
 }
@@ -244,24 +244,22 @@ func (c *Checkpointer) stageEntry(stage string) (snap *ckpt.Snapshot, skipHist [
 // machinery: resolve the entry point, rebuild the optimizer (importing its
 // checkpointed slot state bound to the stage's parameters), run with the
 // periodic hook, and record the completed curve.
-func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error), params []*autodiff.Parameter) ([]float64, error) {
+func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(l nn.Loop) ([]float64, error), params []*autodiff.Parameter) ([]float64, error) {
 	snap, skipHist, skip := c.stageEntry(stage)
 	if skip {
 		return skipHist, nil
 	}
-	start := 0
-	var hist []float64
-	opt := nn.NewAdam(c.m.Cfg.LR)
+	l := nn.Loop{Opt: nn.NewAdam(c.m.Cfg.LR), Epochs: epochs, Hook: c.epochHook(stage, epochs)}
 	if snap != nil {
-		start = snap.Epoch
-		hist = append(hist, snap.Loss...)
+		l.Start = snap.Epoch
+		l.Hist = append(l.Hist, snap.Loss...)
 		if snap.Opt != nil {
-			if err := opt.ImportState(*snap.Opt, params); err != nil {
+			if err := l.Opt.ImportState(*snap.Opt, params); err != nil {
 				return nil, fmt.Errorf("core: resume %s optimizer: %w", stage, err)
 			}
 		}
 	}
-	h, err := run(start, hist, opt, c.epochHook(stage, epochs))
+	h, err := run(l)
 	if err != nil {
 		return h, err
 	}
@@ -275,7 +273,7 @@ func (c *Checkpointer) runEpochStage(stage string, epochs int, run func(start in
 // safely on disk. The training loop polls ctx once per epoch and passes the
 // verdict in, so a cancelled checkpointed run always exits through this
 // path with its final checkpoint written.
-func (c *Checkpointer) epochHook(stage string, epochs int) stageHook {
+func (c *Checkpointer) epochHook(stage string, epochs int) nn.EpochHook {
 	return func(done int, hist []float64, opt *nn.Adam, cancelled bool) error {
 		boundary := done == epochs
 		periodic := c.opts.Every > 0 && done%c.opts.Every == 0

@@ -12,30 +12,6 @@ import (
 	"ovs/internal/tensor"
 )
 
-// stageHook is called after every completed epoch of a resumable training
-// stage with the number of epochs done so far, the loss history, the live
-// optimizer, and whether the run's context was cancelled at this boundary.
-// Returning an error aborts the stage; the error (typically ErrInterrupted)
-// propagates to the caller with the partial history.
-type stageHook func(done int, hist []float64, opt *nn.Adam, cancelled bool) error
-
-// endEpoch is the single cancellation point of every training loop: it polls
-// ctx once per completed epoch, hands the verdict to the optional hook (a
-// checkpointing hook writes its final checkpoint and returns ErrInterrupted),
-// and otherwise turns a cancellation into the context's cause.
-func endEpoch(ctx context.Context, hook stageHook, done int, hist []float64, opt *nn.Adam) error {
-	cancelled := ctx.Err() != nil
-	if hook != nil {
-		if err := hook(done, hist, opt, cancelled); err != nil {
-			return err
-		}
-	}
-	if cancelled {
-		return context.Cause(ctx)
-	}
-	return nil
-}
-
 // TrainV2SCtx runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
 // mapping on generated (volume, speed) pairs. It returns the per-epoch mean
 // loss curve. ctx is observed only at epoch boundaries, so the epochs
@@ -43,41 +19,21 @@ func endEpoch(ctx context.Context, hook stageHook, done int, hist []float64, opt
 // uncancelled run's prefix; a cancelled call returns the partial history
 // with the context's cancellation cause.
 func (m *Model) TrainV2SCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
-	return m.trainV2S(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
+	return m.trainV2S(ctx, samples, nn.Loop{Opt: nn.NewAdam(m.Cfg.LR), Epochs: epochs})
 }
 
-// trainV2S is the resumable core of TrainV2SCtx: it continues from start
-// completed epochs with the given optimizer and accumulated history.
-func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
+// trainV2S is the resumable core of TrainV2SCtx: it runs l, whose epoch
+// range, optimizer, history and hook the caller sets, on the stage's
+// parameters and samples.
+func (m *Model) trainV2S(ctx context.Context, samples []Sample, l nn.Loop) ([]float64, error) {
 	if err := m.checkSamples("TrainV2SCtx", samples, false); err != nil {
 		return nil, err
 	}
-	params := m.V2S.Params()
-	history := hist
-	// One recycled graph serves every sample of every epoch: Reset returns
-	// the previous tape's tensors to the arena before each forward pass.
-	g := autodiff.NewGraph()
-	defer g.Release()
-	for e := start; e < epochs; e++ {
-		total := 0.0
-		for _, s := range samples {
-			g.Reset()
-			pred := m.V2S.MapSpeed(g, g.Const(s.Volume), true)
-			loss := autodiff.MSE(pred, s.Speed)
-			total += loss.Value.Data[0]
-			g.Backward(loss)
-			if m.Cfg.GradClip > 0 {
-				nn.ClipGrads(params, m.Cfg.GradClip)
-			}
-			opt.Step(params)
-			nn.ZeroGrads(params)
-		}
-		history = append(history, total/float64(len(samples)))
-		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
-			return history, err
-		}
-	}
-	return history, nil
+	l.Params, l.Clip, l.Steps = m.V2S.Params(), m.Cfg.GradClip, len(samples)
+	return nn.Train(ctx, l, func(g *autodiff.Graph, i int) *autodiff.Node {
+		s := samples[i]
+		return autodiff.MSE(m.V2S.MapSpeed(g, g.Const(s.Volume), true), s.Speed)
+	})
 }
 
 // TrainT2VCtx runs stage 2: freeze Volume-Speed, fit TOD-Volume by passing
@@ -86,51 +42,31 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 // Cfg.VolumeLossWeight; the paper's protocol corresponds to weight 0).
 // Cancellation is observed at epoch boundaries (see TrainV2SCtx).
 func (m *Model) TrainT2VCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
-	return m.trainT2V(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
+	return m.trainT2V(ctx, samples, nn.Loop{Opt: nn.NewAdam(m.Cfg.LR), Epochs: epochs})
 }
 
 // trainT2V is the resumable core of TrainT2VCtx (see trainV2S).
-func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
+func (m *Model) trainT2V(ctx context.Context, samples []Sample, l nn.Loop) ([]float64, error) {
 	if err := m.checkSamples("TrainT2VCtx", samples, true); err != nil {
 		return nil, err
 	}
-	// Volume-Speed is frozen for the whole stage: its parameters are read
-	// concurrently by parallel graph construction and must not accumulate
-	// gradients.
+	// Volume-Speed is frozen for the whole stage: it runs in inference mode,
+	// its parameters are absent from the optimized set, and they must not
+	// accumulate gradients.
 	restore := freezeParams(m.V2S.Params())
 	defer restore()
-	params := m.T2V.Params()
-	history := hist
 	volNorm := 1.0 / m.Cfg.VolumeNorm
-	g := autodiff.NewGraph()
-	defer g.Release()
-	for e := start; e < epochs; e++ {
-		total := 0.0
-		for _, s := range samples {
-			g.Reset()
-			vol := m.T2V.MapVolume(g, g.Const(s.G), true)
-			// Volume-Speed runs in frozen inference mode: its parameters are
-			// simply absent from the optimized set.
-			speed := m.V2S.MapSpeed(g, vol, false)
-			loss := autodiff.MSE(speed, s.Speed)
-			if m.Cfg.VolumeLossWeight > 0 {
-				volLoss := autodiff.MSE(autodiff.Scale(vol, volNorm), tensor.ScaleTo(g.AllocLike(s.Volume), s.Volume, volNorm))
-				loss = autodiff.Add(loss, autodiff.Scale(volLoss, m.Cfg.VolumeLossWeight))
-			}
-			total += loss.Value.Data[0]
-			g.Backward(loss)
-			if m.Cfg.GradClip > 0 {
-				nn.ClipGrads(params, m.Cfg.GradClip)
-			}
-			opt.Step(params)
-			nn.ZeroGrads(params)
+	l.Params, l.Clip, l.Steps = m.T2V.Params(), m.Cfg.GradClip, len(samples)
+	return nn.Train(ctx, l, func(g *autodiff.Graph, i int) *autodiff.Node {
+		s := samples[i]
+		vol := m.T2V.MapVolume(g, g.Const(s.G), true)
+		loss := autodiff.MSE(m.V2S.MapSpeed(g, vol, false), s.Speed)
+		if m.Cfg.VolumeLossWeight > 0 {
+			volLoss := autodiff.MSE(autodiff.Scale(vol, volNorm), tensor.ScaleTo(g.AllocLike(s.Volume), s.Volume, volNorm))
+			loss = autodiff.Add(loss, autodiff.Scale(volLoss, m.Cfg.VolumeLossWeight))
 		}
-		history = append(history, total/float64(len(samples)))
-		if err := endEpoch(ctx, hook, e+1, history, opt); err != nil {
-			return history, err
-		}
-	}
-	return history, nil
+		return loss
+	})
 }
 
 // AuxData bundles the auxiliary observations of §IV-E / Table II. Nil
@@ -278,39 +214,23 @@ func checkIndices(what string, idx []int, n int) error {
 // callers must freeze those modules' parameters and validate the inputs
 // (checkFitInputs) first.
 func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
-	params := gen.Params()
-	opt := nn.NewAdam(m.Cfg.LR)
-	var history []float64
-	g := autodiff.NewGraph()
-	defer g.Release()
-	for e := 0; e < epochs; e++ {
-		g.Reset()
+	var linkWeights []float64
+	if aux != nil {
+		linkWeights = aux.LinkWeights
+	}
+	loop := nn.Loop{Params: gen.Params(), Opt: nn.NewAdam(m.Cfg.LR), Clip: m.Cfg.GradClip, Steps: 1, Epochs: epochs}
+	return nn.Train(ctx, loop, func(g *autodiff.Graph, _ int) *autodiff.Node {
 		tod := gen.Generate(g)
 		vol := m.T2V.MapVolume(g, tod, false)
-		speed := m.V2S.MapSpeed(g, vol, false)
-		var linkWeights []float64
-		if aux != nil {
-			linkWeights = aux.LinkWeights
-		}
-		loss := m.fitLoss(g, speed, speedObs, linkWeights)
+		loss := m.fitLoss(g, m.V2S.MapSpeed(g, vol, false), speedObs, linkWeights)
 		if m.Cfg.SmoothWeight > 0 {
 			loss = autodiff.Add(loss, autodiff.Scale(m.smoothPenalty(g, tod), m.Cfg.SmoothWeight))
 		}
 		if aux != nil {
 			loss = autodiff.Add(loss, m.auxLoss(g, tod, vol, aux))
 		}
-		history = append(history, loss.Value.Data[0])
-		g.Backward(loss)
-		if m.Cfg.GradClip > 0 {
-			nn.ClipGrads(params, m.Cfg.GradClip)
-		}
-		opt.Step(params)
-		nn.ZeroGrads(params)
-		if err := endEpoch(ctx, nil, e+1, history, opt); err != nil {
-			return history, err
-		}
-	}
-	return history, nil
+		return loss
+	})
 }
 
 // freezeParams freezes every parameter that is not already frozen and

@@ -86,9 +86,9 @@ func runCaseStudy(ctx context.Context, cs *dataset.CaseStudy, sc Scale, seed int
 
 	// Baselines: score speed fit only (the paper lacks TOD ground truth for
 	// the real feeds, Table X reports RMSE_speed).
-	bctx := env.Context(ctx)
+	bc := env.Context()
 	for _, m := range env.Methods() {
-		rec, err := m.Recover(bctx)
+		rec, err := m.Recover(ctx, bc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s on %s: %w", m.Name(), cs.Name, err)
 		}

@@ -70,7 +70,7 @@ func RunComparison(ctx context.Context, env *Env, name string) (*ComparisonResul
 		i, m := i, m
 		fns = append(fns, func() {
 			start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported in tables but never feeds fitted results
-			rec, err := m.Recover(env.Context(ctx))
+			rec, err := m.Recover(ctx, env.Context())
 			if err != nil {
 				errs[i] = fmt.Errorf("experiment: %s on %s: %w", m.Name(), name, err)
 				return

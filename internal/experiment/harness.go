@@ -104,10 +104,10 @@ func (e *Env) Simulate(ctx context.Context, g *tensor.Tensor) (*sim.Result, erro
 	return sim.New(e.City.Net, e.SimCfg).RunCtx(ctx, sim.Demand{ODs: e.City.ODs, G: g})
 }
 
-// Context assembles the baselines.Context view of the environment. The
-// returned view's Simulate closure carries ctx, so baseline recoveries that
-// simulate are cancellable too.
-func (e *Env) Context(ctx context.Context) *baselines.Context {
+// Context assembles the baselines.Context view of the environment. Its
+// Simulate closure runs Env.Simulate under the context the recovering
+// method passes in.
+func (e *Env) Context() *baselines.Context {
 	return &baselines.Context{
 		Net:      e.City.Net,
 		Regions:  e.City.Regions,
@@ -115,7 +115,7 @@ func (e *Env) Context(ctx context.Context) *baselines.Context {
 		T:        e.SimCfg.Intervals,
 		Samples:  e.Samples,
 		SpeedObs: e.GT.Speed,
-		Simulate: func(g *tensor.Tensor) (*tensor.Tensor, error) {
+		Simulate: func(ctx context.Context, g *tensor.Tensor) (*tensor.Tensor, error) {
 			res, err := e.Simulate(ctx, g)
 			if err != nil {
 				return nil, err

@@ -108,15 +108,15 @@ func RunRoadWork(ctx context.Context, sc Scale, seed int64) (*RoadWorkResult, er
 	// deterministic per seed, so both calls learn identical weights) and
 	// applied to each observation.
 	lstm := &baselines.LSTM{Epochs: sc.LSTMEpochs}
-	bc1 := env.Context(ctx)
+	bc1 := env.Context()
 	bc1.SpeedObs = speedRegular
-	l1, err := lstm.Recover(bc1)
+	l1, err := lstm.Recover(ctx, bc1)
 	if err != nil {
 		return nil, err
 	}
-	bc2 := env.Context(ctx)
+	bc2 := env.Context()
 	bc2.SpeedObs = speedRoadWork
-	l2, err := lstm.Recover(bc2)
+	l2, err := lstm.Recover(ctx, bc2)
 	if err != nil {
 		return nil, err
 	}
