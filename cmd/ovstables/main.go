@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"ovs/internal/cliutil"
@@ -70,9 +71,16 @@ func main() {
 	if *exp == "all" {
 		ids = []string{"tableviii", "tablevi", "tablevii", "tableix", "tablex", "fig9", "fig10", "fig11", "fig12", "fig13"}
 	}
+	exps := experiments(ctx, sc, *seed, parseSizes(*fig9Sizes))
 	for _, id := range ids {
+		id = strings.TrimSpace(id)
 		start := time.Now()
-		if err := run(ctx, strings.TrimSpace(id), sc, *seed, parseSizes(*fig9Sizes)); err != nil {
+		runExp, ok := exps[id]
+		if !ok {
+			runExp = func() (string, error) { return "", fmt.Errorf("unknown experiment %q", id) }
+		}
+		out, err := runExp()
+		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "%s: cancelled: %v\n", id, err)
 			} else {
@@ -82,6 +90,7 @@ func main() {
 			stopProfiles()
 			os.Exit(1)
 		}
+		fmt.Println(out)
 		fmt.Printf("[%s done in %s]\n\n", id, time.Since(start).Round(time.Second))
 	}
 }
@@ -97,94 +106,64 @@ func parseSizes(s string) []int {
 	return out
 }
 
-func run(ctx context.Context, id string, sc experiment.Scale, seed int64, fig9Sizes []int) error {
-	switch id {
-	case "tablevi":
-		results, err := experiment.RunRealComparison(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.RenderComparison("Table VI: RMSE on real datasets", results))
-	case "tablevii":
-		res, err := experiment.RunRunningTime(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "tableviii":
-		results, err := experiment.RunSyntheticComparison(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.RenderComparison("Table VIII: RMSE on synthetic patterns", results))
-	case "tableix":
-		res, err := experiment.RunAblation(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "tablex":
-		cs1, err := experiment.RunCaseStudy1(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		cs2, err := experiment.RunCaseStudy2(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Table X: RMSE_speed in real-world scenarios")
-		fmt.Println(cs1.Render())
-		fmt.Println(cs2.Render())
-	case "fig9":
-		res, err := experiment.RunScalability(ctx, sc, fig9Sizes, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig10":
-		res, err := experiment.RunCensusConstraint(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig11":
-		res, err := experiment.RunRoadWork(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "fig12":
-		res, err := experiment.RunCaseStudy1(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 12: " + res.Render())
-	case "fig13":
-		res, err := experiment.RunCaseStudy2(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 13: " + res.Render())
-	case "routechoice":
-		res, err := experiment.RunRouteChoice(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "enginecross":
-		res, err := experiment.RunEngineCross(ctx, sc, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	case "noise":
-		res, err := experiment.RunNoiseRobustness(ctx, sc, nil, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+// experiments maps each experiment id to a function that runs it and
+// renders its output. Table X and Figs. 12/13 print the same two case
+// studies, so each case study runs at most once per process.
+func experiments(ctx context.Context, sc experiment.Scale, seed int64, fig9Sizes []int) map[string]func() (string, error) {
+	case1 := sync.OnceValues(func() (*experiment.CaseStudyResult, error) { return experiment.RunCaseStudy1(ctx, sc, seed) })
+	case2 := sync.OnceValues(func() (*experiment.CaseStudyResult, error) { return experiment.RunCaseStudy2(ctx, sc, seed) })
+	return map[string]func() (string, error){
+		"tablevi": func() (string, error) {
+			results, err := experiment.RunRealComparison(ctx, sc, seed)
+			if err != nil {
+				return "", err
+			}
+			return experiment.RenderComparison("Table VI: RMSE on real datasets", results), nil
+		},
+		"tableviii": func() (string, error) {
+			results, err := experiment.RunSyntheticComparison(ctx, sc, seed)
+			if err != nil {
+				return "", err
+			}
+			return experiment.RenderComparison("Table VIII: RMSE on synthetic patterns", results), nil
+		},
+		"tablevii": func() (string, error) { return rendered(experiment.RunRunningTime(ctx, sc, seed)) },
+		"tableix":  func() (string, error) { return rendered(experiment.RunAblation(ctx, sc, seed)) },
+		"tablex": func() (string, error) {
+			cs1, err := rendered(case1())
+			if err != nil {
+				return "", err
+			}
+			cs2, err := rendered(case2())
+			if err != nil {
+				return "", err
+			}
+			return "Table X: RMSE_speed in real-world scenarios\n" + cs1 + "\n" + cs2, nil
+		},
+		"fig9":        func() (string, error) { return rendered(experiment.RunScalability(ctx, sc, fig9Sizes, seed)) },
+		"fig10":       func() (string, error) { return rendered(experiment.RunCensusConstraint(ctx, sc, seed)) },
+		"fig11":       func() (string, error) { return rendered(experiment.RunRoadWork(ctx, sc, seed)) },
+		"fig12":       func() (string, error) { return titled("Figure 12: ", case1) },
+		"fig13":       func() (string, error) { return titled("Figure 13: ", case2) },
+		"routechoice": func() (string, error) { return rendered(experiment.RunRouteChoice(ctx, sc, seed)) },
+		"enginecross": func() (string, error) { return rendered(experiment.RunEngineCross(ctx, sc, seed)) },
+		"noise":       func() (string, error) { return rendered(experiment.RunNoiseRobustness(ctx, sc, nil, seed)) },
 	}
-	return nil
+}
+
+// rendered renders an experiment's result, or passes its error on.
+func rendered[R interface{ Render() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Render(), nil
+}
+
+// titled renders a case study under a figure title.
+func titled(title string, run func() (*experiment.CaseStudyResult, error)) (string, error) {
+	out, err := rendered(run())
+	if err != nil {
+		return "", err
+	}
+	return title + out, nil
 }

@@ -101,11 +101,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Fit the same trained mappings to each observation.
+	// Fit the same trained mappings to each observation, both from the
+	// generator the model was built with: FitBestCtx installs its answer in
+	// model.TODGen, so the second fit would otherwise start from the first.
+	entry := model.TODGen.CloneTODGen()
 	rec1, _, err := model.FitBestCtx(ctx, obs1.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	model.TODGen = entry
 	rec2, _, err := model.FitBestCtx(ctx, obs2.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,11 @@ func RunAblation(ctx context.Context, sc Scale, seed int64) (*AblationResult, er
 	}
 	out := &AblationResult{}
 	for _, ab := range []core.Ablation{core.AblateNone, core.AblateTODGen, core.AblateT2V, core.AblateV2S} {
-		rec, _, _, err := env.runOVSVariant(ctx, ab, nil)
+		c, err := env.trainChain(ctx, ab, 1)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: ablation %v: %w", ab, err)
+		}
+		rec, err := c.fit(ctx, env.GT.Speed, sc.FitEpochs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: ablation %v: %w", ab, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ovs/internal/core"
 	"ovs/internal/dataset"
@@ -26,8 +25,6 @@ type CaseStudyResult struct {
 	GroundTruth map[string][]float64
 	// Hours labels the intervals with wall-clock hours.
 	Hours []int
-	// Elapsed is the OVS wall-clock time.
-	Elapsed time.Duration
 }
 
 // runCaseStudy executes the shared protocol: simulate the scenario TOD to
@@ -47,22 +44,9 @@ func runCaseStudy(ctx context.Context, cs *dataset.CaseStudy, sc Scale, seed int
 		return nil, fmt.Errorf("experiment: case study observation: %w", err)
 	}
 
-	raw, err := dataset.GenerateCtx(ctx, simulator, cs.City, dataset.GenerateOptions{
-		Count: sc.Samples,
-		TOD: dataset.TODConfig{
-			Intervals:       cs.Intervals,
-			IntervalMinutes: sc.IntervalSec / 60,
-			Scale:           sc.TODScale,
-		},
-		ScaleJitter: [2]float64{0.3, 2.0},
-		Seed:        seed + 1,
-	})
+	samples, err := generateSamples(ctx, simulator, cs.City, sc, [2]float64{0.3, 2.0}, seed)
 	if err != nil {
 		return nil, err
-	}
-	samples := make([]core.Sample, len(raw))
-	for i, s := range raw {
-		samples[i] = core.Sample{G: s.G, Volume: s.Volume, Speed: s.Speed}
 	}
 
 	env := &Env{
@@ -123,11 +107,10 @@ func runCaseStudy(ctx context.Context, cs *dataset.CaseStudy, sc Scale, seed int
 		aux = &core.AuxData{TrajODIdx: trajIdx, TrajG: trajG, TrajWeight: 8}
 	}
 
-	rec, _, elapsed, err := env.RunOVS(ctx, aux)
+	rec, _, _, err := env.RunOVS(ctx, aux)
 	if err != nil {
 		return nil, err
 	}
-	out.Elapsed = elapsed
 	triple, err := env.Evaluate(ctx, rec)
 	if err != nil {
 		return nil, err

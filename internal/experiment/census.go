@@ -26,10 +26,10 @@ type CensusResult struct {
 	Reports []CensusRegionReport
 }
 
-// RunCensusConstraint runs OVS twice on the Manhattan environment — with and
-// without a census auxiliary loss derived from the ground truth — and
-// reports the recovered daily sums of two focus ODs from similar-population
-// residential regions.
+// RunCensusConstraint trains OVS once on the Manhattan environment, fits its
+// observation twice — with and without a census auxiliary loss derived from
+// the ground truth — and reports the recovered daily sums of two focus ODs
+// from similar-population residential regions.
 func RunCensusConstraint(ctx context.Context, sc Scale, seed int64) (*CensusResult, error) {
 	city := dataset.Manhattan(dataset.CityOptions{ODPairs: sc.ODPairs, Seed: seed})
 	env, err := NewEnv(ctx, city, sc, seed)
@@ -49,15 +49,17 @@ func RunCensusConstraint(ctx context.Context, sc Scale, seed int64) (*CensusResu
 		census[i] = env.GT.G.Row(i).Sum()
 	}
 
-	// The census term needs weight and fit length to actually pin the daily
-	// sums on the large Manhattan instance.
-	censusEnv := *env
-	censusEnv.Scale.FitEpochs = env.Scale.FitEpochs * 2
-	recPlain, _, _, err := env.RunOVS(ctx, nil)
+	c, err := env.trainChain(ctx, core.AblateNone, 1)
 	if err != nil {
 		return nil, err
 	}
-	recAux, _, _, err := censusEnv.RunOVS(ctx, &core.AuxData{CensusSum: census, CensusWeight: 200})
+	recPlain, err := c.fit(ctx, env.GT.Speed, sc.FitEpochs, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The census term needs weight and fit length to actually pin the daily
+	// sums on the large Manhattan instance.
+	recAux, err := c.fit(ctx, env.GT.Speed, 2*sc.FitEpochs, &core.AuxData{CensusSum: census, CensusWeight: 200})
 	if err != nil {
 		return nil, err
 	}

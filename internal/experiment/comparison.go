@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"time"
 
 	"ovs/internal/dataset"
 	"ovs/internal/metrics"
@@ -19,7 +18,6 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 type MethodResult struct {
 	Method  string
 	Metrics metrics.Triple
-	Elapsed time.Duration
 }
 
 // ComparisonResult is one dataset column group of Tables VI/VIII: all
@@ -69,7 +67,6 @@ func RunComparison(ctx context.Context, env *Env, name string) (*ComparisonResul
 	for i, m := range methods {
 		i, m := i, m
 		fns = append(fns, func() {
-			start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported in tables but never feeds fitted results
 			rec, err := m.Recover(ctx, env.Context())
 			if err != nil {
 				errs[i] = fmt.Errorf("experiment: %s on %s: %w", m.Name(), name, err)
@@ -80,12 +77,12 @@ func RunComparison(ctx context.Context, env *Env, name string) (*ComparisonResul
 				errs[i] = err
 				return
 			}
-			rows[i] = MethodResult{Method: m.Name(), Metrics: triple, Elapsed: time.Since(start)}
+			rows[i] = MethodResult{Method: m.Name(), Metrics: triple}
 		})
 	}
 	fns = append(fns, func() {
 		i := len(methods)
-		rec, _, elapsed, err := env.RunOVS(ctx, nil)
+		rec, _, _, err := env.RunOVS(ctx, nil)
 		if err != nil {
 			errs[i] = err
 			return
@@ -95,7 +92,7 @@ func RunComparison(ctx context.Context, env *Env, name string) (*ComparisonResul
 			errs[i] = err
 			return
 		}
-		rows[i] = MethodResult{Method: "OVS", Metrics: triple, Elapsed: elapsed}
+		rows[i] = MethodResult{Method: "OVS", Metrics: triple}
 	})
 	if err := parallel.RunCtx(ctx, 0, fns...); err != nil {
 		return nil, err

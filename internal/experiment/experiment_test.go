@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"ovs/internal/core"
 	"ovs/internal/dataset"
 	"ovs/internal/metrics"
+	"ovs/internal/tensor"
 )
 
 // microScale cuts every knob to the bone so the full harness can be
@@ -142,6 +144,55 @@ func TestRunComparisonStructure(t *testing.T) {
 	}
 	if !strings.Contains(rendered, "Improve") {
 		t.Fatal("render missing Improve row")
+	}
+}
+
+// TestTrainedChainFitsMatchRunOVS holds the train-once contract behind
+// Fig. 10 and the cross-engine run: two fits from one trained chain, the
+// second with a census term and twice the epochs, equal bit for bit two
+// independent RunOVS runs that each train their own chain. A fit that
+// warm-started from the previous answer would break the second equality.
+func TestTrainedChainFitsMatchRunOVS(t *testing.T) {
+	ctx := context.Background()
+	sc := microScale()
+	env, err := NewSyntheticEnv(ctx, dataset.PatternGaussian, sc, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := make([]float64, env.City.NumPairs())
+	for i := range census {
+		census[i] = env.GT.G.Row(i).Sum()
+	}
+	aux := &core.AuxData{CensusSum: census, CensusWeight: 200}
+
+	c, err := env.trainChain(ctx, core.AblateNone, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got1, err := c.fit(ctx, env.GT.Speed, sc.FitEpochs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, err := c.fit(ctx, env.GT.Speed, 2*sc.FitEpochs, aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want1, _, _, err := env.RunOVS(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longEnv := *env
+	longEnv.Scale.FitEpochs = 2 * sc.FitEpochs
+	want2, _, _, err := longEnv.RunOVS(ctx, aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.AllClose(got1, want1, 0) {
+		t.Fatal("first fit of the trained chain differs from RunOVS")
+	}
+	if !tensor.AllClose(got2, want2, 0) {
+		t.Fatal("second fit of the trained chain differs from a fresh RunOVS: it did not start from the entry generator")
 	}
 }
 

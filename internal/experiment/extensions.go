@@ -8,7 +8,6 @@ import (
 	"ovs/internal/dataset"
 	"ovs/internal/metrics"
 	"ovs/internal/sim"
-	"ovs/internal/tensor"
 )
 
 // Extension experiments beyond the paper's evaluation section, covering the
@@ -24,47 +23,41 @@ type RouteChoiceResult struct {
 	K1, K2 metrics.Triple
 }
 
-// RunRouteChoice builds an environment whose ground-truth traffic uses
-// dynamic (congestion-aware) routing, then recovers TOD with k=1 and k=2
-// route splits.
+// RunRouteChoice builds an environment whose every simulation, training data
+// and observation alike, uses dynamic (congestion-aware) routing, so that
+// several routes per OD genuinely carry traffic, then recovers TOD with k=1
+// and k=2 route splits.
 func RunRouteChoice(ctx context.Context, sc Scale, seed int64) (*RouteChoiceResult, error) {
 	city := dataset.SyntheticGrid(sc.ODPairs, seed+3)
-	env, err := NewEnv(ctx, city, sc, seed)
+	simCfg := sim.Config{Intervals: sc.Intervals, IntervalSec: sc.IntervalSec, Seed: seed, Routing: sim.DynamicRouting}
+	simulator := sim.New(city.Net, simCfg)
+	samples, err := generateSamples(ctx, simulator, city, sc, [2]float64{0.5, 1.5}, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Re-simulate everything under dynamic routing so multiple routes per OD
-	// genuinely carry traffic.
-	dynCfg := env.SimCfg
-	dynCfg.Routing = sim.DynamicRouting
-	env.SimCfg = dynCfg
-	dynamicSim := sim.New(city.Net, dynCfg)
-	raw, err := dataset.GenerateCtx(ctx, dynamicSim, city, dataset.GenerateOptions{
-		Count: sc.Samples,
-		TOD: dataset.TODConfig{
-			Intervals:       sc.Intervals,
-			IntervalMinutes: sc.IntervalSec / 60,
-			Scale:           sc.TODScale,
-		},
-		ScaleJitter: [2]float64{0.5, 1.5},
-		Seed:        seed + 1,
-	})
+	// The hidden demand is the one NewEnv would draw (dataset.GroundTruthCtx
+	// uses the same rng), observed under dynamic routing.
+	g := city.GroundTruthTOD(sc.Intervals, sc.GTScale, newRand(seed+2))
+	gtRes, err := simulator.RunCtx(ctx, sim.Demand{ODs: city.ODs, G: g})
 	if err != nil {
 		return nil, err
 	}
-	env.Samples = env.Samples[:0]
-	for _, s := range raw {
-		env.Samples = append(env.Samples, core.Sample{G: s.G, Volume: s.Volume, Speed: s.Speed})
+	env := &Env{
+		City:    city,
+		SimCfg:  simCfg,
+		Samples: samples,
+		GT:      core.Sample{G: g, Volume: gtRes.Volume, Speed: gtRes.Speed},
+		Scale:   sc,
+		Seed:    seed,
 	}
-	gtRes, err := dynamicSim.RunCtx(ctx, sim.Demand{ODs: city.ODs, G: env.GT.G})
-	if err != nil {
-		return nil, err
-	}
-	env.GT = core.Sample{G: env.GT.G, Volume: gtRes.Volume, Speed: gtRes.Speed}
 
 	out := &RouteChoiceResult{}
 	for _, k := range []int{1, 2} {
-		rec, err := env.runOVSWithRoutes(ctx, k)
+		c, err := env.trainChain(ctx, core.AblateNone, k)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: route choice k=%d: %w", k, err)
+		}
+		rec, err := c.fit(ctx, env.GT.Speed, sc.FitEpochs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: route choice k=%d: %w", k, err)
 		}
@@ -79,22 +72,6 @@ func RunRouteChoice(ctx context.Context, sc Scale, seed int64) (*RouteChoiceResu
 		}
 	}
 	return out, nil
-}
-
-// runOVSWithRoutes trains and fits an OVS model with k route slots per OD.
-func (e *Env) runOVSWithRoutes(ctx context.Context, k int) (*tensor.Tensor, error) {
-	pairs := make([][2]int, len(e.City.ODs))
-	for i, od := range e.City.ODs {
-		pairs[i] = [2]int{od.Origin, od.Dest}
-	}
-	topo, err := core.NewTopology(e.City.Net, pairs, e.SimCfg.Intervals, k)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.modelConfig()
-	cfg.RoutesPerOD = k
-	m := core.NewModel(topo, cfg)
-	return m.TrainFullCtx(ctx, e.Samples, e.GT.Speed, e.Scale.V2SEpochs, e.Scale.T2VEpochs, e.Scale.FitEpochs, nil)
 }
 
 // Render prints the route-choice comparison.
@@ -124,9 +101,14 @@ func RunEngineCross(ctx context.Context, sc Scale, seed int64) (*EngineCrossResu
 		return nil, err
 	}
 	out := &EngineCrossResult{}
+	// One chain, trained on meso data, fits both observations.
+	c, err := env.trainChain(ctx, core.AblateNone, 1)
+	if err != nil {
+		return nil, err
+	}
 
 	// Control: meso-trained, meso-observed (the standard pipeline).
-	rec, _, _, err := env.RunOVS(ctx, nil)
+	rec, err := c.fit(ctx, env.GT.Speed, sc.FitEpochs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +125,7 @@ func RunEngineCross(ctx context.Context, sc Scale, seed int64) (*EngineCrossResu
 	if err != nil {
 		return nil, err
 	}
-	crossEnv := *env
-	crossEnv.GT = core.Sample{G: env.GT.G, Volume: microRes.Volume, Speed: microRes.Speed}
-	rec2, _, _, err := crossEnv.RunOVS(ctx, nil)
+	rec2, err := c.fit(ctx, microRes.Speed, sc.FitEpochs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,24 +30,11 @@ type Env struct {
 func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env, error) {
 	simCfg := sim.Config{Intervals: sc.Intervals, IntervalSec: sc.IntervalSec, Seed: seed}
 	simulator := sim.New(city.Net, simCfg)
-	raw, err := dataset.GenerateCtx(ctx, simulator, city, dataset.GenerateOptions{
-		Count: sc.Samples,
-		TOD: dataset.TODConfig{
-			Intervals:       sc.Intervals,
-			IntervalMinutes: sc.IntervalSec / 60,
-			Scale:           sc.TODScale,
-		},
-		// Span light to moderately heavy congestion so the learned mappings
-		// cover whatever regime the hidden observation sits in.
-		ScaleJitter: [2]float64{0.5, 1.5},
-		Seed:        seed + 1,
-	})
+	// Span light to moderately heavy congestion so the learned mappings
+	// cover whatever regime the hidden observation sits in.
+	samples, err := generateSamples(ctx, simulator, city, sc, [2]float64{0.5, 1.5}, seed)
 	if err != nil {
 		return nil, err
-	}
-	samples := make([]core.Sample, len(raw))
-	for i, s := range raw {
-		samples[i] = core.Sample{G: s.G, Volume: s.Volume, Speed: s.Speed}
 	}
 	gt, err := dataset.GroundTruthCtx(ctx, simulator, city, sc.GTScale, seed+2)
 	if err != nil {
@@ -61,6 +48,30 @@ func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env
 		Scale:   sc,
 		Seed:    seed,
 	}, nil
+}
+
+// generateSamples runs the Fig. 7 protocol through simulator: sc.Samples
+// random TODs over sc.Intervals, their demand scale jittered within jitter,
+// all drawn from seed+1.
+func generateSamples(ctx context.Context, simulator *sim.Simulator, city *dataset.City, sc Scale, jitter [2]float64, seed int64) ([]core.Sample, error) {
+	raw, err := dataset.GenerateCtx(ctx, simulator, city, dataset.GenerateOptions{
+		Count: sc.Samples,
+		TOD: dataset.TODConfig{
+			Intervals:       sc.Intervals,
+			IntervalMinutes: sc.IntervalSec / 60,
+			Scale:           sc.TODScale,
+		},
+		ScaleJitter: jitter,
+		Seed:        seed + 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	samples := make([]core.Sample, len(raw))
+	for i, s := range raw {
+		samples[i] = core.Sample{G: s.G, Volume: s.Volume, Speed: s.Speed}
+	}
+	return samples, nil
 }
 
 // NewSyntheticEnv prepares an environment on the 3×3 grid whose hidden
@@ -145,14 +156,24 @@ func (e *Env) Evaluate(ctx context.Context, rec *tensor.Tensor) (metrics.Triple,
 // BuildOVS constructs an OVS model for the environment (MaxTrips calibrated
 // to the data) without training it.
 func (e *Env) BuildOVS() (*core.Model, error) {
-	return e.buildOVSModel(core.AblateNone)
+	return e.buildOVSModel(core.AblateNone, 1)
 }
 
-// modelConfig calibrates the model configuration to the environment's data:
-// MaxTrips from the demand range, InitTripLevel from the mean demand, and
-// VolumeNorm from the occupancy range.
-func (e *Env) modelConfig() core.Config {
+// buildOVSModel builds the model with the given ablation and route slots per
+// OD, calibrating its configuration to the environment's data: MaxTrips from
+// the demand range, InitTripLevel from the mean demand, and VolumeNorm from
+// the occupancy range.
+func (e *Env) buildOVSModel(ab core.Ablation, routes int) (*core.Model, error) {
+	pairs := make([][2]int, len(e.City.ODs))
+	for i, od := range e.City.ODs {
+		pairs[i] = [2]int{od.Origin, od.Dest}
+	}
+	topo, err := core.NewTopology(e.City.Net, pairs, e.SimCfg.Intervals, routes)
+	if err != nil {
+		return nil, err
+	}
 	cfg := core.DefaultConfig()
+	cfg.RoutesPerOD = routes
 	cfg.MaxTrips = e.MaxTrips()
 	meanG := 0.0
 	maxVol := 0.0
@@ -168,43 +189,64 @@ func (e *Env) modelConfig() core.Config {
 		cfg.VolumeNorm = maxVol / 4
 	}
 	cfg.Seed = e.Seed + 5
-	return cfg
-}
-
-func (e *Env) buildOVSModel(ab core.Ablation) (*core.Model, error) {
-	pairs := make([][2]int, len(e.City.ODs))
-	for i, od := range e.City.ODs {
-		pairs[i] = [2]int{od.Origin, od.Dest}
-	}
-	topo, err := core.NewTopology(e.City.Net, pairs, e.SimCfg.Intervals, 1)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.modelConfig()
 	if ab == core.AblateNone {
 		return core.NewModel(topo, cfg), nil
 	}
 	return core.NewAblatedModel(topo, cfg, ab), nil
 }
 
-// RunOVS trains the full pipeline and fits the environment's observation,
-// returning the recovered TOD, the trained model, and the wall-clock time.
-// Cancellation is observed at the pipeline's epoch/restart boundaries.
-func (e *Env) RunOVS(ctx context.Context, aux *core.AuxData) (*tensor.Tensor, *core.Model, time.Duration, error) {
-	return e.runOVSVariant(ctx, core.AblateNone, aux)
+// chain is an OVS model whose two mappings are trained, together with the
+// TOD generator the model was built with. FitBestCtx installs its winner
+// into m.TODGen, so every fit starts from a clone of entry instead: fitting
+// m.TODGen again would warm-start from the previous observation's answer.
+type chain struct {
+	m     *core.Model
+	entry core.TODGenModule
 }
 
-func (e *Env) runOVSVariant(ctx context.Context, ab core.Ablation, aux *core.AuxData) (*tensor.Tensor, *core.Model, time.Duration, error) {
-	m, err := e.buildOVSModel(ab)
+// trainChain builds the environment's model (see buildOVSModel) and runs the
+// two training stages of Fig. 8 on its samples, once.
+func (e *Env) trainChain(ctx context.Context, ab core.Ablation, routes int) (*chain, error) {
+	m, err := e.buildOVSModel(ab, routes)
+	if err != nil {
+		return nil, err
+	}
+	entry := m.TODGen.CloneTODGen()
+	if _, err := m.TrainV2SCtx(ctx, e.Samples, e.Scale.V2SEpochs); err != nil {
+		return nil, fmt.Errorf("experiment: OVS (%v): %w", ab, err)
+	}
+	if _, err := m.TrainT2VCtx(ctx, e.Samples, e.Scale.T2VEpochs); err != nil {
+		return nil, fmt.Errorf("experiment: OVS (%v): %w", ab, err)
+	}
+	return &chain{m: m, entry: entry}, nil
+}
+
+// fit recovers the TOD behind one speed observation, starting from the
+// chain's entry generator, with Cfg.FitRestarts restarts.
+func (c *chain) fit(ctx context.Context, obs *tensor.Tensor, epochs int, aux *core.AuxData) (*tensor.Tensor, error) {
+	c.m.TODGen = c.entry.CloneTODGen()
+	rec, _, err := c.m.FitBestCtx(ctx, obs, epochs, c.m.Cfg.FitRestarts, aux)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: OVS fit: %w", err)
+	}
+	return rec, nil
+}
+
+// RunOVS trains the full pipeline and fits the environment's observation,
+// returning the recovered TOD, the trained model, and the wall-clock time of
+// building, training and fitting. Cancellation is observed at the pipeline's
+// epoch/restart boundaries.
+func (e *Env) RunOVS(ctx context.Context, aux *core.AuxData) (*tensor.Tensor, *core.Model, time.Duration, error) {
+	start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported in tables but never feeds fitted results
+	c, err := e.trainChain(ctx, core.AblateNone, 1)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported in tables but never feeds fitted results
-	rec, err := m.TrainFullCtx(ctx, e.Samples, e.GT.Speed, e.Scale.V2SEpochs, e.Scale.T2VEpochs, e.Scale.FitEpochs, aux)
+	rec, err := c.fit(ctx, e.GT.Speed, e.Scale.FitEpochs, aux)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("experiment: OVS (%v): %w", ab, err)
+		return nil, nil, 0, err
 	}
-	return rec, m, time.Since(start), nil
+	return rec, c.m, time.Since(start), nil
 }
 
 // RunOVSCkpt is RunOVS with fault-tolerant checkpointing: the pipeline

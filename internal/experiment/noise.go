@@ -3,8 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
+	"ovs/internal/core"
 	"ovs/internal/dataset"
 	"ovs/internal/metrics"
 )
@@ -20,7 +20,8 @@ type NoiseRow struct {
 // NoiseResult is an extension experiment: map-service speed feeds carry
 // sensor error, so how quickly does recovery quality degrade with Gaussian
 // observation noise? The chain is trained once on clean generated data; only
-// the fitted observation is corrupted.
+// the fitted observation is corrupted, and every level is fitted from the
+// same entry generator.
 type NoiseResult struct {
 	Rows []NoiseRow
 }
@@ -35,19 +36,13 @@ func RunNoiseRobustness(ctx context.Context, sc Scale, levels []float64, seed in
 	if err != nil {
 		return nil, err
 	}
-	model, err := env.BuildOVS()
+	c, err := env.trainChain(ctx, core.AblateNone, 1)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := model.TrainV2SCtx(ctx, env.Samples, sc.V2SEpochs); err != nil {
-		return nil, err
-	}
-	if _, err := model.TrainT2VCtx(ctx, env.Samples, sc.T2VEpochs); err != nil {
 		return nil, err
 	}
 
 	out := &NoiseResult{}
-	rng := rand.New(rand.NewSource(seed + 51))
+	rng := newRand(seed + 51)
 	for _, std := range levels {
 		obs := env.GT.Speed.Clone()
 		if std > 0 {
@@ -58,8 +53,7 @@ func RunNoiseRobustness(ctx context.Context, sc Scale, levels []float64, seed in
 				}
 			}
 		}
-		model.TODGen.Reseed(rand.New(rand.NewSource(seed + 52)))
-		rec, _, err := model.FitBestCtx(ctx, obs, sc.FitEpochs, 1, nil)
+		rec, err := c.fit(ctx, obs, sc.FitEpochs, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -43,12 +43,8 @@ func TestSyntheticComparisonWorkerEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d: dataset[%d] = %q, want %q", w, i, got[i].Dataset, ref[i].Dataset)
 			}
 			for j, row := range ref[i].Rows {
-				g := got[i].Rows[j]
-				// Elapsed is wall-clock and legitimately differs; the metrics
-				// must be bitwise-identical.
-				if g.Method != row.Method || g.Metrics != row.Metrics {
-					t.Fatalf("workers=%d: %s/%s = %+v, want %+v",
-						w, ref[i].Dataset, row.Method, g.Metrics, row.Metrics)
+				if g := got[i].Rows[j]; g != row {
+					t.Fatalf("workers=%d: %s row %d = %+v, want %+v", w, ref[i].Dataset, j, g, row)
 				}
 			}
 		}

@@ -56,26 +56,17 @@ func RunRoadWork(ctx context.Context, sc Scale, seed int64) (*RoadWorkResult, er
 	speedRoadWork := res2.Speed
 
 	// OVS: train once on the regular environment, then fit each observation
-	// with a fresh TOD generator. The fit uses the robust (pseudo-Huber)
-	// speed loss: links whose physics changed are outliers with respect to
-	// the trained chain and must not dominate the recovered demand.
-	model, err := env.BuildOVS()
+	// from its own freshly drawn TOD generator. The fit uses the robust
+	// (pseudo-Huber) speed loss: links whose physics changed are outliers
+	// with respect to the trained chain and must not dominate the recovered
+	// demand.
+	c, err := env.trainChain(ctx, core.AblateNone, 1)
 	if err != nil {
 		return nil, err
 	}
-	model.Cfg.RobustDelta = 0.3
-	if _, err := model.TrainV2SCtx(ctx, env.Samples, sc.V2SEpochs); err != nil {
-		return nil, err
-	}
-	if _, err := model.TrainT2VCtx(ctx, env.Samples, sc.T2VEpochs); err != nil {
-		return nil, err
-	}
+	c.m.Cfg.RobustDelta = 0.3
 	fitFresh := func(obs *tensor.Tensor, reseed int64) (*tensor.Tensor, error) {
-		// A truly fresh fit needs fresh generator weights, not just fresh
-		// Gaussian seeds: after a previous fit the layer weights are adapted
-		// to the old seeds, and new seeds through old weights start the
-		// optimization saturated.
-		model.TODGen = core.NewTODGenerator(model.Topo, model.Cfg, newRand(reseed))
+		c.entry = core.NewTODGenerator(c.m.Topo, c.m.Cfg, newRand(reseed))
 		// Detect environment-changed links from the observation itself: a
 		// link whose fastest observed interval is far below its speed limit
 		// has changed physics (road work caps speed even when empty) and is
@@ -92,8 +83,7 @@ func RunRoadWork(ctx context.Context, sc Scale, seed int64) (*RoadWorkResult, er
 				weights[j] = 1
 			}
 		}
-		rec, _, err := model.FitBestCtx(ctx, obs, sc.FitEpochs, 1, &core.AuxData{LinkWeights: weights})
-		return rec, err
+		return c.fit(ctx, obs, sc.FitEpochs, &core.AuxData{LinkWeights: weights})
 	}
 	ovs1, err := fitFresh(speedRegular, seed+41)
 	if err != nil {

@@ -156,16 +156,29 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match rank-%d tensor", idx, len(t.shape)))
+		badIndex(idx, t.shape)
 	}
 	off := 0
 	for i, ix := range idx {
 		if ix < 0 || ix >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			badIndex(idx, t.shape)
 		}
 		off += ix * t.strides[i]
 	}
 	return off
+}
+
+// badIndex panics for a multi-index that does not fit shape. It formats
+// copies of both slices, so idx does not escape: the variadic index slice of
+// At, Set and Add2 stays on the caller's stack.
+//
+//go:noinline
+func badIndex(idx, shape []int) {
+	ix, sh := append([]int(nil), idx...), append([]int(nil), shape...)
+	if len(ix) != len(sh) {
+		panic(fmt.Sprintf("tensor: index %v does not match rank-%d tensor", ix, len(sh)))
+	}
+	panic(fmt.Sprintf("tensor: index %v out of range for shape %v", ix, sh))
 }
 
 // At returns the element at the given multi-index.

@@ -49,12 +49,38 @@ func TestAtSetRoundTrip(t *testing.T) {
 
 func TestAtPanicsOutOfRange(t *testing.T) {
 	x := New(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At out of range did not panic")
+	for _, c := range []struct {
+		idx  []int
+		want string
+	}{
+		{[]int{2, 0}, "tensor: index [2 0] out of range for shape [2 2]"},
+		{[]int{1}, "tensor: index [1] does not match rank-2 tensor"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("At(%v) panicked with %v, want %q", c.idx, got, c.want)
+				}
+			}()
+			_ = x.At(c.idx...)
+		}()
+	}
+}
+
+// TestAtSetAdd2DoNotAllocate holds the element accessors to zero heap
+// allocations: their variadic index slice must stay on the caller's stack,
+// which needs the panic path not to let idx escape.
+func TestAtSetAdd2DoNotAllocate(t *testing.T) {
+	x := New(3, 4)
+	for name, f := range map[string]func(){
+		"At":   func() { _ = x.At(1, 2) },
+		"Set":  func() { x.Set(7.5, 1, 2) },
+		"Add2": func() { x.Add2(0.5, 2, 3) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
 		}
-	}()
-	_ = x.At(2, 0)
+	}
 }
 
 func TestFromSliceSharesData(t *testing.T) {
