@@ -574,6 +574,29 @@ func BenchmarkLSTMBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkLSTMBatchFrozen measures the same layer at Manhattan's shape
+// (batch 360, T 6, hidden 24, 24 input features) the way the test-time fit
+// runs it: Wx, b and Wh are constants and only the input takes a gradient,
+// so the backward is the recurrence and dX alone, with no weight-gradient
+// product. This is the path the fit's restarts spend their time in.
+func BenchmarkLSTMBatchFrozen(b *testing.B) {
+	const batch, steps, in, hidden = 360, 6, 24, 24
+	rng := rand.New(rand.NewSource(1))
+	l := nn.NewLSTM(rng, "bench", in, hidden)
+	x := autodiff.NewParameter("bench.x", tensor.Randn(rng, 1, batch*steps, in))
+	target := tensor.Randn(rng, 1, batch*steps, hidden)
+	g := autodiff.NewGraph()
+	defer g.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Reset()
+		x.ZeroGrad()
+		out := autodiff.LSTM(g.Param(x), g.Const(l.Wx.Value), g.Const(l.B.Value), g.Const(l.Wh.Value), batch, hidden)
+		g.Backward(autodiff.MSE(out, target))
+	}
+}
+
 // BenchmarkGateKernels measures the LSTM gate nonlinearities on slabs of
 // 24 (one gate of one sequence at the Volume-Speed hidden width), 72 (the
 // three sigmoid gates) and 1024 elements: the vector kernels behind

@@ -115,7 +115,7 @@ func run(ctx context.Context, cityName, patternName, method, scaleName string, s
 			}
 		} else {
 			var oerr error
-			tod, _, elapsed, oerr = env.RunOVS(ctx, nil)
+			tod, elapsed, oerr = env.RunOVS(ctx, nil)
 			if oerr != nil {
 				return oerr
 			}

@@ -233,18 +233,21 @@ func Sub(a, b *Node) *Node {
 	return out
 }
 
+// backMul rounds each product before accumulating it (the conversions
+// forbid an FMA), so every build matches the LSTM's vector gate-gradient
+// kernels, which hold the graph path's Mul backward bit for bit.
 func backMul(out *Node) {
 	a, b := out.a, out.b
 	if a.requires {
 		ga := a.ensureGrad()
 		for i := range ga.Data {
-			ga.Data[i] += out.Grad.Data[i] * b.Value.Data[i]
+			ga.Data[i] += float64(out.Grad.Data[i] * b.Value.Data[i])
 		}
 	}
 	if b.requires {
 		gb := b.ensureGrad()
 		for i := range gb.Data {
-			gb.Data[i] += out.Grad.Data[i] * a.Value.Data[i]
+			gb.Data[i] += float64(out.Grad.Data[i] * a.Value.Data[i])
 		}
 	}
 }

@@ -35,6 +35,11 @@ import (
 // dC live in local scratch, so no state crosses from one tape node to
 // another. The strided products go through tensor.GEMMStrided, the GEMM core
 // behind every matrix-product entry point, so no row is copied in or out.
+// Every element-wise pass of a step covers the whole batch in one call on
+// rows T·4H apart: the gate nonlinearities (tensor.SigmoidRows/TanhRows),
+// the cell and hidden states (tensor.LSTMCellRows/LSTMHiddenRows), the dH
+// refill (tensor.FlushRows) and the gate gradients (tensor.LSTMGateGradRows),
+// each a vector kernel across the hidden units of a row.
 //
 // Bitwise contract. Row b of a batched recurrence is bitwise-identical —
 // value, dH, dC and the gate gradient — to a batch-1 recurrence run on
@@ -68,12 +73,18 @@ import (
 //     step from t = T−1 down to 0: the adds and their order are the graph
 //     path's. The closing products are Affine's backward calls, on the same
 //     operands, in the same order.
-//  2. Scalar expressions copy the graph kernels' association exactly — e.g.
-//     the cell state is float64(f·cPrev) + float64(i·g), two individually
-//     rounded products then one add, matching the two Mul stores and the Add.
-//     The gate nonlinearities run through tensor.SigmoidSlice/TanhSlice, the
-//     same kernels the graph path's SigmoidTo/TanhTo use, and those are
-//     bitwise equal to the scalar math.Exp/math.Tanh expressions.
+//  2. Element-wise expressions copy the graph kernels' association exactly —
+//     e.g. the cell state is float64(f·cPrev) + float64(i·g), two
+//     individually rounded products then one add, matching the two Mul
+//     stores and the Add. The tensor row kernels run them at vector width
+//     with only multiplies, adds and subtracts in that association, never an
+//     FMA, so every lane equals the scalar expression; the scalar reference
+//     and the graph path's backward kernels (backMul, SigmoidBackwardAcc,
+//     TanhBackwardAcc) round every product that feeds an add through a
+//     float64 conversion, so no build (GOAMD64=v3 included) contracts either
+//     side. The gate nonlinearities run through the same sigmoid/tanh
+//     kernels as the graph path's SigmoidTo/TanhTo, and those are bitwise
+//     equal to the scalar math.Exp/math.Tanh expressions.
 //  3. The graph path materializes each backward intermediate by accumulating
 //     into a freshly zeroed gradient, and 0+x flushes a negative zero to +0.
 //     The fused backward inserts the same "0 +" at each point where the graph
@@ -137,30 +148,15 @@ func LSTM(x, wx, b, wh *Node, batch, hidden int) *Node {
 
 		// z = pre(t) + H(t-1)·Wh: the GEMM's accumulate epilogue adds each
 		// finished product once to the pre row, the one add of the graph
-		// path's Add. The nonlinearities then turn z into the gates in place.
-		tensor.GEMMStrided(buf[t*h4:], steps*h4, hPrev, whv, batch, h4, hidden, true, nil)
-		for r := 0; r < batch; r++ {
-			z := buf[(r*steps+t)*h4 : (r*steps+t+1)*h4]
-			tensor.SigmoidSlice(z[:3*hidden], z[:3*hidden])
-			tensor.TanhSlice(z[3*hidden:], z[3*hidden:])
-			iv, fv, gv := z[:hidden], z[hidden:2*hidden], z[3*hidden:]
-			c, cp := cv[r*hidden:(r+1)*hidden], cPrev[r*hidden:(r+1)*hidden]
-			for j := range c {
-				// Two rounded products then one add: the exact association of
-				// the graph path's Mul/Mul/Add (the conversions forbid FMA
-				// contraction).
-				c[j] = float64(fv[j]*cp[j]) + float64(iv[j]*gv[j])
-			}
-		}
+		// path's Add. The nonlinearities then turn z into the gates in place,
+		// each over the whole batch in one strided call.
+		gates := buf[t*h4:]
+		tensor.GEMMStrided(gates, steps*h4, hPrev, whv, batch, h4, hidden, true, nil)
+		tensor.SigmoidRows(gates, steps*h4, batch, 3*hidden)
+		tensor.TanhRows(gates[3*hidden:], steps*h4, batch, hidden)
+		tensor.LSTMCellRows(cv, cPrev, gates, steps*h4, batch, hidden)
 		tensor.TanhSlice(th, cv)
-		for r := 0; r < batch; r++ {
-			ov := buf[(r*steps+t)*h4+2*hidden:][:hidden]
-			h := hs[(r*steps+t)*hidden:][:hidden]
-			tc := th[r*hidden:][:hidden]
-			for j, o := range ov {
-				h[j] = o * tc[j]
-			}
-		}
+		tensor.LSTMHiddenRows(hs[t*hidden:], steps*hidden, gates, steps*h4, th, batch, hidden)
 	}
 	tensor.Put(zero)
 
@@ -177,9 +173,11 @@ func LSTM(x, wx, b, wh *Node, batch, hidden int) *Node {
 // performs — and dC holds dL/dC(t) flowing back from step t+1 (zero at the
 // last step).
 //
-// Every "0 +" below marks a point where the graph path materializes an
-// intermediate gradient by accumulating into a freshly zeroed buffer; the add
-// flushes a negative zero to +0 exactly as the unfused accumulation does.
+// The dH refill and the gate gradients (tensor.FlushRows and
+// tensor.LSTMGateGradRows) add a "0 +" at every point where the graph path
+// materializes an intermediate gradient by accumulating into a freshly zeroed
+// buffer; the add flushes a negative zero to +0 exactly as the unfused
+// accumulation does.
 func backLSTM(out *Node) {
 	x, wx, b, wh := out.a, out.b, out.c, out.d
 	hidden, batch := out.i0, out.i1
@@ -198,13 +196,7 @@ func backLSTM(out *Node) {
 	zero := tensor.Get(batch, hidden)     // H(-1) and C(-1)
 	for t := steps - 1; t >= 0; t-- {
 		th := states[t*lstmStates*bh+bh:][:bh]
-		for r := 0; r < batch; r++ {
-			row := grad[(r*steps+t)*hidden : (r*steps+t+1)*hidden]
-			d := dH.Data[r*hidden : (r+1)*hidden]
-			for j, v := range row {
-				d[j] = 0 + v
-			}
-		}
+		tensor.FlushRows(dH.Data, grad[t*hidden:], steps*hidden, batch, hidden)
 		if t+1 < steps {
 			// The buffer rows of step t+1 already hold DG(t+1).
 			tensor.GEMMStrided(dH.Data, hidden, tensor.View{Data: buf[(t+1)*h4:], RS: steps * h4, CS: 1},
@@ -214,30 +206,8 @@ func backLSTM(out *Node) {
 		if t > 0 {
 			cPrev = states[(t-1)*lstmStates*bh:][:bh]
 		}
-
-		dcv := dC.Data
-		for r := 0; r < batch; r++ {
-			// z holds step t's gates [i|f|o|g] of sequence r, and DG(t) once
-			// each column has been read.
-			z := buf[(r*steps+t)*h4 : (r*steps+t+1)*h4]
-			o := r * hidden
-			for j := 0; j < hidden; j++ {
-				k := o + j
-				gj := dH.Data[k]
-				tj, oj := th[k], z[2*hidden+j]
-				ij, fj, ggj := z[j], z[hidden+j], z[3*hidden+j]
-				do := 0 + gj*tj  // o-gate output grad (fresh += G·tanh(c))
-				dth := 0 + gj*oj // tanh(c) grad (fresh += G·o)
-				// dc = dc(t+1) contribution, then the fused tanh-backward add.
-				dc := dcv[k] + dth*(1-tj*tj)
-				dcF := 0 + dc // the fresh Add-backward copies both Mul grads receive
-				z[j] = 0 + (0+dcF*ggj)*ij*(1-ij)
-				z[hidden+j] = 0 + (0+dcF*cPrev[k])*fj*(1-fj)
-				z[2*hidden+j] = 0 + do*oj*(1-oj)
-				z[3*hidden+j] = 0 + (0+dcF*ij)*(1-ggj*ggj)
-				dcv[k] = 0 + dcF*fj // dC(t-1) for the next iteration
-			}
-		}
+		// Step t's gates become DG(t) in place, and dC becomes dC(t-1).
+		tensor.LSTMGateGradRows(buf[t*h4:], steps*h4, dH.Data, th, dC.Data, cPrev, batch, hidden)
 
 		// dWh += H(t-1)ᵀ·DG(t) — at t=0 H(t-1) is the zero matrix and the
 		// unfused path still accumulates the ±0 products; reproduce that

@@ -107,7 +107,7 @@ func runCaseStudy(ctx context.Context, cs *dataset.CaseStudy, sc Scale, seed int
 		aux = &core.AuxData{TrajODIdx: trajIdx, TrajG: trajG, TrajWeight: 8}
 	}
 
-	rec, _, _, err := env.RunOVS(ctx, aux)
+	rec, _, err := env.RunOVS(ctx, aux)
 	if err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func RunComparison(ctx context.Context, env *Env, name string) (*ComparisonResul
 	}
 	fns = append(fns, func() {
 		i := len(methods)
-		rec, _, _, err := env.RunOVS(ctx, nil)
+		rec, _, err := env.RunOVS(ctx, nil)
 		if err != nil {
 			errs[i] = err
 			return

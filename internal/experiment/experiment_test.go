@@ -178,13 +178,13 @@ func TestTrainedChainFitsMatchRunOVS(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want1, _, _, err := env.RunOVS(ctx, nil)
+	want1, _, err := env.RunOVS(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	longEnv := *env
 	longEnv.Scale.FitEpochs = 2 * sc.FitEpochs
-	want2, _, _, err := longEnv.RunOVS(ctx, aux)
+	want2, _, err := longEnv.RunOVS(ctx, aux)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,7 @@ type Env struct {
 // the Fig. 7 protocol. Data generation runs many simulations, so ctx is
 // threaded through to cancel mid-build.
 func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env, error) {
-	simCfg := sim.Config{Intervals: sc.Intervals, IntervalSec: sc.IntervalSec, Seed: seed}
-	simulator := sim.New(city.Net, simCfg)
-	// Span light to moderately heavy congestion so the learned mappings
-	// cover whatever regime the hidden observation sits in.
-	samples, err := generateSamples(ctx, simulator, city, sc, [2]float64{0.5, 1.5}, seed)
+	env, simulator, err := newSampledEnv(ctx, city, sc, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -40,14 +36,22 @@ func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env
 	if err != nil {
 		return nil, err
 	}
-	return &Env{
-		City:    city,
-		SimCfg:  simCfg,
-		Samples: samples,
-		GT:      core.Sample{G: gt.G, Volume: gt.Volume, Speed: gt.Speed},
-		Scale:   sc,
-		Seed:    seed,
-	}, nil
+	env.GT = core.Sample{G: gt.G, Volume: gt.Volume, Speed: gt.Speed}
+	return env, nil
+}
+
+// newSampledEnv is NewEnv without the ground truth: the environment with its
+// training samples, and the simulator they ran on. The caller sets GT.
+func newSampledEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env, *sim.Simulator, error) {
+	simCfg := sim.Config{Intervals: sc.Intervals, IntervalSec: sc.IntervalSec, Seed: seed}
+	simulator := sim.New(city.Net, simCfg)
+	// Span light to moderately heavy congestion so the learned mappings
+	// cover whatever regime the hidden observation sits in.
+	samples, err := generateSamples(ctx, simulator, city, sc, [2]float64{0.5, 1.5}, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Env{City: city, SimCfg: simCfg, Samples: samples, Scale: sc, Seed: seed}, simulator, nil
 }
 
 // generateSamples runs the Fig. 7 protocol through simulator: sc.Samples
@@ -78,11 +82,11 @@ func generateSamples(ctx context.Context, simulator *sim.Simulator, city *datase
 // ground truth follows one specific pattern (Table VIII's columns).
 func NewSyntheticEnv(ctx context.Context, p dataset.Pattern, sc Scale, seed int64) (*Env, error) {
 	city := dataset.SyntheticGrid(sc.ODPairs, seed+3)
-	env, err := NewEnv(ctx, city, sc, seed)
+	env, _, err := newSampledEnv(ctx, city, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Replace the ground truth with a draw from the requested pattern.
+	// The ground truth is a draw from the requested pattern.
 	rng := newRand(seed + 4)
 	g := dataset.GenerateTOD(p, dataset.TODConfig{
 		Pairs:           city.NumPairs(),
@@ -90,7 +94,7 @@ func NewSyntheticEnv(ctx context.Context, p dataset.Pattern, sc Scale, seed int6
 		IntervalMinutes: sc.IntervalSec / 60,
 		Scale:           sc.GTScale,
 	}, rng)
-	res, err := sim.New(city.Net, env.SimCfg).RunCtx(ctx, sim.Demand{ODs: city.ODs, G: g})
+	res, err := env.Simulate(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -233,20 +237,20 @@ func (c *chain) fit(ctx context.Context, obs *tensor.Tensor, epochs int, aux *co
 }
 
 // RunOVS trains the full pipeline and fits the environment's observation,
-// returning the recovered TOD, the trained model, and the wall-clock time of
-// building, training and fitting. Cancellation is observed at the pipeline's
+// returning the recovered TOD and the wall-clock time of building, training
+// and fitting. Cancellation is observed at the pipeline's
 // epoch/restart boundaries.
-func (e *Env) RunOVS(ctx context.Context, aux *core.AuxData) (*tensor.Tensor, *core.Model, time.Duration, error) {
+func (e *Env) RunOVS(ctx context.Context, aux *core.AuxData) (*tensor.Tensor, time.Duration, error) {
 	start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported in tables but never feeds fitted results
 	c, err := e.trainChain(ctx, core.AblateNone, 1)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	rec, err := c.fit(ctx, e.GT.Speed, e.Scale.FitEpochs, aux)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return rec, c.m, time.Since(start), nil
+	return rec, time.Since(start), nil
 }
 
 // RunOVSCkpt is RunOVS with fault-tolerant checkpointing: the pipeline

@@ -37,7 +37,7 @@ func RunRunningTime(ctx context.Context, sc Scale, seed int64) (*TimingResult, e
 		if err != nil {
 			return nil, err
 		}
-		_, _, elapsed, err := env.RunOVS(ctx, nil)
+		_, elapsed, err := env.RunOVS(ctx, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func RunScalability(ctx context.Context, sc Scale, sizes []int, seed int64) (*Ti
 		if err != nil {
 			return nil, err
 		}
-		_, _, elapsed, err := env.RunOVS(ctx, nil)
+		_, elapsed, err := env.RunOVS(ctx, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -235,13 +235,15 @@ func SigmoidTo(dst, a *Tensor) *Tensor {
 }
 
 // SigmoidBackwardAcc accumulates dst += grad * val * (1-val), the fused
-// sigmoid backward rule, where val holds the forward sigmoid outputs.
+// sigmoid backward rule, where val holds the forward sigmoid outputs. The
+// product is rounded before the add (the conversion forbids an FMA), so
+// every build matches the LSTM's vector gate-gradient kernels.
 func SigmoidBackwardAcc(dst, grad, val *Tensor) *Tensor {
 	assertSameShape("SigmoidBackwardAcc", grad, val)
 	assertSameShape("SigmoidBackwardAcc", dst, grad)
 	for i := range dst.Data {
 		s := val.Data[i]
-		dst.Data[i] += grad.Data[i] * s * (1 - s)
+		dst.Data[i] += float64(grad.Data[i] * s * (1 - s))
 	}
 	return dst
 }
@@ -255,13 +257,14 @@ func TanhTo(dst, a *Tensor) *Tensor {
 }
 
 // TanhBackwardAcc accumulates dst += grad * (1 - val²), the fused tanh
-// backward rule, where val holds the forward tanh outputs.
+// backward rule, where val holds the forward tanh outputs. Both products
+// are rounded before the subtract and the add, as in SigmoidBackwardAcc.
 func TanhBackwardAcc(dst, grad, val *Tensor) *Tensor {
 	assertSameShape("TanhBackwardAcc", grad, val)
 	assertSameShape("TanhBackwardAcc", dst, grad)
 	for i := range dst.Data {
 		th := val.Data[i]
-		dst.Data[i] += grad.Data[i] * (1 - th*th)
+		dst.Data[i] += float64(grad.Data[i] * (1 - float64(th*th)))
 	}
 	return dst
 }

@@ -23,12 +23,20 @@ import (
 // math.Exp — and, for tanh, only its 0.625 ≤ |x| ≤ 0.5·MAXLOG branch
 // ±(1 − 2/(exp(2|x|)+1)). They flag every other lane (non-finite input,
 // overflow, a denormal result, tanh's rational branch and its ±1
-// saturation) in a bitmask and leave the input in place, and gateSlice
+// saturation) in a bitmask and leave the input in place, and gateRows
 // finishes those lanes with the scalar expression.
 
-// gateBlock is the most elements one kernel call covers: the flagged-lane
-// bitmask is a uint64.
+// gateBlock is the number of elements one flag word covers: the kernels
+// report the lanes they flag as one uint64 bitmask per 64 elements of a row.
 const gateBlock = 64
+
+// gateFlagWords is the capacity of gateRows' flag buffer, kept on its
+// stack: one call of the kernel covers as many rows as their flag words fit
+// in it. It is small so that zeroing it costs a short call next to nothing,
+// and still large enough that a step of the Volume-Speed LSTM over
+// Manhattan's 360 links is 77 kernel calls, where one call per 64 elements
+// of a row made 1215.
+const gateFlagWords = 16
 
 // gateFunc selects one of the three gate functions.
 type gateFunc int
@@ -47,57 +55,101 @@ func SigmoidSlice(dst, src []float64) { gateSlice(gateSigmoid, dst, src) }
 // math.Tanh. dst and src must have equal length; dst may alias src exactly.
 func TanhSlice(dst, src []float64) { gateSlice(gateTanh, dst, src) }
 
+// SigmoidRows applies the sigmoid in place to rows rows of n elements, row r
+// at a[r*stride:], with SigmoidSlice's result bits.
+func SigmoidRows(a []float64, stride, rows, n int) { gateRows(gateSigmoid, a, a, stride, rows, n) }
+
+// TanhRows is SigmoidRows for tanh.
+func TanhRows(a []float64, stride, rows, n int) { gateRows(gateTanh, a, a, stride, rows, n) }
+
 // expSlice sets dst[i] = math.Exp(src[i]) for every i. It has no caller
 // outside the tests; it pins the shared exp lanes on their own.
 func expSlice(dst, src []float64) { gateSlice(gateExp, dst, src) }
 
-// kernel runs f's assembly kernel over n elements and returns the mask of
-// flagged lanes.
-func (f gateFunc) kernel(dst, src *float64, n int) uint64 {
-	switch f {
-	case gateExp:
-		return gateExpAsm(dst, src, n)
-	case gateSigmoid:
-		if gateHas512 {
-			return gateSigmoid512Asm(dst, src, n)
-		}
-		return gateSigmoidAsm(dst, src, n)
+// kernel runs f's assembly kernel over rows rows of n elements, stride
+// apart, and writes their flag words to flags.
+func (f gateFunc) kernel(dst, src *float64, stride, n, rows int, flags *uint64) {
+	switch {
+	case f == gateExp:
+		gateExpAsm(dst, src, stride, n, rows, flags)
+	case f == gateSigmoid && gateHas512:
+		gateSigmoid512Asm(dst, src, stride, n, rows, flags)
+	case f == gateSigmoid:
+		gateSigmoidAsm(dst, src, stride, n, rows, flags)
+	case gateHas512:
+		gateTanh512Asm(dst, src, stride, n, rows, flags)
 	default:
-		if gateHas512 {
-			return gateTanh512Asm(dst, src, n)
-		}
-		return gateTanhAsm(dst, src, n)
+		gateTanhAsm(dst, src, stride, n, rows, flags)
 	}
 }
 
-// gateSlice walks src in blocks of up to gateBlock elements. A block whose
-// length is a multiple of 4 goes through f's kernel, and the lanes it flags
-// get the scalar expression; any other block — the last len%4 elements, or
-// every block without the kernels — is all scalar. The flagged lanes are
-// finished one run of adjacent lanes at a time, so a block the kernel
-// flags whole (tanh on small inputs) costs one tight scalar loop. The
-// scalar lanes read src, which still holds their input: a flagged lane
-// keeps its input in dst, so an aliased call reads the same value.
+// gateSlice runs f over src into dst as one row of gateRows.
 func gateSlice(f gateFunc, dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: gate kernel length mismatch %d vs %d", len(dst), len(src)))
 	}
-	for i := 0; i < len(src); {
-		n := min(gateBlock, len(src)-i)
-		var mask uint64
-		if gateHasAsm && n >= 4 {
-			n &^= 3
-			mask = f.kernel(&dst[i], &src[i], n)
-		} else {
-			mask = 1<<n - 1 // n = 64 shifts to 0, so the mask is all ones
+	gateRows(f, dst, src, len(src), 1, len(src))
+}
+
+// gateRows sets dst to f of src over rows rows of n elements, row r of each
+// at [r*stride:]; dst may alias src exactly. The first n&^3 columns of each
+// row go through f's kernel, one call for as many rows as their flag words
+// fit in gateFlagWords, and the lanes it flags get the scalar expression;
+// the last n%4 columns, or everything without the kernels, are all scalar.
+func gateRows(f gateFunc, dst, src []float64, stride, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	needRows("gate kernel", dst, stride, rows, n)
+	needRows("gate kernel", src, stride, rows, n)
+	nv := 0
+	if gateHasAsm {
+		nv = n &^ 3
+	}
+	// A row too long for the buffer runs in column pieces.
+	var flags [gateFlagWords]uint64
+	for c0 := 0; c0 < nv; c0 += gateFlagWords * gateBlock {
+		w := min(nv-c0, gateFlagWords*gateBlock)
+		words := (w + gateBlock - 1) / gateBlock
+		// Rows per kernel call: all of them when their words fit, which
+		// spares a short call the division.
+		per := rows
+		if rows*words > gateFlagWords {
+			per = gateFlagWords / words
 		}
-		for mask != 0 {
-			lo := bits.TrailingZeros64(mask)
-			hi := lo + bits.TrailingZeros64(^(mask >> lo))
-			f.scalar(dst[i+lo:i+hi], src[i+lo:i+hi])
-			mask &^= 1<<hi - 1
+		for r0 := 0; r0 < rows; r0 += per {
+			nr := min(per, rows-r0)
+			off := r0*stride + c0
+			f.kernel(&dst[off], &src[off], stride, w, nr, &flags[0])
+			for r := 0; r < nr; r++ {
+				for wi, mask := range flags[r*words : (r+1)*words] {
+					if mask != 0 {
+						at := off + r*stride + wi*gateBlock
+						m := min(gateBlock, w-wi*gateBlock)
+						f.finish(dst[at:at+m], src[at:at+m], mask)
+					}
+				}
+			}
 		}
-		i += n
+	}
+	if nv < n {
+		for r := 0; r < rows; r++ {
+			f.scalar(dst[r*stride+nv:r*stride+n], src[r*stride+nv:r*stride+n])
+		}
+	}
+}
+
+// finish gives the lanes of a block that mask flags the scalar expression,
+// one run of adjacent lanes at a time, so a block the kernel flags whole
+// (tanh on small inputs) costs one tight scalar loop. The scalar lanes read
+// src, which still holds their input: a flagged lane keeps its input in
+// dst, so an aliased call reads the same value.
+func (f gateFunc) finish(dst, src []float64, mask uint64) {
+	for mask != 0 {
+		lo := bits.TrailingZeros64(mask)
+		hi := lo + bits.TrailingZeros64(^(mask >> lo))
+		f.scalar(dst[lo:hi], src[lo:hi])
+		mask &^= 1<<hi - 1
 	}
 }
 

@@ -164,82 +164,127 @@ GLOBL gateconst<>(SB), RODATA, $640
 	VPSLLQ       $52, Y2, Y2 \
 	VMULPD       Y2, Y0, Y0
 
-// func gateExpAsm(dst, src *float64, n int) uint64
-TEXT ·gateExpAsm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), DX
-	XORQ R8, R8               // flagged-lane bitmask
-	XORQ CX, CX               // bit position of the current chunk
+// A kernel call covers rows rows of n elements each (n a positive multiple
+// of 4), row r at dst/src + r·stride elements, and writes ceil(n/64) flag
+// words per row to flags: bit b of row r's word w is set when element
+// 64·w+b of that row was left to the scalar fallback. The row loop keeps the
+// row's current word in R8 and its next bit in CX; GATEFLAG folds a chunk's
+// flag bits from AX into it and stores each word as it fills, GATEROWEND
+// stores a row's last, partial word. Registers: DI/SI row starts of dst/src,
+// R13/R12 their chunk cursors, DX elements left in the row, R9 the stride in
+// bytes, R10 rows left, R11 the next flag word.
+
+#define GATEFLAG(width) \
+	SHLQ CX, AX \
+	ORQ  AX, R8 \
+	ADDQ $width, CX \
+	CMPQ CX, $64 \
+	JNE  5(PC) \
+	MOVQ R8, (R11) \
+	ADDQ $8, R11 \
+	XORQ R8, R8 \
+	XORQ CX, CX
+
+#define GATEROWEND \
+	TESTQ CX, CX \
+	JZ    3(PC) \
+	MOVQ  R8, (R11) \
+	ADDQ  $8, R11
+
+// GATEARGS loads the arguments; GATEROW starts a row; GATENEXTROW steps to
+// the next row and loops to label while rows are left.
+#define GATEARGS \
+	MOVQ dst+0(FP), DI \
+	MOVQ src+8(FP), SI \
+	MOVQ stride+16(FP), R9 \
+	SHLQ $3, R9 \
+	MOVQ rows+32(FP), R10 \
+	MOVQ flags+40(FP), R11
+
+#define GATEROW \
+	MOVQ n+24(FP), DX \
+	MOVQ SI, R12 \
+	MOVQ DI, R13 \
+	XORQ R8, R8 \
+	XORQ CX, CX
+
+#define GATENEXTROW(label) \
+	ADDQ R9, SI \
+	ADDQ R9, DI \
+	DECQ R10 \
+	JNZ  label
+
+// func gateExpAsm(dst, src *float64, stride, n, rows int, flags *uint64)
+TEXT ·gateExpAsm(SB), NOSPLIT, $0-48
+	GATEARGS
+
+exprow:
+	GATEROW
 
 exploop:
-	VMOVUPD (SI), Y7          // x
+	VMOVUPD (R12), Y7         // x
 	VMOVAPD Y7, Y0
 	GATEEXP
 	VBLENDVPD Y6, Y7, Y0, Y0  // flagged lanes keep x
-	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y0, (R13)
 	VMOVMSKPD Y6, AX
-	SHLQ      CX, AX
-	ORQ       AX, R8
-	ADDQ      $4, CX
-	ADDQ      $32, SI
-	ADDQ      $32, DI
+	GATEFLAG(4)
+	ADDQ      $32, R12
+	ADDQ      $32, R13
 	SUBQ      $4, DX
 	JNZ       exploop
+	GATEROWEND
+	GATENEXTROW(exprow)
 
 	VZEROUPPER
-	MOVQ R8, ret+24(FP)
 	RET
 
-// func gateSigmoidAsm(dst, src *float64, n int) uint64
+// func gateSigmoidAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 //
 // dst = 1/(1+exp(-x)): one VADDPD and one VDIVPD after the exp lanes, the
 // same two correctly-rounded operations as the scalar expression.
-TEXT ·gateSigmoidAsm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), DX
-	XORQ R8, R8
-	XORQ CX, CX
+TEXT ·gateSigmoidAsm(SB), NOSPLIT, $0-48
+	GATEARGS
+
+sigrow:
+	GATEROW
 
 sigloop:
-	VMOVUPD (SI), Y7                         // x
+	VMOVUPD (R12), Y7                        // x
 	VXORPD  gateconst<>+512(SB), Y7, Y0      // -x
 	GATEEXP
 	VADDPD    gateconst<>+352(SB), Y0, Y0    // 1 + e
 	VMOVUPD   gateconst<>+352(SB), Y1
 	VDIVPD    Y0, Y1, Y0                     // 1 / (1 + e)
 	VBLENDVPD Y6, Y7, Y0, Y0
-	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y0, (R13)
 	VMOVMSKPD Y6, AX
-	SHLQ      CX, AX
-	ORQ       AX, R8
-	ADDQ      $4, CX
-	ADDQ      $32, SI
-	ADDQ      $32, DI
+	GATEFLAG(4)
+	ADDQ      $32, R12
+	ADDQ      $32, R13
 	SUBQ      $4, DX
 	JNZ       sigloop
+	GATEROWEND
+	GATENEXTROW(sigrow)
 
 	VZEROUPPER
-	MOVQ R8, ret+24(FP)
 	RET
 
-// func gateTanhAsm(dst, src *float64, n int) uint64
+// func gateTanhAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 //
 // The 0.625 ≤ |x| ≤ 0.5·MAXLOG branch of math.Tanh: ±(1 − 2/(exp(2|x|)+1)),
 // the sign applied by XOR since the magnitude is positive. 2|x| lies in
 // [1.25, 88.03], so the exp lanes never leave their straight line. Lanes
 // outside the branch (the rational branch, the ±1 saturation, NaN) are
 // flagged for the scalar math.Tanh.
-TEXT ·gateTanhAsm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), DX
-	XORQ R8, R8
-	XORQ CX, CX
+TEXT ·gateTanhAsm(SB), NOSPLIT, $0-48
+	GATEARGS
+
+tanhrow:
+	GATEROW
 
 tanhloop:
-	VMOVUPD (SI), Y7                              // x
+	VMOVUPD (R12), Y7                             // x
 	VANDPD  gateconst<>+544(SB), Y7, Y8           // z = |x|
 	VANDPD  gateconst<>+512(SB), Y7, Y10          // sign of x
 	VCMPPD  $0x1d, gateconst<>+576(SB), Y8, Y9    // z >= 0.625
@@ -257,24 +302,23 @@ tanhloop:
 	VSUBPD    Y0, Y1, Y0                          // 1 − 2/(s + 1)
 	VXORPD    Y10, Y0, Y0
 	VBLENDVPD Y9, Y0, Y7, Y0                      // other lanes keep x
-	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y0, (R13)
 	JMP       tanhflag
 
 tanhnone:
-	VMOVUPD Y7, (DI)
+	VMOVUPD Y7, (R13)
 
 tanhflag:
 	XORQ      $15, AX                             // flag the lanes outside
-	SHLQ      CX, AX
-	ORQ       AX, R8
-	ADDQ      $4, CX
-	ADDQ      $32, SI
-	ADDQ      $32, DI
+	GATEFLAG(4)
+	ADDQ      $32, R12
+	ADDQ      $32, R13
 	SUBQ      $4, DX
 	JNZ       tanhloop
+	GATEROWEND
+	GATENEXTROW(tanhrow)
 
 	VZEROUPPER
-	MOVQ R8, ret+24(FP)
 	RET
 
 // The 8-lane AVX-512 twins of the sigmoid and tanh kernels. GATEEXP512 is
@@ -282,10 +326,11 @@ tanhflag:
 // constant broadcast from the first lane of its gateconst row and the
 // out-of-range lanes collected in a mask register. Only AVX-512F
 // instructions appear (the integer forms VPANDQ/VPXORQ stand in for the
-// DQ-only VANDPD/VXORPD on zmm, and the mask ops are the W forms). A call
-// covers n elements, a positive multiple of 4, eight at a time; a last
-// chunk of 4 runs under the lane mask 0x0f, so its loads read zeros in the
-// upper lanes, its store leaves them alone, and its flags ignore them.
+// DQ-only VANDPD/VXORPD on zmm, and the mask ops are the W forms). A row
+// runs eight elements at a time; a last chunk of 4 runs under the lane mask
+// 0x0f, so its loads read zeros in the upper lanes, its store leaves them
+// alone, and its flags ignore them. It still advances the row's flag bit by
+// 8, which keeps every chunk inside one flag word.
 
 // GATEEXP512: in Z0 = x. Out Z0 = exp(x) on lanes with k in [-1022, 1023]
 // and K1 set on the other lanes. Clobbers Z1, Z2, Y3 and K2.
@@ -330,17 +375,16 @@ tanhflag:
 	MOVL  $0x0f, AX \
 	KMOVW AX, K3
 
-// func gateSigmoid512Asm(dst, src *float64, n int) uint64
-TEXT ·gateSigmoid512Asm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), DX
-	XORQ R8, R8               // flagged-lane bitmask
-	XORQ CX, CX               // bit position of the current chunk
+// func gateSigmoid512Asm(dst, src *float64, stride, n, rows int, flags *uint64)
+TEXT ·gateSigmoid512Asm(SB), NOSPLIT, $0-48
+	GATEARGS
+
+zsigrow:
+	GATEROW
 
 zsigloop:
 	GATELANES512
-	VMOVUPD.Z    (SI), K3, Z7                    // x
+	VMOVUPD.Z    (R12), K3, Z7                   // x
 	VPXORQ.BCST  gateconst<>+512(SB), Z7, Z0     // -x
 	GATEEXP512
 	VADDPD.BCST  gateconst<>+352(SB), Z0, Z0     // 1 + e
@@ -348,31 +392,29 @@ zsigloop:
 	VDIVPD       Z0, Z1, Z0                      // 1 / (1 + e)
 	KANDW        K3, K1, K1
 	VMOVAPD      Z7, K1, Z0                      // flagged lanes keep x
-	VMOVUPD      Z0, K3, (DI)
+	VMOVUPD      Z0, K3, (R13)
 	KMOVW        K1, AX
-	SHLQ         CX, AX
-	ORQ          AX, R8
-	ADDQ         $8, CX
-	ADDQ         $64, SI
-	ADDQ         $64, DI
+	GATEFLAG(8)
+	ADDQ         $64, R12
+	ADDQ         $64, R13
 	SUBQ         $8, DX
 	JGT          zsigloop
+	GATEROWEND
+	GATENEXTROW(zsigrow)
 
 	VZEROUPPER
-	MOVQ R8, ret+24(FP)
 	RET
 
-// func gateTanh512Asm(dst, src *float64, n int) uint64
-TEXT ·gateTanh512Asm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), DX
-	XORQ R8, R8
-	XORQ CX, CX
+// func gateTanh512Asm(dst, src *float64, stride, n, rows int, flags *uint64)
+TEXT ·gateTanh512Asm(SB), NOSPLIT, $0-48
+	GATEARGS
+
+ztanhrow:
+	GATEROW
 
 ztanhloop:
 	GATELANES512
-	VMOVUPD.Z   (SI), K3, Z7                        // x
+	VMOVUPD.Z   (R12), K3, Z7                       // x
 	VPANDQ.BCST gateconst<>+544(SB), Z7, Z8         // z = |x|
 	VPANDQ.BCST gateconst<>+512(SB), Z7, Z10        // sign of x
 	VCMPPD.BCST $0x1d, gateconst<>+576(SB), Z8, K4  // z >= 0.625
@@ -393,17 +435,16 @@ ztanhloop:
 	VMOVAPD      Z0, K4, Z7                         // other lanes keep x
 
 ztanhstore:
-	VMOVUPD Z7, K3, (DI)
+	VMOVUPD Z7, K3, (R13)
 	KANDNW  K3, K4, K1                              // flag the lanes outside
 	KMOVW   K1, AX
-	SHLQ    CX, AX
-	ORQ     AX, R8
-	ADDQ    $8, CX
-	ADDQ    $64, SI
-	ADDQ    $64, DI
+	GATEFLAG(8)
+	ADDQ    $64, R12
+	ADDQ    $64, R13
 	SUBQ    $8, DX
 	JGT     ztanhloop
+	GATEROWEND
+	GATENEXTROW(ztanhrow)
 
 	VZEROUPPER
-	MOVQ R8, ret+24(FP)
 	RET

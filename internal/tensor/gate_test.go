@@ -131,33 +131,104 @@ func TestGateKernelsComputeStraightLine(t *testing.T) {
 	}
 	src := []float64{-708.39, -1, 0, 709.43, 1e-300, -1e-300, 3, -700}
 	dst := make([]float64, len(src))
-	if mask := gateExpAsm(&dst[0], &src[0], len(src)); mask != 0 {
+	if mask := oneRow(gateExpAsm, dst, src); mask != 0 {
 		t.Fatalf("exp flagged lanes %#b on straight-line inputs", mask)
 	}
 	for i := range src {
 		src[i] = -src[i] // sigmoid takes exp(-x)
 	}
-	if mask := gateSigmoidAsm(&dst[0], &src[0], len(src)); mask != 0 {
+	if mask := oneRow(gateSigmoidAsm, dst, src); mask != 0 {
 		t.Fatalf("sigmoid flagged lanes %#b on straight-line inputs", mask)
 	}
 	tsrc := []float64{0.625, -0.625, 44.0148459655565, -44.0148459655565, 1, -1, 20, -3}
-	if mask := gateTanhAsm(&dst[0], &tsrc[0], len(tsrc)); mask != 0 {
+	if mask := oneRow(gateTanhAsm, dst, tsrc); mask != 0 {
 		t.Fatalf("tanh flagged lanes %#b inside its exp branch", mask)
 	}
 	// -708.4 has k = -1022, so its denormal result comes off the straight
 	// line (one rounded multiply by 2^-1022); -708.8 has k = -1023 and takes
 	// math.Exp's two-step denormal scaling, which the lanes leave to scalar.
-	if mask := gateExpAsm(&dst[0], &[]float64{-708.4, -708.4, -708.4, -708.4}[0], 4); mask != 0 {
+	if mask := oneRow(gateExpAsm, dst, []float64{-708.4, -708.4, -708.4, -708.4}); mask != 0 {
 		t.Fatalf("exp flagged %#b on -708.4", mask)
 	}
 	out := []float64{-708.8, 709.44, math.NaN(), math.Inf(1)}
-	if mask := gateExpAsm(&dst[0], &out[0], len(out)); mask != 0xf {
+	if mask := oneRow(gateExpAsm, dst, out); mask != 0xf {
 		t.Fatalf("exp flagged %#b, want 0b1111 for denormal branch, overflow, NaN, +Inf", mask)
 	}
 	tout := []float64{math.NaN(), math.Inf(1), 0.6, 45, -1e-9, 0, 0.6249999999999999, -44.02}
-	if mask := gateTanhAsm(&dst[0], &tout[0], len(tout)); mask != 0xff {
+	if mask := oneRow(gateTanhAsm, dst, tout); mask != 0xff {
 		t.Fatalf("tanh flagged %#b, want 0b11111111 outside its exp branch", mask)
 	}
+}
+
+// TestGateRowsMatchScalar runs gateRows on strided rows, in place and out
+// of place, and requires every element bitwise equal to the scalar
+// expression, the gaps between rows untouched and an out-of-place source
+// unchanged. The shapes cover a tail of every length, rows of one and of
+// several flag words, one split across several kernel calls by row (600
+// rows of two words), and one row split by column (longer than
+// gateFlagWords words).
+func TestGateRowsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	edges := gateEdgeInputs()
+	shapes := []struct{ rows, n int }{
+		{1, 1}, {3, 3}, {5, 5}, {2, 8}, {7, 13}, {9, 64}, {4, 72}, {40, 24}, {600, 72}, {1, gateFlagWords*gateBlock + 37},
+	}
+	kinds := []struct {
+		name   string
+		f      gateFunc
+		scalar func(float64) float64
+	}{{"sigmoid", gateSigmoid, gateCases[1].scalar}, {"tanh", gateTanh, gateCases[2].scalar}}
+	for _, sh := range shapes {
+		stride := sh.n + rng.Intn(4)
+		src := make([]float64, (sh.rows-1)*stride+sh.n+2)
+		for i := range src {
+			src[i] = 3 * rng.NormFloat64()
+			if rng.Intn(8) == 0 {
+				src[i] = edges[rng.Intn(len(edges))]
+			}
+		}
+		for _, k := range kinds {
+			// In place the gaps keep src; out of place they keep dst's own
+			// contents, which start as a constant no input takes.
+			inPlace := append([]float64(nil), src...)
+			outOf := make([]float64, len(src))
+			for i := range outOf {
+				outOf[i] = 42
+			}
+			wantIn := append([]float64(nil), inPlace...)
+			wantOut := append([]float64(nil), outOf...)
+			for r := 0; r < sh.rows; r++ {
+				for j := r * stride; j < r*stride+sh.n; j++ {
+					wantIn[j] = k.scalar(src[j])
+					wantOut[j] = wantIn[j]
+				}
+			}
+			gateRows(k.f, inPlace, inPlace, stride, sh.rows, sh.n)
+			srcAfter := append([]float64(nil), src...)
+			gateRows(k.f, outOf, srcAfter, stride, sh.rows, sh.n)
+			for _, c := range []struct {
+				how       string
+				got, want []float64
+			}{{"in place", inPlace, wantIn}, {"out of place", outOf, wantOut}, {"source of out of place", srcAfter, src}} {
+				for i := range c.want {
+					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+						t.Fatalf("%s %s rows=%d n=%d stride=%d: element %d is %v, want %v", k.name, c.how, sh.rows, sh.n, stride, i, c.got[i], c.want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// gateKernel is the signature every assembly gate kernel shares.
+type gateKernel func(dst, src *float64, stride, n, rows int, flags *uint64)
+
+// oneRow runs kernel on the first len(src) ≤ gateBlock elements of dst as
+// one row and returns its flag word.
+func oneRow(kernel gateKernel, dst, src []float64) uint64 {
+	var flags uint64
+	kernel(&dst[0], &src[0], len(src), len(src), 1, &flags)
+	return flags
 }
 
 // TestGateKernelsRandom compares vector against scalar bit for bit on 10⁸

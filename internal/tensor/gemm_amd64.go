@@ -31,20 +31,22 @@ func gemmRowFMAAsm(dst, a *float64, as int, b *float64, bs int, k, n int, acc bo
 func gemmRow2FMAAsm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 
 // gateExpAsm, gateSigmoidAsm and gateTanhAsm are the AVX2 gate kernels in
-// gate_amd64.s. Each processes n elements (n a positive multiple of 4, at
-// most 64) of src into dst four lanes at a time and returns a bitmask of
-// the lanes it did not compute: bit i set means element i lies outside the
-// kernel's vector range, and dst[i] holds src[i] unchanged for the caller's
-// scalar fallback. dst may alias src. See gate.go for the bitwise contract.
+// gate_amd64.s. Each processes rows rows of n elements (n a positive
+// multiple of 4), row r at src + r·stride, into dst + r·stride four lanes
+// at a time, and writes ceil(n/64) flag words per row to flags, row after
+// row: bit b of a row's word w set means element 64·w+b of that row lies
+// outside the kernel's vector range, and dst holds it unchanged from src
+// for the caller's scalar fallback. dst may alias src. See gate.go for the
+// bitwise contract.
 //
 //go:noescape
-func gateExpAsm(dst, src *float64, n int) uint64
+func gateExpAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 
 //go:noescape
-func gateSigmoidAsm(dst, src *float64, n int) uint64
+func gateSigmoidAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 
 //go:noescape
-func gateTanhAsm(dst, src *float64, n int) uint64
+func gateTanhAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 
 func gemmCPUID(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -113,9 +115,9 @@ func hostFeatures() cpuFeatures {
 }
 
 // gemmHasAsm and gateHasAsm gate the assembly kernels, and gemmHas512 and
-// gateHas512 their 8-lane AVX-512 tier: with it, the row kernels and the
-// sigmoid and tanh kernels run on zmm registers, everything else stays on
-// AVX2. All four are determined once at init; the dispatch never changes
+// gateHas512 their 8-lane AVX-512 tier: with it, the GEMM row kernels and
+// the sigmoid and tanh kernels run on zmm registers, everything else stays
+// on AVX2. All four are determined once at init; the dispatch never changes
 // mid-run, and every assembly kernel is bitwise-identical to its portable
 // counterpart and the 8-lane kernels to their AVX2 twins, so the choice
 // affects speed only.
@@ -135,11 +137,12 @@ var (
 // gate().
 func gateExpMatchesMath() bool {
 	var src, dst [gateBlock]float64
+	var flags uint64
 	for blk := 0; blk < 4; blk++ {
 		for i := range src {
 			src[i] = -700 + 1400*float64(blk*gateBlock+i)/255 + 0.1234567
 		}
-		if gateExpAsm(&dst[0], &src[0], gateBlock) != 0 {
+		if gateExpAsm(&dst[0], &src[0], gateBlock, gateBlock, 1, &flags); flags != 0 {
 			return false
 		}
 		for i, x := range src {
@@ -157,11 +160,12 @@ func gateExpMatchesMath() bool {
 // 1/(1+math.Exp(-x)). Only call it when the CPU passes avx512().
 func gate512MatchesMath() bool {
 	var src, dst [gateBlock]float64
+	var flags uint64
 	for blk := 0; blk < 4; blk++ {
 		for i := range src {
 			src[i] = -700 + 1400*float64(blk*gateBlock+i)/255 + 0.1234567
 		}
-		if gateSigmoid512Asm(&dst[0], &src[0], gateBlock) != 0 {
+		if gateSigmoid512Asm(&dst[0], &src[0], gateBlock, gateBlock, 1, &flags); flags != 0 {
 			return false
 		}
 		for i, x := range src {
@@ -185,7 +189,25 @@ func gemmRowFMA512Asm(dst, a *float64, as int, b *float64, bs int, k, n int, acc
 func gemmRow2FMA512Asm(dst *float64, ldd int, a *float64, ars, as int, b *float64, bs int, k, n int, acc bool, bias *float64)
 
 //go:noescape
-func gateSigmoid512Asm(dst, src *float64, n int) uint64
+func gateSigmoid512Asm(dst, src *float64, stride, n, rows int, flags *uint64)
 
 //go:noescape
-func gateTanh512Asm(dst, src *float64, n int) uint64
+func gateTanh512Asm(dst, src *float64, stride, n, rows int, flags *uint64)
+
+// lstmCellAsm, lstmHiddenAsm, flushRowsAsm and lstmGateGradAsm are the
+// four-lane LSTM row kernels in lstm_amd64.s: the same arguments and
+// results, bit for bit, as lstmCellGo, lstmHiddenGo, flushRowsGo and
+// lstmGateGradGo (see lstm.go).
+// rows and hidden (n) must be positive.
+//
+//go:noescape
+func lstmCellAsm(c, cPrev, z *float64, zs, rows, hidden int)
+
+//go:noescape
+func lstmHiddenAsm(h *float64, hs int, z *float64, zs int, th *float64, rows, hidden int)
+
+//go:noescape
+func flushRowsAsm(dst, src *float64, ss, rows, n int)
+
+//go:noescape
+func lstmGateGradAsm(z *float64, zs int, dH, th, dC, cPrev *float64, rows, hidden int)

@@ -43,22 +43,40 @@ const (
 // math.Exp and math.Tanh element by element.
 const gateHasAsm = false
 
-func gateExpAsm(dst, src *float64, n int) uint64 {
+func gateExpAsm(dst, src *float64, stride, n, rows int, flags *uint64) {
 	panic("tensor: gateExpAsm called without assembly support")
 }
 
-func gateSigmoidAsm(dst, src *float64, n int) uint64 {
+func gateSigmoidAsm(dst, src *float64, stride, n, rows int, flags *uint64) {
 	panic("tensor: gateSigmoidAsm called without assembly support")
 }
 
-func gateTanhAsm(dst, src *float64, n int) uint64 {
+func gateTanhAsm(dst, src *float64, stride, n, rows int, flags *uint64) {
 	panic("tensor: gateTanhAsm called without assembly support")
 }
 
-func gateSigmoid512Asm(dst, src *float64, n int) uint64 {
+func gateSigmoid512Asm(dst, src *float64, stride, n, rows int, flags *uint64) {
 	panic("tensor: gateSigmoid512Asm called without assembly support")
 }
 
-func gateTanh512Asm(dst, src *float64, n int) uint64 {
+func gateTanh512Asm(dst, src *float64, stride, n, rows int, flags *uint64) {
 	panic("tensor: gateTanh512Asm called without assembly support")
+}
+
+// The LSTM row kernels are unreachable likewise: lstm.go runs their scalar
+// loops.
+func lstmCellAsm(c, cPrev, z *float64, zs, rows, hidden int) {
+	panic("tensor: lstmCellAsm called without assembly support")
+}
+
+func lstmHiddenAsm(h *float64, hs int, z *float64, zs int, th *float64, rows, hidden int) {
+	panic("tensor: lstmHiddenAsm called without assembly support")
+}
+
+func flushRowsAsm(dst, src *float64, ss, rows, n int) {
+	panic("tensor: flushRowsAsm called without assembly support")
+}
+
+func lstmGateGradAsm(z *float64, zs int, dH, th, dC, cPrev *float64, rows, hidden int) {
+	panic("tensor: lstmGateGradAsm called without assembly support")
 }
