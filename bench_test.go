@@ -605,9 +605,13 @@ func BenchmarkLSTMBatchFrozen(b *testing.B) {
 // 90% of them on tanh's exp branch (|x| ≥ 0.625): the share measured for the
 // Volume-Speed LSTM's tanh inputs on odbench's manhattan-refit workload
 // (93% of the g pre-activations, 86% of the cell states). The untrained model
-// of BenchmarkFitEpochManhattan has under 1% there, so that benchmark barely
-// exercises the vector tanh. The sigmoid kernel's cost does not depend on
-// the inputs: only |x| > 708 leaves its vector lanes.
+// of BenchmarkFitEpochManhattan has under 1% there: its tanh inputs sit on
+// the rational branch. The sigmoid kernel's cost does not depend on
+// the inputs: only |x| > 708 leaves its vector lanes. The rational case runs
+// tanh on 1024 inputs uniform in (-0.625, 0.625), its rational branch: the
+// small pre-activations of an untrained LSTM. Short calls are left out of it,
+// as their time swings between two builds' test binaries as much as the
+// effects they would measure.
 func BenchmarkGateKernels(b *testing.B) {
 	for _, n := range []int{24, 72, 1024} {
 		rng := rand.New(rand.NewSource(1))
@@ -638,6 +642,24 @@ func BenchmarkGateKernels(b *testing.B) {
 			}
 		})
 	}
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, 1024)
+	for i := range src {
+		src[i] = 1.25*rng.Float64() - 0.625
+	}
+	dst := make([]float64, len(src))
+	b.Run("tanh/n=1024/rational/vector", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.TanhSlice(dst, src)
+		}
+	})
+	b.Run("tanh/n=1024/rational/scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range src {
+				dst[j] = math.Tanh(x)
+			}
+		}
+	})
 }
 
 // BenchmarkLintRepo measures a full cold ovslint pass over the module: the

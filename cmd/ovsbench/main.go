@@ -14,7 +14,7 @@
 // pass -o when recording one.
 //
 // The default selection covers the allocation-sensitive hot-loop benchmarks
-// plus the GEMM shape sweep, routing benchmarks, the LSTM baseline's Recover
+// plus the GEMM shape sweep, the gate kernels, routing benchmarks, the LSTM baseline's Recover
 // (BenchmarkBaselineLSTM, the learned baselines' training loop), and the
 // cold serial lint pass (BenchmarkLintRepo, the CI lint job's wall-clock);
 // pass -bench '.' for everything. -maxallocs turns the run into a
@@ -61,8 +61,9 @@ type Report struct {
 // defaultBench is the default selection. "BenchmarkFitEpoch" selects both
 // the 3×3-grid 1-epoch fit (arena on and off) and BenchmarkFitEpochManhattan,
 // the 360-link 1-epoch fit of the manhattan-refit benchmark workload; each op
-// is a whole FitBestCtx call, per-fit set-up included.
-const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkBaselineLSTM|BenchmarkLintRepo"
+// is a whole FitBestCtx call, per-fit set-up included. BenchmarkGateKernels
+// is the sigmoid/tanh kernels against their scalar loops.
+const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkGateKernels|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkBaselineLSTM|BenchmarkLintRepo"
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark selection regex passed to go test -bench")

@@ -106,7 +106,7 @@ func run(ctx context.Context, cityName, patternName, method, scaleName string, s
 			opts := core.CkptOptions{Dir: ckptDir, Every: ckptEvery}
 			var resumedFrom string
 			var oerr error
-			tod, _, elapsed, resumedFrom, oerr = env.RunOVSCkpt(ctx, nil, opts, resume)
+			tod, elapsed, resumedFrom, oerr = env.RunOVSCkpt(ctx, nil, opts, resume)
 			if resumedFrom != "" {
 				fmt.Printf("resumed from %s\n", resumedFrom)
 			}

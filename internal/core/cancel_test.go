@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"ovs/internal/autodiff"
 )
 
 // pollCancelCtx is a context that cancels itself on its (n+1)-th Err() poll.
@@ -105,38 +108,70 @@ func TestTrainCtxReturnsCancelCause(t *testing.T) {
 // TestFitBestCancelKeepsEntryState cancels FitBestCtx at every context poll
 // an uncancelled fit makes, single-start and with three restarts, and
 // requires the cancellation cause back and the generator untouched: a
-// cancelled fit must not leave a partly fitted TOD behind.
+// cancelled fit must not leave a partly fitted TOD behind. On one worker,
+// where the restarts and their scoring run in order, it also requires that
+// no generator runs once ctx is cancelled: a restart whose fit saw the
+// cancellation is never scored.
 func TestFitBestCancelKeepsEntryState(t *testing.T) {
 	const epochs = 5
 	topo := testTopo(t, 4, 1)
-	for _, restarts := range []int{1, 3} {
+	for _, c := range []struct{ restarts, workers int }{{1, 1}, {3, 3}, {3, 1}} {
 		cfg := DefaultConfig()
 		cfg.MaxTrips = 50
 		cfg.Seed = 31
-		cfg.Workers = restarts
+		cfg.Workers = c.workers
 
 		counter := cancelOnPollCause(math.MaxInt, nil).(*pollCancelCtx)
 		ref := NewModel(topo, cfg)
-		if _, _, err := ref.FitBestCtx(counter, fitObs(ref, 12), epochs, restarts, nil); err != nil {
+		if _, _, err := ref.FitBestCtx(counter, fitObs(ref, 12), epochs, c.restarts, nil); err != nil {
 			t.Fatal(err)
 		}
 		if counter.polls < epochs {
-			t.Fatalf("restarts=%d: an uncancelled fit polled ctx %d times, want at least one per epoch", restarts, counter.polls)
+			t.Fatalf("%+v: an uncancelled fit polled ctx %d times, want at least one per epoch", c, counter.polls)
 		}
 
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
 		entry := m.GenerateTOD()
+		gen := m.TODGen
 		for n := 0; n < counter.polls; n++ {
-			_, _, err := m.FitBestCtx(cancelOnPollCause(n, errCancelCause), obs, epochs, restarts, nil)
+			ctx := cancelOnPollCause(n, errCancelCause)
+			late := new(atomic.Int64)
+			m.TODGen = &lateGen{TODGenModule: gen, done: ctx.Done(), late: late}
+			_, _, err := m.FitBestCtx(ctx, obs, epochs, c.restarts, nil)
+			m.TODGen = gen
 			if !errors.Is(err, errCancelCause) {
-				t.Fatalf("restarts=%d, cancelled after %d polls: err = %v, want the cancel cause", restarts, n, err)
+				t.Fatalf("%+v, cancelled after %d polls: err = %v, want the cancel cause", c, n, err)
+			}
+			if c.workers == 1 && late.Load() != 0 {
+				t.Fatalf("%+v, cancelled after %d polls: %d generator runs after the cancellation", c, n, late.Load())
 			}
 			for i, v := range m.GenerateTOD().Data {
 				if math.Float64bits(v) != math.Float64bits(entry.Data[i]) {
-					t.Fatalf("restarts=%d, cancelled after %d polls: TOD element %d is %v, entry state %v", restarts, n, i, v, entry.Data[i])
+					t.Fatalf("%+v, cancelled after %d polls: TOD element %d is %v, entry state %v", c, n, i, v, entry.Data[i])
 				}
 			}
 		}
 	}
+}
+
+// lateGen wraps a generator, shares its state, and counts the Generate calls
+// made after done is closed, across all its clones.
+type lateGen struct {
+	TODGenModule
+	done <-chan struct{}
+	late *atomic.Int64
+}
+
+func (l *lateGen) Generate(g *autodiff.Graph) *autodiff.Node {
+	select {
+	case <-l.done:
+		l.late.Add(1)
+	default:
+	}
+	return l.TODGenModule.Generate(g)
+}
+
+func (l *lateGen) CloneTODGen() TODGenModule {
+	return &lateGen{TODGenModule: l.TODGenModule.CloneTODGen(), done: l.done, late: l.late}
 }

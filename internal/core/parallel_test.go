@@ -43,30 +43,49 @@ func TestFitBestRestoresWinner(t *testing.T) {
 }
 
 // cannedGen is a TODGenModule whose output is a canned tensor; Reseed
-// switches to the next canned state.
+// switches to the next canned state. Its second state tensor, tag, never
+// reaches the output: Reseed sets it to the number of reseeds made so far
+// across all clones, so after a fit it names the winning restart (fitBest
+// reseeds restarts 1, 2, … serially, and restart 0 keeps tag 0).
 type cannedGen struct {
-	cur    *tensor.Tensor
-	states []*tensor.Tensor
-	next   int
-	dummy  *autodiff.Parameter
+	cur     *tensor.Tensor
+	tag     *tensor.Tensor
+	states  []*tensor.Tensor
+	next    int
+	reseeds *int
+	dummy   *autodiff.Parameter
+}
+
+func newCannedGen(cur *tensor.Tensor, states ...*tensor.Tensor) *cannedGen {
+	return &cannedGen{
+		cur:     cur.Clone(),
+		tag:     tensor.New(1),
+		states:  states,
+		reseeds: new(int),
+		dummy:   autodiff.NewParameter("canned.dummy", tensor.New(1)),
+	}
 }
 
 func (c *cannedGen) Generate(g *autodiff.Graph) *autodiff.Node { return g.Const(c.cur) }
 func (c *cannedGen) Params() []*autodiff.Parameter             { return []*autodiff.Parameter{c.dummy} }
-func (c *cannedGen) StateTensors() []*tensor.Tensor            { return []*tensor.Tensor{c.cur} }
+func (c *cannedGen) StateTensors() []*tensor.Tensor            { return []*tensor.Tensor{c.cur, c.tag} }
 func (c *cannedGen) Reseed(*rand.Rand) {
 	copy(c.cur.Data, c.states[c.next%len(c.states)].Data)
 	c.next++
+	*c.reseeds++
+	c.tag.Data[0] = float64(*c.reseeds)
 }
 
 // CloneTODGen copies the current state and the position in the canned
-// sequence; the canned states are shared, as they are only read.
+// sequence; the canned states and the reseed count are shared.
 func (c *cannedGen) CloneTODGen() TODGenModule {
 	return &cannedGen{
-		cur:    c.cur.Clone(),
-		states: c.states,
-		next:   c.next,
-		dummy:  autodiff.NewParameter(c.dummy.Name, c.dummy.Value.Clone()),
+		cur:     c.cur.Clone(),
+		tag:     c.tag.Clone(),
+		states:  c.states,
+		next:    c.next,
+		reseeds: c.reseeds,
+		dummy:   autodiff.NewParameter(c.dummy.Name, c.dummy.Value.Clone()),
 	}
 }
 
@@ -103,11 +122,7 @@ func testFitBestSelectsPureSpeedLoss(t *testing.T, workers int) {
 	// State B is perfectly smooth but does not match the observation.
 	b := tensor.Full(20, topo.N, topo.T)
 
-	m.TODGen = &cannedGen{
-		cur:    a.Clone(),
-		states: []*tensor.Tensor{b},
-		dummy:  autodiff.NewParameter("canned.dummy", tensor.New(1)),
-	}
+	m.TODGen = newCannedGen(a, b)
 	rec, _, err := m.FitBestCtx(context.Background(), obs, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +132,43 @@ func testFitBestSelectsPureSpeedLoss(t *testing.T, workers int) {
 	}
 	if !tensor.AllClose(m.GenerateTOD(), a, 0) {
 		t.Fatalf("workers=%d: winning state was not restored into the generator", workers)
+	}
+}
+
+// TestFitBestTieBreaksToLowestRestart pins the tie rule: restarts whose
+// speed scores are equal bit for bit lose to the lowest index among them,
+// however the workers interleave. With every restart on the same state
+// restart 0 must win; with restart 0 on a worse state and restarts 1–3 tied
+// on the observed one, restart 1 must.
+func TestFitBestTieBreaksToLowestRestart(t *testing.T) {
+	topo := testTopo(t, 4, 1)
+	exact := tensor.Full(30, topo.N, topo.T)
+	worse := tensor.Full(5, topo.N, topo.T)
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		for _, c := range []struct {
+			name  string
+			entry *tensor.Tensor
+			want  float64
+		}{{"all tied", exact, 0}, {"restart 0 worse", worse, 1}} {
+			cfg := DefaultConfig()
+			cfg.MaxTrips = 50
+			cfg.Seed = 17
+			cfg.Workers = workers
+			m := NewModel(topo, cfg)
+			_, obs := m.Forward(exact)
+			gen := newCannedGen(c.entry, exact)
+			m.TODGen = gen
+			rec, _, err := m.FitBestCtx(context.Background(), obs, 1, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := gen.tag.Data[0]; got != c.want {
+				t.Fatalf("workers=%d, %s: restart %v won, want restart %v", workers, c.name, got, c.want)
+			}
+			if !tensor.AllClose(rec, exact, 0) {
+				t.Fatalf("workers=%d, %s: recovered TOD is not the tied restarts' state", workers, c.name)
+			}
+		}
 	}
 }
 

@@ -372,8 +372,9 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 // keeps the entry seeds; the others redraw their Gaussian seeds serially
 // from a single root-derived rng, so the start set is identical at any
 // worker count. The restarts run concurrently, bounded by Cfg.Workers. With
-// more than one restart the winner is the one with the lowest re-evaluated
-// pure speed loss (see speedScore), ties broken by the lowest restart index.
+// more than one restart each restart re-evaluates its pure speed loss (see
+// speedScore) on its own worker as soon as its fit ends, and the winner is
+// the one with the lowest score, ties broken by the lowest restart index.
 // Its generator state is installed into m.TODGen before returning, so
 // m.GenerateTOD() and Model.Save afterwards agree exactly with the returned
 // tensor.
@@ -411,11 +412,17 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 		}
 	}
 	hists := make([][]float64, restarts)
+	scores := make([]float64, restarts)
 	errs := make([]error, restarts)
 	fns := make([]func(), restarts)
 	for r := range fns {
 		fns[r] = func() {
+			// Each restart scores itself on its own worker, right after a
+			// fit that ran to the end; a cancelled one is never scored.
 			hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
+			if errs[r] == nil && restarts > 1 {
+				scores[r] = m.speedScore(gens[r], speedObs, aux)
+			}
 		}
 	}
 	// RunCtx stops launching restarts once ctx is cancelled; a restart
@@ -428,14 +435,12 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 			return nil, nil, err
 		}
 	}
+	// The winner is picked in restart order, so a tie goes to the lowest
+	// index whatever order the restarts finished in.
 	best := 0
-	if restarts > 1 {
-		best = -1
-		bestScore := math.Inf(1)
-		for r := range gens {
-			if score := m.speedScore(gens[r], speedObs, aux); best < 0 || score < bestScore {
-				best, bestScore = r, score
-			}
+	for r, score := range scores {
+		if score < scores[best] {
+			best = r
 		}
 	}
 	copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())

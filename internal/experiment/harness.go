@@ -259,28 +259,28 @@ func (e *Env) RunOVS(ctx context.Context, aux *core.AuxData) (*tensor.Tensor, ti
 // returns the path of the checkpoint resumed from ("" when starting fresh).
 // Cancelling ctx surfaces as core.ErrInterrupted after a final checkpoint
 // is written.
-func (e *Env) RunOVSCkpt(ctx context.Context, aux *core.AuxData, opts core.CkptOptions, resume bool) (*tensor.Tensor, *core.Model, time.Duration, string, error) {
+func (e *Env) RunOVSCkpt(ctx context.Context, aux *core.AuxData, opts core.CkptOptions, resume bool) (*tensor.Tensor, time.Duration, string, error) {
 	m, err := e.BuildOVS()
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, 0, "", err
 	}
 	c, err := core.NewCheckpointer(m, opts)
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, 0, "", err
 	}
 	resumedFrom := ""
 	if resume {
 		resumedFrom, err = c.Resume()
 		if err != nil {
-			return nil, nil, 0, "", err
+			return nil, 0, "", err
 		}
 	}
 	start := time.Now() //ovslint:ignore globalrand wall-clock timing is reported but never feeds fitted results
 	res, err := c.TrainFull(ctx, e.Samples, e.GT.Speed, e.Scale.V2SEpochs, e.Scale.T2VEpochs, e.Scale.FitEpochs, aux)
 	if err != nil {
-		return nil, nil, 0, resumedFrom, fmt.Errorf("experiment: OVS: %w", err)
+		return nil, 0, resumedFrom, fmt.Errorf("experiment: OVS: %w", err)
 	}
-	return res.TOD, m, time.Since(start), resumedFrom, nil
+	return res.TOD, time.Since(start), resumedFrom, nil
 }
 
 // Methods returns the six baselines configured at the environment's scale.

@@ -12,6 +12,11 @@ import (
 // interface-based implementation used to build (hundreds of allocations per
 // call on a 20×20 grid).
 func TestShortestPathPooledAllocs(t *testing.T) {
+	if raceEnabled {
+		// The race detector's sync.Pool drops a random share of Put items,
+		// so the allocation count measures the detector, not the pooling.
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	net := Grid(GridConfig{Rows: 20, Cols: 20})
 	from, to := 0, net.NumNodes()-1
 	run := func() {

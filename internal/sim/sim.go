@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ovs/internal/fd"
 	"ovs/internal/roadnet"
@@ -294,35 +293,40 @@ func (s *Simulator) effectiveCapacity(l *roadnet.Link) float64 {
 type spawnEvent struct {
 	step int // departure step index
 	od   int // OD pair index
-	seq  int // tie-break for deterministic ordering
 }
 
-// buildSpawns expands the TOD tensor into departure events. Fractional trip
-// counts are rounded stochastically so that expectation matches exactly.
+// buildSpawns expands the TOD tensor into departure events, ordered by step
+// and, within a step, by the order they were drawn in (OD pair, then
+// interval, then vehicle). Fractional trip counts are rounded
+// stochastically so that expectation matches exactly.
 func buildSpawns(d Demand, cfg Config, rng *rand.Rand) []spawnEvent {
 	stepsPerInterval := int(cfg.IntervalSec / cfg.StepSec)
+	intervals := d.G.Dim(1)
 	var events []spawnEvent
-	seq := 0
+	// starts[s+1] counts the events of step s, then becomes step s's first
+	// slot in the sorted output.
+	starts := make([]int, intervals*stepsPerInterval+1)
 	for i := 0; i < d.G.Dim(0); i++ {
-		for t := 0; t < d.G.Dim(1); t++ {
-			g := d.G.At(i, t)
+		for t, g := range d.G.Data[i*intervals : (i+1)*intervals] {
 			n := int(g)
 			if rng.Float64() < g-float64(n) {
 				n++
 			}
 			for v := 0; v < n; v++ {
 				step := t*stepsPerInterval + rng.Intn(stepsPerInterval)
-				events = append(events, spawnEvent{step: step, od: i, seq: seq})
-				seq++
+				events = append(events, spawnEvent{step: step, od: i})
+				starts[step+1]++
 			}
 		}
 	}
-	// Deterministic order: by step, then insertion sequence.
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].step != events[b].step {
-			return events[a].step < events[b].step
-		}
-		return events[a].seq < events[b].seq
-	})
-	return events
+	// A stable counting pass by step keeps the draw order within a step.
+	for s := 1; s < len(starts); s++ {
+		starts[s] += starts[s-1]
+	}
+	sorted := make([]spawnEvent, len(events))
+	for _, ev := range events {
+		sorted[starts[ev.step]] = ev
+		starts[ev.step]++
+	}
+	return sorted
 }

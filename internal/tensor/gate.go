@@ -20,11 +20,11 @@ import (
 //	tanh:    math.Tanh(x)
 //
 // The vector kernels compute only the lanes on the straight-line part of
-// math.Exp — and, for tanh, only its 0.625 ≤ |x| ≤ 0.5·MAXLOG branch
-// ±(1 − 2/(exp(2|x|)+1)). They flag every other lane (non-finite input,
-// overflow, a denormal result, tanh's rational branch and its ±1
-// saturation) in a bitmask and leave the input in place, and gateRows
-// finishes those lanes with the scalar expression.
+// math.Exp — and, for tanh, its two finite branches: ±(1 − 2/(exp(2|x|)+1))
+// for 0.625 ≤ |x| ≤ 0.5·MAXLOG and the rational one for |x| < 0.625. They
+// flag every other lane (non-finite input, overflow, a denormal result,
+// tanh's ±1 saturation) in a bitmask and leave the input in place, and
+// gateRows finishes those lanes with the scalar expression.
 
 // gateBlock is the number of elements one flag word covers: the kernels
 // report the lanes they flag as one uint64 bitmask per 64 elements of a row.
@@ -141,7 +141,7 @@ func gateRows(f gateFunc, dst, src []float64, stride, rows, n int) {
 
 // finish gives the lanes of a block that mask flags the scalar expression,
 // one run of adjacent lanes at a time, so a block the kernel flags whole
-// (tanh on small inputs) costs one tight scalar loop. The scalar lanes read
+// (saturated tanh, say) costs one tight scalar loop. The scalar lanes read
 // src, which still holds their input: a flagged lane keeps its input in
 // dst, so an aliased call reads the same value.
 func (f gateFunc) finish(dst, src []float64, mask uint64) {

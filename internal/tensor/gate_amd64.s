@@ -128,7 +128,37 @@ DATA gateconst<>+608(SB)/8, $0x404601e678fc457b
 DATA gateconst<>+616(SB)/8, $0x404601e678fc457b
 DATA gateconst<>+624(SB)/8, $0x404601e678fc457b
 DATA gateconst<>+632(SB)/8, $0x404601e678fc457b
-GLOBL gateconst<>(SB), RODATA, $640
+// +640: tanh rational numerator P: p0 (math.tanhP/tanhQ)
+DATA gateconst<>+640(SB)/8, $0xbfeedc5baafd6f4b
+DATA gateconst<>+648(SB)/8, $0xbfeedc5baafd6f4b
+DATA gateconst<>+656(SB)/8, $0xbfeedc5baafd6f4b
+DATA gateconst<>+664(SB)/8, $0xbfeedc5baafd6f4b
+// +672: p1
+DATA gateconst<>+672(SB)/8, $0xc058d26a0e26682d
+DATA gateconst<>+680(SB)/8, $0xc058d26a0e26682d
+DATA gateconst<>+688(SB)/8, $0xc058d26a0e26682d
+DATA gateconst<>+696(SB)/8, $0xc058d26a0e26682d
+// +704: p2
+DATA gateconst<>+704(SB)/8, $0xc0993ac030580563
+DATA gateconst<>+712(SB)/8, $0xc0993ac030580563
+DATA gateconst<>+720(SB)/8, $0xc0993ac030580563
+DATA gateconst<>+728(SB)/8, $0xc0993ac030580563
+// +736: tanh rational denominator Q: q0 (math.tanhP/tanhQ)
+DATA gateconst<>+736(SB)/8, $0x405c33f28a581b86
+DATA gateconst<>+744(SB)/8, $0x405c33f28a581b86
+DATA gateconst<>+752(SB)/8, $0x405c33f28a581b86
+DATA gateconst<>+760(SB)/8, $0x405c33f28a581b86
+// +768: q1
+DATA gateconst<>+768(SB)/8, $0x40a176fa0e5535fa
+DATA gateconst<>+776(SB)/8, $0x40a176fa0e5535fa
+DATA gateconst<>+784(SB)/8, $0x40a176fa0e5535fa
+DATA gateconst<>+792(SB)/8, $0x40a176fa0e5535fa
+// +800: q2
+DATA gateconst<>+800(SB)/8, $0x40b2ec102442040c
+DATA gateconst<>+808(SB)/8, $0x40b2ec102442040c
+DATA gateconst<>+816(SB)/8, $0x40b2ec102442040c
+DATA gateconst<>+824(SB)/8, $0x40b2ec102442040c
+GLOBL gateconst<>(SB), RODATA, $832
 
 // GATEEXP: in Y0 = x. Out Y0 = exp(x) on lanes with k in [-1022, 1023] and
 // Y6 = all-ones on the other lanes. Clobbers Y1, Y2, Y3.
@@ -272,11 +302,16 @@ sigloop:
 
 // func gateTanhAsm(dst, src *float64, stride, n, rows int, flags *uint64)
 //
-// The 0.625 ≤ |x| ≤ 0.5·MAXLOG branch of math.Tanh: ±(1 − 2/(exp(2|x|)+1)),
-// the sign applied by XOR since the magnitude is positive. 2|x| lies in
-// [1.25, 88.03], so the exp lanes never leave their straight line. Lanes
-// outside the branch (the rational branch, the ±1 saturation, NaN) are
-// flagged for the scalar math.Tanh.
+// Both finite branches of math.Tanh, each run only when one of the four
+// lanes needs it. Lanes with 0 < |x| < 0.625 take the rational branch
+// x + ((x·s)·P)/Q, s = x·x, P = (p0·s + p1)·s + p2,
+// Q = ((s + q0)·s + q1)·s + q2: one rounded VMULPD, VADDPD or VDIVPD per
+// scalar operation, in Go's association (the compiler contracts none of
+// them into an FMA, at GOAMD64=v1 or v3); ±0 keeps x. Lanes with
+// 0.625 ≤ |x| ≤ 0.5·MAXLOG take ±(1 − 2/(exp(2|x|)+1)), the sign applied
+// by XOR since the magnitude is positive; 2|x| lies in [1.25, 88.03], so
+// the exp lanes never leave their straight line. Only the ±1 saturation
+// and NaN are flagged for the scalar math.Tanh.
 TEXT ·gateTanhAsm(SB), NOSPLIT, $0-48
 	GATEARGS
 
@@ -284,16 +319,40 @@ tanhrow:
 	GATEROW
 
 tanhloop:
-	VMOVUPD (R12), Y7                             // x
-	VANDPD  gateconst<>+544(SB), Y7, Y8           // z = |x|
-	VANDPD  gateconst<>+512(SB), Y7, Y10          // sign of x
-	VCMPPD  $0x1d, gateconst<>+576(SB), Y8, Y9    // z >= 0.625
-	VCMPPD  $0x12, gateconst<>+608(SB), Y8, Y3    // z <= 0.5·MAXLOG
-	VANDPD  Y3, Y9, Y9                            // lanes in the exp branch
+	VMOVUPD   (R12), Y7                           // x
+	VANDPD    gateconst<>+544(SB), Y7, Y8         // z = |x|
+	VCMPPD    $0x11, gateconst<>+576(SB), Y8, Y11 // z < 0.625
+	VMOVMSKPD Y11, BX
+	TESTQ     BX, BX
+	JZ        tanhexp                             // no lane is rational
+	VMULPD    Y7, Y7, Y0                          // s = x·x
+	VMULPD    gateconst<>+640(SB), Y0, Y1         // p0·s
+	VADDPD    gateconst<>+672(SB), Y1, Y1         // + p1
+	VMULPD    Y0, Y1, Y1                          // ·s
+	VADDPD    gateconst<>+704(SB), Y1, Y1         // P = … + p2
+	VADDPD    gateconst<>+736(SB), Y0, Y2         // s + q0
+	VMULPD    Y0, Y2, Y2                          // ·s
+	VADDPD    gateconst<>+768(SB), Y2, Y2         // + q1
+	VMULPD    Y0, Y2, Y2                          // ·s
+	VADDPD    gateconst<>+800(SB), Y2, Y2         // Q = … + q2
+	VMULPD    Y0, Y7, Y0                          // x·s
+	VMULPD    Y1, Y0, Y0                          // (x·s)·P
+	VDIVPD    Y2, Y0, Y0                          // ((x·s)·P)/Q
+	VADDPD    Y0, Y7, Y0                          // x + …
+	VXORPD    Y1, Y1, Y1
+	VCMPPD    $0x1e, Y1, Y8, Y1                   // z > 0
+	VANDPD    Y11, Y1, Y1
+	VBLENDVPD Y1, Y0, Y7, Y7                      // ±0 and other lanes keep x
+
+tanhexp:
+	VCMPPD    $0x1d, gateconst<>+576(SB), Y8, Y9  // z >= 0.625
+	VCMPPD    $0x12, gateconst<>+608(SB), Y8, Y3  // z <= 0.5·MAXLOG
+	VANDPD    Y3, Y9, Y9                          // lanes in the exp branch
 	VMOVMSKPD Y9, AX
-	TESTQ   AX, AX
-	JZ      tanhnone                              // no lane needs exp
-	VADDPD  Y8, Y8, Y0                            // 2z, exact
+	TESTQ     AX, AX
+	JZ        tanhstore                           // no lane needs exp
+	VANDPD    gateconst<>+512(SB), Y7, Y10        // sign of x
+	VADDPD    Y8, Y8, Y0                          // 2z, exact
 	GATEEXP
 	VADDPD    gateconst<>+352(SB), Y0, Y0         // s + 1
 	VMOVUPD   gateconst<>+384(SB), Y1
@@ -301,20 +360,17 @@ tanhloop:
 	VMOVUPD   gateconst<>+352(SB), Y1
 	VSUBPD    Y0, Y1, Y0                          // 1 − 2/(s + 1)
 	VXORPD    Y10, Y0, Y0
-	VBLENDVPD Y9, Y0, Y7, Y0                      // other lanes keep x
-	VMOVUPD   Y0, (R13)
-	JMP       tanhflag
+	VBLENDVPD Y9, Y0, Y7, Y7                      // other lanes keep theirs
 
-tanhnone:
+tanhstore:
 	VMOVUPD Y7, (R13)
-
-tanhflag:
-	XORQ      $15, AX                             // flag the lanes outside
+	ORQ     BX, AX
+	XORQ    $15, AX                               // flag the lanes in neither
 	GATEFLAG(4)
-	ADDQ      $32, R12
-	ADDQ      $32, R13
-	SUBQ      $4, DX
-	JNZ       tanhloop
+	ADDQ    $32, R12
+	ADDQ    $32, R13
+	SUBQ    $4, DX
+	JNZ     tanhloop
 	GATEROWEND
 	GATENEXTROW(tanhrow)
 
@@ -406,6 +462,10 @@ zsigloop:
 	RET
 
 // func gateTanh512Asm(dst, src *float64, stride, n, rows int, flags *uint64)
+//
+// gateTanhAsm on zmm: the same two branches in the same instructions. The
+// rational lanes' z ≠ 0 test is VPTESTMQ, which z < 0.625 already cleared
+// of NaN.
 TEXT ·gateTanh512Asm(SB), NOSPLIT, $0-48
 	GATEARGS
 
@@ -416,7 +476,30 @@ ztanhloop:
 	GATELANES512
 	VMOVUPD.Z   (R12), K3, Z7                       // x
 	VPANDQ.BCST gateconst<>+544(SB), Z7, Z8         // z = |x|
-	VPANDQ.BCST gateconst<>+512(SB), Z7, Z10        // sign of x
+	VCMPPD.BCST $0x11, gateconst<>+576(SB), Z8, K6  // z < 0.625
+	KANDW       K3, K6, K6
+	KMOVW       K6, BX
+	TESTQ       BX, BX
+	JZ          ztanhexp                            // no lane is rational
+	VMULPD      Z7, Z7, Z0                          // s = x·x
+	VMULPD.BCST gateconst<>+640(SB), Z0, Z1         // p0·s
+	VADDPD.BCST gateconst<>+672(SB), Z1, Z1         // + p1
+	VMULPD      Z0, Z1, Z1                          // ·s
+	VADDPD.BCST gateconst<>+704(SB), Z1, Z1         // P = … + p2
+	VADDPD.BCST gateconst<>+736(SB), Z0, Z2         // s + q0
+	VMULPD      Z0, Z2, Z2                          // ·s
+	VADDPD.BCST gateconst<>+768(SB), Z2, Z2         // + q1
+	VMULPD      Z0, Z2, Z2                          // ·s
+	VADDPD.BCST gateconst<>+800(SB), Z2, Z2         // Q = … + q2
+	VMULPD      Z0, Z7, Z0                          // x·s
+	VMULPD      Z1, Z0, Z0                          // (x·s)·P
+	VDIVPD      Z2, Z0, Z0                          // ((x·s)·P)/Q
+	VADDPD      Z0, Z7, Z0                          // x + …
+	VPTESTMQ    Z8, Z8, K7                          // z ≠ 0
+	KANDW       K6, K7, K7
+	VMOVAPD     Z0, K7, Z7                          // ±0 and other lanes keep x
+
+ztanhexp:
 	VCMPPD.BCST $0x1d, gateconst<>+576(SB), Z8, K4  // z >= 0.625
 	VCMPPD.BCST $0x12, gateconst<>+608(SB), Z8, K5  // z <= 0.5·MAXLOG
 	KANDW       K5, K4, K4                          // lanes in the exp branch
@@ -424,6 +507,7 @@ ztanhloop:
 	KMOVW       K4, AX
 	TESTQ       AX, AX
 	JZ          ztanhstore                          // no lane needs exp
+	VPANDQ.BCST gateconst<>+512(SB), Z7, Z10        // sign of x
 	VADDPD      Z8, Z8, Z0                          // 2z, exact
 	GATEEXP512
 	VADDPD.BCST  gateconst<>+352(SB), Z0, Z0        // s + 1
@@ -432,11 +516,12 @@ ztanhloop:
 	VBROADCASTSD gateconst<>+352(SB), Z1
 	VSUBPD       Z0, Z1, Z0                         // 1 − 2/(s + 1)
 	VPXORQ       Z10, Z0, Z0
-	VMOVAPD      Z0, K4, Z7                         // other lanes keep x
+	VMOVAPD      Z0, K4, Z7                         // other lanes keep theirs
 
 ztanhstore:
 	VMOVUPD Z7, K3, (R13)
-	KANDNW  K3, K4, K1                              // flag the lanes outside
+	KORW    K4, K6, K1
+	KANDNW  K3, K1, K1                              // flag the lanes in neither
 	KMOVW   K1, AX
 	GATEFLAG(8)
 	ADDQ    $64, R12

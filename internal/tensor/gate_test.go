@@ -62,7 +62,9 @@ func checkGateBits(t *testing.T, src []float64) {
 // gateEdgeInputs lists the boundary inputs: signed zeros, infinities, NaN,
 // the edges of the straight-line exp path, the band where math.Exp
 // overflows to +Inf although the true value is finite, the denormal-result
-// boundary, and tanh's branch edges — each with its float neighbours.
+// boundary, tanh's branch edges, and small inputs inside tanh's rational
+// branch whose square is denormal or underflows to zero — each with its
+// float neighbours.
 func gateEdgeInputs() []float64 {
 	negZero := math.Copysign(0, -1)
 	centres := []float64{
@@ -73,6 +75,7 @@ func gateEdgeInputs() []float64 {
 		-708.3964185322641, -708.39, -708.4, -708.74, -709, -744.4400719213812, -745.1332191019411, -746,
 		1022.5 * math.Ln2, -1022.5 * math.Ln2, 1023.5 * math.Ln2, -1021.5 * math.Ln2,
 		0.625, -0.625, 0.5 * 8.8029691931113054295988e+01, -0.5 * 8.8029691931113054295988e+01,
+		0.3, -0.3, 1e-160, -1e-160, 0x1p-511, -0x1p-511, 2.2250738585072014e-308, -1e-310,
 		44.01, -44.01, 44.02, -44.02, 22, -22,
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
 	}
@@ -123,8 +126,9 @@ func TestGateKernelsEdgeInputs(t *testing.T) {
 
 // TestGateKernelsComputeStraightLine pins the split between the vector lanes
 // and the scalar fallback: inputs on math.Exp's straight-line path (k in
-// [-1022, 1023]) and tanh's exp branch come back unflagged, so the equality
-// tests above really compare the assembly against the scalar code.
+// [-1022, 1023]) and tanh's exp and rational branches (±0 included) come
+// back unflagged, so the equality tests above really compare the assembly
+// against the scalar code.
 func TestGateKernelsComputeStraightLine(t *testing.T) {
 	if !gateHasAsm {
 		t.Skip("no vector gate kernels on this CPU")
@@ -144,6 +148,10 @@ func TestGateKernelsComputeStraightLine(t *testing.T) {
 	if mask := oneRow(gateTanhAsm, dst, tsrc); mask != 0 {
 		t.Fatalf("tanh flagged lanes %#b inside its exp branch", mask)
 	}
+	rsrc := []float64{0.6249999999999999, -0.6249999999999999, 0.6, -1e-9, 0, math.Copysign(0, -1), 5e-324, -0.3}
+	if mask := oneRow(gateTanhAsm, dst, rsrc); mask != 0 {
+		t.Fatalf("tanh flagged lanes %#b inside its rational branch or on ±0", mask)
+	}
 	// -708.4 has k = -1022, so its denormal result comes off the straight
 	// line (one rounded multiply by 2^-1022); -708.8 has k = -1023 and takes
 	// math.Exp's two-step denormal scaling, which the lanes leave to scalar.
@@ -154,16 +162,17 @@ func TestGateKernelsComputeStraightLine(t *testing.T) {
 	if mask := oneRow(gateExpAsm, dst, out); mask != 0xf {
 		t.Fatalf("exp flagged %#b, want 0b1111 for denormal branch, overflow, NaN, +Inf", mask)
 	}
-	tout := []float64{math.NaN(), math.Inf(1), 0.6, 45, -1e-9, 0, 0.6249999999999999, -44.02}
+	tout := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 45, -44.02, 1e300, -math.NaN(), 44.015}
 	if mask := oneRow(gateTanhAsm, dst, tout); mask != 0xff {
-		t.Fatalf("tanh flagged %#b, want 0b11111111 outside its exp branch", mask)
+		t.Fatalf("tanh flagged %#b, want 0b11111111 for NaN and the ±1 saturation", mask)
 	}
 }
 
 // TestGateRowsMatchScalar runs gateRows on strided rows, in place and out
 // of place, and requires every element bitwise equal to the scalar
 // expression, the gaps between rows untouched and an out-of-place source
-// unchanged. The shapes cover a tail of every length, rows of one and of
+// unchanged. The inputs mix both tanh branches, ±0, denormals and NaN
+// (gateEdgeInputs). The shapes cover a tail of every length, rows of one and of
 // several flag words, one split across several kernel calls by row (600
 // rows of two words), and one row split by column (longer than
 // gateFlagWords words).
@@ -182,7 +191,11 @@ func TestGateRowsMatchScalar(t *testing.T) {
 		stride := sh.n + rng.Intn(4)
 		src := make([]float64, (sh.rows-1)*stride+sh.n+2)
 		for i := range src {
+			// Half the draws sit mostly inside tanh's rational branch.
 			src[i] = 3 * rng.NormFloat64()
+			if i%2 == 1 {
+				src[i] *= 0.1
+			}
 			if rng.Intn(8) == 0 {
 				src[i] = edges[rng.Intn(len(edges))]
 			}

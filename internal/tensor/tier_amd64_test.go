@@ -146,12 +146,17 @@ func TestRowKernelTiersAgree(t *testing.T) {
 // row and on three rows a stride apart, in place and out of place, and
 // requires the same output bits, the same flag words, and the gaps between
 // and after the rows untouched. The inputs mix ordinary values with the
-// special ones and with inputs on either side of tanh's branch edges and
-// exp's range limits.
+// special ones (±0, denormals, NaN), with small inputs inside tanh's
+// rational branch, and with inputs on either side of tanh's branch edges
+// and exp's range limits.
 func TestGateKernelTiersAgree(t *testing.T) {
 	skipWithout512(t)
 	rng := rand.New(rand.NewSource(26))
-	edges := []float64{0.625, -0.625, 0.62, 44.01, -44.02, 710, -746, 709.78, -708.4, 1e-300}
+	edges := []float64{
+		0.625, -0.625, 0.62, 44.01, -44.02, 710, -746, 709.78, -708.4, 1e-300,
+		0.6249999999999999, -0.6249999999999999, 0.6250000000000001, -0.6250000000000001,
+		1e-160, -1e-160, 0x1p-511, -0.3,
+	}
 	kernels := []struct {
 		name     string
 		avx2, zm gateKernel
@@ -167,11 +172,13 @@ func TestGateKernelTiersAgree(t *testing.T) {
 				size := (rows-1)*stride + n + 1
 				src := tierFill(rng, size)
 				for i := range src {
-					switch rng.Intn(4) {
+					switch rng.Intn(5) {
 					case 0:
 						src[i] = edges[rng.Intn(len(edges))]
 					case 1:
 						src[i] *= 8
+					case 2:
+						src[i] *= 0.1 // inside tanh's rational branch
 					}
 				}
 				words := rows * ((n + gateBlock - 1) / gateBlock)
