@@ -86,6 +86,9 @@ func (f *FCT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) *au
 // Params returns the trainable parameters.
 func (f *FCT2V) Params() []*autodiff.Parameter { return append(f.l1.Params(), f.l2.Params()...) }
 
+// LiveLinks returns nil: every link's volume is an FC function of every OD.
+func (f *FCT2V) LiveLinks() []int { return nil }
+
 // FCV2S replaces the shared LSTM volume-speed mapping with per-interval
 // fully connected layers across links.
 type FCV2S struct {
@@ -119,6 +122,9 @@ func (f *FCV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *aut
 
 // Params returns the trainable parameters.
 func (f *FCV2S) Params() []*autodiff.Parameter { return append(f.l1.Params(), f.l2.Params()...) }
+
+// OnLinks returns nil: each link's speed reads every link's volume.
+func (f *FCV2S) OnLinks([]int) V2SModule { return nil }
 
 // Ablation names the Table IX variants.
 type Ablation int

@@ -141,15 +141,24 @@ type TODGenModule interface {
 }
 
 // T2VModule maps a TOD tensor node (N × T) to link volumes (M × T).
+// LiveLinks lists, ascending, the links whose volume can be nonzero: every
+// other link's volume row is exactly +0 for any TOD and any parameters. A
+// nil result means any link may carry volume.
 type T2VModule interface {
 	MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) *autodiff.Node
 	Params() []*autodiff.Parameter
+	LiveLinks() []int
 }
 
-// V2SModule maps link volumes (M × T) to link speeds (M × T).
+// V2SModule maps link volumes (M × T) to link speeds (M × T). OnLinks
+// returns the same mapping, on the same parameters, over a subset of the
+// links: it maps (len(links) × T) volumes to speeds whose row i is bitwise
+// row links[i] of MapSpeed over every link, values and volume gradient, in
+// inference mode. A module whose links interact returns nil.
 type V2SModule interface {
 	MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node
 	Params() []*autodiff.Parameter
+	OnLinks(links []int) V2SModule
 }
 
 // NewModel builds an OVS model over the given topology with the standard

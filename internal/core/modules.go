@@ -252,6 +252,18 @@ func (a *AttentionT2V) lagAttention(g *autodiff.Graph, logits *autodiff.Node, ro
 	return autodiff.SoftmaxRows(autodiff.Add(autodiff.GatherRows(logits, rows), pe))
 }
 
+// LiveLinks returns the links some route passes over. Every other link's
+// volume row is an empty segment sum, +0 whatever the TOD.
+func (a *AttentionT2V) LiveLinks() []int {
+	var links []int
+	for j, incs := range a.linkIncs {
+		if len(incs) > 0 {
+			links = append(links, j)
+		}
+	}
+	return links
+}
+
 // Params returns the mapping's trainable parameters.
 func (a *AttentionT2V) Params() []*autodiff.Parameter {
 	ps := []*autodiff.Parameter{a.splitLogits, a.attW, a.attB, a.posEmb, a.gainW, a.gainB, a.posGain}
@@ -268,16 +280,16 @@ func (a *AttentionT2V) Params() []*autodiff.Parameter {
 // shared weights can specialize per link; the head predicts a (0,1) factor
 // multiplied by the link's speed limit.
 type LSTMV2S struct {
-	topo *Topology
-	cfg  Config
+	cfg Config
 
 	lstm1, lstm2 *nn.LSTM
 	fc1, fc2     *nn.Dense
 	drop         *nn.DropoutLayer
 
-	// Per-topology constants of MapSpeed's link-major layout: static holds
-	// the four link features of every (link, step) row, (M·T × 4), and
-	// limits every link's speed limit at every step, (M × T).
+	// Constants of MapSpeed's link-major layout over the B links it maps
+	// (all M, or those of OnLinks): static holds the four link features of
+	// every (link, step) row, (B·T × 4), and limits every link's speed limit
+	// at every step, (B × T).
 	static, limits *tensor.Tensor
 }
 
@@ -294,7 +306,6 @@ func NewLSTMV2S(topo *Topology, cfg Config, rng *rand.Rand) *LSTMV2S {
 		}
 	}
 	return &LSTMV2S{
-		topo:   topo,
 		cfg:    cfg,
 		lstm1:  nn.NewLSTM(rng, "v2s.lstm1", 1+staticFeatures, cfg.LSTMHidden),
 		lstm2:  nn.NewLSTM(rng, "v2s.lstm2", cfg.LSTMHidden, cfg.LSTMHidden),
@@ -306,22 +317,40 @@ func NewLSTMV2S(topo *Topology, cfg Config, rng *rand.Rand) *LSTMV2S {
 	}
 }
 
-// MapSpeed converts link volumes (M × T) to speeds (M × T) in m/s. Every
-// link runs the same weights over its own sequence, so all M links go
-// through the stack as one batch: the rows of the (M·T × 5) input are
-// link-major (row j·T+t is link j at step t), which makes the volume a plain
-// reshape and keeps the dropout draws and FC rows in link order. The tape it
-// records grows with neither M nor T.
+// MapSpeed converts link volumes (M × T) to speeds (M × T) in m/s, or those
+// of the B links of OnLinks, (B × T). Every link runs the same weights over
+// its own sequence, so all links go through the stack as one batch: the
+// rows of the (B·T × 5) input are link-major (row j·T+t is link j at step
+// t), which makes the volume a plain reshape and keeps the dropout draws and
+// FC rows in link order. The tape it records grows with neither B nor T.
 func (v *LSTMV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node {
-	topo := v.topo
-	q := autodiff.Reshape(autodiff.Scale(vol, 1/v.cfg.VolumeNorm), topo.M*topo.T, 1)
-	x := autodiff.ConcatCols(q, g.Const(v.static)) // (M·T × 5)
-	h := v.lstm1.Forward(x, topo.M)
+	links, steps := v.limits.Dim(0), v.limits.Dim(1)
+	q := autodiff.Reshape(autodiff.Scale(vol, 1/v.cfg.VolumeNorm), links*steps, 1)
+	x := autodiff.ConcatCols(q, g.Const(v.static)) // (B·T × 5)
+	h := v.lstm1.Forward(x, links)
 	h = v.drop.Forward(h, train)
-	h = v.lstm2.Forward(h, topo.M)
+	h = v.lstm2.Forward(h, links)
 	h = v.fc1.Forward(h, train)
-	out := v.fc2.Forward(h, train) // (M·T × 1), sigmoid in (0,1)
-	return autodiff.Mul(autodiff.Reshape(out, topo.M, topo.T), g.Const(v.limits))
+	out := v.fc2.Forward(h, train) // (B·T × 1), sigmoid in (0,1)
+	return autodiff.Mul(autodiff.Reshape(out, links, steps), g.Const(v.limits))
+}
+
+// OnLinks returns the mapping over the given links, sharing this one's
+// layers: its batch row i is link links[i], with that link's rows of the
+// static features and speed limits. Every row runs the stack on its own
+// sequence (the batched LSTM's row-independence contract, and one GEMM
+// chain per output element in the FC layers), so in inference mode row i
+// is bitwise row links[i] of the all-links MapSpeed.
+func (v *LSTMV2S) OnLinks(links []int) V2SModule {
+	steps, feats := v.limits.Dim(1), v.static.Dim(1)
+	on := *v
+	on.static = tensor.New(len(links)*steps, feats)
+	on.limits = tensor.New(len(links), steps)
+	for i, j := range links {
+		copy(on.static.Data[i*steps*feats:(i+1)*steps*feats], v.static.Data[j*steps*feats:(j+1)*steps*feats])
+		copy(on.limits.Data[i*steps:(i+1)*steps], v.limits.Data[j*steps:(j+1)*steps])
+	}
+	return &on
 }
 
 // Params returns the mapping's trainable parameters.

@@ -55,12 +55,13 @@ func (m *Model) trainT2V(ctx context.Context, samples []Sample, l nn.Loop) ([]fl
 	// accumulate gradients.
 	restore := freezeParams(m.V2S.Params())
 	defer restore()
+	v2s := m.frozenV2S()
 	volNorm := 1.0 / m.Cfg.VolumeNorm
 	l.Params, l.Clip, l.Steps = m.T2V.Params(), m.Cfg.GradClip, len(samples)
 	return nn.Train(ctx, l, func(g *autodiff.Graph, i int) *autodiff.Node {
 		s := samples[i]
 		vol := m.T2V.MapVolume(g, g.Const(s.G), true)
-		loss := autodiff.MSE(m.V2S.MapSpeed(g, vol, false), s.Speed)
+		loss := autodiff.MSE(v2s.mapSpeed(g, vol), s.Speed)
 		if m.Cfg.VolumeLossWeight > 0 {
 			volLoss := autodiff.MSE(autodiff.Scale(vol, volNorm), tensor.ScaleTo(g.AllocLike(s.Volume), s.Volume, volNorm))
 			loss = autodiff.Add(loss, autodiff.Scale(volLoss, m.Cfg.VolumeLossWeight))
@@ -208,12 +209,79 @@ func checkIndices(what string, idx []int, n int) error {
 	return nil
 }
 
+// frozenSpeed is the frozen Volume-Speed mapping of one T2V training or fit
+// call. When the T2V module reaches only some links (its LiveLinks) and the
+// V2S module maps links apart (OnLinks), the V2S stack runs on the live
+// links alone. Every other link sees a volume of exactly +0 in every epoch,
+// so its speed row is a constant of the frozen weights: one inference pass
+// on zero volume computes those rows once per call, and each epoch adds
+// them back. Otherwise (the FC ablations, or every link live) the module
+// maps every link.
+type frozenSpeed struct {
+	all   V2SModule      // the module over every link
+	live  V2SModule      // the module over the live links; nil: map every link
+	links []int          // the live links, ascending
+	segs  [][]int        // link j → {its row in links}, or empty if it is dead
+	dead  *tensor.Tensor // (M × T) the dead links' speeds, +0 on live rows
+}
+
+// frozenV2S builds the frozen mapping from the model's current V2S weights;
+// it must be rebuilt whenever they change.
+func (m *Model) frozenV2S() *frozenSpeed {
+	f := &frozenSpeed{all: m.V2S}
+	links := m.T2V.LiveLinks()
+	if len(links) == 0 || len(links) == m.Topo.M {
+		return f
+	}
+	live := m.V2S.OnLinks(links)
+	if live == nil {
+		return f
+	}
+	f.live, f.links = live, links
+	f.segs = make([][]int, m.Topo.M)
+	rows := make([]int, len(links))
+	for i, j := range links {
+		rows[i] = i
+		f.segs[j] = rows[i : i+1]
+	}
+	deadLinks := make([]int, 0, m.Topo.M-len(links))
+	for j, seg := range f.segs {
+		if seg == nil {
+			deadLinks = append(deadLinks, j)
+		}
+	}
+	g := autodiff.NewGraph()
+	defer g.Release()
+	speed := m.V2S.OnLinks(deadLinks).MapSpeed(g, g.Const(g.Alloc(len(deadLinks), m.Topo.T)), false)
+	f.dead = tensor.New(m.Topo.M, m.Topo.T)
+	for i, j := range deadLinks {
+		copy(f.dead.Data[j*m.Topo.T:(j+1)*m.Topo.T], speed.Value.Data[i*m.Topo.T:(i+1)*m.Topo.T])
+	}
+	return f
+}
+
+// mapSpeed maps volumes (M × T) to speeds (M × T) in inference mode. On the
+// live-link path it gathers the live rows, maps them, and rebuilds the full
+// tensor as scatter + dead: a live row adds +0 and a dead row adds to +0,
+// which leaves every speed's bits unchanged (no speed is −0: the head is a
+// sigmoid times a positive limit). The rebuilt tensor feeds the loss as the
+// all-links speeds did, so the loss sums the same cells in the same order,
+// and the scatter's backward reads only live rows, so no dead row's
+// gradient reaches a parameter.
+func (f *frozenSpeed) mapSpeed(g *autodiff.Graph, vol *autodiff.Node) *autodiff.Node {
+	if f.live == nil {
+		return f.all.MapSpeed(g, vol, false)
+	}
+	speed := f.live.MapSpeed(g, autodiff.GatherRows(vol, f.links), false)
+	return autodiff.Add(autodiff.ScatterAddRows(speed, f.segs), g.Const(f.dead))
+}
+
 // fitGen optimizes one TOD generator against the observation. The frozen
 // TOD-Volume and Volume-Speed modules are only read, so multiple fitGen
 // calls on distinct generators may run concurrently (FitBestCtx restarts);
-// callers must freeze those modules' parameters and validate the inputs
-// (checkFitInputs) first.
-func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
+// callers must freeze those modules' parameters, build v2s from them and
+// validate the inputs (checkFitInputs) first.
+func (m *Model) fitGen(ctx context.Context, gen TODGenModule, v2s *frozenSpeed, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
 	var linkWeights []float64
 	if aux != nil {
 		linkWeights = aux.LinkWeights
@@ -222,7 +290,7 @@ func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.T
 	return nn.Train(ctx, loop, func(g *autodiff.Graph, _ int) *autodiff.Node {
 		tod := gen.Generate(g)
 		vol := m.T2V.MapVolume(g, tod, false)
-		loss := m.fitLoss(g, m.V2S.MapSpeed(g, vol, false), speedObs, linkWeights)
+		loss := m.fitLoss(g, v2s.mapSpeed(g, vol), speedObs, linkWeights)
 		if m.Cfg.SmoothWeight > 0 {
 			loss = autodiff.Add(loss, autodiff.Scale(m.smoothPenalty(g, tod), m.Cfg.SmoothWeight))
 		}
@@ -349,12 +417,12 @@ func (m *Model) auxLoss(g *autodiff.Graph, tod, vol *autodiff.Node, aux *AuxData
 // compares restarts on this score: the final training loss mixes the
 // regularizers and is a single noisy last-epoch value, so it can prefer a
 // restart whose actual speed match is worse.
-func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxData) float64 {
+func (m *Model) speedScore(gen TODGenModule, v2s *frozenSpeed, speedObs *tensor.Tensor, aux *AuxData) float64 {
 	g := autodiff.NewGraph()
 	defer g.Release()
 	tod := gen.Generate(g)
 	vol := m.T2V.MapVolume(g, tod, false)
-	speed := m.V2S.MapSpeed(g, vol, false)
+	speed := v2s.mapSpeed(g, vol)
 	var linkWeights []float64
 	if aux != nil {
 		linkWeights = aux.LinkWeights
@@ -411,6 +479,9 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 			gens[r].Reseed(rng)
 		}
 	}
+	// One frozen mapping serves every restart; its dead-link speeds are
+	// only read.
+	v2s := m.frozenV2S()
 	hists := make([][]float64, restarts)
 	scores := make([]float64, restarts)
 	errs := make([]error, restarts)
@@ -419,9 +490,9 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 		fns[r] = func() {
 			// Each restart scores itself on its own worker, right after a
 			// fit that ran to the end; a cancelled one is never scored.
-			hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
+			hists[r], errs[r] = m.fitGen(ctx, gens[r], v2s, speedObs, epochs, aux)
 			if errs[r] == nil && restarts > 1 {
-				scores[r] = m.speedScore(gens[r], speedObs, aux)
+				scores[r] = m.speedScore(gens[r], v2s, speedObs, aux)
 			}
 		}
 	}

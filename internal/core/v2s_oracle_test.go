@@ -20,13 +20,15 @@ import (
 // link order on one tape. The batched MapSpeed must reproduce its speeds and
 // its gradient with respect to the volume bit for bit, and its parameter
 // gradients to rounding (TestMapSpeedMatchesPerLinkOracle).
-type perLinkV2S struct{ *LSTMV2S }
+type perLinkV2S struct {
+	*LSTMV2S
+	topo *Topology
+}
 
 // MapSpeed converts link volumes (M × T) to speeds (M × T) in m/s, one link
 // at a time.
 func (o perLinkV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node {
-	v := o.LSTMV2S
-	topo := v.topo
+	v, topo := o.LSTMV2S, o.topo
 	rows := make([]*autodiff.Node, topo.M)
 	for j := range rows {
 		q := autodiff.Scale(autodiff.Row(vol, j), 1/v.cfg.VolumeNorm) // (T)
@@ -34,7 +36,7 @@ func (o perLinkV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) 
 		featRows := []*autodiff.Node{q}
 		for f := 0; f < 4; f++ {
 			ft := g.Alloc(topo.T)
-			ft.Fill(v.topo.linkFeatures.At(j, f))
+			ft.Fill(topo.linkFeatures.At(j, f))
 			featRows = append(featRows, g.Const(ft))
 		}
 		x := autodiff.Transpose(autodiff.StackRows(featRows)) // (T × 5)
@@ -48,10 +50,14 @@ func (o perLinkV2S) MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) 
 	return autodiff.StackRows(rows)
 }
 
+// OnLinks returns nil, so a fit or T2V training on the oracle maps every
+// link, one at a time.
+func (perLinkV2S) OnLinks([]int) V2SModule { return nil }
+
 // withPerLinkV2S swaps a model's Volume-Speed module for the per-link
 // oracle over the same weights.
 func withPerLinkV2S(m *Model) *Model {
-	m.V2S = perLinkV2S{m.V2S.(*LSTMV2S)}
+	m.V2S = perLinkV2S{m.V2S.(*LSTMV2S), m.Topo}
 	return m
 }
 

@@ -98,9 +98,3 @@ func TrajectoriesFromTOD(g *tensor.Tensor, numPairs int, fraction float64, rng *
 	}
 	return out, nil
 }
-
-// ScaleToFleet converts observed trajectory counts back to whole-fleet
-// estimates (the paper scales taxi TOD by #all vehicles / #taxis).
-func (tr *Trajectories) ScaleToFleet() *tensor.Tensor {
-	return tensor.Scale(tr.G, 1/tr.Fraction)
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ovs/internal/sim"
+	"ovs/internal/tensor"
 )
 
 func TestPatternNamesAndCount(t *testing.T) {
@@ -267,8 +268,10 @@ func TestTrajectoriesFromTOD(t *testing.T) {
 	if len(tr.ODIdx) != 4 || tr.G.Dim(0) != 4 || tr.G.Dim(1) != 6 {
 		t.Fatal("trajectory shapes wrong")
 	}
-	scaled := tr.ScaleToFleet()
-	// Scaled means should be near the underlying rows on average.
+	// Scaled to the whole fleet (#all vehicles / #observed, as the paper
+	// scales taxi TOD), the observed rows should be near the underlying
+	// rows on average.
+	scaled := tensor.Scale(tr.G, 1/tr.Fraction)
 	var obs, truth float64
 	for r, i := range tr.ODIdx {
 		obs += scaled.Row(r).Sum()

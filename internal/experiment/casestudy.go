@@ -149,22 +149,6 @@ func RunCaseStudy2(ctx context.Context, sc Scale, seed int64) (*CaseStudyResult,
 	return runCaseStudy(ctx, cs, sc, seed)
 }
 
-// PeakHour returns the wall-clock hour at which the recovered series for the
-// given focus label peaks.
-func (c *CaseStudyResult) PeakHour(label string) (int, error) {
-	series, ok := c.Recovered[label]
-	if !ok {
-		return 0, fmt.Errorf("experiment: unknown focus label %q", label)
-	}
-	best := 0
-	for i, v := range series {
-		if v > series[best] {
-			best = i
-		}
-	}
-	return c.Hours[best], nil
-}
-
 // Render prints the Table X column and the focus-series sparklines.
 func (c *CaseStudyResult) Render() string {
 	var b strings.Builder

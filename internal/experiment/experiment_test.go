@@ -289,12 +289,6 @@ func TestRunCaseStudy2Structure(t *testing.T) {
 		if len(res.Recovered[label]) != res.Hours[len(res.Hours)-1]-res.Hours[0]+1 {
 			t.Fatalf("series length mismatch for %q", label)
 		}
-		if _, err := res.PeakHour(label); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := res.PeakHour("nope"); err == nil {
-		t.Fatal("unknown label did not error")
 	}
 	out := res.Render()
 	if !strings.Contains(out, "RMSE_speed") || !strings.Contains(out, "O1->Stadium") {
@@ -373,9 +367,6 @@ func TestRunNoiseRobustnessStructure(t *testing.T) {
 		if r.TOD <= 0 {
 			t.Fatalf("degenerate RMSE at σ=%v", r.NoiseStd)
 		}
-	}
-	if res.Degradation() <= 0 {
-		t.Fatal("degradation must be positive")
 	}
 	if !strings.Contains(res.Render(), "noise") {
 		t.Fatal("render missing title")

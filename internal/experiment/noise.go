@@ -70,13 +70,3 @@ func (n *NoiseResult) Render() string {
 	}
 	return "Extension: recovery vs speed-observation noise\n" + renderTable(rows)
 }
-
-// Degradation returns the ratio of the noisiest to the cleanest TOD RMSE —
-// a single robustness figure for tests and summaries.
-func (n *NoiseResult) Degradation() float64 {
-	//ovslint:ignore floateq exact-zero RMSE guards the undefined degradation ratio denominator
-	if len(n.Rows) < 2 || n.Rows[0].TOD == 0 {
-		return 1
-	}
-	return n.Rows[len(n.Rows)-1].TOD / n.Rows[0].TOD
-}

@@ -129,9 +129,9 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 		Entries: tensor.New(m, cfg.Intervals),
 		Speed:   tensor.New(m, cfg.Intervals),
 	}
-	// Accumulators for occupancy-weighted speed.
-	speedSum := tensor.New(m, cfg.Intervals)  // Σ speed·occupancy per step
-	weightSum := tensor.New(m, cfg.Intervals) // Σ occupancy per step
+	// Accumulators: volume sums occupancy per step, which is also the weight
+	// of the occupancy-weighted speed; speedSum sums speed·occupancy.
+	speedSum := tensor.New(m, cfg.Intervals)
 	volume, entries := res.Volume.Data, res.Entries.Data
 
 	// enter places vehicle vi on the first link of its route.
@@ -295,19 +295,15 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 				cell := j*cfg.Intervals + interval
 				volume[cell] += occ
 				speedSum.Data[cell] += curSpeed[j] * occ
-				weightSum.Data[cell] += occ
 			}
 		}
 	}
 
-	// Occupancy: mean vehicles present per step within each interval
-	// (scaled in place — the accumulator tensor is reused as the result).
-	tensor.ScaleInPlace(res.Volume, 1/float64(stepsPerInterval))
-
 	// Finalize speeds: occupancy-weighted mean, free-flow when unobserved.
+	// The weights are the occupancy sums, read before they are scaled.
 	for j := 0; j < m; j++ {
 		row := res.Speed.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
-		wRow := weightSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
+		wRow := volume[j*cfg.Intervals : (j+1)*cfg.Intervals]
 		sRow := speedSum.Data[j*cfg.Intervals : (j+1)*cfg.Intervals]
 		for t := range row {
 			if wRow[t] > 0 {
@@ -317,6 +313,10 @@ func (s *Simulator) runMeso(ctx context.Context, d Demand) (*Result, error) {
 			}
 		}
 	}
+
+	// Occupancy: mean vehicles present per step within each interval
+	// (scaled in place — the accumulator tensor is reused as the result).
+	tensor.ScaleInPlace(res.Volume, 1/float64(stepsPerInterval))
 	res.Spawned = len(vehicles)
 	res.DijkstraCalls = chooser.calls
 	return res, nil

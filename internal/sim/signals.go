@@ -87,11 +87,3 @@ func isNorthSouth(net *roadnet.Network, l *roadnet.Link) bool {
 	to := net.Nodes[l.To]
 	return math.Abs(to.Y-from.Y) >= math.Abs(to.X-from.X)
 }
-
-// NumSignalized returns the number of signal-controlled intersections.
-func (p *SignalPlan) NumSignalized() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.Timings)
-}

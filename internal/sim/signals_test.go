@@ -12,8 +12,8 @@ func TestUniformSignalsSelection(t *testing.T) {
 	plan := UniformSignals(net, 60, 3)
 	// In a 3×3 grid only the center (4 approaches) and the four edge-middle
 	// nodes (3 approaches) qualify at minApproaches=3.
-	if plan.NumSignalized() != 5 {
-		t.Fatalf("signalized = %d, want 5", plan.NumSignalized())
+	if len(plan.Timings) != 5 {
+		t.Fatalf("signalized = %d, want 5", len(plan.Timings))
 	}
 	if _, ok := plan.Timings[4]; !ok {
 		t.Fatal("center intersection not signalized")
@@ -78,9 +78,6 @@ func TestUnsignalizedAlwaysGreen(t *testing.T) {
 	var nilPlan *SignalPlan
 	if !nilPlan.Green(net, 0, 0) {
 		t.Fatal("nil plan must be green")
-	}
-	if nilPlan.NumSignalized() != 0 {
-		t.Fatal("nil plan signalized count != 0")
 	}
 }
 

@@ -40,10 +40,6 @@ func New(shape ...int) *Tensor {
 	}
 }
 
-// Zeros is an alias of New, provided for readability at call sites that
-// emphasize the initial value rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)

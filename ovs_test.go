@@ -122,7 +122,7 @@ func TestFacadeAuxConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.ScaleToFleet().Dim(0) != 2 {
+	if tr.G.Dim(0) != 2 {
 		t.Fatal("trajectory scaling wrong")
 	}
 }
