@@ -58,11 +58,13 @@ type Report struct {
 	Results    []Result `json:"results"`
 }
 
-// defaultBench is the default selection. "BenchmarkFitEpoch" selects both
-// the 3×3-grid 1-epoch fit (arena on and off) and BenchmarkFitEpochManhattan,
-// the 360-link 1-epoch fit of the manhattan-refit benchmark workload; each op
-// is a whole FitBestCtx call, per-fit set-up included. BenchmarkGateKernels
-// is the sigmoid/tanh kernels against their scalar loops.
+// defaultBench is the default selection. "BenchmarkFitEpoch" selects the
+// 3×3-grid 1-epoch fit (arena on and off) and BenchmarkFitEpochManhattan,
+// the 360-link 1-epoch fit of the manhattan-refit benchmark workload, whose
+// ops are whole FitBestCtx calls, per-fit set-up included, and
+// BenchmarkFitEpochOnlyManhattan, whose op is one epoch of that fit alone.
+// BenchmarkGateKernels is the sigmoid/tanh kernels against their scalar
+// loops.
 const defaultBench = "BenchmarkFitEpoch|BenchmarkBackward|BenchmarkModelForward|BenchmarkMatMul$|BenchmarkMatMulPacked|BenchmarkGEMM|BenchmarkLSTMForwardBackward|BenchmarkLSTMCell$|BenchmarkLSTMBatch|BenchmarkGateKernels|BenchmarkSimulatorMeso|BenchmarkDijkstra|BenchmarkBaselineLSTM|BenchmarkLintRepo"
 
 func main() {

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -38,6 +39,11 @@ func main() {
 	flag.Parse()
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "ovstables: -workers %d: want 0 (GOMAXPROCS) or a positive count\n", *workers)
+		os.Exit(2)
+	}
+	sizes, err := parseSizes(*fig9Sizes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ovstables: -fig9sizes %q: %v\n", *fig9Sizes, err)
 		os.Exit(2)
 	}
 
@@ -71,7 +77,7 @@ func main() {
 	if *exp == "all" {
 		ids = []string{"tableviii", "tablevi", "tablevii", "tableix", "tablex", "fig9", "fig10", "fig11", "fig12", "fig13"}
 	}
-	exps := experiments(ctx, sc, *seed, parseSizes(*fig9Sizes))
+	exps := experiments(ctx, sc, *seed, sizes)
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()
@@ -95,15 +101,19 @@ func main() {
 	}
 }
 
-func parseSizes(s string) []int {
+// parseSizes parses -fig9sizes, a comma-separated list of positive
+// intersection counts; an entry that is not one is an error naming it.
+func parseSizes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err == nil && n > 0 {
-			out = append(out, n)
+		part = strings.TrimSpace(part)
+		n, err := strconv.Atoi(part)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("entry %q: want a positive intersection count", part)
 		}
+		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 // experiments maps each experiment id to a function that runs it and

@@ -220,3 +220,136 @@ func TestFCAblationsFit(t *testing.T) {
 		}
 	}
 }
+
+// perDeadLinkOracle makes m the reference for the dead-link speed rows:
+// its topology is swapped for a copy in which every link's four features
+// and speed limit all read its own ID, so that a class key made of any of
+// them tells every link apart and frozenV2S runs one zero-volume row per
+// dead link, as it did before links were grouped into classes. The V2S
+// module copied the real static features and speed limits when it was
+// built, so only the grouping changes.
+func perDeadLinkOracle(m *Model) {
+	topo := *m.Topo
+	topo.linkFeatures = tensor.New(topo.M, 4)
+	topo.speedLimits = make([]float64, topo.M)
+	for j := range topo.speedLimits {
+		for f := 0; f < 4; f++ {
+			topo.linkFeatures.Data[j*4+f] = float64(j)
+		}
+		topo.speedLimits[j] = float64(j)
+	}
+	m.Topo = &topo
+}
+
+// deadLinksOf lists, ascending, the links no route covers.
+func deadLinksOf(topo *Topology) []int {
+	var dead []int
+	for j, inc := range topo.linkRoutes {
+		if len(inc) == 0 {
+			dead = append(dead, j)
+		}
+	}
+	return dead
+}
+
+// TestLinkClassesMatchPerDeadLinkOracle: frozenV2S maps one dead link per
+// class of bitwise-equal static features and speed limit and copies its row
+// to the other members; T2V training and the test-time fit must give the
+// loss histories, T2V weights and recovered TOD of the per-dead-link pass
+// bit for bit, and every dead row must be that link's row of the all-links
+// MapSpeed on zero volume. The topologies start from a uniform 3×3 grid,
+// where every link is one class, and edit the features and limits by hand
+// before the model copies them: every dead link its own class, several
+// classes shared by several links, and a pair of links that differ only in
+// the speed limit or only in one of the four static features.
+func TestLinkClassesMatchPerDeadLinkOracle(t *testing.T) {
+	type edit func(dead []int, feats func(j int) []float64, limits []float64)
+	// pair makes the second dead link differ from the others in static
+	// feature f alone, or in the speed limit alone when f is 4.
+	pair := func(f int) edit {
+		return func(dead []int, feats func(int) []float64, limits []float64) {
+			if f == 4 {
+				limits[dead[1]] += 2
+				return
+			}
+			feats(dead[1])[f] *= 0.75
+		}
+	}
+	cases := []struct {
+		name    string
+		edit    edit
+		classes func(dead int) int // the wanted class count of the dead links
+	}{
+		{"own-class", func(dead []int, feats func(int) []float64, _ []float64) {
+			for i, j := range dead {
+				feats(j)[0] = 0.5 + 0.01*float64(i)
+			}
+		}, func(dead int) int { return dead }},
+		{"mixed", func(dead []int, feats func(int) []float64, limits []float64) {
+			for i, j := range dead {
+				feats(j)[1] = float64(1+i%3) / 3
+				limits[j] = float64(10 + i%2)
+			}
+		}, func(int) int { return 6 }},
+		{"limit-only", pair(4), func(int) int { return 2 }},
+		{"length-only", pair(0), func(int) int { return 2 }},
+		{"lanes-only", pair(1), func(int) int { return 2 }},
+		{"limit-feature-only", pair(2), func(int) int { return 2 }},
+		{"capacity-only", pair(3), func(int) int { return 2 }},
+	}
+	for _, tc := range cases {
+		topo, err := NewTopology(roadnet.Grid(roadnet.GridConfig{Rows: 3, Cols: 3}), [][2]int{{0, 8}, {8, 0}, {2, 6}}, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := deadLinksOf(topo)
+		tc.edit(dead, func(j int) []float64 { return topo.linkFeatures.Data[j*4 : (j+1)*4] }, topo.speedLimits)
+		reps, class := topo.linkClasses(dead)
+		if want := tc.classes(len(dead)); len(reps) != want {
+			t.Fatalf("%s: %d dead links in %d classes, want %d", tc.name, len(dead), len(reps), want)
+		}
+		cfg := DefaultConfig()
+		cfg.MaxTrips = 50
+		cfg.Seed = 37
+		cfg.Workers = 2
+		cfg.DropoutRate = 0.2
+		m := NewModel(topo, cfg)
+		oracle := NewModel(topo, cfg)
+		perDeadLinkOracle(oracle)
+		samples := poolingSamples(topo, 3)
+		obs := fitObs(m, 12)
+		hist, t2v, fitHist, tod := liveLinksRun(t, m, samples, obs, false)
+		oHist, oT2V, oFitHist, oTOD := liveLinksRun(t, oracle, samples, obs, false)
+		requireBitsEqual(t, tc.name+" T2V loss history", hist, oHist)
+		for i := range t2v {
+			requireBitsEqual(t, fmt.Sprintf("%s T2V param %d", tc.name, i), t2v[i].Data, oT2V[i].Data)
+		}
+		requireBitsEqual(t, tc.name+" fit loss history", fitHist, oFitHist)
+		requireBitsEqual(t, tc.name+" TOD", tod.Data, oTOD.Data)
+		// Under the trained weights, each dead row must also be that link's
+		// row of the all-links MapSpeed on zero volume, and links of two
+		// classes must get two rows, or the case would show nothing.
+		got, want := m.frozenV2S().dead, m.PredictSpeed(tensor.New(topo.M, topo.T))
+		row := func(j int) []float64 { return want.Data[j*topo.T : (j+1)*topo.T] }
+		for _, j := range dead {
+			requireBitsEqual(t, fmt.Sprintf("%s dead link %d speed", tc.name, j), got.Data[j*topo.T:(j+1)*topo.T], row(j))
+		}
+		for a := range dead {
+			for b := range a {
+				if class[a] != class[b] && bitsEqual(row(dead[a]), row(dead[b])) {
+					t.Fatalf("%s: dead links %d and %d differ in class but not in speed", tc.name, dead[b], dead[a])
+				}
+			}
+		}
+	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

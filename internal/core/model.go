@@ -154,7 +154,10 @@ type T2VModule interface {
 // returns the same mapping, on the same parameters, over a subset of the
 // links: it maps (len(links) × T) volumes to speeds whose row i is bitwise
 // row links[i] of MapSpeed over every link, values and volume gradient, in
-// inference mode. A module whose links interact returns nil.
+// inference mode. Such a row depends only on that link's static features,
+// its speed limit and its volume row, so two links whose features and limit
+// are equal bit for bit map equal volume rows to bitwise-equal speed rows. A
+// module whose links interact returns nil.
 type V2SModule interface {
 	MapSpeed(g *autodiff.Graph, vol *autodiff.Node, train bool) *autodiff.Node
 	Params() []*autodiff.Parameter

@@ -213,10 +213,11 @@ func checkIndices(what string, idx []int, n int) error {
 // call. When the T2V module reaches only some links (its LiveLinks) and the
 // V2S module maps links apart (OnLinks), the V2S stack runs on the live
 // links alone. Every other link sees a volume of exactly +0 in every epoch,
-// so its speed row is a constant of the frozen weights: one inference pass
-// on zero volume computes those rows once per call, and each epoch adds
-// them back. Otherwise (the FC ablations, or every link live) the module
-// maps every link.
+// so its speed row is a constant of the frozen weights and of the link's
+// static features and speed limit: one inference pass on zero volume, over
+// one link of each class of bitwise-equal features and limit, computes
+// those rows once per call, and each epoch adds them back. Otherwise (the
+// FC ablations, or every link live) the module maps every link.
 type frozenSpeed struct {
 	all   V2SModule      // the module over every link
 	live  V2SModule      // the module over the live links; nil: map every link
@@ -250,14 +251,46 @@ func (m *Model) frozenV2S() *frozenSpeed {
 			deadLinks = append(deadLinks, j)
 		}
 	}
+	// A dead link's row depends only on its static features and speed limit
+	// (V2SModule.OnLinks), so one row per link class serves every member.
+	reps, class := m.Topo.linkClasses(deadLinks)
+	t := m.Topo.T
 	g := autodiff.NewGraph()
 	defer g.Release()
-	speed := m.V2S.OnLinks(deadLinks).MapSpeed(g, g.Const(g.Alloc(len(deadLinks), m.Topo.T)), false)
-	f.dead = tensor.New(m.Topo.M, m.Topo.T)
+	speed := m.V2S.OnLinks(reps).MapSpeed(g, g.Const(g.Alloc(len(reps), t)), false)
+	f.dead = tensor.New(m.Topo.M, t)
 	for i, j := range deadLinks {
-		copy(f.dead.Data[j*m.Topo.T:(j+1)*m.Topo.T], speed.Value.Data[i*m.Topo.T:(i+1)*m.Topo.T])
+		c := class[i]
+		copy(f.dead.Data[j*t:(j+1)*t], speed.Value.Data[c*t:(c+1)*t])
 	}
 	return f
+}
+
+// linkClasses groups links by the bit patterns of their static features and
+// speed limit: reps lists the first link of each class in the order of
+// links, and links[i] belongs to the class of reps[class[i]].
+func (tp *Topology) linkClasses(links []int) (reps, class []int) {
+	type key struct {
+		feats [4]uint64
+		limit uint64
+	}
+	ids := make(map[key]int)
+	class = make([]int, len(links))
+	for i, j := range links {
+		var k key
+		for f := range k.feats {
+			k.feats[f] = math.Float64bits(tp.linkFeatures.Data[j*len(k.feats)+f])
+		}
+		k.limit = math.Float64bits(tp.speedLimits[j])
+		c, ok := ids[k]
+		if !ok {
+			c = len(reps)
+			ids[k] = c
+			reps = append(reps, j)
+		}
+		class[i] = c
+	}
+	return reps, class
 }
 
 // mapSpeed maps volumes (M × T) to speeds (M × T) in inference mode. On the

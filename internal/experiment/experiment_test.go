@@ -90,6 +90,46 @@ func TestNewEnvStructureAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewEnvRejectsCityWithoutODPair: a city with no OD pair has no TOD to
+// draw, so building its environment is an error, not a panic, and so is a
+// Fig. 9 size whose grid is too small to hold one.
+func TestNewEnvRejectsCityWithoutODPair(t *testing.T) {
+	ctx := context.Background()
+	sc := microScale()
+	tests := []struct {
+		name    string
+		run     func() error
+		wantErr string
+	}{
+		{
+			name: "city with its pairs removed",
+			run: func() error {
+				city := dataset.SyntheticGrid(sc.ODPairs, 7)
+				city.Pairs = nil
+				city.ResolveODs()
+				_, err := NewEnv(ctx, city, sc, 7)
+				return err
+			},
+			wantErr: `experiment: city "Synthetic3x3" has no OD pair`,
+		},
+		{
+			name: "one-intersection Fig. 9 grid",
+			run: func() error {
+				_, err := RunScalability(ctx, sc, []int{1}, 1)
+				return err
+			},
+			wantErr: `experiment: city "grid-1" has no OD pair`,
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if err := tt.run(); err == nil || err.Error() != tt.wantErr {
+				t.Fatalf("error = %v, want %q", err, tt.wantErr)
+			}
+		})
+	}
+}
+
 func TestNewSyntheticEnvUsesPattern(t *testing.T) {
 	sc := microScale()
 	envInc, err := NewSyntheticEnv(context.Background(), dataset.PatternIncreasing, sc, 9)

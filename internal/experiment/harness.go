@@ -26,7 +26,7 @@ type Env struct {
 
 // NewEnv generates the training data and ground truth for a city following
 // the Fig. 7 protocol. Data generation runs many simulations, so ctx is
-// threaded through to cancel mid-build.
+// threaded through to cancel mid-build. A city with no OD pair is an error.
 func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env, error) {
 	env, simulator, err := newSampledEnv(ctx, city, sc, seed)
 	if err != nil {
@@ -43,6 +43,9 @@ func NewEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env
 // newSampledEnv is NewEnv without the ground truth: the environment with its
 // training samples, and the simulator they ran on. The caller sets GT.
 func newSampledEnv(ctx context.Context, city *dataset.City, sc Scale, seed int64) (*Env, *sim.Simulator, error) {
+	if city.NumPairs() == 0 {
+		return nil, nil, fmt.Errorf("experiment: city %q has no OD pair", city.Name)
+	}
 	simCfg := sim.Config{Intervals: sc.Intervals, IntervalSec: sc.IntervalSec, Seed: seed}
 	simulator := sim.New(city.Net, simCfg)
 	// Span light to moderately heavy congestion so the learned mappings
